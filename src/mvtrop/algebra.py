@@ -5,10 +5,19 @@ the rational unit interval, Delta-of-a-group algebras (unit interval of
 Z lex G, so Chang's algebra is DeltaOf(Z)), and finite products.  All
 arithmetic is exact: chain and interval payloads are reduced Fractions,
 DeltaOf payloads are (bit, offset) lex pairs with offset in the base group.
+
+Every operation goes through one payload-ops record per descriptor
+(``payload_ops``): a kind supplies ⊕, ¬, 0 and 1 on raw payloads, and the
+record derives ⊙, ⊖, →, ∨, ∧ and ≤ from them.  A record is built on first use
+in O(number of factors), with no tables, and kept in a bounded cache keyed on
+the frozen descriptor.  The ``mv_*`` functions unwrap MvElements, call the
+record and wrap the result; the checkers in ``logic`` and ``export`` call the
+record on payloads directly and build MvElements only for witnesses.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -125,51 +134,79 @@ def element(A: MvAlgebra, payload: Any) -> MvElement:
     return MvElement(A, _coerce_payload(A, payload))
 
 
-def _zero_payload(A: MvAlgebra):
-    if isinstance(A, (FiniteChain, RationalInterval)):
-        return _ZERO
-    if isinstance(A, DeltaOf):
-        return (0, group_zero(A.group))
-    return tuple(_zero_payload(f) for f in A.factors)
+class PayloadOps:
+    """The operations of one descriptor on raw payloads.
+
+    A kind supplies only ⊕, ¬, 0 and 1; ⊙, ⊖, →, ∨, ∧ and the order test are
+    derived here from those four, exactly as the MV-algebra definitions read.
+    """
+
+    __slots__ = ("oplus", "neg", "zero", "one", "odot", "ominus", "implies",
+                 "join", "meet", "leq")
+
+    def __init__(self, oplus: Callable, neg: Callable, zero_p, one_p):
+        self.oplus, self.neg, self.zero, self.one = oplus, neg, zero_p, one_p
+
+        def odot(p, q):  # ¬(¬p ⊕ ¬q)
+            return neg(oplus(neg(p), neg(q)))
+
+        def join(p, q):  # ¬(¬p ⊕ q) ⊕ q
+            return oplus(neg(oplus(neg(p), q)), q)
+
+        self.odot, self.join = odot, join
+        self.ominus = lambda p, q: odot(p, neg(q))
+        self.implies = lambda p, q: oplus(neg(p), q)
+        self.meet = lambda p, q: neg(join(neg(p), neg(q)))
+        self.leq = lambda p, q: oplus(neg(p), q) == one_p
 
 
-def _one_payload(A: MvAlgebra):
-    if isinstance(A, (FiniteChain, RationalInterval)):
-        return _ONE
+def _unit_oplus(p, q):
+    s = p + q
+    return s if s < _ONE else _ONE
+
+
+def _unit_neg(p):
+    return _ONE - p
+
+
+@functools.lru_cache(maxsize=64)
+def payload_ops(A: MvAlgebra) -> PayloadOps:
+    """The ops record of a descriptor, built in O(number of factors) and cached."""
+    if isinstance(A, FiniteChain):
+        return payload_ops(RationalInterval())  # every chain shares the interval's record
+    if isinstance(A, RationalInterval):
+        return PayloadOps(_unit_oplus, _unit_neg, _ZERO, _ONE)
     if isinstance(A, DeltaOf):
-        return (1, group_zero(A.group))
-    return tuple(_one_payload(f) for f in A.factors)
+        G = A.group
+        gz = group_zero(G)
+
+        def delta_oplus(p, q):
+            bit = p[0] + q[0]
+            off = group_add(G, p[1], q[1])
+            if bit == 0:
+                return (0, off)
+            if bit == 1:
+                return (1, group_meet(G, off, gz))
+            return (1, gz)
+
+        return PayloadOps(delta_oplus, lambda p: (1 - p[0], group_negate(G, p[1])),
+                          (0, gz), (1, gz))
+    if isinstance(A, ProductAlgebra):
+        parts = [payload_ops(f) for f in A.factors]
+        pluses, negs = tuple(o.oplus for o in parts), tuple(o.neg for o in parts)
+        return PayloadOps(
+            lambda p, q: tuple([f(a, b) for f, a, b in zip(pluses, p, q)]),
+            lambda p: tuple([f(a) for f, a in zip(negs, p)]),
+            tuple(o.zero for o in parts), tuple(o.one for o in parts))
+    raise StructuralError(f"unknown algebra descriptor {A!r}")
 
 
 def zero(A: MvAlgebra) -> MvElement:
-    return MvElement(A, _zero_payload(A))
+    return MvElement(A, payload_ops(A).zero)
 
 
 def one(A: MvAlgebra) -> MvElement:
-    return MvElement(A, _one_payload(A))
-
-
-def _oplus_payload(A: MvAlgebra, p, q):
-    if isinstance(A, (FiniteChain, RationalInterval)):
-        s = p + q
-        return s if s < _ONE else _ONE
-    if isinstance(A, DeltaOf):
-        bit = p[0] + q[0]
-        off = group_add(A.group, p[1], q[1])
-        if bit == 0:
-            return (0, off)
-        if bit == 1:
-            return (1, group_meet(A.group, off, group_zero(A.group)))
-        return (1, group_zero(A.group))
-    return tuple(_oplus_payload(f, a, b) for f, a, b in zip(A.factors, p, q))
-
-
-def _neg_payload(A: MvAlgebra, p):
-    if isinstance(A, (FiniteChain, RationalInterval)):
-        return _ONE - p
-    if isinstance(A, DeltaOf):
-        return (1 - p[0], group_negate(A.group, p[1]))
-    return tuple(_neg_payload(f, a) for f, a in zip(A.factors, p))
+    return MvElement(A, payload_ops(A).one)
 
 
 def _same_algebra(x: MvElement, y: MvElement) -> MvAlgebra:
@@ -178,48 +215,37 @@ def _same_algebra(x: MvElement, y: MvElement) -> MvAlgebra:
     return x.algebra
 
 
-def mv_oplus(x: MvElement, y: MvElement) -> MvElement:
-    A = _same_algebra(x, y)
-    return MvElement(A, _oplus_payload(A, x.payload, y.payload))
+def _lift(name: str, doc: str | None) -> Callable[[MvElement, MvElement], MvElement]:
+    """The element-level form of the record's binary operation ``name``."""
+    def op(x: MvElement, y: MvElement) -> MvElement:
+        A = _same_algebra(x, y)
+        return MvElement(A, getattr(payload_ops(A), name)(x.payload, y.payload))
+    op.__name__ = op.__qualname__ = "mv_" + name
+    op.__doc__ = doc
+    return op
+
+
+mv_oplus = _lift("oplus", None)
+mv_odot = _lift("odot", "x ⊙ y = ¬(¬x ⊕ ¬y).")
+mv_ominus = _lift("ominus", "x ⊖ y = x ⊙ ¬y.")
+mv_implies = _lift("implies", "x → y = ¬x ⊕ y.")
+mv_join = _lift("join", "x ∨ y = ¬(¬x ⊕ y) ⊕ y, the lattice join of the natural order.")
+mv_meet = _lift("meet", None)
 
 
 def mv_neg(x: MvElement) -> MvElement:
-    return MvElement(x.algebra, _neg_payload(x.algebra, x.payload))
-
-
-def mv_odot(x: MvElement, y: MvElement) -> MvElement:
-    """x ⊙ y = ¬(¬x ⊕ ¬y)."""
-    return mv_neg(mv_oplus(mv_neg(x), mv_neg(y)))
-
-
-def mv_ominus(x: MvElement, y: MvElement) -> MvElement:
-    """x ⊖ y = x ⊙ ¬y."""
-    return mv_odot(x, mv_neg(y))
-
-
-def mv_implies(x: MvElement, y: MvElement) -> MvElement:
-    """x → y = ¬x ⊕ y."""
-    return mv_oplus(mv_neg(x), y)
-
-
-def mv_join(x: MvElement, y: MvElement) -> MvElement:
-    """x ∨ y = ¬(¬x ⊕ y) ⊕ y, the lattice join of the natural order."""
-    return mv_oplus(mv_neg(mv_oplus(mv_neg(x), y)), y)
-
-
-def mv_meet(x: MvElement, y: MvElement) -> MvElement:
-    return mv_neg(mv_join(mv_neg(x), mv_neg(y)))
+    return MvElement(x.algebra, payload_ops(x.algebra).neg(x.payload))
 
 
 def mv_leq(x: MvElement, y: MvElement) -> bool:
     """Natural order, decided through the equivalent test ¬x ⊕ y = 1."""
     A = _same_algebra(x, y)
-    return mv_implies(x, y).payload == _one_payload(A)
+    return payload_ops(A).leq(x.payload, y.payload)
 
 
 def is_boolean_elem(x: MvElement) -> bool:
     """True iff x is idempotent: x ⊕ x = x."""
-    return mv_oplus(x, x) == x
+    return payload_ops(x.algebra).oplus(x.payload, x.payload) == x.payload
 
 
 def is_infinitesimal_elem(x: MvElement) -> bool:
@@ -277,7 +303,7 @@ def _farey(bound: int) -> list[Fraction]:
     return sorted(out)
 
 
-def enumerate_elements(A: MvAlgebra, bound: int | None = None) -> list[MvElement]:
+def enumerate_payloads(A: MvAlgebra, bound: int | None = None) -> list:
     """Canonical enumeration: the full carrier when finite, else a bounded fragment.
 
     Chains and DeltaOf fragments come in ascending natural order; the interval
@@ -287,25 +313,30 @@ def enumerate_elements(A: MvAlgebra, bound: int | None = None) -> list[MvElement
     """
     if isinstance(A, FiniteChain):
         n = A.size - 1
-        return [MvElement(A, Fraction(k, n)) for k in range(n + 1)]
+        return [Fraction(k, n) for k in range(n + 1)]
     if isinstance(A, RationalInterval):
         if bound is None:
             raise DomainError("enumerating the rational interval requires a bound")
-        return [MvElement(A, q) for q in _farey(bound)]
+        if bound < 1:
+            raise DomainError("bound must be >= 1")
+        return _farey(bound)
     if isinstance(A, DeltaOf):
         if isinstance(A.group, TrivialGroup):
-            return [zero(A), one(A)]
+            ops = payload_ops(A)
+            return [ops.zero, ops.one]
         if bound is None:
             raise DomainError(f"enumerating {A!r} requires a bound")
         cone = group_positive_cone(A.group, bound)
-        lower = [MvElement(A, (0, g)) for g in cone]
-        upper = [MvElement(A, (1, group_negate(A.group, g))) for g in reversed(cone)]
-        return lower + upper
+        return ([(0, g) for g in cone]
+                + [(1, group_negate(A.group, g)) for g in reversed(cone)])
     if isinstance(A, ProductAlgebra):
-        columns = [enumerate_elements(f, bound) for f in A.factors]
-        return [MvElement(A, tuple(e.payload for e in combo))
-                for combo in itertools.product(*columns)]
+        return list(itertools.product(*(enumerate_payloads(f, bound) for f in A.factors)))
     raise StructuralError(f"unknown algebra descriptor {A!r}")
+
+
+def enumerate_elements(A: MvAlgebra, bound: int | None = None) -> list[MvElement]:
+    """The elements of ``enumerate_payloads(A, bound)``, in the same order."""
+    return [MvElement(A, p) for p in enumerate_payloads(A, bound)]
 
 
 def sample_elements(A: MvAlgebra, count: int, seed: int,
@@ -313,29 +344,28 @@ def sample_elements(A: MvAlgebra, count: int, seed: int,
     """Deterministic sample, uniform over the bounded fragment (with replacement)."""
     if count < 1:
         raise DomainError("sample count must be >= 1")
-    pool = enumerate_elements(A, bound)
+    return [MvElement(A, p) for (p,) in payload_tuples(A, bound, count, seed)(1)]
+
+
+def payload_tuples(A: MvAlgebra, bound: int | None = None, samples: int | None = None,
+                   seed: int = 0) -> Callable:
+    """The instances of every check: ``tuples(arity)`` yields all arity-tuples of
+    payloads of the (bound-limited) carrier in canonical order or, with
+    ``samples`` set, that many seeded draws with replacement, where the bound
+    only applies to infinite carriers."""
+    if samples is None:
+        if bound is None and carrier_size(A) is None:
+            raise ModeError(f"{A!r} has an infinite carrier; use a bounded or sampled check")
+        pool = enumerate_payloads(A, bound)
+        return lambda arity: itertools.product(pool, repeat=arity)
+    pool = enumerate_payloads(A, None if carrier_size(A) is not None else bound)
     rng = random.Random(seed)
-    return [rng.choice(pool) for _ in range(count)]
+    return lambda arity: (tuple(rng.choice(pool) for _ in range(arity))
+                          for _ in range(samples))
 
 
 # ---------------------------------------------------------------------------
 # MV axiom suite.
-
-def _mv_axioms(A: MvAlgebra):
-    zz, oo = zero(A), one(A)
-    return [
-        ("oplus_associative", 3,
-         lambda x, y, z: mv_oplus(mv_oplus(x, y), z) == mv_oplus(x, mv_oplus(y, z))),
-        ("oplus_commutative", 2, lambda x, y: mv_oplus(x, y) == mv_oplus(y, x)),
-        ("zero_neutral", 1, lambda x: mv_oplus(x, zz) == x),
-        ("one_absorbing", 1, lambda x: mv_oplus(x, oo) == oo),
-        ("neg_involutive", 1, lambda x: mv_neg(mv_neg(x)) == x),
-        ("neg_zero_is_one", 0, lambda: mv_neg(zz) == oo),
-        ("lukasiewicz_exchange", 2,
-         lambda x, y: mv_oplus(mv_neg(mv_oplus(mv_neg(x), y)), y)
-         == mv_oplus(mv_neg(mv_oplus(mv_neg(y), x)), x)),
-    ]
-
 
 def check_mv_axioms(A: MvAlgebra, mode: str = "exhaustive", *,
                     samples: int = 1000, seed: int = 0,
@@ -346,40 +376,32 @@ def check_mv_axioms(A: MvAlgebra, mode: str = "exhaustive", *,
     canonical enumeration order is reported.
     """
     if mode == "exhaustive":
-        if carrier_size(A) is None:
-            raise ModeError(f"{A!r} has an infinite carrier; use sampled mode")
-        elems = enumerate_elements(A)
-
-        def tuples(arity):
-            return itertools.product(elems, repeat=arity)
+        tuples = payload_tuples(A)
     elif mode == "sampled":
-        pool = enumerate_elements(A, None if carrier_size(A) is not None else bound)
-        rng = random.Random(seed)
-
-        def tuples(arity):
-            return (tuple(rng.choice(pool) for _ in range(arity))
-                    for _ in range(samples))
+        tuples = payload_tuples(A, bound, samples, seed)
     else:
         raise DomainError(f"unknown mode {mode!r}")
-
-    checked = 0
-    for name, arity, pred in _mv_axioms(A):
-        for combo in tuples(arity) if arity else [()]:
-            checked += 1
-            if not pred(*combo):
-                witness = {"axiom": name, "elements": list(combo)}
-                return CheckReport(COUNTEREXAMPLE, checked, witness, mode)
-    return CheckReport(VALID, checked, mode=mode)
+    ops = payload_ops(A)
+    report = check_axioms_over((), ops.oplus, ops.neg, ops.zero, ops.one, tuples=tuples)
+    witness = report.witness and {
+        "axiom": report.witness["axiom"],
+        "elements": [MvElement(A, p) for p in report.witness["elements"]]}
+    return CheckReport(report.verdict, report.checked, witness, mode)
 
 
 def check_axioms_over(elements: Iterable, oplus: Callable, neg: Callable,
-                      zero_el, one_el) -> CheckReport:
+                      zero_el, one_el, *, tuples: Callable | None = None) -> CheckReport:
     """Run the MV axiom suite against explicitly supplied operations.
 
-    Exercised by tests as a negative control: feed a corrupted operation table
-    and the counterexample must surface.
+    Every tuple of ``elements`` is tried, unless ``tuples(arity)`` supplies the
+    instances.  Exercised by tests as a negative control: feed a corrupted
+    operation table and the counterexample must surface.
     """
-    elems = list(elements)
+    if tuples is None:
+        elems = list(elements)
+
+        def tuples(arity):
+            return itertools.product(elems, repeat=arity)
     axioms = [
         ("oplus_associative", 3,
          lambda x, y, z: oplus(oplus(x, y), z) == oplus(x, oplus(y, z))),
@@ -393,7 +415,7 @@ def check_axioms_over(elements: Iterable, oplus: Callable, neg: Callable,
     ]
     checked = 0
     for name, arity, pred in axioms:
-        for combo in itertools.product(elems, repeat=arity) if arity else [()]:
+        for combo in tuples(arity) if arity else [()]:
             checked += 1
             if not pred(*combo):
                 return CheckReport(COUNTEREXAMPLE, checked,

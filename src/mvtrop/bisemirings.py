@@ -16,8 +16,8 @@ from typing import Callable
 from .algebra import (MvAlgebra, MvElement, carrier_size, enumerate_elements,
                       mv_join, mv_meet, mv_odot, mv_oplus, one, zero)
 from .errors import DomainError, MalformedInputError, StructuralError
-from .groups import (LGroup, group_add, group_contains, group_element_str,
-                     group_leq, group_positive_cone, group_zero)
+from .groups import (LGroup, group_add, group_contains, group_leq,
+                     group_positive_cone, group_zero)
 from .report import COUNTEREXAMPLE, VALID, CheckReport
 
 
@@ -122,19 +122,9 @@ def cone_join(T: TopCone, x, y):
     return y if cone_leq(T, x, y) else x
 
 
-def cone_zero(T: TopCone):
-    return group_zero(T.base_group)
-
-
 def cone_elements(T: TopCone, bound: int) -> list:
     """Bounded cone fragment in ascending order, with ⊤ last."""
     return group_positive_cone(T.base_group, bound) + [TOP]
-
-
-def cone_element_str(T: TopCone, x) -> str:
-    if x is TOP:
-        return "⊤"
-    return group_element_str(T.base_group, x)
 
 
 # ---------------------------------------------------------------------------

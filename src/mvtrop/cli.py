@@ -10,6 +10,7 @@ omitted.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -358,10 +359,13 @@ def _scalar(v) -> str:
     return str(v)
 
 
+# Parsing leaves no state behind in the parser, so one serves every call.
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
@@ -379,8 +383,12 @@ def main(argv: list[str] | None = None) -> int:
     else:
         text = dumps(output)
     if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            print(f"mvtrop: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+            return 2
     else:
         print(text)
     return code

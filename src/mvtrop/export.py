@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-from .algebra import (MvAlgebra, carrier_size, element_str, enumerate_elements,
-                      is_boolean_elem, is_infinitesimal_elem, mv_join, mv_leq,
-                      mv_meet, mv_neg, mv_odot, mv_oplus)
+from .algebra import (MvAlgebra, MvElement, carrier_size, element_str,
+                      enumerate_payloads, is_infinitesimal_elem, payload_ops)
 from .errors import DomainError
 from .jsonio import algebra_to_json, payload_to_json
 
@@ -20,22 +19,24 @@ def operation_tables(A: MvAlgebra, bound: int | None = None) -> dict:
     """
     elems = _carrier(A, bound)
     fragment = carrier_size(A) is None
-    index = {x: i for i, x in enumerate(elems)}
+    ops = payload_ops(A)
+    index = {p: i for i, p in enumerate(elems)}
 
-    def cell(x):
-        return index[x] if x in index else payload_to_json(A, x.payload)
+    def cell(p):
+        return index[p] if p in index else payload_to_json(A, p)
 
-    ops = {"oplus": mv_oplus, "odot": mv_odot, "meet": mv_meet, "join": mv_join}
     tables = {name: [[cell(op(x, y)) for y in elems] for x in elems]
-              for name, op in ops.items()}
+              for name, op in (("oplus", ops.oplus), ("odot", ops.odot),
+                               ("meet", ops.meet), ("join", ops.join))}
     return {
         "algebra": algebra_to_json(A),
         "fragment": fragment,
-        "elements": [payload_to_json(A, x.payload) for x in elems],
-        "neg": [cell(mv_neg(x)) for x in elems],
+        "elements": [payload_to_json(A, p) for p in elems],
+        "neg": [cell(ops.neg(p)) for p in elems],
         "tables": tables,
-        "boolean": [i for i, x in enumerate(elems) if is_boolean_elem(x)],
-        "infinitesimal": [i for i, x in enumerate(elems) if is_infinitesimal_elem(x)],
+        "boolean": [i for i, p in enumerate(elems) if ops.oplus(p, p) == p],
+        "infinitesimal": [i for i, p in enumerate(elems)
+                          if is_infinitesimal_elem(MvElement(A, p))],
     }
 
 
@@ -46,11 +47,13 @@ def hasse_dot(A: MvAlgebra, bound: int | None = None) -> str:
     """
     elems = _carrier(A, bound)
     n = len(elems)
-    leq = [[mv_leq(x, y) for y in elems] for x in elems]
+    ops = payload_ops(A)
+    leq = [[ops.leq(p, q) for q in elems] for p in elems]
     lines = ["digraph hasse {", "  rankdir=BT;", '  node [shape=ellipse];']
-    for i, x in enumerate(elems):
+    for i, p in enumerate(elems):
+        x = MvElement(A, p)
         attrs = [f'label="{element_str(x)}"']
-        if is_boolean_elem(x):
+        if ops.oplus(p, p) == p:
             attrs.append("peripheries=2")
         if is_infinitesimal_elem(x):
             attrs.append('style=filled fillcolor=lightgray')
@@ -74,7 +77,7 @@ def _carrier(A: MvAlgebra, bound: int | None):
         raise DomainError(f"{A!r} is infinite; exporting needs a bound")
     if size is not None and size > MAX_EXPORT_CARRIER:
         raise DomainError(f"carrier of {A!r} exceeds {MAX_EXPORT_CARRIER} elements")
-    elems = enumerate_elements(A, bound)
+    elems = enumerate_payloads(A, bound)
     if len(elems) > MAX_EXPORT_CARRIER:
         raise DomainError(f"fragment of {A!r} exceeds {MAX_EXPORT_CARRIER} elements")
     return elems

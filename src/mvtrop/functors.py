@@ -16,7 +16,8 @@ from typing import Any, Callable
 from .algebra import (DeltaOf, FiniteChain, MvAlgebra, MvElement,
                       ProductAlgebra, carrier_size, element, element_str,
                       enumerate_elements, is_boolean_elem, mv_join, mv_leq,
-                      mv_meet, mv_neg, mv_odot, mv_oplus, one, zero)
+                      mv_meet, mv_neg, mv_odot, mv_oplus, one, payload_ops,
+                      zero)
 from .bisemirings import TOP, Bisemiring, TopCone
 from .errors import (BrokenHomomorphismError, DomainError, MalformedInputError,
                      UnsupportedRepresentationError)
@@ -82,17 +83,21 @@ def mv_from_semifield(S: TropOfGroup, u) -> MvAlgebra:
 
 def theta(A: MvAlgebra) -> Bisemiring:
     """θ(A) = {x : x >= 2x²}, as a membership predicate over A."""
+    ops = payload_ops(A)
+
     def member(x: MvElement) -> bool:
-        sq = mv_odot(x, x)
-        return mv_leq(mv_oplus(sq, sq), x)
+        sq = ops.odot(x.payload, x.payload)
+        return ops.leq(ops.oplus(sq, sq), x.payload)
     return Bisemiring(A, member, label="theta")
 
 
 def theta_star(A: MvAlgebra) -> Bisemiring:
     """θ*(A) = {x : x <= 2x²}."""
+    ops = payload_ops(A)
+
     def member(x: MvElement) -> bool:
-        sq = mv_odot(x, x)
-        return mv_leq(x, mv_oplus(sq, sq))
+        sq = ops.odot(x.payload, x.payload)
+        return ops.leq(x.payload, ops.oplus(sq, sq))
     return Bisemiring(A, member, label="theta_star")
 
 

@@ -224,14 +224,6 @@ def sf_contains(S: TropOfGroup, x) -> bool:
     return x is BOTTOM or group_contains(S.group, x)
 
 
-def sf_zero(S: TropOfGroup):
-    return BOTTOM
-
-
-def sf_one(S: TropOfGroup):
-    return group_zero(S.group)
-
-
 def splus(S: TropOfGroup, x, y):
     """Semiring addition: join, with -inf neutral."""
     if x is BOTTOM:

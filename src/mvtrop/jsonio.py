@@ -19,7 +19,7 @@ from .characteristics import (INF, Characteristic, characteristic,
                               group_label, parse_group_label)
 from .errors import UsageError
 from .groups import (BOTTOM, Integers, LexZG, LGroup, QSubgroup, TrivialGroup,
-                     TropOfGroup, qsubgroup)
+                     TropOfGroup, group_coerce, qsubgroup)
 from .report import CheckReport
 
 
@@ -95,11 +95,12 @@ def group_payload_to_json(G: LGroup, x) -> Any:
 
 
 def group_payload_from_json(G: LGroup, data) -> Any:
-    from .groups import group_coerce
     if isinstance(G, LexZG):
         if not isinstance(data, list) or len(data) != 2:
             raise UsageError(f"expected a lex pair, got {data!r}")
         return group_coerce(G, (int(data[0]), group_payload_from_json(G.tail, data[1])))
+    if isinstance(data, list):
+        raise UsageError(f"expected a rational for {G!r}")
     return group_coerce(G, parse_rational(str(data)))
 
 
@@ -146,6 +147,8 @@ def payload_to_json(A: MvAlgebra, payload) -> Any:
 
 def payload_from_json(A: MvAlgebra, data) -> Any:
     if isinstance(A, (FiniteChain, RationalInterval)):
+        if isinstance(data, list):
+            raise UsageError(f"expected a rational for {A!r}")
         return parse_rational(str(data))
     if isinstance(A, DeltaOf):
         if not isinstance(data, list) or len(data) != 2:
@@ -224,7 +227,7 @@ def parse_group_shorthand(text: str) -> LGroup:
     """"Z", "Q", "Z[1/2]", "trivial", "lex:GROUP", or inline descriptor JSON."""
     text = text.strip()
     if text.startswith("{"):
-        return group_from_json(_load_json(text))
+        return _decoded(text, group_from_json, _load_json(text))
     if text == "trivial":
         return TrivialGroup()
     if text.startswith("lex:"):
@@ -236,7 +239,7 @@ def parse_algebra_shorthand(text: str) -> MvAlgebra:
     """"chain:N", "interval", "chang", "delta:GROUP", "prod:A,B,...", or JSON."""
     text = text.strip()
     if text.startswith("{"):
-        return algebra_from_json(_load_json(text))
+        return _decoded(text, algebra_from_json, _load_json(text))
     if text == "interval":
         return RationalInterval()
     if text == "chang":
@@ -255,22 +258,26 @@ def parse_algebra_shorthand(text: str) -> MvAlgebra:
 
 
 def _split_factors(text: str) -> list[str]:
-    """Split "chain:2,chain:3" on commas; chain:/interval/chang only (no nesting)."""
-    parts = []
-    for piece in text.split(","):
-        piece = piece.strip()
-        if not piece:
-            raise UsageError(f"empty factor in product shorthand {text!r}")
-        parts.append(piece)
-    if not parts:
-        raise UsageError("a product needs at least one factor")
+    """Split "chain:2,delta:Z[1/2,1/3]" on the commas outside [...] and {...}."""
+    parts, depth, start = [], 0, 0
+    for i, ch in enumerate(text + ","):
+        if ch in "[{":
+            depth += 1
+        elif ch in "]}":
+            depth -= 1
+        elif ch == "," and depth == 0:
+            piece = text[start:i].strip()
+            if not piece:
+                raise UsageError(f"empty factor in product shorthand {text!r}")
+            parts.append(piece)
+            start = i + 1
     return parts
 
 
 def parse_semifield_shorthand(text: str) -> TropOfGroup:
     text = text.strip()
     if text.startswith("{"):
-        return semifield_from_json(_load_json(text))
+        return _decoded(text, semifield_from_json, _load_json(text))
     if text.startswith("trop:"):
         return TropOfGroup(parse_group_shorthand(text[5:]))
     raise UsageError(f"unrecognized semifield shorthand {text!r}")
@@ -278,10 +285,11 @@ def parse_semifield_shorthand(text: str) -> TropOfGroup:
 
 def parse_payload_shorthand(A: MvAlgebra, text: str):
     """Compact element syntax: rationals, or parenthesized tuples like (0,3)."""
-    return _coerce_tree(A, _parse_tuple_tree(text))
+    return _decoded(text, payload_from_json, A, _parse_tuple_tree(text))
 
 
 def _parse_tuple_tree(text: str):
+    """"(1,(0,2))" as the JSON payload form [1, [0, 2]], with rational leaves."""
     text = text.strip()
     if text.startswith("(") and text.endswith(")"):
         inner = text[1:-1]
@@ -295,39 +303,12 @@ def _parse_tuple_tree(text: str):
                 parts.append(inner[start:i])
                 start = i + 1
         parts.append(inner[start:])
-        return tuple(_parse_tuple_tree(p) for p in parts)
+        return [_parse_tuple_tree(p) for p in parts]
     return parse_rational(text)
 
 
-def _coerce_tree(A: MvAlgebra, tree):
-    if isinstance(A, (FiniteChain, RationalInterval)):
-        if isinstance(tree, tuple):
-            raise UsageError(f"expected a rational for {A!r}")
-        return tree
-    if isinstance(A, DeltaOf):
-        if not isinstance(tree, tuple) or len(tree) != 2:
-            raise UsageError(f"expected (bit, offset) for {A!r}")
-        return (int(tree[0]), _coerce_group_tree(A.group, tree[1]))
-    if isinstance(A, ProductAlgebra):
-        if not isinstance(tree, tuple) or len(tree) != len(A.factors):
-            raise UsageError(f"expected a {len(A.factors)}-tuple for {A!r}")
-        return tuple(_coerce_tree(f, t) for f, t in zip(A.factors, tree))
-    raise UsageError(f"cannot parse payloads for {A!r}")
-
-
-def _coerce_group_tree(G: LGroup, tree):
-    if isinstance(G, LexZG):
-        if not isinstance(tree, tuple) or len(tree) != 2:
-            raise UsageError(f"expected a lex pair for {G!r}")
-        return (int(tree[0]), _coerce_group_tree(G.tail, tree[1]))
-    if isinstance(tree, tuple):
-        raise UsageError(f"expected a rational for {G!r}")
-    return tree
-
-
 def parse_group_element_shorthand(G: LGroup, text: str):
-    from .groups import group_coerce
-    return group_coerce(G, _coerce_group_tree(G, _parse_tuple_tree(text)))
+    return _decoded(text, group_payload_from_json, G, _parse_tuple_tree(text))
 
 
 def group_shorthand(G: LGroup) -> str:
@@ -358,6 +339,14 @@ def algebra_shorthand(A: MvAlgebra) -> str:
     if isinstance(A, ProductAlgebra):
         return "prod:" + ",".join(algebra_shorthand(f) for f in A.factors)
     return dumps(algebra_to_json(A))
+
+
+def _decoded(text: str, decoder, *args):
+    """Run a decoder on parsed command-line ``text``; malformed fields are usage errors."""
+    try:
+        return decoder(*args)
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise UsageError(f"malformed input {text!r}: {exc}") from None
 
 
 def _load_json(text: str) -> dict:

@@ -8,17 +8,17 @@ as valid_up_to_bound, never as a completeness claim).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Mapping
+from operator import itemgetter
+from typing import Callable, Mapping
 
-from .algebra import (CHANG, MvAlgebra, MvElement, carrier_size,
-                      enumerate_elements, mv_implies, mv_join, mv_meet, mv_neg,
-                      mv_odot, mv_ominus, mv_oplus, one, zero)
-from .errors import EvaluationError, ModeError, StructuralError
+from .algebra import (CHANG, MvAlgebra, MvElement, PayloadOps, payload_ops,
+                      payload_tuples)
+from .errors import EvaluationError, StructuralError
 from .report import COUNTEREXAMPLE, VALID, VALID_UP_TO_BOUND, CheckReport
 from .terms import (Const, Equation, Implies, Join, Meet, Neg, Odot, Ominus,
-                    Oplus, Term, Var, operation_count, parse, parse_equation)
+                    Oplus, Term, Var, operation_count, parse, parse_equation,
+                    variables)
 
 
 @dataclass(frozen=True)
@@ -27,59 +27,62 @@ class Valuation:
     bindings: Mapping[str, MvElement]
 
 
-def valuation(A: MvAlgebra, **bindings: MvElement) -> Valuation:
-    return Valuation(A, dict(bindings))
+_CONNECTIVES = {Oplus: "oplus", Odot: "odot", Ominus: "ominus",
+                Implies: "implies", Meet: "meet", Join: "join"}
+
+
+def _compile_term(t: Term, ops: PayloadOps, slots: dict[str, int]) -> Callable:
+    """Close t over payload operations, once per check.
+
+    The result maps a sequence of payloads to the payload of t, reading
+    variable ``name`` at position ``slots[name]``.  A variable missing from
+    ``slots`` gets the next free position, so an empty dict collects the
+    variables in evaluation order.
+    """
+    if isinstance(t, Var):
+        return itemgetter(slots.setdefault(t.name, len(slots)))
+    if isinstance(t, Const):
+        c = ops.zero if t.value == 0 else ops.one
+        return lambda env: c
+    if isinstance(t, Neg):
+        f, neg = _compile_term(t.arg, ops, slots), ops.neg
+        return lambda env: neg(f(env))
+    name = _CONNECTIVES.get(type(t))
+    if name is None:
+        raise TypeError(f"not a term: {t!r}")
+    op = getattr(ops, name)
+    f, g = _compile_term(t.left, ops, slots), _compile_term(t.right, ops, slots)
+    return lambda env: op(f(env), g(env))
 
 
 def evaluate(t: Term, v: Valuation) -> MvElement:
-    """Evaluate by structural recursion; → is read as ¬x ⊕ y, ⊖ as x ⊙ ¬y."""
+    """Evaluate t under v; → is read as ¬x ⊕ y, ⊖ as x ⊙ ¬y."""
     A = v.algebra
-    if isinstance(t, Var):
+    slots: dict[str, int] = {}
+    f = _compile_term(t, payload_ops(A), slots)
+    env = []
+    for name in slots:
         try:
-            x = v.bindings[t.name]
+            x = v.bindings[name]
         except KeyError:
-            raise EvaluationError(f"variable {t.name!r} is not bound") from None
+            raise EvaluationError(f"variable {name!r} is not bound") from None
         if x.algebra != A:
-            raise StructuralError(f"binding for {t.name!r} inhabits {x.algebra!r}, not {A!r}")
-        return x
-    if isinstance(t, Const):
-        return zero(A) if t.value == 0 else one(A)
-    if isinstance(t, Neg):
-        return mv_neg(evaluate(t.arg, v))
-    a = evaluate(t.left, v)
-    b = evaluate(t.right, v)
-    if isinstance(t, Oplus):
-        return mv_oplus(a, b)
-    if isinstance(t, Odot):
-        return mv_odot(a, b)
-    if isinstance(t, Ominus):
-        return mv_ominus(a, b)
-    if isinstance(t, Implies):
-        return mv_implies(a, b)
-    if isinstance(t, Meet):
-        return mv_meet(a, b)
-    if isinstance(t, Join):
-        return mv_join(a, b)
-    raise TypeError(f"not a term: {t!r}")
+            raise StructuralError(f"binding for {name!r} inhabits {x.algebra!r}, not {A!r}")
+        env.append(x.payload)
+    return MvElement(A, f(env))
 
 
-def _valuations(A: MvAlgebra, names: list[str], bound: int | None):
-    elems = enumerate_elements(A, bound)
-    for combo in itertools.product(elems, repeat=len(names)):
-        yield Valuation(A, dict(zip(names, combo)))
+def _compiled(t: Term, ops: PayloadOps, names: list[str]) -> Callable:
+    return _compile_term(t, ops, {name: i for i, name in enumerate(names)})
+
+
+def _bindings(A: MvAlgebra, names, env) -> dict[str, MvElement]:
+    return {name: MvElement(A, p) for name, p in zip(names, env)}
 
 
 def check_equation_finite(e: Equation, A: MvAlgebra) -> CheckReport:
     """Exhaustive equation check over all valuations of a finite algebra."""
-    if carrier_size(A) is None:
-        raise ModeError(f"{A!r} has an infinite carrier; use a bounded check")
-    names = sorted(e.variables())
-    checked = 0
-    for v in _valuations(A, names, None):
-        checked += 1
-        if evaluate(e.lhs, v) != evaluate(e.rhs, v):
-            return CheckReport(COUNTEREXAMPLE, checked, dict(v.bindings))
-    return CheckReport(VALID, checked)
+    return _check_equation(e, A, None, "exhaustive")
 
 
 def default_chang_bound(e: Equation) -> int:
@@ -93,14 +96,22 @@ def check_equation_bounded(e: Equation, A: MvAlgebra, bound: int) -> CheckReport
     A counterexample is definitive; a clean run is reported as valid up to the
     bound, which is not a completeness claim.
     """
+    return _check_equation(e, A, bound, "bounded")
+
+
+def _check_equation(e: Equation, A: MvAlgebra, bound: int | None, mode: str) -> CheckReport:
+    """Every valuation in canonical order; the first counterexample wins."""
     names = sorted(e.variables())
+    ops = payload_ops(A)
+    lhs, rhs = _compiled(e.lhs, ops, names), _compiled(e.rhs, ops, names)
     checked = 0
-    for v in _valuations(A, names, bound):
+    for env in payload_tuples(A, bound)(len(names)):
         checked += 1
-        if evaluate(e.lhs, v) != evaluate(e.rhs, v):
-            return CheckReport(COUNTEREXAMPLE, checked, dict(v.bindings), mode="bounded")
-    return CheckReport(VALID_UP_TO_BOUND, checked, mode="bounded",
-                       details={"bound": bound})
+        if lhs(env) != rhs(env):
+            return CheckReport(COUNTEREXAMPLE, checked, _bindings(A, names, env), mode)
+    if mode == "exhaustive":
+        return CheckReport(VALID, checked)
+    return CheckReport(VALID_UP_TO_BOUND, checked, mode=mode, details={"bound": bound})
 
 
 def check_equation_chang(e: Equation, bound: int | None = None) -> CheckReport:
@@ -112,23 +123,17 @@ def check_equation_chang(e: Equation, bound: int | None = None) -> CheckReport:
 
 def tautology_check(t: Term, A: MvAlgebra) -> CheckReport:
     """Valid iff the term evaluates to 1 under every valuation of a finite algebra."""
-    if carrier_size(A) is None:
-        raise ModeError(f"{A!r} has an infinite carrier; use sampled checks")
-    names = sorted(variables_of(t))
-    top = one(A)
+    names = sorted(variables(t))
+    ops = payload_ops(A)
+    f = _compiled(t, ops, names)
     checked = 0
-    for v in _valuations(A, names, None):
+    for env in payload_tuples(A)(len(names)):
         checked += 1
-        value = evaluate(t, v)
-        if value != top:
-            witness = {"valuation": dict(v.bindings), "value": value}
+        value = f(env)
+        if value != ops.one:
+            witness = {"valuation": _bindings(A, names, env), "value": MvElement(A, value)}
             return CheckReport(COUNTEREXAMPLE, checked, witness)
     return CheckReport(VALID, checked)
-
-
-def variables_of(t: Term) -> set[str]:
-    from .terms import variables
-    return variables(t)
 
 
 VC_AXIOM = parse_equation("(x (+) x) (.) (x (+) x) = (x (.) x) (+) (x (.) x)")
@@ -155,40 +160,25 @@ def axiom_suite(A: MvAlgebra, *, samples: int | None = None, seed: int = 0,
     valuations from the bound-limited fragment are used instead (required for
     infinite carriers).
     """
-    if samples is None:
-        if carrier_size(A) is None:
-            raise ModeError(f"{A!r} has an infinite carrier; pass samples=")
-        elems = enumerate_elements(A)
-
-        def tuples(arity):
-            return itertools.product(elems, repeat=arity)
-    else:
-        import random
-        pool = enumerate_elements(A, None if carrier_size(A) is not None else bound)
-        rng = random.Random(seed)
-
-        def tuples(arity):
-            return (tuple(rng.choice(pool) for _ in range(arity))
-                    for _ in range(samples))
-
-    top = one(A)
+    mode = "exhaustive" if samples is None else "sampled"
+    tuples = payload_tuples(A, None if samples is None else bound, samples, seed)
+    ops = payload_ops(A)
+    top = ops.one
     checked = 0
     for name, axiom in LUKASIEWICZ_AXIOMS:
-        names = sorted(variables_of(axiom))
-        for combo in tuples(len(names)):
+        names = sorted(variables(axiom))
+        f = _compiled(axiom, ops, names)
+        for env in tuples(len(names)):
             checked += 1
-            v = Valuation(A, dict(zip(names, combo)))
-            value = evaluate(axiom, v)
+            value = f(env)
             if value != top:
-                witness = {"axiom": name, "valuation": dict(v.bindings), "value": value}
-                return CheckReport(COUNTEREXAMPLE, checked, witness,
-                                   mode="exhaustive" if samples is None else "sampled")
+                witness = {"axiom": name, "valuation": _bindings(A, names, env),
+                           "value": MvElement(A, value)}
+                return CheckReport(COUNTEREXAMPLE, checked, witness, mode)
     # Modus ponens soundness: whenever x → y and x take the value 1, so does y.
     for a, b in tuples(2):
         checked += 1
-        if mv_implies(a, b) == top and a == top and b != top:
-            witness = {"axiom": "modus_ponens", "valuation": {"x": a, "y": b}}
-            return CheckReport(COUNTEREXAMPLE, checked, witness,
-                               mode="exhaustive" if samples is None else "sampled")
-    return CheckReport(VALID, checked,
-                       mode="exhaustive" if samples is None else "sampled")
+        if ops.implies(a, b) == top and a == top and b != top:
+            witness = {"axiom": "modus_ponens", "valuation": _bindings(A, ("x", "y"), (a, b))}
+            return CheckReport(COUNTEREXAMPLE, checked, witness, mode)
+    return CheckReport(VALID, checked, mode=mode)

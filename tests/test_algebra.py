@@ -10,8 +10,8 @@ from mvtrop.algebra import (CHANG, DeltaOf, FiniteChain, ProductAlgebra,
                             check_mv_axioms, element, enumerate_elements,
                             is_boolean_elem, is_infinitesimal_elem, mv_implies,
                             mv_join, mv_leq, mv_meet, mv_neg, mv_odot,
-                            mv_ominus, mv_oplus, one, product_algebra,
-                            sample_elements, zero)
+                            mv_ominus, mv_oplus, one, payload_ops,
+                            product_algebra, sample_elements, zero)
 from mvtrop.characteristics import CHI_Q, characteristic
 from mvtrop.errors import DomainError, ModeError, StructuralError
 from mvtrop.groups import TRIVIAL, qsubgroup
@@ -170,6 +170,27 @@ def test_enumerate_requires_bound_on_infinite():
     with pytest.raises(DomainError):
         enumerate_elements(CHANG)
     assert len(enumerate_elements(DeltaOf(TRIVIAL))) == 2
+
+
+def test_interval_rejects_bound_below_one_like_groups():
+    for bound in (0, -5):
+        for A in (INTERVAL, CHANG):
+            with pytest.raises(DomainError, match="bound must be >= 1"):
+                enumerate_elements(A, bound)
+
+
+def test_payload_ops_records_are_shared_and_cached():
+    assert payload_ops(FiniteChain(2000)) is payload_ops(INTERVAL)
+    assert payload_ops(DeltaOf(qsubgroup(CHI_Q))) is payload_ops(DeltaOf(qsubgroup(CHI_Q)))
+    assert payload_ops.cache_info().maxsize is not None
+    A = product_algebra(L3, CHANG)
+    x, y = element(A, (Fraction(1, 2), (0, 2))), element(A, (Fraction(1), (1, -1)))
+    ops = payload_ops(A)
+    assert ops.zero == zero(A).payload and ops.one == one(A).payload
+    for name, op in (("oplus", mv_oplus), ("odot", mv_odot), ("ominus", mv_ominus),
+                     ("implies", mv_implies), ("join", mv_join), ("meet", mv_meet)):
+        assert getattr(ops, name)(x.payload, y.payload) == op(x, y).payload, name
+    assert ops.leq(x.payload, y.payload) == mv_leq(x, y)
 
 
 def test_sampling_is_deterministic():

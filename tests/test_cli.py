@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from mvtrop import cli
 from mvtrop.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -169,6 +170,46 @@ def test_domain_errors_exit_3(capsys):
     assert run(["glue", "--boolean", "chain:3", "--perfect", "chang"], capsys)[0] == 3
     assert run(["tautology", "x", "--algebra", "interval"], capsys)[0] == 3
 
+
+
+def test_reused_parser_matches_a_fresh_one(capsys):
+    calls = [["theta", "--algebra"], ["theta", "--algebra", "chain:5"], ["--help"]]
+    reused = [run(argv, capsys) for argv in calls]
+    fresh = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        fresh.append(run(argv, capsys))
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [2, 0, 0]
+    assert "usage:" in reused[0][2] and "usage:" in reused[2][1]
+
+
+def _one_line_error(err):
+    return err.startswith("mvtrop: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_theta_malformed_algebra_json_is_usage_error(capsys):
+    code, out, err = run(["theta", "--algebra", '{"kind":"finite_chain","size":"x"}'], capsys)
+    assert code == 2 and out == "" and _one_line_error(err)
+
+
+def test_detrop_malformed_semifield_json_is_usage_error(capsys):
+    code, out, err = run(["detrop", "--semifield", '{"kind":"trop","group":[]}'], capsys)
+    assert code == 2 and out == "" and _one_line_error(err)
+
+
+def test_eval_unwritable_out_is_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing-dir" / "f"
+    code, out, err = run(["eval", "x", "--algebra", "chain:3", "--assign", "x=1/2",
+                          "--out", str(target)], capsys)
+    assert code == 2 and out == "" and _one_line_error(err)
+    assert str(target) in err
+
+
+def test_interval_bound_below_one_is_domain_error(monkeypatch, capsys):
+    monkeypatch.setenv("MVTROP_DEFAULT_BOUND", "-5")
+    code, out, err = run(["check-eq", "x = x (+) 0", "--algebra", "interval"], capsys)
+    assert code == 3 and out == "" and "bound must be >= 1" in err
 
 # -- README goldens ----------------------------------------------------------------
 

@@ -1,0 +1,138 @@
+"""Differential test: the compiled checkers against an in-test reference.
+
+The reference evaluates terms with the conftest oracles only (Lukasiewicz
+arithmetic on chains and products of chains, Chang arithmetic on Z lex Z
+pairs) and walks valuations in the documented canonical order, so verdicts,
+first witnesses and ``checked`` counts must agree exactly.
+"""
+
+import itertools
+import random
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import (chang_fragment, chang_neg, chang_oplus, luk_neg,
+                      luk_odot, luk_oplus, random_term)
+from mvtrop.algebra import CHANG, FiniteChain, MvElement, product_algebra
+from mvtrop.logic import (Valuation, check_equation_bounded,
+                          check_equation_finite, evaluate, tautology_check)
+from mvtrop.terms import (Const, Equation, Implies, Join, Meet, Neg, Odot,
+                          Ominus, Oplus, Var, variables)
+
+
+def _luk():
+    return {"oplus": luk_oplus, "neg": luk_neg, "odot": luk_odot,
+            "meet": min, "join": max, "zero": Fraction(0), "one": Fraction(1)}
+
+
+def _chang():
+    def odot(x, y):
+        return chang_neg(chang_oplus(chang_neg(x), chang_neg(y)))
+    return {"oplus": chang_oplus, "neg": chang_neg, "odot": odot,
+            "meet": min, "join": max, "zero": (0, 0), "one": (1, 0)}
+
+
+def _componentwise(parts):
+    def lift(name):
+        fns = [p[name] for p in parts]
+        return lambda *args: tuple(f(*col) for f, col in zip(fns, zip(*args)))
+    ops = {name: lift(name) for name in ("oplus", "neg", "odot", "meet", "join")}
+    ops.update(zero=tuple(p["zero"] for p in parts), one=tuple(p["one"] for p in parts))
+    return ops
+
+
+def reference(t, ops, env):
+    """Structural evaluation of t on raw values with the oracle operations."""
+    if isinstance(t, Var):
+        return env[t.name]
+    if isinstance(t, Const):
+        return ops["one"] if t.value else ops["zero"]
+    if isinstance(t, Neg):
+        return ops["neg"](reference(t.arg, ops, env))
+    a, b = reference(t.left, ops, env), reference(t.right, ops, env)
+    if isinstance(t, Oplus):
+        return ops["oplus"](a, b)
+    if isinstance(t, Odot):
+        return ops["odot"](a, b)
+    if isinstance(t, Ominus):
+        return ops["odot"](a, ops["neg"](b))
+    if isinstance(t, Implies):
+        return ops["oplus"](ops["neg"](a), b)
+    if isinstance(t, Meet):
+        return ops["meet"](a, b)
+    assert isinstance(t, Join)
+    return ops["join"](a, b)
+
+
+def chain_carrier(n):
+    return [Fraction(k, n - 1) for k in range(n)]
+
+
+# (descriptor, oracle operations, carrier in canonical order)
+FINITE = [(FiniteChain(n), _luk(), chain_carrier(n)) for n in (2, 3, 4, 6)] + [
+    (product_algebra(FiniteChain(2), FiniteChain(3)), _componentwise([_luk(), _luk()]),
+     list(itertools.product(chain_carrier(2), chain_carrier(3)))),
+]
+
+
+def reference_equation(e, ops, carrier):
+    names = sorted(e.variables())
+    checked = 0
+    for combo in itertools.product(carrier, repeat=len(names)):
+        checked += 1
+        env = dict(zip(names, combo))
+        if reference(e.lhs, ops, env) != reference(e.rhs, ops, env):
+            return "counterexample", checked, env
+    return None, checked, None
+
+
+def payloads(bindings):
+    return {name: x.payload for name, x in bindings.items()}
+
+
+terms = st.builds(lambda seed, depth: random_term(random.Random(seed), depth),
+                  st.integers(0, 2 ** 32), st.integers(1, 4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(terms, terms, st.sampled_from(range(len(FINITE))))
+def test_finite_equation_and_tautology_match_reference(lhs, rhs, which):
+    A, ops, carrier = FINITE[which]
+    report = check_equation_finite(Equation(lhs, rhs), A)
+    verdict, checked, witness = reference_equation(Equation(lhs, rhs), ops, carrier)
+    assert report.checked == checked
+    assert report.verdict == (verdict or "valid")
+    assert (report.witness and payloads(report.witness)) == witness
+
+    report = tautology_check(lhs, A)
+    verdict, checked, witness = reference_equation(Equation(lhs, Const(1)), ops, carrier)
+    assert report.checked == checked
+    assert report.verdict == (verdict or "valid")
+    if witness is not None:
+        assert payloads(report.witness["valuation"]) == witness
+        assert report.witness["value"].payload == reference(lhs, ops, witness)
+
+
+@settings(max_examples=60, deadline=None)
+@given(terms, terms, st.integers(1, 3))
+def test_bounded_chang_equation_matches_reference(lhs, rhs, bound):
+    e = Equation(lhs, rhs)
+    report = check_equation_bounded(e, CHANG, bound)
+    verdict, checked, witness = reference_equation(e, _chang(), chang_fragment(bound))
+    assert report.checked == checked and report.mode == "bounded"
+    assert report.verdict == (verdict or "valid_up_to_bound")
+    assert (report.witness and payloads(report.witness)) == witness
+
+
+@settings(max_examples=80, deadline=None)
+@given(terms, st.sampled_from(range(len(FINITE) + 1)), st.randoms(use_true_random=False))
+def test_evaluate_matches_reference(t, which, rng):
+    if which == len(FINITE):
+        A, ops, carrier = CHANG, _chang(), chang_fragment(4)
+    else:
+        A, ops, carrier = FINITE[which]
+    env = {name: rng.choice(carrier) for name in sorted(variables(t) | {"x"})}
+    value = evaluate(t, Valuation(A, {n: MvElement(A, p) for n, p in env.items()}))
+    assert value == MvElement(A, reference(t, ops, env))

@@ -133,3 +133,15 @@ def test_semifield_shorthand():
     assert S == TropOfGroup(DYADIC)
     with pytest.raises(UsageError):
         parse_semifield_shorthand("max-plus")
+
+
+def test_product_shorthand_keeps_commas_inside_brackets():
+    text = "prod:delta:Z[1/2,1/3],chain:2"
+    A = parse_algebra_shorthand(text)
+    assert len(A.factors) == 2 and A.factors[1] == FiniteChain(2)
+    assert algebra_shorthand(A) == text
+    assert parse_algebra_shorthand(algebra_shorthand(A)) == A
+    nested = parse_algebra_shorthand('prod:{"kind":"finite_chain","size":3},interval')
+    assert nested.factors == (FiniteChain(3), RationalInterval())
+    with pytest.raises(UsageError):
+        parse_algebra_shorthand("prod:chain:2,,chain:3")
