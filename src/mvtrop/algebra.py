@@ -13,6 +13,15 @@ in O(number of factors), with no tables, and kept in a bounded cache keyed on
 the frozen descriptor.  The ``mv_*`` functions unwrap MvElements, call the
 record and wrap the result; the checkers in ``logic`` and ``export`` call the
 record on payloads directly and build MvElements only for witnesses.
+
+Δ(G) payloads are (bit, offset) pairs whose arithmetic runs on the group's
+unchecked ops record (``groups.GroupOps``).  Group membership of offsets is
+checked at the boundary, once per call and never inside an operation:
+``element`` validates a payload in full, and every element-level entry point
+(the ``mv_*`` functions, ``is_boolean_elem``, ``logic.evaluate``'s bindings
+and θ/θ* membership) first runs the record's ``check`` on each argument,
+through ``PayloadOps.checked``.  Pools from ``enumerate_payloads`` and results of
+the record's operations are members already, so check loops run unchecked.
 """
 
 from __future__ import annotations
@@ -25,9 +34,8 @@ from fractions import Fraction
 from typing import Any, Callable, Iterable, Union
 
 from .errors import DomainError, ModeError, StructuralError
-from .groups import (LGroup, TrivialGroup, Z, group_add, group_coerce,
-                     group_element_str, group_leq, group_meet, group_negate,
-                     group_positive_cone, group_zero)
+from .groups import (LGroup, TrivialGroup, Z, group_coerce, group_element_str,
+                     group_positive_cone)
 from .report import COUNTEREXAMPLE, VALID, CheckReport
 
 DEFAULT_SAMPLE_BOUND = 100
@@ -116,10 +124,10 @@ def _coerce_payload(A: MvAlgebra, payload: Any):
             raise StructuralError(f"{payload!r} is not a (bit, offset) pair")
         bit, off = payload
         off = group_coerce(A.group, off)
-        zero_g = group_zero(A.group)
-        if bit == 0 and not group_leq(A.group, zero_g, off):
+        r = A.group.ops
+        if bit == 0 and not r.leq(r.zero, off):
             raise StructuralError(f"offset of (0, {off!r}) must be >= 0")
-        if bit == 1 and not group_leq(A.group, off, zero_g):
+        if bit == 1 and not r.leq(off, r.zero):
             raise StructuralError(f"offset of (1, {off!r}) must be <= 0")
         return (bit, off)
     if isinstance(A, ProductAlgebra):
@@ -139,13 +147,18 @@ class PayloadOps:
 
     A kind supplies only ⊕, ¬, 0 and 1; ⊙, ⊖, →, ∨, ∧ and the order test are
     derived here from those four, exactly as the MV-algebra definitions read.
+    None of them checks its arguments.  ``check`` is the boundary check of one
+    payload (it raises StructuralError when a Δ(G) offset lies outside G), or
+    None when the kind needs none.
     """
 
-    __slots__ = ("oplus", "neg", "zero", "one", "odot", "ominus", "implies",
+    __slots__ = ("oplus", "neg", "zero", "one", "check", "odot", "ominus", "implies",
                  "join", "meet", "leq")
 
-    def __init__(self, oplus: Callable, neg: Callable, zero_p, one_p):
+    def __init__(self, oplus: Callable, neg: Callable, zero_p, one_p,
+                 check: Callable | None = None):
         self.oplus, self.neg, self.zero, self.one = oplus, neg, zero_p, one_p
+        self.check = check
 
         def odot(p, q):  # ¬(¬p ⊕ ¬q)
             return neg(oplus(neg(p), neg(q)))
@@ -158,6 +171,13 @@ class PayloadOps:
         self.implies = lambda p, q: oplus(neg(p), q)
         self.meet = lambda p, q: neg(join(neg(p), neg(q)))
         self.leq = lambda p, q: oplus(neg(p), q) == one_p
+
+    def checked(self, *payloads) -> PayloadOps:
+        """This record, once each payload has passed the boundary check."""
+        if self.check is not None:
+            for p in payloads:
+                self.check(p)
+        return self
 
 
 def _unit_oplus(p, q):
@@ -178,26 +198,38 @@ def payload_ops(A: MvAlgebra) -> PayloadOps:
         return PayloadOps(_unit_oplus, _unit_neg, _ZERO, _ONE)
     if isinstance(A, DeltaOf):
         G = A.group
-        gz = group_zero(G)
+        r = G.ops
+        gz, add, neg, meet, contains = r.zero, r.add, r.neg, r.meet, r.contains
 
         def delta_oplus(p, q):
             bit = p[0] + q[0]
-            off = group_add(G, p[1], q[1])
+            off = add(p[1], q[1])
             if bit == 0:
                 return (0, off)
             if bit == 1:
-                return (1, group_meet(G, off, gz))
+                return (1, meet(off, gz))
             return (1, gz)
 
-        return PayloadOps(delta_oplus, lambda p: (1 - p[0], group_negate(G, p[1])),
-                          (0, gz), (1, gz))
+        def check(p):
+            if not contains(p[1]):
+                raise StructuralError(f"{p[1]!r} is not in the carrier of {G!r}")
+
+        return PayloadOps(delta_oplus, lambda p: (1 - p[0], neg(p[1])),
+                          (0, gz), (1, gz), check)
     if isinstance(A, ProductAlgebra):
         parts = [payload_ops(f) for f in A.factors]
         pluses, negs = tuple(o.oplus for o in parts), tuple(o.neg for o in parts)
+        checks = tuple((i, o.check) for i, o in enumerate(parts) if o.check is not None)
+
+        def check(p):
+            for i, c in checks:
+                c(p[i])
+
         return PayloadOps(
             lambda p, q: tuple([f(a, b) for f, a, b in zip(pluses, p, q)]),
             lambda p: tuple([f(a) for f, a in zip(negs, p)]),
-            tuple(o.zero for o in parts), tuple(o.one for o in parts))
+            tuple(o.zero for o in parts), tuple(o.one for o in parts),
+            check if checks else None)
     raise StructuralError(f"unknown algebra descriptor {A!r}")
 
 
@@ -219,7 +251,8 @@ def _lift(name: str, doc: str | None) -> Callable[[MvElement, MvElement], MvElem
     """The element-level form of the record's binary operation ``name``."""
     def op(x: MvElement, y: MvElement) -> MvElement:
         A = _same_algebra(x, y)
-        return MvElement(A, getattr(payload_ops(A), name)(x.payload, y.payload))
+        ops = payload_ops(A).checked(x.payload, y.payload)
+        return MvElement(A, getattr(ops, name)(x.payload, y.payload))
     op.__name__ = op.__qualname__ = "mv_" + name
     op.__doc__ = doc
     return op
@@ -234,18 +267,18 @@ mv_meet = _lift("meet", None)
 
 
 def mv_neg(x: MvElement) -> MvElement:
-    return MvElement(x.algebra, payload_ops(x.algebra).neg(x.payload))
+    return MvElement(x.algebra, payload_ops(x.algebra).checked(x.payload).neg(x.payload))
 
 
 def mv_leq(x: MvElement, y: MvElement) -> bool:
     """Natural order, decided through the equivalent test ¬x ⊕ y = 1."""
     A = _same_algebra(x, y)
-    return payload_ops(A).leq(x.payload, y.payload)
+    return payload_ops(A).checked(x.payload, y.payload).leq(x.payload, y.payload)
 
 
 def is_boolean_elem(x: MvElement) -> bool:
     """True iff x is idempotent: x ⊕ x = x."""
-    return payload_ops(x.algebra).oplus(x.payload, x.payload) == x.payload
+    return payload_ops(x.algebra).checked(x.payload).oplus(x.payload, x.payload) == x.payload
 
 
 def is_infinitesimal_elem(x: MvElement) -> bool:
@@ -326,9 +359,8 @@ def enumerate_payloads(A: MvAlgebra, bound: int | None = None) -> list:
             return [ops.zero, ops.one]
         if bound is None:
             raise DomainError(f"enumerating {A!r} requires a bound")
-        cone = group_positive_cone(A.group, bound)
-        return ([(0, g) for g in cone]
-                + [(1, group_negate(A.group, g)) for g in reversed(cone)])
+        cone, neg = group_positive_cone(A.group, bound), A.group.ops.neg
+        return [(0, g) for g in cone] + [(1, neg(g)) for g in reversed(cone)]
     if isinstance(A, ProductAlgebra):
         return list(itertools.product(*(enumerate_payloads(f, bound) for f in A.factors)))
     raise StructuralError(f"unknown algebra descriptor {A!r}")

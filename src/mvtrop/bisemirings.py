@@ -14,10 +14,10 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .algebra import (MvAlgebra, MvElement, carrier_size, enumerate_elements,
-                      mv_join, mv_meet, mv_odot, mv_oplus, one, zero)
+                      mv_join, mv_meet, mv_odot, mv_oplus, one, payload_ops,
+                      zero)
 from .errors import DomainError, MalformedInputError, StructuralError
-from .groups import (LGroup, group_add, group_contains, group_leq,
-                     group_positive_cone, group_zero)
+from .groups import GroupOps, LGroup, group_positive_cone
 from .report import COUNTEREXAMPLE, VALID, CheckReport
 
 
@@ -37,6 +37,7 @@ class Bisemiring:
     def contains(self, x: MvElement) -> bool:
         if x.algebra != self.host:
             raise StructuralError(f"{x!r} does not inhabit {self.host!r}")
+        payload_ops(self.host).checked(x.payload)
         if self.explicit is not None:
             return x in self.explicit
         return self.member(x)
@@ -88,30 +89,32 @@ class TopCone:
 def cone_contains(T: TopCone, x) -> bool:
     if x is TOP:
         return True
-    return group_contains(T.base_group, x) \
-        and group_leq(T.base_group, group_zero(T.base_group), x)
+    r = T.base_group.ops
+    return r.contains(x) and r.leq(r.zero, x)
 
 
-def _cone_require(T: TopCone, *xs) -> None:
+def _cone_members(T: TopCone, *xs) -> GroupOps:
+    """The base group's record, once every x has been checked to lie in the cone."""
     for x in xs:
         if not cone_contains(T, x):
             raise StructuralError(f"{x!r} is not in the cone of {T!r}")
+    return T.base_group.ops
 
 
 def cone_add(T: TopCone, x, y):
-    _cone_require(T, x, y)
+    r = _cone_members(T, x, y)
     if x is TOP or y is TOP:
         return TOP
-    return group_add(T.base_group, x, y)
+    return r.add(x, y)
 
 
 def cone_leq(T: TopCone, x, y) -> bool:
-    _cone_require(T, x, y)
+    r = _cone_members(T, x, y)
     if y is TOP:
         return True
     if x is TOP:
         return False
-    return group_leq(T.base_group, x, y)
+    return r.leq(x, y)
 
 
 def cone_meet(T: TopCone, x, y):

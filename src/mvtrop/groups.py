@@ -5,32 +5,67 @@ lexicographic products Z lex G, and the trivial group.  All of them are totally
 ordered, so meet and join are min and max under the group order.  The tropical
 semifield Trop(G) adjoins an absorbing bottom element -inf to G; semiring
 addition is join and semiring multiplication is the group operation.
+
+Every descriptor carries one record of group operations, ``G.ops``
+(``GroupOps``: membership, 0, +, −, ≤, meet, join), built on first use and
+kept on the descriptor.  The record's operations do no membership checks: G
+is closed under +, − and min, so results computed from members stay members.
+Membership is checked at the boundary, once per call and never inside an
+operation: ``group_add``, ``group_negate``, ``group_leq``, ``group_meet``
+and ``group_join`` check their arguments and then call the record, and so do
+the semifield and cone operations.  Code that works on members it produced
+itself (enumerated fragments, the Δ(G) payloads of ``algebra``) calls the
+record directly.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Union
+from functools import cached_property
+from typing import Any, Callable, Union
 
 from .characteristics import CHI_Z, Characteristic, contains_rational
 from .errors import DomainError, StructuralError
 
 
+class GroupOps:
+    """The operations of one group on members, without membership checks."""
+
+    __slots__ = ("contains", "zero", "add", "neg", "leq", "meet", "join")
+
+    def __init__(self, contains: Callable, zero_g, add: Callable, neg: Callable,
+                 leq: Callable, meet: Callable = min, join: Callable = max):
+        self.contains, self.zero = contains, zero_g
+        self.add, self.neg, self.leq, self.meet, self.join = add, neg, leq, meet, join
+
+
+class _Group:
+    """Base of the group descriptors: the lazily built ops record."""
+
+    @cached_property
+    def ops(self) -> GroupOps:
+        return _build_ops(self)
+
+    def __getstate__(self):  # the record holds closures; it is rebuilt on first use
+        return {k: v for k, v in self.__dict__.items() if k != "ops"}
+
+
 @dataclass(frozen=True)
-class Integers:
+class Integers(_Group):
     def __repr__(self) -> str:
         return "Z"
 
 
 @dataclass(frozen=True)
-class TrivialGroup:
+class TrivialGroup(_Group):
     def __repr__(self) -> str:
         return "TrivialGroup"
 
 
 @dataclass(frozen=True)
-class QSubgroup:
+class QSubgroup(_Group):
     chi: Characteristic
 
     def __repr__(self) -> str:
@@ -38,7 +73,7 @@ class QSubgroup:
 
 
 @dataclass(frozen=True)
-class LexZG:
+class LexZG(_Group):
     tail: "LGroup"
 
     def __repr__(self) -> str:
@@ -58,31 +93,51 @@ def qsubgroup(chi: Characteristic) -> LGroup:
     return QSubgroup(chi)
 
 
-def group_zero(G: LGroup):
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _build_ops(G: LGroup) -> GroupOps:
+    """Native +, − and <= for Z and the subgroups of Q; lex pairs over the tail's record."""
+    native = (operator.add, operator.neg, operator.le)
     if isinstance(G, Integers):
-        return 0
+        return GroupOps(_is_int, 0, *native)
     if isinstance(G, TrivialGroup):
-        return 0
+        return GroupOps(lambda x: x == 0, 0, *native)
     if isinstance(G, QSubgroup):
-        return Fraction(0)
+        chi = G.chi
+
+        def contains(x) -> bool:
+            return isinstance(x, (int, Fraction)) and not isinstance(x, bool) \
+                and contains_rational(chi, x)
+        return GroupOps(contains, Fraction(0), *native)
     if isinstance(G, LexZG):
-        return (0, group_zero(G.tail))
+        t = G.tail.ops
+        t_contains, t_add, t_neg, t_leq = t.contains, t.add, t.neg, t.leq
+
+        def leq(x, y) -> bool:
+            if x[0] != y[0]:
+                return x[0] < y[0]
+            return t_leq(x[1], y[1])
+
+        return GroupOps(
+            lambda x: (isinstance(x, tuple) and len(x) == 2 and _is_int(x[0])
+                       and t_contains(x[1])),
+            (0, t.zero),
+            lambda x, y: (x[0] + y[0], t_add(x[1], y[1])),
+            lambda x: (-x[0], t_neg(x[1])),
+            leq,
+            lambda x, y: x if leq(x, y) else y,
+            lambda x, y: y if leq(x, y) else x)
     raise StructuralError(f"unknown group descriptor {G!r}")
 
 
+def group_zero(G: LGroup):
+    return G.ops.zero
+
+
 def group_contains(G: LGroup, x: Any) -> bool:
-    if isinstance(G, Integers):
-        return isinstance(x, int) and not isinstance(x, bool)
-    if isinstance(G, TrivialGroup):
-        return x == 0
-    if isinstance(G, QSubgroup):
-        return isinstance(x, (int, Fraction)) and not isinstance(x, bool) \
-            and contains_rational(G.chi, x)
-    if isinstance(G, LexZG):
-        return (isinstance(x, tuple) and len(x) == 2
-                and isinstance(x[0], int) and not isinstance(x[0], bool)
-                and group_contains(G.tail, x[1]))
-    return False
+    return G.ops.contains(x)
 
 
 def group_coerce(G: LGroup, x: Any):
@@ -115,41 +170,48 @@ def group_coerce(G: LGroup, x: Any):
     raise StructuralError(f"unknown group descriptor {G!r}")
 
 
-def _require(G: LGroup, *xs) -> None:
-    for x in xs:
-        if not group_contains(G, x):
-            raise StructuralError(f"{x!r} is not in the carrier of {G!r}")
+def _outside(G: LGroup, *xs) -> StructuralError:
+    """The error for the first of xs that is not a member of G."""
+    x = next(x for x in xs if not group_contains(G, x))
+    return StructuralError(f"{x!r} is not in the carrier of {G!r}")
 
+
+# The public operations check their arguments once, inline rather than through a
+# helper so that the dispatch stays one attribute lookup, then call the record.
 
 def group_add(G: LGroup, x, y):
-    _require(G, x, y)
-    if isinstance(G, LexZG):
-        return (x[0] + y[0], group_add(G.tail, x[1], y[1]))
-    return x + y
+    r = G.ops
+    if r.contains(x) and r.contains(y):
+        return r.add(x, y)
+    raise _outside(G, x, y)
 
 
 def group_negate(G: LGroup, x):
-    _require(G, x)
-    if isinstance(G, LexZG):
-        return (-x[0], group_negate(G.tail, x[1]))
-    return -x
+    r = G.ops
+    if r.contains(x):
+        return r.neg(x)
+    raise _outside(G, x)
 
 
 def group_leq(G: LGroup, x, y) -> bool:
-    _require(G, x, y)
-    if isinstance(G, LexZG):
-        if x[0] != y[0]:
-            return x[0] < y[0]
-        return group_leq(G.tail, x[1], y[1])
-    return x <= y
+    r = G.ops
+    if r.contains(x) and r.contains(y):
+        return r.leq(x, y)
+    raise _outside(G, x, y)
 
 
 def group_meet(G: LGroup, x, y):
-    return x if group_leq(G, x, y) else y
+    r = G.ops
+    if r.contains(x) and r.contains(y):
+        return r.meet(x, y)
+    raise _outside(G, x, y)
 
 
 def group_join(G: LGroup, x, y):
-    return y if group_leq(G, x, y) else x
+    r = G.ops
+    if r.contains(x) and r.contains(y):
+        return r.join(x, y)
+    raise _outside(G, x, y)
 
 
 def group_enumerate(G: LGroup, bound: int) -> list:
@@ -168,9 +230,11 @@ def group_enumerate(G: LGroup, bound: int) -> list:
     if isinstance(G, QSubgroup):
         seen = {Fraction(0)}
         for d in range(1, bound + 1):
+            if not contains_rational(G.chi, Fraction(1, d)):
+                continue  # membership of n/d in lowest terms depends on d alone
             for n in range(1, bound * d + 1):
                 q = Fraction(n, d)
-                if q.denominator == d and contains_rational(G.chi, q):
+                if q.denominator == d:
                     seen.add(q)
                     seen.add(-q)
         return sorted(seen)
@@ -182,8 +246,9 @@ def group_enumerate(G: LGroup, bound: int) -> list:
 
 def group_positive_cone(G: LGroup, bound: int) -> list:
     """Fragment of {x in G : x >= 0} in ascending order."""
-    z = group_zero(G)
-    return [x for x in group_enumerate(G, bound) if group_leq(G, z, x)]
+    r = G.ops
+    z, leq = r.zero, r.leq
+    return [x for x in group_enumerate(G, bound) if leq(z, x)]
 
 
 def group_element_str(G: LGroup, x) -> str:
@@ -221,50 +286,50 @@ class TropOfGroup:
 
 
 def sf_contains(S: TropOfGroup, x) -> bool:
-    return x is BOTTOM or group_contains(S.group, x)
+    return x is BOTTOM or S.group.ops.contains(x)
+
+
+def _sf_members(S: TropOfGroup, *xs) -> GroupOps:
+    """The group's record, once every x has been checked to lie in S."""
+    for x in xs:
+        if not sf_contains(S, x):
+            raise StructuralError(f"{x!r} is not in the carrier of {S!r}")
+    return S.group.ops
 
 
 def splus(S: TropOfGroup, x, y):
     """Semiring addition: join, with -inf neutral."""
+    r = _sf_members(S, x, y)
     if x is BOTTOM:
-        _sf_require(S, y)
         return y
     if y is BOTTOM:
-        _sf_require(S, x)
         return x
-    return group_join(S.group, x, y)
+    return r.join(x, y)
 
 
 def stimes(S: TropOfGroup, x, y):
     """Semiring multiplication: the group operation, with -inf absorbing."""
-    _sf_require(S, x)
-    _sf_require(S, y)
+    r = _sf_members(S, x, y)
     if x is BOTTOM or y is BOTTOM:
         return BOTTOM
-    return group_add(S.group, x, y)
+    return r.add(x, y)
 
 
 def sinverse(S: TropOfGroup, x):
     if x is BOTTOM:
         raise DomainError("-inf has no multiplicative inverse")
-    return group_negate(S.group, x)
+    return _sf_members(S, x).neg(x)
 
 
 def sf_leq(S: TropOfGroup, x, y) -> bool:
     """Natural order of the idempotent semiring: x <= y iff x + y = y."""
+    r = _sf_members(S, x, y)
     if x is BOTTOM:
-        _sf_require(S, y)
         return True
     if y is BOTTOM:
-        _sf_require(S, x)
         return False
-    return group_leq(S.group, x, y)
+    return r.leq(x, y)
 
 
 def sf_enumerate(S: TropOfGroup, bound: int) -> list:
     return [BOTTOM] + group_enumerate(S.group, bound)
-
-
-def _sf_require(S: TropOfGroup, x) -> None:
-    if not sf_contains(S, x):
-        raise StructuralError(f"{x!r} is not in the carrier of {S!r}")

@@ -9,6 +9,7 @@ Every encoder/decoder pair round-trips exactly, and ``dumps`` is deterministic
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from typing import Any
 
@@ -34,6 +35,23 @@ def rational_str(q) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def _integer(data, what: str) -> int:
+    """An integral input: a JSON int, a string that spells an integer, or a
+    shorthand rational with denominator 1.  Anything else is a usage error;
+    nothing is truncated."""
+    if isinstance(data, Fraction) and data.denominator == 1:
+        return data.numerator
+    if isinstance(data, int) and not isinstance(data, bool):
+        return data
+    if isinstance(data, str) and _INTEGER.fullmatch(data.strip()):
+        return int(data)
+    shown = rational_str(data) if isinstance(data, Fraction) else json.dumps(data, default=repr)
+    raise UsageError(f"{what} must be an integer, got {shown}")
+
+
 def parse_rational(text: str) -> Fraction:
     try:
         return Fraction(text.strip())
@@ -54,7 +72,8 @@ def chi_to_json(chi: Characteristic) -> dict:
 def chi_from_json(data: dict) -> Characteristic:
     try:
         default = INF if data["default"] == "inf" else 0
-        assignments = {int(p): (INF if e == "inf" else int(e))
+        assignments = {_integer(p, "prime"):
+                       (INF if e == "inf" else _integer(e, "exponent"))
                        for p, e in data.get("primes", {}).items()}
     except (KeyError, TypeError, ValueError, AttributeError):
         raise UsageError(f"malformed characteristic JSON: {data!r}") from None
@@ -98,7 +117,8 @@ def group_payload_from_json(G: LGroup, data) -> Any:
     if isinstance(G, LexZG):
         if not isinstance(data, list) or len(data) != 2:
             raise UsageError(f"expected a lex pair, got {data!r}")
-        return group_coerce(G, (int(data[0]), group_payload_from_json(G.tail, data[1])))
+        head = _integer(data[0], "lex head")
+        return group_coerce(G, (head, group_payload_from_json(G.tail, data[1])))
     if isinstance(data, list):
         raise UsageError(f"expected a rational for {G!r}")
     return group_coerce(G, parse_rational(str(data)))
@@ -123,7 +143,7 @@ def algebra_to_json(A: MvAlgebra) -> dict:
 def algebra_from_json(data: dict) -> MvAlgebra:
     kind = data.get("kind")
     if kind == "finite_chain":
-        return FiniteChain(int(data["size"]))
+        return FiniteChain(_integer(data["size"], "chain size"))
     if kind == "rational_interval":
         return RationalInterval()
     if kind == "chang":
@@ -153,7 +173,7 @@ def payload_from_json(A: MvAlgebra, data) -> Any:
     if isinstance(A, DeltaOf):
         if not isinstance(data, list) or len(data) != 2:
             raise UsageError(f"expected a [bit, offset] pair, got {data!r}")
-        return (int(data[0]), group_payload_from_json(A.group, data[1]))
+        return (_integer(data[0], "bit"), group_payload_from_json(A.group, data[1]))
     if isinstance(A, ProductAlgebra):
         if not isinstance(data, list) or len(data) != len(A.factors):
             raise UsageError(f"payload arity mismatch for {A!r}: {data!r}")
@@ -245,10 +265,7 @@ def parse_algebra_shorthand(text: str) -> MvAlgebra:
     if text == "chang":
         return CHANG
     if text.startswith("chain:"):
-        try:
-            return FiniteChain(int(text[6:]))
-        except ValueError:
-            raise UsageError(f"bad chain size in {text!r}") from None
+        return FiniteChain(_integer(text[6:], "chain size"))
     if text.startswith("delta:"):
         return DeltaOf(parse_group_shorthand(text[6:]))
     if text.startswith("prod:"):

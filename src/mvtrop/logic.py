@@ -59,7 +59,8 @@ def evaluate(t: Term, v: Valuation) -> MvElement:
     """Evaluate t under v; → is read as ¬x ⊕ y, ⊖ as x ⊙ ¬y."""
     A = v.algebra
     slots: dict[str, int] = {}
-    f = _compile_term(t, payload_ops(A), slots)
+    ops = payload_ops(A)
+    f = _compile_term(t, ops, slots)
     env = []
     for name in slots:
         try:
@@ -69,6 +70,7 @@ def evaluate(t: Term, v: Valuation) -> MvElement:
         if x.algebra != A:
             raise StructuralError(f"binding for {name!r} inhabits {x.algebra!r}, not {A!r}")
         env.append(x.payload)
+    ops.checked(*env)
     return MvElement(A, f(env))
 
 

@@ -201,9 +201,11 @@ def rational_gcd(values: Iterable) -> Fraction:
 def _positive_fragment(chi: Characteristic, height: int) -> list[Fraction]:
     out = set()
     for d in range(1, height + 1):
+        if not contains_rational(chi, Fraction(1, d)):
+            continue  # membership of n/d in lowest terms depends on d alone
         for n in range(1, height + 1):
             q = Fraction(n, d)
-            if q.denominator == d and contains_rational(chi, q):
+            if q.denominator == d:
                 out.add(q)
     return sorted(out)
 

@@ -211,6 +211,31 @@ def test_interval_bound_below_one_is_domain_error(monkeypatch, capsys):
     code, out, err = run(["check-eq", "x = x (+) 0", "--algebra", "interval"], capsys)
     assert code == 3 and out == "" and "bound must be >= 1" in err
 
+
+def test_non_integral_bit_is_usage_error(capsys):
+    code, out, err = run(["eval", "x", "--algebra", "chang", "--assign", "x=(1/2,0)"], capsys)
+    assert code == 2 and out == ""
+    assert err == "mvtrop: bit must be an integer, got 1/2\n"
+
+
+def test_non_integral_chain_size_is_usage_error(capsys):
+    code, out, err = run(["theta", "--algebra", '{"kind":"finite_chain","size":2.5}'], capsys)
+    assert code == 2 and out == ""
+    assert err == "mvtrop: chain size must be an integer, got 2.5\n"
+    code, out, _ = run(["theta", "--algebra", '{"kind":"finite_chain","size":"3"}'], capsys)
+    assert code == 0 and json.loads(out)["elements"] == ["0", "1/2", "1"]
+
+
+def test_non_integral_lex_head_is_usage_error(capsys):
+    argv = ["eval", "x", "--algebra", "delta:lex:Z", "--assign", "x=(0,(1/2,0))"]
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == ""
+    assert err == "mvtrop: lex head must be an integer, got 1/2\n"
+    argv[-1] = "x=(0,(1,0))"
+    code, out, _ = run(argv, capsys)
+    assert code == 0 and json.loads(out)["value"] == [0, [1, "0"]]
+
+
 # -- README goldens ----------------------------------------------------------------
 
 def _readme_examples():

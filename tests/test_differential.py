@@ -3,7 +3,9 @@
 The reference evaluates terms with the conftest oracles only (Lukasiewicz
 arithmetic on chains and products of chains, Chang arithmetic on Z lex Z
 pairs) and walks valuations in the documented canonical order, so verdicts,
-first witnesses and ``checked`` counts must agree exactly.
+first witnesses and ``checked`` counts must agree exactly.  The Δ(G) payload
+records, which run on unchecked group arithmetic, are compared the same way
+with a reference built on the public, membership-checking group operations.
 """
 
 import itertools
@@ -15,7 +17,11 @@ from hypothesis import strategies as st
 
 from conftest import (chang_fragment, chang_neg, chang_oplus, luk_neg,
                       luk_odot, luk_oplus, random_term)
-from mvtrop.algebra import CHANG, FiniteChain, MvElement, product_algebra
+from mvtrop.algebra import (CHANG, DeltaOf, FiniteChain, MvElement,
+                            payload_ops, product_algebra)
+from mvtrop.characteristics import CHI_Q, parse_group_label
+from mvtrop.groups import (LexZG, Z, group_add, group_enumerate, group_leq,
+                           group_negate, group_zero, qsubgroup)
 from mvtrop.logic import (Valuation, check_equation_bounded,
                           check_equation_finite, evaluate, tautology_check)
 from mvtrop.terms import (Const, Equation, Implies, Join, Meet, Neg, Odot,
@@ -136,3 +142,90 @@ def test_evaluate_matches_reference(t, which, rng):
     env = {name: rng.choice(carrier) for name in sorted(variables(t) | {"x"})}
     value = evaluate(t, Valuation(A, {n: MvElement(A, p) for n, p in env.items()}))
     assert value == MvElement(A, reference(t, ops, env))
+
+
+# -- Δ(G) records against the public, checking group operations ------------------
+
+def _add(G, x, y):
+    if isinstance(G, LexZG):
+        return (x[0] + y[0], _add(G.tail, x[1], y[1]))
+    return group_add(G, x, y)
+
+
+def _negate(G, x):
+    if isinstance(G, LexZG):
+        return (-x[0], _negate(G.tail, x[1]))
+    return group_negate(G, x)
+
+
+def _leq(G, x, y):
+    if isinstance(G, LexZG):
+        return x[0] < y[0] or (x[0] == y[0] and _leq(G.tail, x[1], y[1]))
+    return group_leq(G, x, y)
+
+
+def _delta_reference(G):
+    """Δ(G) arithmetic on (bit, offset) pairs through group_add/group_leq, which
+    check membership on every call (lex pairs are taken apart here, so the lex
+    record is not used), ordered lexicographically by bit then offset."""
+    gz = group_zero(G)
+
+    def oplus(p, q):
+        bit, off = p[0] + q[0], _add(G, p[1], q[1])
+        if bit == 0:
+            return (0, off)
+        return (1, off if bit == 1 and _leq(G, off, gz) else gz)
+
+    def neg(p):
+        return (1 - p[0], _negate(G, p[1]))
+
+    def leq(p, q):
+        return p[0] < q[0] or (p[0] == q[0] and _leq(G, p[1], q[1]))
+
+    return {"oplus": oplus, "neg": neg, "leq": leq,
+            "odot": lambda p, q: neg(oplus(neg(p), neg(q))),
+            "meet": lambda p, q: p if leq(p, q) else q,
+            "join": lambda p, q: q if leq(p, q) else p,
+            "zero": (0, gz), "one": (1, gz)}
+
+
+def _delta_fragment(G, bound):
+    """The canonical fragment order, rebuilt from group_enumerate and the reference order."""
+    gz = group_zero(G)
+    cone = [g for g in group_enumerate(G, bound) if _leq(G, gz, g)]
+    return [(0, g) for g in cone] + [(1, _negate(G, g)) for g in reversed(cone)]
+
+
+DELTA_GROUPS = [(Z, 4), (qsubgroup(parse_group_label("Z[1/2]")), 3),
+                (qsubgroup(parse_group_label("Z[1/6]")), 3), (qsubgroup(CHI_Q), 3),
+                (LexZG(Z), 2)]
+DELTA_POOLS = [(G, _delta_fragment(G, bound)) for G, bound in DELTA_GROUPS]
+
+delta_pairs = st.sampled_from(DELTA_POOLS).flatmap(
+    lambda gp: st.tuples(st.just(gp[0]), st.sampled_from(gp[1]), st.sampled_from(gp[1])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(delta_pairs)
+def test_delta_record_matches_checking_group_ops(case):
+    G, p, q = case
+    ops, ref = payload_ops(DeltaOf(G)), _delta_reference(G)
+    assert ops.oplus(p, q) == ref["oplus"](p, q)
+    assert ops.neg(p) == ref["neg"](p)
+    assert ops.join(p, q) == ref["join"](p, q)
+    assert ops.meet(p, q) == ref["meet"](p, q)
+    assert ops.leq(p, q) == ref["leq"](p, q)
+
+
+@settings(max_examples=40, deadline=None)
+@given(terms, terms, st.sampled_from([(CHANG, 1), (CHANG, 3), (DeltaOf(DELTA_GROUPS[1][0]), 1),
+                                      (DeltaOf(DELTA_GROUPS[1][0]), 2)]))
+def test_bounded_delta_equation_matches_checking_reference(lhs, rhs, case):
+    A, bound = case
+    e = Equation(lhs, rhs)
+    report = check_equation_bounded(e, A, bound)
+    verdict, checked, witness = reference_equation(
+        e, _delta_reference(A.group), _delta_fragment(A.group, bound))
+    assert report.checked == checked and report.mode == "bounded"
+    assert report.verdict == (verdict or "valid_up_to_bound")
+    assert (report.witness and payloads(report.witness)) == witness

@@ -113,3 +113,11 @@ def test_semifield_laws_sampled():
         assert stimes(S, x, splus(S, y, z)) == splus(S, stimes(S, x, y), stimes(S, x, z))
         if x is not BOTTOM:
             assert stimes(S, x, sinverse(S, x)) == one               # inverse law
+
+
+def test_descriptors_pickle_after_their_record_is_built():
+    import pickle
+    for G in (Z, TRIVIAL, DYADIC, LexZG(DYADIC)):
+        group_zero(G)  # builds and caches the ops record
+        H = pickle.loads(pickle.dumps(G))
+        assert H == G and group_zero(H) == group_zero(G)
