@@ -33,7 +33,7 @@ from .logic import (LUKASIEWICZ_AXIOMS, VC_AXIOM, Valuation, axiom_suite,
                     vc_membership)
 from .qpoints import (REGULARLY_DENSE, REGULARLY_DISCRETE, FlatAction,
                       GpInvariant, check_flatness, classify_regularity,
-                      common_measure, contains, find_divisible_between,
+                      common_measure, find_divisible_between,
                       frobenius_action, gp_invariant, group_from_action,
                       hom_exists, hom_obstruction, theta_pt)
 from .report import COUNTEREXAMPLE, VALID, VALID_UP_TO_BOUND, CheckReport

@@ -36,7 +36,7 @@ from typing import Any, Callable, Iterable, Union
 from .errors import DomainError, ModeError, StructuralError
 from .groups import (LGroup, TrivialGroup, Z, group_coerce, group_element_str,
                      group_positive_cone)
-from .report import COUNTEREXAMPLE, VALID, CheckReport
+from .report import CheckReport, Instances, axiom_witness, check_laws
 
 DEFAULT_SAMPLE_BOUND = 100
 
@@ -374,30 +374,44 @@ def enumerate_elements(A: MvAlgebra, bound: int | None = None) -> list[MvElement
 def sample_elements(A: MvAlgebra, count: int, seed: int,
                     bound: int = DEFAULT_SAMPLE_BOUND) -> list[MvElement]:
     """Deterministic sample, uniform over the bounded fragment (with replacement)."""
-    if count < 1:
-        raise DomainError("sample count must be >= 1")
-    return [MvElement(A, p) for (p,) in payload_tuples(A, bound, count, seed)(1)]
+    return [MvElement(A, p) for (p,) in payload_tuples(A, bound, count, seed).tuples(1)]
 
 
 def payload_tuples(A: MvAlgebra, bound: int | None = None, samples: int | None = None,
-                   seed: int = 0) -> Callable:
+                   seed: int = 0) -> Instances:
     """The instances of every check: ``tuples(arity)`` yields all arity-tuples of
     payloads of the (bound-limited) carrier in canonical order or, with
     ``samples`` set, that many seeded draws with replacement, where the bound
-    only applies to infinite carriers."""
+    only applies to infinite carriers.  The mode is sampled when ``samples`` is
+    set, bounded when ``bound`` is, and exhaustive otherwise."""
     if samples is None:
         if bound is None and carrier_size(A) is None:
             raise ModeError(f"{A!r} has an infinite carrier; use a bounded or sampled check")
-        pool = enumerate_payloads(A, bound)
-        return lambda arity: itertools.product(pool, repeat=arity)
+        return Instances.over(enumerate_payloads(A, bound),
+                              "exhaustive" if bound is None else "bounded", bound)
+    if samples < 1:
+        raise DomainError("samples must be >= 1")
     pool = enumerate_payloads(A, None if carrier_size(A) is not None else bound)
     rng = random.Random(seed)
-    return lambda arity: (tuple(rng.choice(pool) for _ in range(arity))
-                          for _ in range(samples))
+    return Instances(lambda arity: (tuple(rng.choice(pool) for _ in range(arity))
+                                    for _ in range(samples)), "sampled", bound)
 
 
 # ---------------------------------------------------------------------------
 # MV axiom suite.
+
+def _mv_axioms(oplus: Callable, neg: Callable, zero_el, one_el) -> list[tuple]:
+    return [
+        ("oplus_associative", 3, lambda x, y, z: oplus(oplus(x, y), z) == oplus(x, oplus(y, z))),
+        ("oplus_commutative", 2, lambda x, y: oplus(x, y) == oplus(y, x)),
+        ("zero_neutral", 1, lambda x: oplus(x, zero_el) == x),
+        ("one_absorbing", 1, lambda x: oplus(x, one_el) == one_el),
+        ("neg_involutive", 1, lambda x: neg(neg(x)) == x),
+        ("neg_zero_is_one", 0, lambda: neg(zero_el) == one_el),
+        ("lukasiewicz_exchange", 2,
+         lambda x, y: oplus(neg(oplus(neg(x), y)), y) == oplus(neg(oplus(neg(y), x)), x)),
+    ]
+
 
 def check_mv_axioms(A: MvAlgebra, mode: str = "exhaustive", *,
                     samples: int = 1000, seed: int = 0,
@@ -408,48 +422,23 @@ def check_mv_axioms(A: MvAlgebra, mode: str = "exhaustive", *,
     canonical enumeration order is reported.
     """
     if mode == "exhaustive":
-        tuples = payload_tuples(A)
+        source = payload_tuples(A)
     elif mode == "sampled":
-        tuples = payload_tuples(A, bound, samples, seed)
+        source = payload_tuples(A, bound, samples, seed)
     else:
         raise DomainError(f"unknown mode {mode!r}")
     ops = payload_ops(A)
-    report = check_axioms_over((), ops.oplus, ops.neg, ops.zero, ops.one, tuples=tuples)
-    witness = report.witness and {
-        "axiom": report.witness["axiom"],
-        "elements": [MvElement(A, p) for p in report.witness["elements"]]}
-    return CheckReport(report.verdict, report.checked, witness, mode)
+    return check_laws(_mv_axioms(ops.oplus, ops.neg, ops.zero, ops.one), source).shaped(
+        lambda name, instance: axiom_witness(name, [MvElement(A, p) for p in instance]))
 
 
 def check_axioms_over(elements: Iterable, oplus: Callable, neg: Callable,
-                      zero_el, one_el, *, tuples: Callable | None = None) -> CheckReport:
+                      zero_el, one_el) -> CheckReport:
     """Run the MV axiom suite against explicitly supplied operations.
 
-    Every tuple of ``elements`` is tried, unless ``tuples(arity)`` supplies the
-    instances.  Exercised by tests as a negative control: feed a corrupted
-    operation table and the counterexample must surface.
+    Every tuple of ``elements`` is tried.  Exercised by tests as a negative
+    control: feed a corrupted operation table and the counterexample must
+    surface.
     """
-    if tuples is None:
-        elems = list(elements)
-
-        def tuples(arity):
-            return itertools.product(elems, repeat=arity)
-    axioms = [
-        ("oplus_associative", 3,
-         lambda x, y, z: oplus(oplus(x, y), z) == oplus(x, oplus(y, z))),
-        ("oplus_commutative", 2, lambda x, y: oplus(x, y) == oplus(y, x)),
-        ("zero_neutral", 1, lambda x: oplus(x, zero_el) == x),
-        ("one_absorbing", 1, lambda x: oplus(x, one_el) == one_el),
-        ("neg_involutive", 1, lambda x: neg(neg(x)) == x),
-        ("neg_zero_is_one", 0, lambda: neg(zero_el) == one_el),
-        ("lukasiewicz_exchange", 2,
-         lambda x, y: oplus(neg(oplus(neg(x), y)), y) == oplus(neg(oplus(neg(y), x)), x)),
-    ]
-    checked = 0
-    for name, arity, pred in axioms:
-        for combo in tuples(arity) if arity else [()]:
-            checked += 1
-            if not pred(*combo):
-                return CheckReport(COUNTEREXAMPLE, checked,
-                                   {"axiom": name, "elements": list(combo)})
-    return CheckReport(VALID, checked)
+    return check_laws(_mv_axioms(oplus, neg, zero_el, one_el),
+                      Instances.over(elements)).shaped(axiom_witness)

@@ -192,8 +192,8 @@ def _cmd_axioms(args):
     if carrier_size(A) is not None and args.samples is None:
         report = axiom_suite(A)
     else:
-        report = axiom_suite(A, samples=args.samples or 500, seed=args.seed,
-                             bound=_default_bound(args, 12))
+        samples = 500 if args.samples is None else args.samples
+        report = axiom_suite(A, samples=samples, seed=args.seed, bound=_default_bound(args, 12))
     return _report_exit(report), {"algebra": algebra_to_json(A), **report_to_json(report)}
 
 

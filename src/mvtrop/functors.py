@@ -9,21 +9,19 @@ DeltaOf algebras).  The general inverse via good sequences is out of scope.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable
 
 from .algebra import (DeltaOf, FiniteChain, MvAlgebra, MvElement,
                       ProductAlgebra, carrier_size, element, element_str,
-                      enumerate_elements, is_boolean_elem, mv_join, mv_leq,
-                      mv_meet, mv_neg, mv_odot, mv_oplus, one, payload_ops,
-                      zero)
-from .bisemirings import TOP, Bisemiring, TopCone
+                      enumerate_elements, enumerate_payloads, is_boolean_elem,
+                      mv_leq, mv_neg, mv_oplus, one, payload_ops, zero)
+from .bisemirings import TOP, Bisemiring, TopCone, check_closed, closure_laws
 from .errors import (BrokenHomomorphismError, DomainError, MalformedInputError,
                      UnsupportedRepresentationError)
 from .groups import (Integers, LexZG, LGroup, TropOfGroup, group_coerce,
                      group_leq, group_zero)
-from .report import COUNTEREXAMPLE, VALID, CheckReport
+from .report import COUNTEREXAMPLE, VALID, CheckReport, Instances, check_laws
 
 
 def gamma(G: LGroup, u) -> MvAlgebra:
@@ -182,6 +180,10 @@ def glue_boolean_perfect(B: MvAlgebra, P: MvAlgebra) -> MvAlgebra:
     return ProductAlgebra((FiniteChain(2),) * (k - 1) + (P,))
 
 
+def _lattice(ops) -> list[tuple]:
+    return [(name, getattr(ops, name)) for name in ("oplus", "odot", "meet", "join")]
+
+
 def recognize_theta_image(S: Bisemiring) -> CheckReport:
     """Decide whether a finite ℓ-bisemiring is θ of some algebra in V(C).
 
@@ -192,48 +194,35 @@ def recognize_theta_image(S: Bisemiring) -> CheckReport:
     Inf(S) = {0} and Bool(S) is the whole of S (finite members of V(C) are
     Boolean algebras, which are their own θ images).
     """
-    elems = S.elements()
-    A = S.host
-    z, o = zero(A), one(A)
-    eset = set(elems)
-    if z not in eset or o not in eset:
+    elems = S.payloads()
+    A, ops = S.host, payload_ops(S.host)
+    oplus, odot, z, o = ops.oplus, ops.odot, ops.zero, ops.one
+    if z not in elems or o not in elems:
         raise MalformedInputError(
             "carrier must contain distinct 0 and 1 (a one-element input collapses 0 = 1)")
-    ops = (("oplus", mv_oplus), ("odot", mv_odot), ("meet", mv_meet), ("join", mv_join))
-    checked = 0
-    for name, op in ops:
-        for x, y in itertools.product(elems, repeat=2):
-            checked += 1
-            if op(x, y) not in eset:
-                raise MalformedInputError(
-                    f"carrier is not closed under {name} at ({element_str(x)}, {element_str(y)})")
+    closure_checked = check_closed(elems, _lattice(ops), lambda p: element_str(MvElement(A, p)))
+    inf_set = {p for p in elems if odot(p, p) == z}
+    bool_set = {p for p in elems if odot(p, p) == p}
+    # Bool(S) = S forces Inf(S) = {0}; the radical conditions are then vacuous
+    # and it remains to confirm Bool(S) is a Boolean algebra under ⊕/⊙.  Each
+    # law is named by the reason its witness gives.
+    laws = [
+        ("x⊙x ≠ x", 1, lambda x: x in bool_set),
+        ("⊕/⊙ do not agree with ∨/∧", 2,
+         lambda x, y: oplus(x, y) == ops.join(x, y) and odot(x, y) == ops.meet(x, y)),
+        ("no complement", 1, lambda x: any(oplus(x, y) == o and odot(x, y) == z for y in elems)),
+    ]
 
-    inf_set = {x for x in elems if mv_odot(x, x) == z}
-    bool_set = {x for x in elems if mv_odot(x, x) == x}
-    details = {"inf_size": len(inf_set), "bool_size": len(bool_set)}
-
-    for x in elems:
-        checked += 1
-        if x in inf_set and x != z:
-            witness = {"element": x, "reason": "x⊙x = 0 but x ≠ 0"}
-            return CheckReport(COUNTEREXAMPLE, checked, witness, details=details)
-        if x not in bool_set:
-            witness = {"element": x, "reason": "x⊙x ≠ x"}
-            return CheckReport(COUNTEREXAMPLE, checked, witness, details=details)
-
-    # Inf(S) = {0} and Bool(S) = S here; the radical conditions are vacuous
-    # and it remains to confirm Bool(S) is a Boolean algebra under ⊕/⊙.
-    for x, y in itertools.product(elems, repeat=2):
-        checked += 1
-        if mv_oplus(x, y) != mv_join(x, y) or mv_odot(x, y) != mv_meet(x, y):
-            witness = {"elements": [x, y], "reason": "⊕/⊙ do not agree with ∨/∧"}
-            return CheckReport(COUNTEREXAMPLE, checked, witness, details=details)
-    for x in elems:
-        checked += 1
-        if not any(mv_oplus(x, y) == o and mv_odot(x, y) == z for y in elems):
-            witness = {"element": x, "reason": "no complement"}
-            return CheckReport(COUNTEREXAMPLE, checked, witness, details=details)
-    return CheckReport(VALID, checked, details=details)
+    def witness(reason, instance):
+        found = [MvElement(A, p) for p in instance]
+        if len(found) == 2:
+            return {"elements": found, "reason": reason}
+        if reason == "x⊙x ≠ x" and instance[0] in inf_set:
+            reason = "x⊙x = 0 but x ≠ 0"
+        return {"element": found[0], "reason": reason}
+    report = check_laws(laws, Instances.over(elems)).shaped(witness)
+    return replace(report, checked=closure_checked + report.checked,
+                   details={"inf_size": len(inf_set), "bool_size": len(bool_set)})
 
 
 def theta_image_conditions(S: Bisemiring, bound: int | None = None) -> CheckReport:
@@ -245,47 +234,39 @@ def theta_image_conditions(S: Bisemiring, bound: int | None = None) -> CheckRepo
     ∨ = ⊕, ∧ = ⊙.  Results of operations are tested with the membership
     predicate, so fragments of infinite carriers work.
     """
-    elems = S.elements(bound)
-    A = S.host
-    z, o = zero(A), one(A)
+    elems = S.payloads(bound)
+    A, ops = S.host, payload_ops(S.host)
+    oplus, odot, z, o = ops.oplus, ops.odot, ops.zero, ops.one
+    inf_set = [p for p in elems if odot(p, p) == z]
+    bool_set = [p for p in elems if odot(p, p) == p]
 
-    def square_zero(x):
-        return mv_odot(x, x) == z
+    def shown(payloads):
+        return [MvElement(A, p) for p in payloads]
 
-    def square_idem(x):
-        return mv_odot(x, x) == x
+    def closure(condition, operations, keep, pool):
+        laws = closure_laws(operations, lambda r: S.has(MvElement(A, r)) and keep(r))
+        return check_laws(laws, Instances.over(pool)).shaped(lambda name, pair: {
+            "condition": condition, "operation": name, "elements": shown(pair)})
 
-    inf_set = [x for x in elems if square_zero(x)]
-    bool_set = [x for x in elems if square_idem(x)]
+    def phases():  # run lazily, in order, until one fails
+        yield closure("inf_closure", _lattice(ops), lambda r: odot(r, r) == z, inf_set)
+        downward = ("inf_downward", 2, lambda w, x: odot(w, w) == z or not ops.leq(w, x))
+        pairs = Instances(lambda _: ((w, x) for x in inf_set for w in elems))
+        yield check_laws([downward], pairs).shaped(
+            lambda _, pair: {"condition": "inf_downward", "elements": shown(pair)})
+        if z not in bool_set or o not in bool_set:
+            yield CheckReport(COUNTEREXAMPLE, 0, {"condition": "bool_constants"})
+        yield closure("bool_closure", _lattice(ops)[:2], lambda r: odot(r, r) == r, bool_set)
+        complemented = ("bool_complement", 1,
+                        lambda x: any(oplus(x, y) == o and odot(x, y) == z for y in bool_set))
+        yield check_laws([complemented], Instances.over(bool_set)).shaped(
+            lambda _, x: {"condition": "bool_complement", "element": shown(x)[0]})
+
     checked = 0
-    ops = (("oplus", mv_oplus), ("odot", mv_odot), ("meet", mv_meet), ("join", mv_join))
-    for name, op in ops:
-        for x, y in itertools.product(inf_set, repeat=2):
-            checked += 1
-            r = op(x, y)
-            if not (S.contains(r) and square_zero(r)):
-                witness = {"condition": "inf_closure", "operation": name, "elements": [x, y]}
-                return CheckReport(COUNTEREXAMPLE, checked, witness)
-    for x in inf_set:
-        for w in elems:
-            checked += 1
-            if mv_leq(w, x) and not square_zero(w):
-                witness = {"condition": "inf_downward", "elements": [w, x]}
-                return CheckReport(COUNTEREXAMPLE, checked, witness)
-    if z not in bool_set or o not in bool_set:
-        return CheckReport(COUNTEREXAMPLE, checked, {"condition": "bool_constants"})
-    for name, op in (("oplus", mv_oplus), ("odot", mv_odot)):
-        for x, y in itertools.product(bool_set, repeat=2):
-            checked += 1
-            r = op(x, y)
-            if not (S.contains(r) and square_idem(r)):
-                witness = {"condition": "bool_closure", "operation": name, "elements": [x, y]}
-                return CheckReport(COUNTEREXAMPLE, checked, witness)
-    for x in bool_set:
-        checked += 1
-        if not any(mv_oplus(x, y) == o and mv_odot(x, y) == z for y in bool_set):
-            witness = {"condition": "bool_complement", "element": x}
-            return CheckReport(COUNTEREXAMPLE, checked, witness)
+    for report in phases():
+        checked += report.checked
+        if not report.ok:
+            return replace(report, checked=checked)
     return CheckReport(VALID, checked,
                        details={"inf_size": len(inf_set), "bool_size": len(bool_set)})
 
@@ -321,18 +302,27 @@ def projection_morphism(A: ProductAlgebra, index: int) -> Morphism:
 
 
 def check_homomorphism(h: Morphism, bound: int = 4) -> None:
-    """Verify preservation of ⊕, ¬, 0, 1 on a bounded fragment of the source."""
-    elems = enumerate_elements(h.source, bound)
-    if h(zero(h.source)) != zero(h.target) or h(one(h.source)) != one(h.target):
-        raise BrokenHomomorphismError(f"{h.name} does not preserve the constants")
-    for x in elems:
-        if h(mv_neg(x)) != mv_neg(h(x)):
-            raise BrokenHomomorphismError(
-                f"{h.name} does not preserve negation at {element_str(x)}")
-    for x, y in itertools.product(elems, repeat=2):
-        if h(mv_oplus(x, y)) != mv_oplus(h(x), h(y)):
-            raise BrokenHomomorphismError(
-                f"{h.name} does not preserve ⊕ at ({element_str(x)}, {element_str(y)})")
+    """Verify preservation of ⊕, ¬, 0, 1 on a bounded fragment of the source.
+
+    The fragment is enumerated, so it lies in the source; the source side runs
+    on its payload record, and h's images go through the checking ``mv_*``.
+    """
+    src, ops = h.source, payload_ops(h.source)
+
+    def image(p):
+        return h(MvElement(src, p))
+    laws = [
+        ("the constants", 0,
+         lambda: h(zero(src)) == zero(h.target) and h(one(src)) == one(h.target)),
+        ("negation", 1, lambda x: image(ops.neg(x)) == mv_neg(image(x))),
+        ("⊕", 2, lambda x, y: image(ops.oplus(x, y)) == mv_oplus(image(x), image(y))),
+    ]
+    report = check_laws(laws, Instances.over(enumerate_payloads(src, bound)))
+    if not report.ok:
+        name, instance = report.witness
+        shown = ", ".join(element_str(MvElement(src, p)) for p in instance)
+        at = f" at ({shown})" if len(instance) > 1 else f" at {shown}" if instance else ""
+        raise BrokenHomomorphismError(f"{h.name} does not preserve {name}{at}")
 
 
 def theta_on_morphism(h: Morphism, bound: int = 4) -> Morphism:
@@ -344,9 +334,11 @@ def theta_on_morphism(h: Morphism, bound: int = 4) -> Morphism:
     """
     check_homomorphism(h, bound)
     src, tgt = theta(h.source), theta(h.target)
-    for x in src.elements(bound):
-        if not tgt.contains(h(x)):
-            raise BrokenHomomorphismError(
-                f"{h.name} maps {element_str(x)} outside theta of the target; "
-                "it cannot be a homomorphism")
+    report = check_laws([("theta", 1, lambda x: tgt.contains(h(x)))],
+                        Instances.over(src.elements(bound)))
+    if not report.ok:
+        x, = report.witness[1]
+        raise BrokenHomomorphismError(
+            f"{h.name} maps {element_str(x)} outside theta of the target; "
+            "it cannot be a homomorphism")
     return Morphism(src, tgt, f"theta({h.name})", h.fn)

@@ -15,10 +15,10 @@ from typing import Callable, Mapping
 from .algebra import (CHANG, MvAlgebra, MvElement, PayloadOps, payload_ops,
                       payload_tuples)
 from .errors import EvaluationError, StructuralError
-from .report import COUNTEREXAMPLE, VALID, VALID_UP_TO_BOUND, CheckReport
-from .terms import (Const, Equation, Implies, Join, Meet, Neg, Odot, Ominus,
-                    Oplus, Term, Var, operation_count, parse, parse_equation,
-                    variables)
+from .report import CheckReport, check_laws
+from .terms import (CONST1, Const, Equation, Implies, Join, Meet, Neg, Odot,
+                    Ominus, Oplus, Term, Var, operation_count, parse,
+                    parse_equation)
 
 
 @dataclass(frozen=True)
@@ -74,17 +74,26 @@ def evaluate(t: Term, v: Valuation) -> MvElement:
     return MvElement(A, f(env))
 
 
-def _compiled(t: Term, ops: PayloadOps, names: list[str]) -> Callable:
-    return _compile_term(t, ops, {name: i for i, name in enumerate(names)})
+def _law(name: str, e: Equation, ops: PayloadOps) -> tuple:
+    """The law e on payloads; slot i holds the i-th of e's variables in sorted order."""
+    slots = {v: i for i, v in enumerate(sorted(e.variables()))}
+    lhs, rhs = _compile_term(e.lhs, ops, slots), _compile_term(e.rhs, ops, slots)
+    return name, len(slots), lambda *env: lhs(env) == rhs(env)
 
 
 def _bindings(A: MvAlgebra, names, env) -> dict[str, MvElement]:
     return {name: MvElement(A, p) for name, p in zip(names, env)}
 
 
+def _valuation_witness(e: Equation, A: MvAlgebra, env) -> dict:
+    """The valuation env of a tautology e (lhs = 1) and the value it gives lhs."""
+    valuation = _bindings(A, sorted(e.variables()), env)
+    return {"valuation": valuation, "value": evaluate(e.lhs, Valuation(A, valuation))}
+
+
 def check_equation_finite(e: Equation, A: MvAlgebra) -> CheckReport:
     """Exhaustive equation check over all valuations of a finite algebra."""
-    return _check_equation(e, A, None, "exhaustive")
+    return _check_equation(e, A, None)
 
 
 def default_chang_bound(e: Equation) -> int:
@@ -98,22 +107,13 @@ def check_equation_bounded(e: Equation, A: MvAlgebra, bound: int) -> CheckReport
     A counterexample is definitive; a clean run is reported as valid up to the
     bound, which is not a completeness claim.
     """
-    return _check_equation(e, A, bound, "bounded")
+    return _check_equation(e, A, bound)
 
 
-def _check_equation(e: Equation, A: MvAlgebra, bound: int | None, mode: str) -> CheckReport:
+def _check_equation(e: Equation, A: MvAlgebra, bound: int | None) -> CheckReport:
     """Every valuation in canonical order; the first counterexample wins."""
-    names = sorted(e.variables())
-    ops = payload_ops(A)
-    lhs, rhs = _compiled(e.lhs, ops, names), _compiled(e.rhs, ops, names)
-    checked = 0
-    for env in payload_tuples(A, bound)(len(names)):
-        checked += 1
-        if lhs(env) != rhs(env):
-            return CheckReport(COUNTEREXAMPLE, checked, _bindings(A, names, env), mode)
-    if mode == "exhaustive":
-        return CheckReport(VALID, checked)
-    return CheckReport(VALID_UP_TO_BOUND, checked, mode=mode, details={"bound": bound})
+    return check_laws([_law("equation", e, payload_ops(A))], payload_tuples(A, bound)).shaped(
+        lambda _, env: _bindings(A, sorted(e.variables()), env))
 
 
 def check_equation_chang(e: Equation, bound: int | None = None) -> CheckReport:
@@ -125,17 +125,9 @@ def check_equation_chang(e: Equation, bound: int | None = None) -> CheckReport:
 
 def tautology_check(t: Term, A: MvAlgebra) -> CheckReport:
     """Valid iff the term evaluates to 1 under every valuation of a finite algebra."""
-    names = sorted(variables(t))
-    ops = payload_ops(A)
-    f = _compiled(t, ops, names)
-    checked = 0
-    for env in payload_tuples(A)(len(names)):
-        checked += 1
-        value = f(env)
-        if value != ops.one:
-            witness = {"valuation": _bindings(A, names, env), "value": MvElement(A, value)}
-            return CheckReport(COUNTEREXAMPLE, checked, witness)
-    return CheckReport(VALID, checked)
+    e = Equation(t, CONST1)
+    return check_laws([_law("tautology", e, payload_ops(A))], payload_tuples(A)).shaped(
+        lambda _, env: _valuation_witness(e, A, env))
 
 
 VC_AXIOM = parse_equation("(x (+) x) (.) (x (+) x) = (x (.) x) (+) (x (.) x)")
@@ -162,25 +154,17 @@ def axiom_suite(A: MvAlgebra, *, samples: int | None = None, seed: int = 0,
     valuations from the bound-limited fragment are used instead (required for
     infinite carriers).
     """
-    mode = "exhaustive" if samples is None else "sampled"
     tuples = payload_tuples(A, None if samples is None else bound, samples, seed)
     ops = payload_ops(A)
-    top = ops.one
-    checked = 0
-    for name, axiom in LUKASIEWICZ_AXIOMS:
-        names = sorted(variables(axiom))
-        f = _compiled(axiom, ops, names)
-        for env in tuples(len(names)):
-            checked += 1
-            value = f(env)
-            if value != top:
-                witness = {"axiom": name, "valuation": _bindings(A, names, env),
-                           "value": MvElement(A, value)}
-                return CheckReport(COUNTEREXAMPLE, checked, witness, mode)
+    axioms = {name: Equation(axiom, CONST1) for name, axiom in LUKASIEWICZ_AXIOMS}
+    laws = [_law(name, e, ops) for name, e in axioms.items()]
+    top, implies = ops.one, ops.implies
     # Modus ponens soundness: whenever x → y and x take the value 1, so does y.
-    for a, b in tuples(2):
-        checked += 1
-        if ops.implies(a, b) == top and a == top and b != top:
-            witness = {"axiom": "modus_ponens", "valuation": _bindings(A, ("x", "y"), (a, b))}
-            return CheckReport(COUNTEREXAMPLE, checked, witness, mode)
-    return CheckReport(VALID, checked, mode=mode)
+    laws.append(("modus_ponens", 2,
+                 lambda x, y: not (implies(x, y) == top and x == top) or y == top))
+
+    def witness(name, env):
+        if name == "modus_ponens":
+            return {"axiom": name, "valuation": _bindings(A, ("x", "y"), env)}
+        return {"axiom": name, **_valuation_witness(axioms[name], A, env)}
+    return check_laws(laws, tuples).shaped(witness)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Iterable
 
@@ -23,17 +23,12 @@ from .errors import (DomainError, ReconstructionError, StructuralError,
                      WitnessNotFoundError)
 from .functors import delta, theta_perfect
 from .groups import LGroup, qsubgroup
-from .report import COUNTEREXAMPLE, VALID, CheckReport
+from .report import COUNTEREXAMPLE, VALID, CheckReport, Instances, check_laws
 
 REGULARLY_DISCRETE = "regularly_discrete"
 REGULARLY_DENSE = "regularly_dense"
 
 _ONE = Fraction(1)
-
-
-def contains(chi: Characteristic, q) -> bool:
-    """Membership of a rational in the denoted subgroup."""
-    return contains_rational(chi, q)
 
 
 def group_characteristic(G: LGroup) -> Characteristic:
@@ -79,14 +74,14 @@ def find_divisible_between(chi: Characteristic, p: int, a, b) -> Fraction:
     For dense groups a witness always exists (multiples of p/q^k for a prime q
     with infinite exponent); for a cyclic group the multiples of p/m are
     searched and WitnessNotFoundError explains a miss.  The returned witness
-    is re-verified through ``contains`` before being handed back.
+    is re-verified through ``contains_rational`` before being handed back.
     """
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
     a, b = Fraction(a), Fraction(b)
     if not a < b:
         raise DomainError(f"need a < b, got {a} and {b}")
-    if not (contains(chi, a) and contains(chi, b)):
+    if not (contains_rational(chi, a) and contains_rational(chi, b)):
         raise StructuralError("interval endpoints must lie in the group")
 
     if a < 0 < b:
@@ -105,7 +100,8 @@ def find_divisible_between(chi: Characteristic, p: int, a, b) -> Fraction:
             step /= q
         x = (a // step + 1) * step
 
-    if not (a < x < b and contains(chi, x) and contains(chi, Fraction(x, p))):
+    if not (a < x < b and contains_rational(chi, x)
+            and contains_rational(chi, Fraction(x, p))):
         raise WitnessNotFoundError(f"constructed witness {x} failed verification")
     return x
 
@@ -228,35 +224,39 @@ def check_flatness(F: FlatAction, samples: int = 1000, seed: int = 0,
         return CheckReport(COUNTEREXAMPLE, 0, {"condition": 1, "reason": "empty cone"},
                            mode="sampled")
     rng = random.Random(seed)
-    checked = 1  # condition 1
-    for _ in range(samples):
-        y, z = rng.choice(pool), rng.choice(pool)
+
+    def draws(arity):  # pairs (y, z) for condition 2, triples (y, m, n) for condition 3
+        if arity == 2:
+            return ((rng.choice(pool), rng.choice(pool)) for _ in range(samples))
+        return ((rng.choice(pool), rng.randrange(1, 16), rng.randrange(1, 16))
+                for _ in range(samples))
+
+    def inside(w):
+        return w > 0 and contains_rational(F.base, w)
+
+    def refined(y, z):  # w = gcd(y, z) lies in the cone and the action reaches y and z from it
         w = rational_gcd([y, z])
-        checked += 1
-        if not (w > 0 and contains(F.base, w)):
-            witness = {"condition": 2, "pair": [y, z], "w": w,
-                       "reason": "constructed witness falls outside the cone"}
-            return CheckReport(COUNTEREXAMPLE, checked, witness, mode="sampled")
+        if not inside(w):
+            return False
         m, n = y / w, z / w
-        if m.denominator != 1 or n.denominator != 1 \
-                or F.act(int(m), w) != y or F.act(int(n), w) != z:
-            witness = {"condition": 2, "pair": [y, z], "w": w,
-                       "reason": "action does not reach the pair from the refinement"}
-            return CheckReport(COUNTEREXAMPLE, checked, witness, mode="sampled")
-    collisions = 0
-    for _ in range(samples):
-        y = rng.choice(pool)
-        m = rng.randrange(1, 16)
-        n = rng.randrange(1, 16)
-        checked += 1
-        if m != n and F.act(m, y) == F.act(n, y):
-            collisions += 1
-            witness = {"condition": 3, "pair": [m, n], "y": y,
-                       "reason": "m·y = n·y with m ≠ n on a torsion-free cone"}
-            return CheckReport(COUNTEREXAMPLE, checked, witness, mode="sampled")
-    return CheckReport(VALID, checked, mode="sampled",
-                       details={"condition3": "vacuously satisfied",
-                                "condition3_collisions": collisions})
+        return m.denominator == 1 and n.denominator == 1 \
+            and F.act(int(m), w) == y and F.act(int(n), w) == z
+
+    def witness(name, draw):
+        if name == "torsion_free":
+            return {"condition": 3, "pair": list(draw[1:]), "y": draw[0],
+                    "reason": "m·y = n·y with m ≠ n on a torsion-free cone"}
+        w = rational_gcd(list(draw))
+        return {"condition": 2, "pair": list(draw), "w": w,
+                "reason": "action does not reach the pair from the refinement" if inside(w)
+                else "constructed witness falls outside the cone"}
+    laws = [("refinement", 2, refined),
+            ("torsion_free", 3, lambda y, m, n: m == n or F.act(m, y) != F.act(n, y))]
+    report = check_laws(laws, Instances(draws, "sampled")).shaped(witness)
+    if not report.ok:  # condition 1 counts once
+        return replace(report, checked=1 + report.checked)
+    return CheckReport(VALID, 1 + report.checked, mode="sampled",
+                       details={"condition3": "vacuously satisfied", "condition3_collisions": 0})
 
 
 def group_from_action(F: FlatAction, probes: Iterable) -> LGroup:
@@ -271,7 +271,7 @@ def group_from_action(F: FlatAction, probes: Iterable) -> LGroup:
     if not probes:
         raise DomainError("probes must be nonempty")
     for x in probes:
-        if not (x > 0 and contains(F.base, x)):
+        if not (x > 0 and contains_rational(F.base, x)):
             raise StructuralError(f"probe {x} is not in the cone of {F.base!r}")
     g = rational_gcd(probes + [_ONE])
     if F.act(1, g) != g:

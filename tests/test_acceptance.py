@@ -20,6 +20,7 @@ from mvtrop.algebra import (CHANG, FiniteChain, RationalInterval,
 from mvtrop.bisemirings import TOP, cone_add, cone_elements, cone_leq, cone_meet
 from mvtrop.characteristics import (CHI_Q, CHI_Z, characteristic, factor,
                                     parse_group_label)
+from mvtrop.characteristics import contains_rational as contains
 from mvtrop.cli import main
 from mvtrop.functors import (delta, delta_inverse, detrop, f_equiv, theta,
                              theta_perfect, theta_perfect_inverse, theta_star,
@@ -27,7 +28,7 @@ from mvtrop.functors import (delta, delta_inverse, detrop, f_equiv, theta,
 from mvtrop.groups import Z, group_enumerate, qsubgroup
 from mvtrop.logic import (Valuation, axiom_suite, evaluate, tautology_check,
                           vc_membership)
-from mvtrop.qpoints import (check_flatness, classify_regularity, contains,
+from mvtrop.qpoints import (check_flatness, classify_regularity,
                             find_divisible_between, frobenius_action,
                             gp_invariant, group_from_action, theta_pt)
 from mvtrop.terms import parse, print_term

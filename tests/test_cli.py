@@ -96,6 +96,14 @@ def test_axioms_verb(capsys):
     assert code == 0 and json.loads(out)["mode"] == "sampled"
 
 
+@pytest.mark.parametrize("samples", ["-1", "0"])
+def test_axioms_rejects_a_sample_count_below_one(samples, capsys):
+    # neither a vacuous valid verdict (-1) nor a silent fall back to the default count (0)
+    code, out, err = run(["axioms", "--algebra", "chang", "--samples", samples], capsys)
+    assert code == 3 and out == ""
+    assert err == "mvtrop: samples must be >= 1\n"
+
+
 def test_eval_verb(capsys):
     code, out, _ = run(["eval", "(x(+)x)(.)(x(+)x)", "--algebra", "chang",
                         "--assign", "x=(1,-3)"], capsys)

@@ -9,7 +9,7 @@ from mvtrop.algebra import (CHANG, FiniteChain, RationalInterval, element,
                             enumerate_elements, mv_implies, mv_leq, mv_meet,
                             mv_join, mv_neg, mv_odot, mv_oplus, one,
                             product_algebra, zero)
-from mvtrop.errors import EvaluationError, ModeError, StructuralError
+from mvtrop.errors import DomainError, EvaluationError, ModeError, StructuralError
 from mvtrop.logic import (VC_AXIOM, Valuation, axiom_suite,
                           check_equation_bounded, check_equation_chang,
                           check_equation_finite, default_chang_bound, evaluate,
@@ -235,6 +235,14 @@ def test_axiom_suite_sampled_on_interval():
 def test_axiom_suite_requires_samples_on_infinite():
     with pytest.raises(ModeError):
         axiom_suite(CHANG)
+
+
+@pytest.mark.parametrize("samples", [0, -1])
+def test_axiom_suite_rejects_a_sample_count_below_one(samples):
+    with pytest.raises(DomainError, match="samples must be >= 1"):
+        axiom_suite(CHANG, samples=samples)
+    with pytest.raises(DomainError, match="samples must be >= 1"):
+        axiom_suite(FiniteChain(3), samples=samples)
 
 
 def test_peirce_law_fails_as_a_corrupted_axiom():

@@ -6,13 +6,14 @@ import pytest
 from mvtrop.bisemirings import TOP, cone_add, cone_elements, cone_leq
 from mvtrop.characteristics import (CHI_Q, CHI_Z, INF, characteristic,
                                     parse_group_label)
+from mvtrop.characteristics import contains_rational as contains
 from mvtrop.errors import (DomainError, ReconstructionError, StructuralError,
                            WitnessNotFoundError)
 from mvtrop.functors import theta_perfect
 from mvtrop.groups import Z, group_enumerate, qsubgroup
 from mvtrop.qpoints import (REGULARLY_DENSE, REGULARLY_DISCRETE, FlatAction,
                             check_flatness, classify_regularity,
-                            common_measure, contains, find_divisible_between,
+                            common_measure, find_divisible_between,
                             frobenius_action, gp_invariant,
                             group_characteristic, group_from_action,
                             hom_exists, hom_obstruction, rational_gcd,
