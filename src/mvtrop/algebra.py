@@ -7,10 +7,14 @@ arithmetic is exact: chain and interval payloads are reduced Fractions,
 DeltaOf payloads are (bit, offset) lex pairs with offset in the base group.
 
 Every operation goes through one payload-ops record per descriptor
-(``payload_ops``): a kind supplies ⊕, ¬, 0 and 1 on raw payloads, and the
-record derives ⊙, ⊖, →, ∨, ∧ and ≤ from them.  A record is built on first use
-in O(number of factors), with no tables, and kept in a bounded cache keyed on
-the frozen descriptor.  The ``mv_*`` functions unwrap MvElements, call the
+(``payload_ops``): a kind supplies ⊕, ¬, 0 and 1 on raw payloads together with
+its order ≤, ∨ and ∧, and the record derives ⊙, ⊖ and → from ⊕ and ¬.  Every
+shipped kind is an MV-chain or a finite product of MV-chains, so each knows its
+order natively: ``operator.le``, ``max`` and ``min`` on the Fractions of chains
+and the interval, bit first and then the group order on Δ(G) payloads, and
+componentwise on products.  A record is built on first use in O(number of
+factors), with no tables, and kept in a bounded cache keyed on the frozen
+descriptor.  The ``mv_*`` functions unwrap MvElements, call the
 record and wrap the result; the checkers in ``logic`` and ``export`` call the
 record on payloads directly and build MvElements only for witnesses.
 
@@ -28,6 +32,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -145,32 +150,30 @@ def element(A: MvAlgebra, payload: Any) -> MvElement:
 class PayloadOps:
     """The operations of one descriptor on raw payloads.
 
-    A kind supplies only ⊕, ¬, 0 and 1; ⊙, ⊖, →, ∨, ∧ and the order test are
-    derived here from those four, exactly as the MV-algebra definitions read.
-    None of them checks its arguments.  ``check`` is the boundary check of one
-    payload (it raises StructuralError when a Δ(G) offset lies outside G), or
-    None when the kind needs none.
+    A kind supplies ⊕, ¬, 0 and 1 and its lattice order: the test ≤ and the
+    join ∨ and meet ∧ it induces.  ⊙, ⊖ and → are derived here from ⊕ and ¬,
+    exactly as the MV-algebra definitions read.  None of them checks its
+    arguments.  ``check`` is the boundary check of one payload (it raises
+    StructuralError when a Δ(G) offset lies outside G), or None when the kind
+    needs none.
     """
 
     __slots__ = ("oplus", "neg", "zero", "one", "check", "odot", "ominus", "implies",
                  "join", "meet", "leq")
 
     def __init__(self, oplus: Callable, neg: Callable, zero_p, one_p,
+                 leq: Callable, join: Callable, meet: Callable,
                  check: Callable | None = None):
         self.oplus, self.neg, self.zero, self.one = oplus, neg, zero_p, one_p
+        self.leq, self.join, self.meet = leq, join, meet
         self.check = check
 
         def odot(p, q):  # ¬(¬p ⊕ ¬q)
             return neg(oplus(neg(p), neg(q)))
 
-        def join(p, q):  # ¬(¬p ⊕ q) ⊕ q
-            return oplus(neg(oplus(neg(p), q)), q)
-
-        self.odot, self.join = odot, join
+        self.odot = odot
         self.ominus = lambda p, q: odot(p, neg(q))
         self.implies = lambda p, q: oplus(neg(p), q)
-        self.meet = lambda p, q: neg(join(neg(p), neg(q)))
-        self.leq = lambda p, q: oplus(neg(p), q) == one_p
 
     def checked(self, *payloads) -> PayloadOps:
         """This record, once each payload has passed the boundary check."""
@@ -195,11 +198,11 @@ def payload_ops(A: MvAlgebra) -> PayloadOps:
     if isinstance(A, FiniteChain):
         return payload_ops(RationalInterval())  # every chain shares the interval's record
     if isinstance(A, RationalInterval):
-        return PayloadOps(_unit_oplus, _unit_neg, _ZERO, _ONE)
+        return PayloadOps(_unit_oplus, _unit_neg, _ZERO, _ONE, operator.le, max, min)
     if isinstance(A, DeltaOf):
         G = A.group
         r = G.ops
-        gz, add, neg, meet, contains = r.zero, r.add, r.neg, r.meet, r.contains
+        gz, add, neg, gleq, gmeet, contains = r.zero, r.add, r.neg, r.leq, r.meet, r.contains
 
         def delta_oplus(p, q):
             bit = p[0] + q[0]
@@ -207,18 +210,26 @@ def payload_ops(A: MvAlgebra) -> PayloadOps:
             if bit == 0:
                 return (0, off)
             if bit == 1:
-                return (1, meet(off, gz))
+                return (1, gmeet(off, gz))
             return (1, gz)
+
+        def leq(p, q):  # Z lex G: bits first, then offsets
+            if p[0] != q[0]:
+                return p[0] < q[0]
+            return gleq(p[1], q[1])
 
         def check(p):
             if not contains(p[1]):
                 raise StructuralError(f"{p[1]!r} is not in the carrier of {G!r}")
 
-        return PayloadOps(delta_oplus, lambda p: (1 - p[0], neg(p[1])),
-                          (0, gz), (1, gz), check)
+        return PayloadOps(delta_oplus, lambda p: (1 - p[0], neg(p[1])), (0, gz), (1, gz),
+                          leq, lambda p, q: q if leq(p, q) else p,
+                          lambda p, q: p if leq(p, q) else q, check)
     if isinstance(A, ProductAlgebra):
         parts = [payload_ops(f) for f in A.factors]
         pluses, negs = tuple(o.oplus for o in parts), tuple(o.neg for o in parts)
+        leqs, joins = tuple(o.leq for o in parts), tuple(o.join for o in parts)
+        meets = tuple(o.meet for o in parts)
         checks = tuple((i, o.check) for i, o in enumerate(parts) if o.check is not None)
 
         def check(p):
@@ -229,6 +240,9 @@ def payload_ops(A: MvAlgebra) -> PayloadOps:
             lambda p, q: tuple([f(a, b) for f, a, b in zip(pluses, p, q)]),
             lambda p: tuple([f(a) for f, a in zip(negs, p)]),
             tuple(o.zero for o in parts), tuple(o.one for o in parts),
+            lambda p, q: all([f(a, b) for f, a, b in zip(leqs, p, q)]),
+            lambda p, q: tuple([f(a, b) for f, a, b in zip(joins, p, q)]),
+            lambda p, q: tuple([f(a, b) for f, a, b in zip(meets, p, q)]),
             check if checks else None)
     raise StructuralError(f"unknown algebra descriptor {A!r}")
 
@@ -262,8 +276,8 @@ mv_oplus = _lift("oplus", None)
 mv_odot = _lift("odot", "x ⊙ y = ¬(¬x ⊕ ¬y).")
 mv_ominus = _lift("ominus", "x ⊖ y = x ⊙ ¬y.")
 mv_implies = _lift("implies", "x → y = ¬x ⊕ y.")
-mv_join = _lift("join", "x ∨ y = ¬(¬x ⊕ y) ⊕ y, the lattice join of the natural order.")
-mv_meet = _lift("meet", None)
+mv_join = _lift("join", "x ∨ y, the join of the kind's own order; it equals ¬(¬x ⊕ y) ⊕ y.")
+mv_meet = _lift("meet", "x ∧ y, the meet of the kind's own order; it equals ¬(¬x ∨ ¬y).")
 
 
 def mv_neg(x: MvElement) -> MvElement:
@@ -271,7 +285,7 @@ def mv_neg(x: MvElement) -> MvElement:
 
 
 def mv_leq(x: MvElement, y: MvElement) -> bool:
-    """Natural order, decided through the equivalent test ¬x ⊕ y = 1."""
+    """Natural order, from the kind's own order; x ≤ y iff ¬x ⊕ y = 1."""
     A = _same_algebra(x, y)
     return payload_ops(A).checked(x.payload, y.payload).leq(x.payload, y.payload)
 

@@ -38,9 +38,13 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def factor(n: int) -> tuple[tuple[int, int], ...]:
-    """Prime factorization of n >= 1 as ((prime, exponent), ...) in ascending order."""
+    """Prime factorization of n >= 1 as ((prime, exponent), ...) in ascending order.
+
+    Kept in a bounded cache: membership tests factor the same denominators
+    over and over, and a long-lived process must not grow without limit.
+    """
     if n < 1:
         raise DomainError(f"cannot factor {n}")
     out = []

@@ -14,6 +14,7 @@ import math
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Iterable
 
 from .bisemirings import TopCone
@@ -27,8 +28,6 @@ from .report import COUNTEREXAMPLE, VALID, CheckReport, Instances, check_laws
 
 REGULARLY_DISCRETE = "regularly_discrete"
 REGULARLY_DENSE = "regularly_dense"
-
-_ONE = Fraction(1)
 
 
 def group_characteristic(G: LGroup) -> Characteristic:
@@ -273,15 +272,21 @@ def group_from_action(F: FlatAction, probes: Iterable) -> LGroup:
     for x in probes:
         if not (x > 0 and contains_rational(F.base, x)):
             raise StructuralError(f"probe {x} is not in the cone of {F.base!r}")
-    g = rational_gcd(probes + [_ONE])
+    m = math.lcm(*(x.denominator for x in probes))
+    g = Fraction(1, m)  # the gcd of the probes and 1
     if F.act(1, g) != g:
         raise ReconstructionError("action violates the identity law at the refinement")
-    m = g.denominator  # g = 1/m since 1 is among the generators
     for x in probes:
         k = x.numerator * (m // x.denominator)
         if F.act(k, g) != x:
             raise ReconstructionError(
                 f"induced sum is not well defined: {x} is not reached from {g}")
+    return _cyclic_group(m)
+
+
+@lru_cache(maxsize=64)
+def _cyclic_group(m: int) -> LGroup:
+    """The descriptor of (1/m)Z."""
     return qsubgroup(characteristic(dict(factor(m))))
 
 

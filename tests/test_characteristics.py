@@ -21,6 +21,15 @@ def test_factor():
         factor(0)
 
 
+def test_factor_cache_is_bounded():
+    info = factor.cache_info()
+    assert info.maxsize is not None
+    for n in range(2, info.maxsize + 50):
+        factor(n)
+    assert factor.cache_info().currsize <= info.maxsize
+    assert factor(360) == ((2, 3), (3, 2), (5, 1))
+
+
 def test_valuation():
     assert valuation(Fraction(3, 8), 2) == -3
     assert valuation(Fraction(12), 2) == 2

@@ -6,6 +6,8 @@ pairs) and walks valuations in the documented canonical order, so verdicts,
 first witnesses and ``checked`` counts must agree exactly.  The Δ(G) payload
 records, which run on unchecked group arithmetic, are compared the same way
 with a reference built on the public, membership-checking group operations.
+Each record's own order (≤, ∨, ∧) is compared with the order the MV-algebra
+definitions derive from the same record's ⊕ and ¬.
 """
 
 import itertools
@@ -18,7 +20,8 @@ from hypothesis import strategies as st
 from conftest import (chang_fragment, chang_neg, chang_oplus, luk_neg,
                       luk_odot, luk_oplus, random_term)
 from mvtrop.algebra import (CHANG, DeltaOf, FiniteChain, MvElement,
-                            payload_ops, product_algebra)
+                            RationalInterval, enumerate_payloads, payload_ops,
+                            product_algebra)
 from mvtrop.characteristics import CHI_Q, parse_group_label
 from mvtrop.groups import (LexZG, Z, group_add, group_enumerate, group_leq,
                            group_negate, group_zero, qsubgroup)
@@ -229,3 +232,32 @@ def test_bounded_delta_equation_matches_checking_reference(lhs, rhs, case):
     assert report.checked == checked and report.mode == "bounded"
     assert report.verdict == (verdict or "valid_up_to_bound")
     assert (report.witness and payloads(report.witness)) == witness
+
+
+# -- each kind's own order against the order derived from its ⊕ and ¬ ---------
+
+ORDER_POOLS = [(A, enumerate_payloads(A, bound)) for A, bound in [
+    (FiniteChain(2), None), (FiniteChain(3), None), (FiniteChain(7), None),
+    (RationalInterval(), 5), (CHANG, 3),
+    (DeltaOf(qsubgroup(parse_group_label("Z[1/2]"))), 2),
+    (DeltaOf(qsubgroup(CHI_Q)), 2), (DeltaOf(LexZG(Z)), 2),
+    (product_algebra(FiniteChain(3), CHANG), 2),
+    (product_algebra(FiniteChain(2), FiniteChain(3), FiniteChain(2)), None)]]
+
+order_pairs = st.sampled_from(ORDER_POOLS).flatmap(
+    lambda ap: st.tuples(st.just(ap[0]), st.sampled_from(ap[1]), st.sampled_from(ap[1])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(order_pairs)
+def test_native_order_matches_order_derived_from_oplus_and_neg(case):
+    A, p, q = case
+    ops = payload_ops(A)
+    oplus, neg = ops.oplus, ops.neg
+
+    def join(a, b):  # ¬(¬a ⊕ b) ⊕ b
+        return oplus(neg(oplus(neg(a), b)), b)
+
+    assert ops.leq(p, q) == (oplus(neg(p), q) == ops.one)
+    assert ops.join(p, q) == join(p, q)
+    assert ops.meet(p, q) == neg(join(neg(p), neg(q)))
