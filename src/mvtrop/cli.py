@@ -70,7 +70,10 @@ def _cmd_eval(args):
             if "=" not in piece:
                 raise UsageError(f"bad assignment {piece!r}; use name=payload")
             name, payload = piece.split("=", 1)
-            bindings[name.strip()] = element(A, parse_payload_shorthand(A, payload))
+            name = name.strip()
+            if name in bindings:
+                raise UsageError(f"variable {name!r} is assigned twice")
+            bindings[name] = element(A, parse_payload_shorthand(A, payload))
     value = evaluate(term, Valuation(A, bindings))
     return 0, {"algebra": algebra_to_json(A), "term": print_term(term),
                "value": payload_to_json(A, value.payload)}
@@ -311,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("flat-check", help="flatness of the Frobenius action")
-    common(p, group=True, seed=True, bound=True)
+    common(p, group=True, seed=True)
     p.add_argument("--samples", type=int, default=1000)
 
     p = sub.add_parser("theta-pt", help="cone with top attached to a point")

@@ -41,18 +41,35 @@ class Instances:
     """The instances of a check, with the mode and bound to report.
 
     ``tuples(arity)`` yields the instances of a law of that arity; a source
-    made for a single law may ignore the arity.
+    made for a single law may ignore the arity.  ``size`` is the pool of a
+    source that walks every tuple of a fixed list (``over``), and None for a
+    draw-based one, so ``count(arity)`` knows a walk's length before it starts.
     """
 
     tuples: Callable[[int], Iterable[tuple]]
     mode: str = "exhaustive"
     bound: int | None = None
+    size: int | None = None
 
     @classmethod
     def over(cls, pool: Iterable, mode: str = "exhaustive", bound: int | None = None):
         """All tuples of the elements of pool, in canonical order."""
         pool = list(pool)
-        return cls(lambda arity: itertools.product(pool, repeat=arity), mode, bound)
+        return cls(lambda arity: itertools.product(pool, repeat=arity), mode, bound, len(pool))
+
+    def count(self, arity: int) -> int | None:
+        """How many instances ``tuples(arity)`` yields, or None for a draw-based source."""
+        return None if self.size is None else self.size ** arity
+
+    def clean(self, checked: int) -> CheckReport:
+        """The report of a run over this source that found no counterexample.
+
+        A bounded run is valid up to its bound, any other run is valid.
+        """
+        if self.mode == "bounded":
+            return CheckReport(VALID_UP_TO_BOUND, checked, mode="bounded",
+                               details={"bound": self.bound})
+        return CheckReport(VALID, checked, mode=self.mode)
 
 
 def axiom_witness(name: str, instance) -> dict:
@@ -73,7 +90,4 @@ def check_laws(laws: Iterable[tuple], source: Instances) -> CheckReport:
             checked += 1
             if not holds(*instance):
                 return CheckReport(COUNTEREXAMPLE, checked, (name, instance), source.mode)
-    if source.mode == "bounded":
-        return CheckReport(VALID_UP_TO_BOUND, checked, mode="bounded",
-                           details={"bound": source.bound})
-    return CheckReport(VALID, checked, mode=source.mode)
+    return source.clean(checked)

@@ -244,6 +244,23 @@ def test_non_integral_lex_head_is_usage_error(capsys):
     assert code == 0 and json.loads(out)["value"] == [0, [1, "0"]]
 
 
+def test_flat_check_has_no_bound_option(capsys):
+    code, out, err = run(["flat-check", "--group", "Z", "--bound", "3"], capsys)
+    assert code == 2 and out == "" and "unrecognized arguments: --bound 3" in err
+    code, out, _ = run(["flat-check", "--group", "Z", "--samples", "5"], capsys)
+    assert code == 0 and json.loads(out)["mode"] == "sampled"
+
+
+def test_eval_rejects_a_variable_assigned_twice(capsys):
+    argv = ["eval", "x", "--algebra", "chain:3", "--assign", "x=1/2; x =1"]
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == ""
+    assert err == "mvtrop: variable 'x' is assigned twice\n"
+    argv[-1] = "x=1/2;y=1"
+    code, out, _ = run(argv, capsys)
+    assert code == 0 and json.loads(out)["value"] == "1/2"
+
+
 # -- README goldens ----------------------------------------------------------------
 
 def _readme_examples():

@@ -7,7 +7,9 @@ first witnesses and ``checked`` counts must agree exactly.  The Δ(G) payload
 records, which run on unchecked group arithmetic, are compared the same way
 with a reference built on the public, membership-checking group operations.
 Each record's own order (≤, ∨, ∧) is compared with the order the MV-algebra
-definitions derive from the same record's ⊕ and ¬.
+definitions derive from the same record's ⊕ and ¬.  On products, where a valid
+verdict is decided factor by factor, the checkers are also compared with a
+forced walk of the law engine over the product's own instances.
 """
 
 import itertools
@@ -19,14 +21,19 @@ from hypothesis import strategies as st
 
 from conftest import (chang_fragment, chang_neg, chang_oplus, luk_neg,
                       luk_odot, luk_oplus, random_term)
+import pytest
+
 from mvtrop.algebra import (CHANG, DeltaOf, FiniteChain, MvElement,
-                            RationalInterval, enumerate_payloads, payload_ops,
+                            RationalInterval, _mv_laws, check_mv_axioms,
+                            enumerate_payloads, payload_ops, payload_tuples,
                             product_algebra)
 from mvtrop.characteristics import CHI_Q, parse_group_label
 from mvtrop.groups import (LexZG, Z, group_add, group_enumerate, group_leq,
                            group_negate, group_zero, qsubgroup)
-from mvtrop.logic import (Valuation, check_equation_bounded,
-                          check_equation_finite, evaluate, tautology_check)
+from mvtrop.logic import (VC_AXIOM, Valuation, _law, _suite_laws, axiom_suite,
+                          check_equation_bounded, check_equation_finite,
+                          evaluate, tautology_check, vc_membership)
+from mvtrop.report import check_laws
 from mvtrop.terms import (Const, Equation, Implies, Join, Meet, Neg, Odot,
                           Ominus, Oplus, Var, variables)
 
@@ -79,10 +86,23 @@ def chain_carrier(n):
     return [Fraction(k, n - 1) for k in range(n)]
 
 
-# (descriptor, oracle operations, carrier in canonical order)
-FINITE = [(FiniteChain(n), _luk(), chain_carrier(n)) for n in (2, 3, 4, 6)] + [
-    (product_algebra(FiniteChain(2), FiniteChain(3)), _componentwise([_luk(), _luk()]),
-     list(itertools.product(chain_carrier(2), chain_carrier(3)))),
+L2, L3 = FiniteChain(2), FiniteChain(3)
+
+# (descriptor, oracle operations, carrier in canonical order, bound or None)
+FINITE = [(FiniteChain(n), _luk(), chain_carrier(n), None) for n in (2, 3, 4, 6)] + [
+    (product_algebra(L2, L3), _componentwise([_luk(), _luk()]),
+     list(itertools.product(chain_carrier(2), chain_carrier(3))), None),
+    # a nested product
+    (product_algebra(L2, product_algebra(L3, L2)),
+     _componentwise([_luk(), _componentwise([_luk(), _luk()])]),
+     list(itertools.product(chain_carrier(2),
+                            itertools.product(chain_carrier(3), chain_carrier(2)))), None),
+    # a repeated factor
+    (product_algebra(L2, L2, L3), _componentwise([_luk(), _luk(), _luk()]),
+     list(itertools.product(chain_carrier(2), chain_carrier(2), chain_carrier(3))), None),
+    # a bounded product with an infinite factor
+    (product_algebra(L2, CHANG), _componentwise([_luk(), _chang()]),
+     list(itertools.product(chain_carrier(2), chang_fragment(2))), 2),
 ]
 
 
@@ -108,17 +128,23 @@ terms = st.builds(lambda seed, depth: random_term(random.Random(seed), depth),
 @settings(max_examples=60, deadline=None)
 @given(terms, terms, st.sampled_from(range(len(FINITE))))
 def test_finite_equation_and_tautology_match_reference(lhs, rhs, which):
-    A, ops, carrier = FINITE[which]
-    report = check_equation_finite(Equation(lhs, rhs), A)
-    verdict, checked, witness = reference_equation(Equation(lhs, rhs), ops, carrier)
+    A, ops, carrier, bound = FINITE[which]
+    e = Equation(lhs, rhs)
+    report = check_equation_finite(e, A) if bound is None else check_equation_bounded(e, A, bound)
+    verdict, checked, witness = reference_equation(e, ops, carrier)
     assert report.checked == checked
-    assert report.verdict == (verdict or "valid")
+    assert report.verdict == (verdict or ("valid" if bound is None else "valid_up_to_bound"))
+    assert report.mode == ("exhaustive" if bound is None else "bounded")
+    assert report.details == ({"bound": bound} if bound and not verdict else {})
     assert (report.witness and payloads(report.witness)) == witness
+    if bound is not None:
+        return  # tautology_check walks finite algebras only
 
     report = tautology_check(lhs, A)
     verdict, checked, witness = reference_equation(Equation(lhs, Const(1)), ops, carrier)
     assert report.checked == checked
     assert report.verdict == (verdict or "valid")
+    assert (report.mode, report.details) == ("exhaustive", {})
     if witness is not None:
         assert payloads(report.witness["valuation"]) == witness
         assert report.witness["value"].payload == reference(lhs, ops, witness)
@@ -141,7 +167,7 @@ def test_evaluate_matches_reference(t, which, rng):
     if which == len(FINITE):
         A, ops, carrier = CHANG, _chang(), chang_fragment(4)
     else:
-        A, ops, carrier = FINITE[which]
+        A, ops, carrier, _ = FINITE[which]
     env = {name: rng.choice(carrier) for name in sorted(variables(t) | {"x"})}
     value = evaluate(t, Valuation(A, {n: MvElement(A, p) for n, p in env.items()}))
     assert value == MvElement(A, reference(t, ops, env))
@@ -261,3 +287,55 @@ def test_native_order_matches_order_derived_from_oplus_and_neg(case):
     assert ops.leq(p, q) == (oplus(neg(p), q) == ops.one)
     assert ops.join(p, q) == join(p, q)
     assert ops.meet(p, q) == neg(join(neg(p), neg(q)))
+
+
+# -- products: the factorwise decision against a forced walk of the product ----
+
+PRODUCTS = [product_algebra(L2, L3), product_algebra(L3, L2, L3),
+            product_algebra(L2, product_algebra(L3, L2)), product_algebra(L2, L2, L2)]
+
+
+def _walk(A, laws_of, bound=None, samples=None, seed=0):
+    """The law engine over every instance of A itself, with no factorwise shortcut."""
+    return check_laws(laws_of(payload_ops(A)), payload_tuples(A, bound, samples, seed))
+
+
+@pytest.mark.parametrize("A", PRODUCTS, ids=repr)
+def test_mv_axioms_and_axiom_suite_decided_on_products_match_the_walk(A):
+    assert check_mv_axioms(A) == _walk(A, _mv_laws)
+    assert axiom_suite(A) == _walk(A, _suite_laws)
+    assert check_mv_axioms(A, "sampled", samples=60, seed=3, bound=4) == _walk(
+        A, _mv_laws, 4, 60, 3)
+    assert axiom_suite(A, samples=60, seed=3, bound=4) == _walk(A, _suite_laws, 4, 60, 3)
+
+
+def _vc_laws(ops):
+    return [_law("equation", VC_AXIOM, ops)]
+
+
+def _vc_witness(report):
+    return report.witness and {"x": report.witness[1][0]}
+
+
+@pytest.mark.parametrize("A,bound", [(product_algebra(L2, CHANG), 2),
+                                     (product_algebra(CHANG, L3, CHANG), 1)], ids=repr)
+def test_sampled_and_bounded_products_match_the_walk(A, bound):
+    assert check_mv_axioms(A, "sampled", samples=80, seed=1, bound=bound) == _walk(
+        A, _mv_laws, bound, 80, 1)
+    assert axiom_suite(A, samples=80, seed=1, bound=bound) == _walk(
+        A, _suite_laws, bound, 80, 1)
+    report, walk = check_equation_bounded(VC_AXIOM, A, bound), _walk(A, _vc_laws, bound)
+    assert (report.verdict, report.checked, report.mode, report.details) == (
+        walk.verdict, walk.checked, walk.mode, walk.details)
+    assert (report.witness and payloads(report.witness)) == _vc_witness(walk)
+
+
+@pytest.mark.parametrize("A", [product_algebra(L2, L3), product_algebra(L2, L2, L3),
+                               product_algebra(L2, product_algebra(L2, L3)),
+                               product_algebra(L3, L2), product_algebra(L2, L2)], ids=repr)
+def test_vc_membership_on_products_fails_where_the_walk_does(A):
+    """(2x)² = 2(x²) holds in chain:2 and fails in chain:3, so a product with a
+    chain:3 factor anywhere is refuted at the walk's first counterexample."""
+    report, walk = vc_membership(A), _walk(A, _vc_laws)
+    assert (report.verdict, report.checked, report.mode) == (walk.verdict, walk.checked, walk.mode)
+    assert (report.witness and payloads(report.witness)) == _vc_witness(walk)
