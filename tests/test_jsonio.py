@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from mvtrop.algebra import (CHANG, DeltaOf, FiniteChain, RationalInterval,
-                            enumerate_elements, product_algebra)
+                            element_str, enumerate_elements, product_algebra)
 from mvtrop.bisemirings import TopCone
 from mvtrop.characteristics import CHI_Q, CHI_Z, INF, characteristic
 from mvtrop.errors import UsageError
@@ -27,7 +27,56 @@ GROUP_ZOO = (Z, TrivialGroup(), DYADIC, qsubgroup(CHI_Q),
 ALGEBRA_ZOO = (FiniteChain(2), FiniteChain(7), RationalInterval(), CHANG,
                DeltaOf(DYADIC), DeltaOf(TrivialGroup()),
                product_algebra(FiniteChain(2), FiniteChain(3)),
-               product_algebra(FiniteChain(2), CHANG))
+               product_algebra(FiniteChain(2), CHANG),
+               DeltaOf(LexZG(DYADIC)), DeltaOf(qsubgroup(CHI_Q)),
+               product_algebra(FiniteChain(2),
+                               product_algebra(DeltaOf(LexZG(Z)), RationalInterval())))
+
+_DYADIC_JSON = '{"chi":{"default":"0","primes":{"2":"inf"}},"kind":"q_subgroup"}'
+
+# The wire format of every kind in ALGEBRA_ZOO, in order: the descriptor JSON,
+# the shorthand, then (element_str, payload JSON) for the first three and the
+# last element of ``enumerate_elements(A, 2)``.  Recorded before the codecs
+# moved onto the descriptor classes; the nested product's shorthand is pinned
+# as it is written, although it does not parse back to the same algebra.
+WIRE_FORMAT = (
+    ('{"kind":"finite_chain","size":2}', "chain:2", [("0", '"0"'), ("1", '"1"')]),
+    ('{"kind":"finite_chain","size":7}', "chain:7",
+     [("0", '"0"'), ("1/6", '"1/6"'), ("1/3", '"1/3"'), ("1", '"1"')]),
+    ('{"kind":"rational_interval"}', "interval",
+     [("0", '"0"'), ("1/2", '"1/2"'), ("1", '"1"')]),
+    ('{"kind":"chang"}', "chang",
+     [("(0,0)", '[0,"0"]'), ("(0,1)", '[0,"1"]'), ("(0,2)", '[0,"2"]'),
+      ("(1,0)", '[1,"0"]')]),
+    ('{"group":' + _DYADIC_JSON + ',"kind":"delta"}', "delta:Z[1/2]",
+     [("(0,0)", '[0,"0"]'), ("(0,1/2)", '[0,"1/2"]'), ("(0,1)", '[0,"1"]'),
+      ("(1,0)", '[1,"0"]')]),
+    ('{"group":{"kind":"trivial"},"kind":"delta"}', "delta:trivial",
+     [("(0,0)", '[0,"0"]'), ("(1,0)", '[1,"0"]')]),
+    ('{"factors":[{"kind":"finite_chain","size":2},{"kind":"finite_chain","size":3}],'
+     '"kind":"product"}', "prod:chain:2,chain:3",
+     [("(0,0)", '["0","0"]'), ("(0,1/2)", '["0","1/2"]'), ("(0,1)", '["0","1"]'),
+      ("(1,1)", '["1","1"]')]),
+    ('{"factors":[{"kind":"finite_chain","size":2},{"kind":"chang"}],"kind":"product"}',
+     "prod:chain:2,chang",
+     [("(0,(0,0))", '["0",[0,"0"]]'), ("(0,(0,1))", '["0",[0,"1"]]'),
+      ("(0,(0,2))", '["0",[0,"2"]]'), ("(1,(1,0))", '["1",[1,"0"]]')]),
+    ('{"group":{"kind":"lex_zg","tail":' + _DYADIC_JSON + '},"kind":"delta"}',
+     "delta:lex:Z[1/2]",
+     [("(0,(0,0))", '[0,[0,"0"]]'), ("(0,(0,1/2))", '[0,[0,"1/2"]]'),
+      ("(0,(0,1))", '[0,[0,"1"]]'), ("(1,(0,0))", '[1,[0,"0"]]')]),
+    ('{"group":{"chi":{"default":"inf","primes":{}},"kind":"q_subgroup"},"kind":"delta"}',
+     "delta:Q",
+     [("(0,0)", '[0,"0"]'), ("(0,1/2)", '[0,"1/2"]'), ("(0,1)", '[0,"1"]'),
+      ("(1,0)", '[1,"0"]')]),
+    ('{"factors":[{"kind":"finite_chain","size":2},{"factors":[{"group":{"kind":"lex_zg",'
+     '"tail":{"kind":"integers"}},"kind":"delta"},{"kind":"rational_interval"}],'
+     '"kind":"product"}],"kind":"product"}', "prod:chain:2,prod:delta:lex:Z,interval",
+     [("(0,((0,(0,0)),0))", '["0",[[0,[0,"0"]],"0"]]'),
+      ("(0,((0,(0,0)),1/2))", '["0",[[0,[0,"0"]],"1/2"]]'),
+      ("(0,((0,(0,0)),1))", '["0",[[0,[0,"0"]],"1"]]'),
+      ("(1,((1,(0,0)),1))", '["1",[[1,[0,"0"]],"1"]]')]),
+)
 
 
 def test_rational_strings():
@@ -58,6 +107,20 @@ def test_group_round_trip(G):
 @pytest.mark.parametrize("A", ALGEBRA_ZOO)
 def test_algebra_round_trip(A):
     assert algebra_from_json(algebra_to_json(A)) == A
+
+
+@pytest.mark.parametrize("A, pinned", zip(ALGEBRA_ZOO, WIRE_FORMAT, strict=True))
+def test_wire_format_is_pinned(A, pinned):
+    algebra_json, shorthand, elements = pinned
+    assert dumps(algebra_to_json(A)) == algebra_json
+    assert algebra_shorthand(A) == shorthand
+    found = enumerate_elements(A, 2)
+    picked = list(dict.fromkeys(found[:3] + found[-1:]))
+    assert [element_str(x) for x in picked] == [text for text, _ in elements]
+    assert [dumps(element_to_json(x)) for x in picked] == [
+        f'{{"algebra":{algebra_json},"payload":{payload}}}' for _, payload in elements]
+    for x in picked:
+        assert parse_payload_shorthand(A, element_str(x)) == x.payload
 
 
 def test_chang_encodes_by_name_and_decodes_from_delta_form():
