@@ -5,18 +5,18 @@ the rational unit interval, Delta-of-a-group algebras (unit interval of
 Z lex G, so Chang's algebra is DeltaOf(Z)), and finite products.  All
 arithmetic is exact: chain and interval payloads are reduced Fractions,
 DeltaOf payloads are (bit, offset) lex pairs with offset in the base group.
+Each kind is a frozen subclass of ``MvAlgebra`` holding, as methods, all that
+is particular to it; the public functions guard once and call into the kind.
 
 Every operation goes through one payload-ops record per descriptor
 (``payload_ops``): a kind supplies ⊕, ¬, 0 and 1 on raw payloads together with
 its order ≤, ∨ and ∧, and the record derives ⊙, ⊖ and → from ⊕ and ¬.  Every
 shipped kind is an MV-chain or a finite product of MV-chains, so each knows its
-order natively: ``operator.le``, ``max`` and ``min`` on the Fractions of chains
-and the interval, bit first and then the group order on Δ(G) payloads, and
-componentwise on products.  A record is built on first use in O(number of
-factors), with no tables, and kept in a bounded cache keyed on the frozen
-descriptor.  The ``mv_*`` functions unwrap MvElements, call the
-record and wrap the result; the checkers in ``logic`` and ``export`` call the
-record on payloads directly and build MvElements only for witnesses.
+order natively.  A record is built on first use in O(number of factors), with
+no tables, and kept in a bounded cache keyed on the frozen descriptor.  The
+``mv_*`` functions unwrap MvElements, call the record and wrap the result; the
+checkers in ``logic`` and ``export`` call the record on payloads directly and
+build MvElements only for witnesses.
 
 Δ(G) payloads are (bit, offset) pairs whose arithmetic runs on the group's
 unchecked ops record (``groups.GroupOps``).  Group membership of offsets is
@@ -32,119 +32,22 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Iterable, Union
+from typing import Any, Callable, Iterable
 
-from .errors import DomainError, ModeError, StructuralError
-from .groups import (LGroup, TrivialGroup, Z, group_coerce, group_element_str,
-                     group_positive_cone)
+from .errors import DomainError, ModeError, StructuralError, UsageError
+from .groups import TRIVIAL, LexZG, LGroup, Z, group_coerce
+from .rationals import parse_integer, parse_rational, rational_str
 from .report import CheckReport, Instances, axiom_witness, check_laws
 
 DEFAULT_SAMPLE_BOUND = 100
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-
-
-@dataclass(frozen=True)
-class FiniteChain:
-    """The chain 0 < 1/(size-1) < ... < 1 with truncated addition."""
-
-    size: int
-
-    def __post_init__(self):
-        if not isinstance(self.size, int) or self.size < 2:
-            raise DomainError("a finite chain needs at least the two elements 0 and 1")
-
-    def __repr__(self) -> str:
-        return f"FiniteChain({self.size})"
-
-
-@dataclass(frozen=True)
-class RationalInterval:
-    """[0, 1] ∩ Q with x ⊕ y = min(x + y, 1) and ¬x = 1 - x."""
-
-    def __repr__(self) -> str:
-        return "RationalInterval"
-
-
-@dataclass(frozen=True)
-class DeltaOf:
-    """Unit interval of Z lex G: payloads (0, g) with g >= 0 and (1, g) with g <= 0."""
-
-    group: LGroup
-
-    def __repr__(self) -> str:
-        if isinstance(self.group, type(Z)):
-            return "Chang"
-        return f"DeltaOf({self.group!r})"
-
-
-@dataclass(frozen=True)
-class ProductAlgebra:
-    factors: tuple
-
-    def __post_init__(self):
-        if not isinstance(self.factors, tuple) or not self.factors:
-            raise DomainError("a product algebra needs at least one factor")
-
-    def __repr__(self) -> str:
-        return "Product(" + ", ".join(repr(f) for f in self.factors) + ")"
-
-
-MvAlgebra = Union[FiniteChain, RationalInterval, DeltaOf, ProductAlgebra]
-
-CHANG = DeltaOf(Z)
-
-
-def product_algebra(*factors: MvAlgebra) -> ProductAlgebra:
-    return ProductAlgebra(tuple(factors))
-
-
-@dataclass(frozen=True)
-class MvElement:
-    algebra: MvAlgebra
-    payload: Any
-
-    def __repr__(self) -> str:
-        return f"<{element_str(self)} in {self.algebra!r}>"
-
-
-def _coerce_payload(A: MvAlgebra, payload: Any):
-    if isinstance(A, (FiniteChain, RationalInterval)):
-        try:
-            value = Fraction(payload)
-        except (TypeError, ValueError):
-            raise StructuralError(f"{payload!r} is not a rational") from None
-        if not (_ZERO <= value <= _ONE):
-            raise StructuralError(f"{value} is outside [0, 1]")
-        if isinstance(A, FiniteChain) and (value * (A.size - 1)).denominator != 1:
-            raise StructuralError(f"{value} is not a point of the {A.size}-element chain")
-        return value
-    if isinstance(A, DeltaOf):
-        if not isinstance(payload, tuple) or len(payload) != 2 or payload[0] not in (0, 1):
-            raise StructuralError(f"{payload!r} is not a (bit, offset) pair")
-        bit, off = payload
-        off = group_coerce(A.group, off)
-        r = A.group.ops
-        if bit == 0 and not r.leq(r.zero, off):
-            raise StructuralError(f"offset of (0, {off!r}) must be >= 0")
-        if bit == 1 and not r.leq(off, r.zero):
-            raise StructuralError(f"offset of (1, {off!r}) must be <= 0")
-        return (bit, off)
-    if isinstance(A, ProductAlgebra):
-        if not isinstance(payload, tuple) or len(payload) != len(A.factors):
-            raise StructuralError(f"{payload!r} does not match the product arity")
-        return tuple(_coerce_payload(f, p) for f, p in zip(A.factors, payload))
-    raise StructuralError(f"unknown algebra descriptor {A!r}")
-
-
-def element(A: MvAlgebra, payload: Any) -> MvElement:
-    """Validate and canonicalize a payload, returning an element of A."""
-    return MvElement(A, _coerce_payload(A, payload))
 
 
 class PayloadOps:
@@ -188,23 +91,114 @@ def _unit_oplus(p, q):
     return s if s < _ONE else _ONE
 
 
-def _unit_neg(p):
-    return _ONE - p
+_UNIT_OPS = PayloadOps(_unit_oplus, lambda p: _ONE - p, _ZERO, _ONE, operator.le, max, min)
 
 
-@functools.lru_cache(maxsize=64)
-def payload_ops(A: MvAlgebra) -> PayloadOps:
-    """The ops record of a descriptor, built in O(number of factors) and cached."""
-    if isinstance(A, FiniteChain):
-        return payload_ops(RationalInterval())  # every chain shares the interval's record
-    if isinstance(A, RationalInterval):
-        return PayloadOps(_unit_oplus, _unit_neg, _ZERO, _ONE, operator.le, max, min)
-    if isinstance(A, DeltaOf):
-        G = A.group
-        r = G.ops
-        gz, add, neg, gleq, gmeet, contains = r.zero, r.add, r.neg, r.leq, r.meet, r.contains
+class MvAlgebra:
+    """Base of the MV descriptors.  A kind supplies ``coerce(payload)`` (validated in
+    full), ``build_ops()`` (its record; callers use ``payload_ops``),
+    ``carrier_size()`` (None, the default, when infinite), ``enumerate(bound)``
+    (the carrier or its bounded fragment, in canonical order),
+    ``is_infinitesimal(payload)`` and ``payload_to_json`` / ``payload_from_json``."""
 
-        def delta_oplus(p, q):
+    def carrier_size(self) -> int | None:
+        return None
+
+
+class _Unit(MvAlgebra):
+    """Chains and the interval: payloads are the Fractions of [0, 1], all on one record."""
+
+    def coerce(self, payload) -> Fraction:
+        try:
+            value = Fraction(payload)
+        except (TypeError, ValueError):
+            raise StructuralError(f"{payload!r} is not a rational") from None
+        if not (_ZERO <= value <= _ONE):
+            raise StructuralError(f"{value} is outside [0, 1]")
+        return value
+
+    def build_ops(self) -> PayloadOps:
+        return _UNIT_OPS
+
+    def is_infinitesimal(self, p) -> bool:
+        return p == _ZERO
+
+    def payload_to_json(self, p) -> Any:
+        return rational_str(p)
+
+    def payload_from_json(self, data) -> Fraction:
+        if isinstance(data, list):
+            raise UsageError(f"expected a rational for {self!r}")
+        return parse_rational(str(data))
+
+
+@dataclass(frozen=True)
+class FiniteChain(_Unit):
+    """The chain 0 < 1/(size-1) < ... < 1 with truncated addition."""
+
+    size: int
+
+    def __post_init__(self):
+        if not isinstance(self.size, int) or self.size < 2:
+            raise DomainError("a finite chain needs at least the two elements 0 and 1")
+
+    def __repr__(self) -> str:
+        return f"FiniteChain({self.size})"
+
+    def coerce(self, payload) -> Fraction:
+        value = super().coerce(payload)
+        if (value * (self.size - 1)).denominator != 1:
+            raise StructuralError(f"{value} is not a point of the {self.size}-element chain")
+        return value
+
+    def carrier_size(self) -> int:
+        return self.size
+
+    def enumerate(self, bound) -> list:
+        n = self.size - 1
+        return [Fraction(k, n) for k in range(n + 1)]
+
+
+@dataclass(frozen=True)
+class RationalInterval(_Unit):
+    """[0, 1] ∩ Q with x ⊕ y = min(x + y, 1) and ¬x = 1 - x."""
+
+    def __repr__(self) -> str:
+        return "RationalInterval"
+
+    def enumerate(self, bound: int) -> list:
+        """The Farey sequence of order ``bound``."""
+        return sorted({Fraction(n, d) for d in range(1, bound + 1) for n in range(d + 1)})
+
+
+@dataclass(frozen=True)
+class DeltaOf(MvAlgebra):
+    """Unit interval of Z lex G: payloads (0, g) with g >= 0 and (1, g) with g <= 0."""
+
+    group: LGroup
+
+    def __repr__(self) -> str:
+        return "Chang" if self.group == Z else f"DeltaOf({self.group!r})"
+
+    def coerce(self, payload) -> tuple:
+        if not isinstance(payload, tuple) or len(payload) != 2 or payload[0] not in (0, 1):
+            raise StructuralError(f"{payload!r} is not a (bit, offset) pair")
+        bit, off = payload
+        off = group_coerce(self.group, off)
+        r = self.group.ops
+        if bit == 0 and not r.leq(r.zero, off):
+            raise StructuralError(f"offset of (0, {off!r}) must be >= 0")
+        if bit == 1 and not r.leq(off, r.zero):
+            raise StructuralError(f"offset of (1, {off!r}) must be <= 0")
+        return (bit, off)
+
+    def build_ops(self) -> PayloadOps:
+        """Truncated lex addition; ≤, ∨ and ∧ are those of Z lex G."""
+        G = self.group
+        r, lex = G.ops, LexZG(G).ops
+        gz, add, neg, gmeet, contains = r.zero, r.add, r.neg, r.meet, r.contains
+
+        def oplus(p, q):
             bit = p[0] + q[0]
             off = add(p[1], q[1])
             if bit == 0:
@@ -213,20 +207,56 @@ def payload_ops(A: MvAlgebra) -> PayloadOps:
                 return (1, gmeet(off, gz))
             return (1, gz)
 
-        def leq(p, q):  # Z lex G: bits first, then offsets
-            if p[0] != q[0]:
-                return p[0] < q[0]
-            return gleq(p[1], q[1])
-
         def check(p):
             if not contains(p[1]):
                 raise StructuralError(f"{p[1]!r} is not in the carrier of {G!r}")
 
-        return PayloadOps(delta_oplus, lambda p: (1 - p[0], neg(p[1])), (0, gz), (1, gz),
-                          leq, lambda p, q: q if leq(p, q) else p,
-                          lambda p, q: p if leq(p, q) else q, check)
-    if isinstance(A, ProductAlgebra):
-        parts = [payload_ops(f) for f in A.factors]
+        return PayloadOps(oplus, lambda p: (1 - p[0], neg(p[1])), (0, gz), (1, gz),
+                          lex.leq, lex.join, lex.meet, check)
+
+    def carrier_size(self) -> int | None:
+        return 2 if self.group == TRIVIAL else None
+
+    def enumerate(self, bound: int | None) -> list:
+        """Ascending: (0, g) over the bound-limited positive cone, then (1, -g) back down."""
+        r = self.group.ops
+        cone = [g for g in self.group.enumerate(bound) if r.leq(r.zero, g)]
+        return [(0, g) for g in cone] + [(1, r.neg(g)) for g in reversed(cone)]
+
+    def is_infinitesimal(self, p) -> bool:
+        return p[0] == 0
+
+    def payload_to_json(self, p) -> Any:
+        return [p[0], self.group.payload_to_json(p[1])]
+
+    def payload_from_json(self, data) -> tuple:
+        if not isinstance(data, list) or len(data) != 2:
+            raise UsageError(f"expected a [bit, offset] pair, got {data!r}")
+        return (parse_integer(data[0], "bit"), self.group.payload_from_json(data[1]))
+
+
+@dataclass(frozen=True)
+class ProductAlgebra(MvAlgebra):
+    """Componentwise operations; payloads are tuples, enumerated lexicographically."""
+
+    factors: tuple
+
+    def __post_init__(self):
+        if not isinstance(self.factors, tuple) or not self.factors:
+            raise DomainError("a product algebra needs at least one factor")
+        for f in self.factors:
+            _descriptor(f)
+
+    def __repr__(self) -> str:
+        return "Product(" + ", ".join(repr(f) for f in self.factors) + ")"
+
+    def coerce(self, payload) -> tuple:
+        if not isinstance(payload, tuple) or len(payload) != len(self.factors):
+            raise StructuralError(f"{payload!r} does not match the product arity")
+        return tuple(f.coerce(p) for f, p in zip(self.factors, payload))
+
+    def build_ops(self) -> PayloadOps:
+        parts = [payload_ops(f) for f in self.factors]
         pluses, negs = tuple(o.oplus for o in parts), tuple(o.neg for o in parts)
         leqs, joins = tuple(o.leq for o in parts), tuple(o.join for o in parts)
         meets = tuple(o.meet for o in parts)
@@ -244,7 +274,57 @@ def payload_ops(A: MvAlgebra) -> PayloadOps:
             lambda p, q: tuple([f(a, b) for f, a, b in zip(joins, p, q)]),
             lambda p, q: tuple([f(a, b) for f, a, b in zip(meets, p, q)]),
             check if checks else None)
-    raise StructuralError(f"unknown algebra descriptor {A!r}")
+
+    def carrier_size(self) -> int | None:
+        sizes = [f.carrier_size() for f in self.factors]
+        return None if None in sizes else math.prod(sizes)
+
+    def enumerate(self, bound: int | None) -> list:
+        return list(itertools.product(*(f.enumerate(bound) for f in self.factors)))
+
+    def is_infinitesimal(self, p) -> bool:
+        return all(f.is_infinitesimal(c) for f, c in zip(self.factors, p))
+
+    def payload_to_json(self, p) -> Any:
+        return [f.payload_to_json(c) for f, c in zip(self.factors, p)]
+
+    def payload_from_json(self, data) -> tuple:
+        if not isinstance(data, list) or len(data) != len(self.factors):
+            raise UsageError(f"payload arity mismatch for {self!r}: {data!r}")
+        return tuple(f.payload_from_json(c) for f, c in zip(self.factors, data))
+
+
+CHANG = DeltaOf(Z)
+
+
+def product_algebra(*factors: MvAlgebra) -> ProductAlgebra:
+    return ProductAlgebra(tuple(factors))
+
+
+def _descriptor(A) -> MvAlgebra:
+    if not isinstance(A, MvAlgebra):
+        raise StructuralError(f"unknown algebra descriptor {A!r}")
+    return A
+
+
+@dataclass(frozen=True)
+class MvElement:
+    algebra: MvAlgebra
+    payload: Any
+
+    def __repr__(self) -> str:
+        return f"<{element_str(self)} in {self.algebra!r}>"
+
+
+def element(A: MvAlgebra, payload: Any) -> MvElement:
+    """Validate and canonicalize a payload, returning an element of A."""
+    return MvElement(A, _descriptor(A).coerce(payload))
+
+
+@functools.lru_cache(maxsize=64)
+def payload_ops(A: MvAlgebra) -> PayloadOps:
+    """The ops record of a descriptor, built in O(number of factors) and cached."""
+    return _descriptor(A).build_ops()
 
 
 def zero(A: MvAlgebra) -> MvElement:
@@ -296,30 +376,20 @@ def is_boolean_elem(x: MvElement) -> bool:
 
 
 def is_infinitesimal_elem(x: MvElement) -> bool:
-    """Exact test for n·x <= ¬x for all n >= 1, decided representation-wise.
-
-    On chains and the interval only 0 qualifies; on DeltaOf algebras exactly
-    the bit-0 payloads do; products decide componentwise.
-    """
-    A = x.algebra
-    if isinstance(A, (FiniteChain, RationalInterval)):
-        return x.payload == _ZERO
-    if isinstance(A, DeltaOf):
-        return x.payload[0] == 0
-    return all(is_infinitesimal_elem(MvElement(f, p))
-               for f, p in zip(A.factors, x.payload))
+    """Exact test for n·x <= ¬x for all n >= 1, decided by the kind: only 0 on
+    chains and the interval, the bit-0 payloads on Δ(G), componentwise on products."""
+    return x.algebra.is_infinitesimal(x.payload)
 
 
 def element_str(x: MvElement) -> str:
-    return _payload_str(x.algebra, x.payload)
+    """The payload's JSON form written with (a,b) for lists, as shorthand input reads it."""
+    return _tuple_form(x.algebra.payload_to_json(x.payload))
 
 
-def _payload_str(A: MvAlgebra, p) -> str:
-    if isinstance(A, (FiniteChain, RationalInterval)):
-        return str(p)
-    if isinstance(A, DeltaOf):
-        return f"({p[0]},{group_element_str(A.group, p[1])})"
-    return "(" + ",".join(_payload_str(f, c) for f, c in zip(A.factors, p)) + ")"
+def _tuple_form(data) -> str:
+    if isinstance(data, list):
+        return "(" + ",".join(map(_tuple_form, data)) + ")"
+    return str(data)
 
 
 # ---------------------------------------------------------------------------
@@ -327,57 +397,18 @@ def _payload_str(A: MvAlgebra, p) -> str:
 
 def carrier_size(A: MvAlgebra) -> int | None:
     """Number of elements, or None when the carrier is infinite."""
-    if isinstance(A, FiniteChain):
-        return A.size
-    if isinstance(A, RationalInterval):
-        return None
-    if isinstance(A, DeltaOf):
-        return 2 if isinstance(A.group, TrivialGroup) else None
-    total = 1
-    for f in A.factors:
-        n = carrier_size(f)
-        if n is None:
-            return None
-        total *= n
-    return total
-
-
-def _farey(bound: int) -> list[Fraction]:
-    out = {_ZERO, _ONE}
-    for d in range(2, bound + 1):
-        for n in range(1, d):
-            out.add(Fraction(n, d))
-    return sorted(out)
+    return _descriptor(A).carrier_size()
 
 
 def enumerate_payloads(A: MvAlgebra, bound: int | None = None) -> list:
-    """Canonical enumeration: the full carrier when finite, else a bounded fragment.
-
-    Chains and DeltaOf fragments come in ascending natural order; the interval
-    fragment is the Farey sequence of order ``bound``; products are enumerated
-    lexicographically by component.  DeltaOf fragments hold all elements with
-    offset in the bound-limited fragment of the base group.
-    """
-    if isinstance(A, FiniteChain):
-        n = A.size - 1
-        return [Fraction(k, n) for k in range(n + 1)]
-    if isinstance(A, RationalInterval):
-        if bound is None:
-            raise DomainError("enumerating the rational interval requires a bound")
-        if bound < 1:
-            raise DomainError("bound must be >= 1")
-        return _farey(bound)
-    if isinstance(A, DeltaOf):
-        if isinstance(A.group, TrivialGroup):
-            ops = payload_ops(A)
-            return [ops.zero, ops.one]
+    """Canonical enumeration: the full carrier when finite (any bound is ignored),
+    else the fragment of a bound >= 1; see each kind's ``enumerate``."""
+    if _descriptor(A).carrier_size() is None:
         if bound is None:
             raise DomainError(f"enumerating {A!r} requires a bound")
-        cone, neg = group_positive_cone(A.group, bound), A.group.ops.neg
-        return [(0, g) for g in cone] + [(1, neg(g)) for g in reversed(cone)]
-    if isinstance(A, ProductAlgebra):
-        return list(itertools.product(*(enumerate_payloads(f, bound) for f in A.factors)))
-    raise StructuralError(f"unknown algebra descriptor {A!r}")
+        if bound < 1:
+            raise DomainError("bound must be >= 1")
+    return A.enumerate(bound)
 
 
 def enumerate_elements(A: MvAlgebra, bound: int | None = None) -> list[MvElement]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import os
+import re
 import sys
 
 from .algebra import carrier_size, element
@@ -23,11 +24,11 @@ from .jsonio import (algebra_to_json, chi_from_json, chi_to_json, cone_to_json,
                      dumps, group_to_json,
                      parse_algebra_shorthand, parse_group_element_shorthand,
                      parse_group_shorthand, parse_payload_shorthand,
-                     parse_semifield_shorthand, payload_to_json,
-                     rational_str, report_to_json, semifield_to_json, _load_json)
+                     parse_semifield_shorthand, rational_str, report_to_json,
+                     semifield_to_json, _load_json)
 from .logic import (Valuation, axiom_suite, check_equation_bounded,
-                    check_equation_finite, default_chang_bound, evaluate,
-                    parse_equation, tautology_check, vc_membership)
+                    default_chang_bound, evaluate, parse_equation,
+                    tautology_check, vc_membership)
 from .qpoints import (check_flatness, classify_regularity, frobenius_action,
                       gp_invariant, hom_exists, hom_obstruction, theta_pt)
 from .terms import parse, print_term
@@ -52,11 +53,19 @@ def _default_bound(args, fallback: int) -> int:
     return fallback
 
 
+def _fragment_bound(args, A, fallback: int) -> int | None:
+    """None on a finite carrier (walk all of it), else the fragment bound."""
+    return None if carrier_size(A) is not None else _default_bound(args, fallback)
+
+
 def _report_exit(report) -> int:
     return 0 if report.ok else 1
 
 
 # -- verb handlers -----------------------------------------------------------
+
+_VARIABLE = re.compile(r"[a-z][a-z0-9_]*")  # the term grammar's variable names
+
 
 def _cmd_eval(args):
     A = parse_algebra_shorthand(args.algebra)
@@ -71,21 +80,20 @@ def _cmd_eval(args):
                 raise UsageError(f"bad assignment {piece!r}; use name=payload")
             name, payload = piece.split("=", 1)
             name = name.strip()
+            if not _VARIABLE.fullmatch(name):
+                raise UsageError(f"{name!r} is not a variable name; use [a-z][a-z0-9_]*")
             if name in bindings:
                 raise UsageError(f"variable {name!r} is assigned twice")
             bindings[name] = element(A, parse_payload_shorthand(A, payload))
     value = evaluate(term, Valuation(A, bindings))
     return 0, {"algebra": algebra_to_json(A), "term": print_term(term),
-               "value": payload_to_json(A, value.payload)}
+               "value": A.payload_to_json(value.payload)}
 
 
 def _cmd_check_eq(args):
     A = parse_algebra_shorthand(args.algebra)
     eq = parse_equation(args.equation)
-    if carrier_size(A) is not None:
-        report = check_equation_finite(eq, A)
-    else:
-        report = check_equation_bounded(eq, A, _default_bound(args, default_chang_bound(eq)))
+    report = check_equation_bounded(eq, A, _fragment_bound(args, A, default_chang_bound(eq)))
     out = {"algebra": algebra_to_json(A), **report_to_json(report)}
     return _report_exit(report), out
 
@@ -98,15 +106,9 @@ def _cmd_tautology(args):
 
 def _theta_listing(args, builder):
     A = parse_algebra_shorthand(args.algebra)
-    S = builder(A)
-    if carrier_size(A) is not None:
-        bound = None
-        elems = S.elements()
-    else:
-        bound = _default_bound(args, 10)
-        elems = S.elements(bound)
+    bound = _fragment_bound(args, A, 10)
     return 0, {"algebra": algebra_to_json(A), "bound": bound,
-               "elements": [payload_to_json(A, x.payload) for x in elems]}
+               "elements": [A.payload_to_json(x.payload) for x in builder(A).elements(bound)]}
 
 
 def _cmd_theta(args):
@@ -203,9 +205,7 @@ def _cmd_axioms(args):
 def _cmd_export(args):
     from .export import hasse_dot, operation_tables
     A = parse_algebra_shorthand(args.algebra)
-    bound = args.bound if carrier_size(A) is None else None
-    if bound is None and carrier_size(A) is None:
-        bound = _default_bound(args, 10)
+    bound = _fragment_bound(args, A, 10)
     if args.dot:
         return 0, hasse_dot(A, bound)
     return 0, operation_tables(A, bound)

@@ -5,7 +5,7 @@ from __future__ import annotations
 from .algebra import (MvAlgebra, MvElement, carrier_size, element_str,
                       enumerate_payloads, is_infinitesimal_elem, payload_ops)
 from .errors import DomainError
-from .jsonio import algebra_to_json, payload_to_json
+from .jsonio import algebra_to_json
 
 MAX_EXPORT_CARRIER = 10000
 
@@ -23,7 +23,7 @@ def operation_tables(A: MvAlgebra, bound: int | None = None) -> dict:
     index = {p: i for i, p in enumerate(elems)}
 
     def cell(p):
-        return index[p] if p in index else payload_to_json(A, p)
+        return index[p] if p in index else A.payload_to_json(p)
 
     tables = {name: [[cell(op(x, y)) for y in elems] for x in elems]
               for name, op in (("oplus", ops.oplus), ("odot", ops.odot),
@@ -31,7 +31,7 @@ def operation_tables(A: MvAlgebra, bound: int | None = None) -> dict:
     return {
         "algebra": algebra_to_json(A),
         "fragment": fragment,
-        "elements": [payload_to_json(A, p) for p in elems],
+        "elements": [A.payload_to_json(p) for p in elems],
         "neg": [cell(ops.neg(p)) for p in elems],
         "tables": tables,
         "boolean": [i for i, p in enumerate(elems) if ops.oplus(p, p) == p],

@@ -6,6 +6,9 @@ ordered, so meet and join are min and max under the group order.  The tropical
 semifield Trop(G) adjoins an absorbing bottom element -inf to G; semiring
 addition is join and semiring multiplication is the group operation.
 
+Each kind is a frozen subclass of ``LGroup`` holding, as methods, all that is
+particular to it; the public functions guard once and call into the kind.
+
 Every descriptor carries one record of group operations, ``G.ops``
 (``GroupOps``: membership, 0, +, −, ≤, meet, join), built on first use and
 kept on the descriptor.  The record's operations do no membership checks: G
@@ -24,10 +27,11 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Any, Callable, Union
+from typing import Any, Callable
 
 from .characteristics import CHI_Z, Characteristic, contains_rational
-from .errors import DomainError, StructuralError
+from .errors import DomainError, StructuralError, UsageError
+from .rationals import parse_integer, parse_rational, rational_str
 
 
 class GroupOps:
@@ -41,78 +45,116 @@ class GroupOps:
         self.add, self.neg, self.leq, self.meet, self.join = add, neg, leq, meet, join
 
 
-class _Group:
-    """Base of the group descriptors: the lazily built ops record."""
-
-    @cached_property
-    def ops(self) -> GroupOps:
-        return _build_ops(self)
-
-    def __getstate__(self):  # the record holds closures; it is rebuilt on first use
-        return {k: v for k, v in self.__dict__.items() if k != "ops"}
-
-
-@dataclass(frozen=True)
-class Integers(_Group):
-    def __repr__(self) -> str:
-        return "Z"
-
-
-@dataclass(frozen=True)
-class TrivialGroup(_Group):
-    def __repr__(self) -> str:
-        return "TrivialGroup"
-
-
-@dataclass(frozen=True)
-class QSubgroup(_Group):
-    chi: Characteristic
-
-    def __repr__(self) -> str:
-        return f"QSubgroup({self.chi!r})"
-
-
-@dataclass(frozen=True)
-class LexZG(_Group):
-    tail: "LGroup"
-
-    def __repr__(self) -> str:
-        return f"LexZG({self.tail!r})"
-
-
-LGroup = Union[Integers, TrivialGroup, QSubgroup, LexZG]
-
-Z = Integers()
-TRIVIAL = TrivialGroup()
-
-
-def qsubgroup(chi: Characteristic) -> LGroup:
-    """Descriptor for the subgroup of Q denoted by chi; Z is its own canonical kind."""
-    if chi == CHI_Z:
-        return Z
-    return QSubgroup(chi)
+_NATIVE = (operator.add, operator.neg, operator.le)
 
 
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _build_ops(G: LGroup) -> GroupOps:
-    """Native +, − and <= for Z and the subgroups of Q; lex pairs over the tail's record."""
-    native = (operator.add, operator.neg, operator.le)
-    if isinstance(G, Integers):
-        return GroupOps(_is_int, 0, *native)
-    if isinstance(G, TrivialGroup):
-        return GroupOps(lambda x: x == 0, 0, *native)
-    if isinstance(G, QSubgroup):
-        chi = G.chi
+class LGroup:
+    """Base of the group descriptors, and the lazily built ops record.  A kind
+    supplies ``build_ops``, ``coerce`` (a member's canonical form) and
+    ``enumerate(bound)``; its members are "p/q" in JSON unless it overrides that."""
+
+    @cached_property
+    def ops(self) -> GroupOps:
+        return self.build_ops()
+
+    def __getstate__(self):  # the record holds closures; it is rebuilt on first use
+        return {k: v for k, v in self.__dict__.items() if k != "ops"}
+
+    def payload_to_json(self, x) -> Any:
+        return rational_str(x)
+
+    def payload_from_json(self, data) -> Any:
+        if isinstance(data, list):
+            raise UsageError(f"expected a rational for {self!r}")
+        return self.coerce(parse_rational(str(data)))
+
+
+@dataclass(frozen=True)
+class Integers(LGroup):
+    def __repr__(self) -> str:
+        return "Z"
+
+    def build_ops(self) -> GroupOps:
+        return GroupOps(_is_int, 0, *_NATIVE)
+
+    def coerce(self, x):
+        if isinstance(x, Fraction) and x.denominator == 1:
+            x = int(x)
+        if not _is_int(x):
+            raise StructuralError(f"{x!r} is not an integer")
+        return x
+
+    def enumerate(self, bound: int) -> list:
+        return list(range(-bound, bound + 1))
+
+
+@dataclass(frozen=True)
+class TrivialGroup(LGroup):
+    def __repr__(self) -> str:
+        return "TrivialGroup"
+
+    def build_ops(self) -> GroupOps:
+        return GroupOps(lambda x: x == 0, 0, *_NATIVE)
+
+    def coerce(self, x):
+        if x != 0:
+            raise StructuralError(f"{x!r} is not in the trivial group")
+        return 0
+
+    def enumerate(self, bound: int) -> list:
+        return [0]
+
+
+@dataclass(frozen=True)
+class QSubgroup(LGroup):
+    chi: Characteristic
+
+    def __repr__(self) -> str:
+        return f"QSubgroup({self.chi!r})"
+
+    def build_ops(self) -> GroupOps:
+        chi = self.chi
 
         def contains(x) -> bool:
             return isinstance(x, (int, Fraction)) and not isinstance(x, bool) \
                 and contains_rational(chi, x)
-        return GroupOps(contains, Fraction(0), *native)
-    if isinstance(G, LexZG):
-        t = G.tail.ops
+        return GroupOps(contains, Fraction(0), *_NATIVE)
+
+    def coerce(self, x):
+        if _is_int(x):
+            x = Fraction(x)
+        if not self.ops.contains(x):
+            raise StructuralError(f"{x!r} violates the characteristic constraint of {self!r}")
+        return x
+
+    def enumerate(self, bound: int) -> list:
+        """Members q with |q| <= bound and denominator <= bound."""
+        seen = {Fraction(0)}
+        for d in range(1, bound + 1):
+            if not contains_rational(self.chi, Fraction(1, d)):
+                continue  # membership of n/d in lowest terms depends on d alone
+            for n in range(1, bound * d + 1):
+                q = Fraction(n, d)
+                if q.denominator == d:
+                    seen.add(q)
+                    seen.add(-q)
+        return sorted(seen)
+
+
+@dataclass(frozen=True)
+class LexZG(LGroup):
+    tail: LGroup
+
+    def __repr__(self) -> str:
+        return f"LexZG({self.tail!r})"
+
+    def build_ops(self) -> GroupOps:
+        """Lex pairs over the tail's record: heads first, then tails."""
+        t = self.tail.ops
         t_contains, t_add, t_neg, t_leq = t.contains, t.add, t.neg, t.leq
 
         def leq(x, y) -> bool:
@@ -129,7 +171,46 @@ def _build_ops(G: LGroup) -> GroupOps:
             leq,
             lambda x, y: x if leq(x, y) else y,
             lambda x, y: y if leq(x, y) else x)
-    raise StructuralError(f"unknown group descriptor {G!r}")
+
+    def coerce(self, x):
+        if not isinstance(x, tuple) or len(x) != 2:
+            raise StructuralError(f"{x!r} is not a lex pair")
+        head = x[0]
+        if isinstance(head, Fraction) and head.denominator == 1:
+            head = int(head)
+        if not _is_int(head):
+            raise StructuralError(f"lex head {x[0]!r} is not an integer")
+        return (head, self.tail.coerce(x[1]))
+
+    def enumerate(self, bound: int) -> list:
+        """Lexicographic pairs over [-bound, bound] and the tail's fragment."""
+        tail = self.tail.enumerate(bound)
+        return [(a, t) for a in range(-bound, bound + 1) for t in tail]
+
+    def payload_to_json(self, x) -> Any:
+        return [x[0], self.tail.payload_to_json(x[1])]
+
+    def payload_from_json(self, data) -> Any:
+        if not isinstance(data, list) or len(data) != 2:
+            raise UsageError(f"expected a lex pair, got {data!r}")
+        return (parse_integer(data[0], "lex head"), self.tail.payload_from_json(data[1]))
+
+
+Z = Integers()
+TRIVIAL = TrivialGroup()
+
+
+def qsubgroup(chi: Characteristic) -> LGroup:
+    """Descriptor for the subgroup of Q denoted by chi; Z is its own canonical kind."""
+    if chi == CHI_Z:
+        return Z
+    return QSubgroup(chi)
+
+
+def _descriptor(G) -> LGroup:
+    if not isinstance(G, LGroup):
+        raise StructuralError(f"unknown group descriptor {G!r}")
+    return G
 
 
 def group_zero(G: LGroup):
@@ -142,106 +223,33 @@ def group_contains(G: LGroup, x: Any) -> bool:
 
 def group_coerce(G: LGroup, x: Any):
     """Coerce x into the canonical carrier representation of G, validating membership."""
-    if isinstance(G, Integers):
-        if isinstance(x, Fraction) and x.denominator == 1:
-            x = int(x)
-        if not group_contains(G, x):
-            raise StructuralError(f"{x!r} is not an integer")
-        return x
-    if isinstance(G, TrivialGroup):
-        if x != 0:
-            raise StructuralError(f"{x!r} is not in the trivial group")
-        return 0
-    if isinstance(G, QSubgroup):
-        if isinstance(x, int) and not isinstance(x, bool):
-            x = Fraction(x)
-        if not group_contains(G, x):
-            raise StructuralError(f"{x!r} violates the characteristic constraint of {G!r}")
-        return x
-    if isinstance(G, LexZG):
-        if not isinstance(x, tuple) or len(x) != 2:
-            raise StructuralError(f"{x!r} is not a lex pair")
-        head = x[0]
-        if isinstance(head, Fraction) and head.denominator == 1:
-            head = int(head)
-        if not isinstance(head, int) or isinstance(head, bool):
-            raise StructuralError(f"lex head {x[0]!r} is not an integer")
-        return (head, group_coerce(G.tail, x[1]))
-    raise StructuralError(f"unknown group descriptor {G!r}")
+    return _descriptor(G).coerce(x)
 
 
-def _outside(G: LGroup, *xs) -> StructuralError:
-    """The error for the first of xs that is not a member of G."""
-    x = next(x for x in xs if not group_contains(G, x))
-    return StructuralError(f"{x!r} is not in the carrier of {G!r}")
+def _checked(name: str, public: str) -> Callable:
+    """The record's operation ``name``, once each argument is checked to lie in G."""
+    def op(G: LGroup, *xs):
+        r = G.ops
+        for x in xs:
+            if not r.contains(x):
+                raise StructuralError(f"{x!r} is not in the carrier of {G!r}")
+        return getattr(r, name)(*xs)
+    op.__name__ = op.__qualname__ = public
+    return op
 
 
-# The public operations check their arguments once, inline rather than through a
-# helper so that the dispatch stays one attribute lookup, then call the record.
-
-def group_add(G: LGroup, x, y):
-    r = G.ops
-    if r.contains(x) and r.contains(y):
-        return r.add(x, y)
-    raise _outside(G, x, y)
-
-
-def group_negate(G: LGroup, x):
-    r = G.ops
-    if r.contains(x):
-        return r.neg(x)
-    raise _outside(G, x)
-
-
-def group_leq(G: LGroup, x, y) -> bool:
-    r = G.ops
-    if r.contains(x) and r.contains(y):
-        return r.leq(x, y)
-    raise _outside(G, x, y)
-
-
-def group_meet(G: LGroup, x, y):
-    r = G.ops
-    if r.contains(x) and r.contains(y):
-        return r.meet(x, y)
-    raise _outside(G, x, y)
-
-
-def group_join(G: LGroup, x, y):
-    r = G.ops
-    if r.contains(x) and r.contains(y):
-        return r.join(x, y)
-    raise _outside(G, x, y)
+group_add = _checked("add", "group_add")
+group_negate = _checked("neg", "group_negate")
+group_leq = _checked("leq", "group_leq")
+group_meet = _checked("meet", "group_meet")
+group_join = _checked("join", "group_join")
 
 
 def group_enumerate(G: LGroup, bound: int) -> list:
-    """Bounded fragment of G in ascending order.
-
-    Integers: [-bound, bound].  QSubgroup: members q with |q| <= bound and
-    denominator <= bound.  LexZG: lexicographic pairs over the fragments of
-    both coordinates.
-    """
+    """Bounded fragment of G in ascending order (see each kind's ``enumerate``)."""
     if bound < 1:
         raise DomainError("bound must be >= 1")
-    if isinstance(G, Integers):
-        return list(range(-bound, bound + 1))
-    if isinstance(G, TrivialGroup):
-        return [0]
-    if isinstance(G, QSubgroup):
-        seen = {Fraction(0)}
-        for d in range(1, bound + 1):
-            if not contains_rational(G.chi, Fraction(1, d)):
-                continue  # membership of n/d in lowest terms depends on d alone
-            for n in range(1, bound * d + 1):
-                q = Fraction(n, d)
-                if q.denominator == d:
-                    seen.add(q)
-                    seen.add(-q)
-        return sorted(seen)
-    if isinstance(G, LexZG):
-        tail = group_enumerate(G.tail, bound)
-        return [(a, t) for a in range(-bound, bound + 1) for t in tail]
-    raise StructuralError(f"unknown group descriptor {G!r}")
+    return _descriptor(G).enumerate(bound)
 
 
 def group_positive_cone(G: LGroup, bound: int) -> list:
@@ -249,12 +257,6 @@ def group_positive_cone(G: LGroup, bound: int) -> list:
     r = G.ops
     z, leq = r.zero, r.leq
     return [x for x in group_enumerate(G, bound) if leq(z, x)]
-
-
-def group_element_str(G: LGroup, x) -> str:
-    if isinstance(G, LexZG):
-        return f"({x[0]},{group_element_str(G.tail, x[1])})"
-    return str(x)
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,17 @@
 """Canonical JSON encodings and command-line shorthand parsing.
 
-Rationals render as "p/q" strings ("p" when the denominator is 1); descriptors
-render as {"kind": ..., params}; elements as {"algebra": ..., "payload": ...}.
-Every encoder/decoder pair round-trips exactly, and ``dumps`` is deterministic
+This module is the registry of descriptor codecs: the "kind" tags of the JSON
+form ({"kind": ..., params}) and the shorthand spellings, each encoder next to
+its decoder.  Payloads belong to their kinds: elements render as
+{"algebra": ..., "payload": A.payload_to_json(payload)}, and rationals as "p/q"
+strings ("p" when the denominator is 1; see ``rationals``).  Every
+encoder/decoder pair round-trips exactly, and ``dumps`` is deterministic
 (sorted keys, no whitespace) so command output can be used as goldens.
 """
 
 from __future__ import annotations
 
 import json
-import re
 from fractions import Fraction
 from typing import Any
 
@@ -20,43 +22,13 @@ from .characteristics import (INF, Characteristic, characteristic,
                               group_label, parse_group_label)
 from .errors import UsageError
 from .groups import (BOTTOM, Integers, LexZG, LGroup, QSubgroup, TrivialGroup,
-                     TropOfGroup, group_coerce, qsubgroup)
+                     TropOfGroup, qsubgroup)
+from .rationals import parse_integer, parse_rational, rational_str
 from .report import CheckReport
 
 
 def dumps(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
-
-
-def rational_str(q) -> str:
-    q = Fraction(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
-
-
-_INTEGER = re.compile(r"[+-]?[0-9]+")
-
-
-def _integer(data, what: str) -> int:
-    """An integral input: a JSON int, a string that spells an integer, or a
-    shorthand rational with denominator 1.  Anything else is a usage error;
-    nothing is truncated."""
-    if isinstance(data, Fraction) and data.denominator == 1:
-        return data.numerator
-    if isinstance(data, int) and not isinstance(data, bool):
-        return data
-    if isinstance(data, str) and _INTEGER.fullmatch(data.strip()):
-        return int(data)
-    shown = rational_str(data) if isinstance(data, Fraction) else json.dumps(data, default=repr)
-    raise UsageError(f"{what} must be an integer, got {shown}")
-
-
-def parse_rational(text: str) -> Fraction:
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError):
-        raise UsageError(f"{text!r} is not a rational") from None
 
 
 # -- characteristics --------------------------------------------------------
@@ -72,8 +44,8 @@ def chi_to_json(chi: Characteristic) -> dict:
 def chi_from_json(data: dict) -> Characteristic:
     try:
         default = INF if data["default"] == "inf" else 0
-        assignments = {_integer(p, "prime"):
-                       (INF if e == "inf" else _integer(e, "exponent"))
+        assignments = {parse_integer(p, "prime"):
+                       (INF if e == "inf" else parse_integer(e, "exponent"))
                        for p, e in data.get("primes", {}).items()}
     except (KeyError, TypeError, ValueError, AttributeError):
         raise UsageError(f"malformed characteristic JSON: {data!r}") from None
@@ -89,9 +61,7 @@ def group_to_json(G: LGroup) -> dict:
         return {"kind": "trivial"}
     if isinstance(G, QSubgroup):
         return {"kind": "q_subgroup", "chi": chi_to_json(G.chi)}
-    if isinstance(G, LexZG):
-        return {"kind": "lex_zg", "tail": group_to_json(G.tail)}
-    raise UsageError(f"cannot encode group {G!r}")
+    return {"kind": "lex_zg", "tail": group_to_json(G.tail)}
 
 
 def group_from_json(data: dict) -> LGroup:
@@ -107,23 +77,6 @@ def group_from_json(data: dict) -> LGroup:
     raise UsageError(f"unknown group kind {kind!r}")
 
 
-def group_payload_to_json(G: LGroup, x) -> Any:
-    if isinstance(G, LexZG):
-        return [x[0], group_payload_to_json(G.tail, x[1])]
-    return rational_str(x)
-
-
-def group_payload_from_json(G: LGroup, data) -> Any:
-    if isinstance(G, LexZG):
-        if not isinstance(data, list) or len(data) != 2:
-            raise UsageError(f"expected a lex pair, got {data!r}")
-        head = _integer(data[0], "lex head")
-        return group_coerce(G, (head, group_payload_from_json(G.tail, data[1])))
-    if isinstance(data, list):
-        raise UsageError(f"expected a rational for {G!r}")
-    return group_coerce(G, parse_rational(str(data)))
-
-
 # -- MV algebras and elements -------------------------------------------------
 
 def algebra_to_json(A: MvAlgebra) -> dict:
@@ -135,15 +88,13 @@ def algebra_to_json(A: MvAlgebra) -> dict:
         if A == CHANG:
             return {"kind": "chang"}
         return {"kind": "delta", "group": group_to_json(A.group)}
-    if isinstance(A, ProductAlgebra):
-        return {"kind": "product", "factors": [algebra_to_json(f) for f in A.factors]}
-    raise UsageError(f"cannot encode algebra {A!r}")
+    return {"kind": "product", "factors": [algebra_to_json(f) for f in A.factors]}
 
 
 def algebra_from_json(data: dict) -> MvAlgebra:
     kind = data.get("kind")
     if kind == "finite_chain":
-        return FiniteChain(_integer(data["size"], "chain size"))
+        return FiniteChain(parse_integer(data["size"], "chain size"))
     if kind == "rational_interval":
         return RationalInterval()
     if kind == "chang":
@@ -155,40 +106,14 @@ def algebra_from_json(data: dict) -> MvAlgebra:
     raise UsageError(f"unknown algebra kind {kind!r}")
 
 
-def payload_to_json(A: MvAlgebra, payload) -> Any:
-    if isinstance(A, (FiniteChain, RationalInterval)):
-        return rational_str(payload)
-    if isinstance(A, DeltaOf):
-        return [payload[0], group_payload_to_json(A.group, payload[1])]
-    if isinstance(A, ProductAlgebra):
-        return [payload_to_json(f, p) for f, p in zip(A.factors, payload)]
-    raise UsageError(f"cannot encode payload for {A!r}")
-
-
-def payload_from_json(A: MvAlgebra, data) -> Any:
-    if isinstance(A, (FiniteChain, RationalInterval)):
-        if isinstance(data, list):
-            raise UsageError(f"expected a rational for {A!r}")
-        return parse_rational(str(data))
-    if isinstance(A, DeltaOf):
-        if not isinstance(data, list) or len(data) != 2:
-            raise UsageError(f"expected a [bit, offset] pair, got {data!r}")
-        return (_integer(data[0], "bit"), group_payload_from_json(A.group, data[1]))
-    if isinstance(A, ProductAlgebra):
-        if not isinstance(data, list) or len(data) != len(A.factors):
-            raise UsageError(f"payload arity mismatch for {A!r}: {data!r}")
-        return tuple(payload_from_json(f, p) for f, p in zip(A.factors, data))
-    raise UsageError(f"cannot decode payload for {A!r}")
-
-
 def element_to_json(x: MvElement) -> dict:
     return {"algebra": algebra_to_json(x.algebra),
-            "payload": payload_to_json(x.algebra, x.payload)}
+            "payload": x.algebra.payload_to_json(x.payload)}
 
 
 def element_from_json(data: dict) -> MvElement:
     A = algebra_from_json(data.get("algebra", {}))
-    return element(A, payload_from_json(A, data.get("payload")))
+    return element(A, A.payload_from_json(data.get("payload")))
 
 
 # -- semifields and cones ------------------------------------------------------
@@ -206,7 +131,7 @@ def semifield_from_json(data: dict) -> TropOfGroup:
 def cone_to_json(T: TopCone, bound: int) -> dict:
     elems = cone_elements(T, bound)
     return {"base_group": group_to_json(T.base_group),
-            "elements": [("⊤" if x is TOP else group_payload_to_json(T.base_group, x))
+            "elements": [("⊤" if x is TOP else T.base_group.payload_to_json(x))
                          for x in elems],
             "top": "⊤"}
 
@@ -216,7 +141,7 @@ def cone_to_json(T: TopCone, bound: int) -> dict:
 def encode_value(v: Any) -> Any:
     """Best-effort JSON form for witnesses: payloads for elements, strings for rationals."""
     if isinstance(v, MvElement):
-        return payload_to_json(v.algebra, v.payload)
+        return v.algebra.payload_to_json(v.payload)
     if isinstance(v, Fraction):
         return rational_str(v)
     if v is TOP:
@@ -255,6 +180,18 @@ def parse_group_shorthand(text: str) -> LGroup:
     return qsubgroup(parse_group_label(text))
 
 
+def group_shorthand(G: LGroup) -> str:
+    """Compact spelling of a group where one exists, else its JSON."""
+    if isinstance(G, Integers):
+        return "Z"
+    if isinstance(G, TrivialGroup):
+        return "trivial"
+    if isinstance(G, LexZG):
+        return "lex:" + group_shorthand(G.tail)
+    label = group_label(G.chi)
+    return dumps(group_to_json(G)) if label is None else label
+
+
 def parse_algebra_shorthand(text: str) -> MvAlgebra:
     """"chain:N", "interval", "chang", "delta:GROUP", "prod:A,B,...", or JSON."""
     text = text.strip()
@@ -265,13 +202,25 @@ def parse_algebra_shorthand(text: str) -> MvAlgebra:
     if text == "chang":
         return CHANG
     if text.startswith("chain:"):
-        return FiniteChain(_integer(text[6:], "chain size"))
+        return FiniteChain(parse_integer(text[6:], "chain size"))
     if text.startswith("delta:"):
         return DeltaOf(parse_group_shorthand(text[6:]))
     if text.startswith("prod:"):
         parts = _split_factors(text[5:])
         return ProductAlgebra(tuple(parse_algebra_shorthand(p) for p in parts))
     raise UsageError(f"unrecognized algebra shorthand {text!r}")
+
+
+def algebra_shorthand(A: MvAlgebra) -> str:
+    if isinstance(A, FiniteChain):
+        return f"chain:{A.size}"
+    if isinstance(A, RationalInterval):
+        return "interval"
+    if A == CHANG:
+        return "chang"
+    if isinstance(A, DeltaOf):
+        return "delta:" + group_shorthand(A.group)
+    return "prod:" + ",".join(algebra_shorthand(f) for f in A.factors)
 
 
 def _split_factors(text: str) -> list[str]:
@@ -302,7 +251,7 @@ def parse_semifield_shorthand(text: str) -> TropOfGroup:
 
 def parse_payload_shorthand(A: MvAlgebra, text: str):
     """Compact element syntax: rationals, or parenthesized tuples like (0,3)."""
-    return _decoded(text, payload_from_json, A, _parse_tuple_tree(text))
+    return _decoded(text, A.payload_from_json, _parse_tuple_tree(text))
 
 
 def _parse_tuple_tree(text: str):
@@ -325,37 +274,7 @@ def _parse_tuple_tree(text: str):
 
 
 def parse_group_element_shorthand(G: LGroup, text: str):
-    return _decoded(text, group_payload_from_json, G, _parse_tuple_tree(text))
-
-
-def group_shorthand(G: LGroup) -> str:
-    """Compact spelling of a group where one exists, else its JSON."""
-    if isinstance(G, Integers):
-        return "Z"
-    if isinstance(G, TrivialGroup):
-        return "trivial"
-    if isinstance(G, QSubgroup):
-        label = group_label(G.chi)
-        if label is not None:
-            return label
-        return dumps(group_to_json(G))
-    if isinstance(G, LexZG):
-        return "lex:" + group_shorthand(G.tail)
-    return dumps(group_to_json(G))
-
-
-def algebra_shorthand(A: MvAlgebra) -> str:
-    if isinstance(A, FiniteChain):
-        return f"chain:{A.size}"
-    if isinstance(A, RationalInterval):
-        return "interval"
-    if A == CHANG:
-        return "chang"
-    if isinstance(A, DeltaOf):
-        return "delta:" + group_shorthand(A.group)
-    if isinstance(A, ProductAlgebra):
-        return "prod:" + ",".join(algebra_shorthand(f) for f in A.factors)
-    return dumps(algebra_to_json(A))
+    return _decoded(text, G.payload_from_json, _parse_tuple_tree(text))
 
 
 def _decoded(text: str, decoder, *args):

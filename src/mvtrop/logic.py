@@ -106,11 +106,12 @@ def default_chang_bound(e: Equation) -> int:
     return max(1, 2 * (operation_count(e.lhs) + operation_count(e.rhs)))
 
 
-def check_equation_bounded(e: Equation, A: MvAlgebra, bound: int) -> CheckReport:
+def check_equation_bounded(e: Equation, A: MvAlgebra, bound: int | None) -> CheckReport:
     """Refutation-only check over the bound-limited fragment of A.
 
     A counterexample is definitive; a clean run is reported as valid up to the
-    bound, which is not a completeness claim.
+    bound, which is not a completeness claim.  A bound of None is the
+    exhaustive walk of a finite algebra, as in ``check_equation_finite``.
     """
     return _check_equation(e, A, bound)
 

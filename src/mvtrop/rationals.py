@@ -1,0 +1,40 @@
+"""Rationals as "p/q" strings ("p" when integral), and strict parsing of
+rationals and integers: the leaves of every JSON payload and shorthand."""
+
+from __future__ import annotations
+
+import json
+import re
+from fractions import Fraction
+
+from .errors import UsageError
+
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def rational_str(q) -> str:
+    q = Fraction(q)
+    if q.denominator == 1:
+        return str(q.numerator)
+    return f"{q.numerator}/{q.denominator}"
+
+
+def parse_rational(text: str) -> Fraction:
+    try:
+        return Fraction(text.strip())
+    except (ValueError, ZeroDivisionError):
+        raise UsageError(f"{text!r} is not a rational") from None
+
+
+def parse_integer(data, what: str) -> int:
+    """An integral input: a JSON int, a string that spells an integer, or a
+    shorthand rational with denominator 1.  Anything else is a usage error;
+    nothing is truncated."""
+    if isinstance(data, Fraction) and data.denominator == 1:
+        return data.numerator
+    if isinstance(data, int) and not isinstance(data, bool):
+        return data
+    if isinstance(data, str) and _INTEGER.fullmatch(data.strip()):
+        return int(data)
+    shown = rational_str(data) if isinstance(data, Fraction) else json.dumps(data, default=repr)
+    raise UsageError(f"{what} must be an integer, got {shown}")

@@ -8,13 +8,13 @@ from conftest import chang_fragment, chang_neg, chang_oplus, luk_neg, luk_oplus
 from mvtrop.algebra import (CHANG, DeltaOf, FiniteChain, ProductAlgebra,
                             RationalInterval, carrier_size, check_axioms_over,
                             check_mv_axioms, element, enumerate_elements,
-                            is_boolean_elem, is_infinitesimal_elem, mv_implies,
+                            enumerate_payloads, is_boolean_elem, is_infinitesimal_elem, mv_implies,
                             mv_join, mv_leq, mv_meet, mv_neg, mv_odot,
                             mv_ominus, mv_oplus, one, payload_ops,
                             product_algebra, sample_elements, zero)
-from mvtrop.characteristics import CHI_Q, characteristic
+from mvtrop.characteristics import CHI_Q, INF, characteristic
 from mvtrop.errors import DomainError, ModeError, StructuralError
-from mvtrop.groups import TRIVIAL, qsubgroup
+from mvtrop.groups import TRIVIAL, LexZG, Z, qsubgroup
 
 L2 = FiniteChain(2)
 L3 = FiniteChain(3)
@@ -177,6 +177,41 @@ def test_interval_rejects_bound_below_one_like_groups():
         for A in (INTERVAL, CHANG):
             with pytest.raises(DomainError, match="bound must be >= 1"):
                 enumerate_elements(A, bound)
+
+
+# -- the contract every descriptor kind keeps ------------------------------------
+
+KINDS = (L2, FiniteChain(5), INTERVAL, CHANG, DeltaOf(TRIVIAL),
+         DeltaOf(qsubgroup(characteristic({2: INF}))), DeltaOf(qsubgroup(CHI_Q)),
+         DeltaOf(LexZG(Z)), product_algebra(L2, L3),
+         product_algebra(L2, product_algebra(CHANG, INTERVAL)),
+         product_algebra(DeltaOf(TRIVIAL), L3))
+
+
+@pytest.mark.parametrize("A", KINDS, ids=repr)
+def test_kind_contract(A):
+    pool = enumerate_payloads(A, 2)
+    assert [element(A, p).payload for p in pool] == pool
+    size = carrier_size(A)
+    if size is not None:
+        assert size == len(pool) == len(enumerate_payloads(A))
+    if isinstance(A, ProductAlgebra):
+        assert pool == list(itertools.product(*(enumerate_payloads(f, 2) for f in A.factors)))
+    else:
+        leq = payload_ops(A).leq
+        assert all(leq(p, q) and p != q for p, q in zip(pool, pool[1:]))
+
+
+@pytest.mark.parametrize("junk", ("chain:3", 3, None, FiniteChain))
+def test_a_non_descriptor_is_a_structural_error(junk):
+    with pytest.raises(StructuralError, match="unknown algebra descriptor"):
+        element(junk, Fraction(0))
+    with pytest.raises(StructuralError, match="unknown algebra descriptor"):
+        payload_ops(junk)
+    with pytest.raises(StructuralError, match="unknown algebra descriptor"):
+        enumerate_payloads(junk, 2)
+    with pytest.raises(StructuralError, match="unknown algebra descriptor"):
+        element(product_algebra(L2, junk), (Fraction(0), Fraction(0)))
 
 
 def test_payload_ops_records_are_shared_and_cached():

@@ -259,6 +259,15 @@ def test_eval_rejects_a_variable_assigned_twice(capsys):
     argv[-1] = "x=1/2;y=1"
     code, out, _ = run(argv, capsys)
     assert code == 0 and json.loads(out)["value"] == "1/2"
+    for assign, name in (("=1;x=1/2", ""), ("x y=1", "x y"), ("X=1", "X"),
+                         ("1x=0", "1x"), ("x-y=0", "x-y")):
+        argv[-1] = assign
+        code, out, err = run(argv, capsys)
+        assert code == 2 and out == ""
+        assert err == f"mvtrop: {name!r} is not a variable name; use [a-z][a-z0-9_]*\n"
+    argv[-1] = "x=1/2; x_1 = 1"
+    code, out, _ = run(argv, capsys)
+    assert code == 0 and json.loads(out)["value"] == "1/2"
 
 
 # -- README goldens ----------------------------------------------------------------
