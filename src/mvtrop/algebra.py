@@ -40,7 +40,8 @@ from fractions import Fraction
 from typing import Any, Callable, Iterable
 
 from .errors import DomainError, ModeError, StructuralError, UsageError
-from .groups import TRIVIAL, LexZG, LGroup, Z, group_coerce
+from .groups import (TRIVIAL, LexZG, LGroup, Z, group_coerce, group_contains,
+                     require_members)
 from .rationals import parse_integer, parse_rational, rational_str
 from .report import CheckReport, Instances, axiom_witness, check_laws
 
@@ -196,7 +197,7 @@ class DeltaOf(MvAlgebra):
         """Truncated lex addition; ≤, ∨ and ∧ are those of Z lex G."""
         G = self.group
         r, lex = G.ops, LexZG(G).ops
-        gz, add, neg, gmeet, contains = r.zero, r.add, r.neg, r.meet, r.contains
+        gz, add, neg, gmeet = r.zero, r.add, r.neg, r.meet
 
         def oplus(p, q):
             bit = p[0] + q[0]
@@ -208,8 +209,7 @@ class DeltaOf(MvAlgebra):
             return (1, gz)
 
         def check(p):
-            if not contains(p[1]):
-                raise StructuralError(f"{p[1]!r} is not in the carrier of {G!r}")
+            require_members(G, group_contains, p[1])
 
         return PayloadOps(oplus, lambda p: (1 - p[0], neg(p[1])), (0, gz), (1, gz),
                           lex.leq, lex.join, lex.meet, check)
@@ -436,7 +436,7 @@ def payload_tuples(A: MvAlgebra, bound: int | None = None, samples: int | None =
                               "exhaustive" if bound is None else "bounded", bound)
     if samples < 1:
         raise DomainError("samples must be >= 1")
-    pool = enumerate_payloads(A, None if carrier_size(A) is not None else bound)
+    pool = enumerate_payloads(A, bound)
     rng = random.Random(seed)
     return Instances(lambda arity: (tuple(rng.choice(pool) for _ in range(arity))
                                     for _ in range(samples)), "sampled", bound)

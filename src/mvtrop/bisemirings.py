@@ -12,10 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .algebra import (MvAlgebra, MvElement, carrier_size, enumerate_elements,
-                      one, payload_ops, zero)
-from .errors import DomainError, MalformedInputError, StructuralError
-from .groups import GroupOps, LGroup, group_positive_cone
+from .algebra import (MvAlgebra, MvElement, enumerate_elements, one,
+                      payload_ops, zero)
+from .errors import MalformedInputError, StructuralError
+from .groups import (TOP, GroupOps, LGroup, group_positive_cone,
+                     require_members)
 from .report import CheckReport, Instances, axiom_witness, check_laws
 
 
@@ -49,17 +50,11 @@ class Bisemiring:
         """The carrier (finite case) or its bound-limited fragment."""
         if self.explicit is not None:
             return list(self.explicit)
-        if carrier_size(self.host) is None and bound is None:
-            raise DomainError(f"{self.label} over an infinite host needs a bound")
         return [x for x in enumerate_elements(self.host, bound) if self.member(x)]
 
     def payloads(self, bound: int | None = None) -> list:
         """The payloads of ``elements(bound)``, each checked once to lie in the host."""
         return [self._in_host(x).payload for x in self.elements(bound)]
-
-    @property
-    def is_finite(self) -> bool:
-        return self.explicit is not None or carrier_size(self.host) is not None
 
     def __repr__(self) -> str:
         return f"{self.label}({self.host!r})"
@@ -67,21 +62,6 @@ class Bisemiring:
 
 # ---------------------------------------------------------------------------
 # Positive cones with a top.
-
-class _Top:
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "⊤"
-
-
-TOP = _Top()
-
 
 @dataclass(frozen=True)
 class TopCone:
@@ -102,9 +82,7 @@ def cone_contains(T: TopCone, x) -> bool:
 
 def _cone_members(T: TopCone, *xs) -> GroupOps:
     """The base group's record, once every x has been checked to lie in the cone."""
-    for x in xs:
-        if not cone_contains(T, x):
-            raise StructuralError(f"{x!r} is not in the cone of {T!r}")
+    require_members(T, cone_contains, *xs)
     return T.base_group.ops
 
 

@@ -73,8 +73,6 @@ def hasse_dot(A: MvAlgebra, bound: int | None = None) -> str:
 
 def _carrier(A: MvAlgebra, bound: int | None):
     size = carrier_size(A)
-    if size is None and bound is None:
-        raise DomainError(f"{A!r} is infinite; exporting needs a bound")
     if size is not None and size > MAX_EXPORT_CARRIER:
         raise DomainError(f"carrier of {A!r} exceeds {MAX_EXPORT_CARRIER} elements")
     elems = enumerate_payloads(A, bound)

@@ -169,7 +169,7 @@ def glue_boolean_perfect(B: MvAlgebra, P: MvAlgebra) -> MvAlgebra:
     gets returned.  Its Boolean part is a copy of B and its radical is a copy
     of Rad(P).
     """
-    if carrier_size(B) is None or not is_boolean_algebra(B):
+    if not is_boolean_algebra(B):
         raise DomainError(f"{B!r} is not a finite Boolean algebra")
     if not isinstance(P, DeltaOf):
         raise UnsupportedRepresentationError(
@@ -182,6 +182,13 @@ def glue_boolean_perfect(B: MvAlgebra, P: MvAlgebra) -> MvAlgebra:
 
 def _lattice(ops) -> list[tuple]:
     return [(name, getattr(ops, name)) for name in ("oplus", "odot", "meet", "join")]
+
+
+def _inf_bool(elems: list, ops) -> tuple[list, list]:
+    """Inf(S), the payloads with x⊙x = 0, and Bool(S), those with x⊙x = x, in order."""
+    odot, z = ops.odot, ops.zero
+    squares = [(p, odot(p, p)) for p in elems]
+    return [p for p, sq in squares if sq == z], [p for p, sq in squares if sq == p]
 
 
 def recognize_theta_image(S: Bisemiring) -> CheckReport:
@@ -201,8 +208,7 @@ def recognize_theta_image(S: Bisemiring) -> CheckReport:
         raise MalformedInputError(
             "carrier must contain distinct 0 and 1 (a one-element input collapses 0 = 1)")
     closure_checked = check_closed(elems, _lattice(ops), lambda p: element_str(MvElement(A, p)))
-    inf_set = {p for p in elems if odot(p, p) == z}
-    bool_set = {p for p in elems if odot(p, p) == p}
+    inf_set, bool_set = map(set, _inf_bool(elems, ops))
     # Bool(S) = S forces Inf(S) = {0}; the radical conditions are then vacuous
     # and it remains to confirm Bool(S) is a Boolean algebra under ⊕/⊙.  Each
     # law is named by the reason its witness gives.
@@ -237,8 +243,7 @@ def theta_image_conditions(S: Bisemiring, bound: int | None = None) -> CheckRepo
     elems = S.payloads(bound)
     A, ops = S.host, payload_ops(S.host)
     oplus, odot, z, o = ops.oplus, ops.odot, ops.zero, ops.one
-    inf_set = [p for p in elems if odot(p, p) == z]
-    bool_set = [p for p in elems if odot(p, p) == p]
+    inf_set, bool_set = _inf_bool(elems, ops)
 
     def shown(payloads):
         return [MvElement(A, p) for p in payloads]

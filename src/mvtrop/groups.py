@@ -16,7 +16,8 @@ is closed under +, − and min, so results computed from members stay members.
 Membership is checked at the boundary, once per call and never inside an
 operation: ``group_add``, ``group_negate``, ``group_leq``, ``group_meet``
 and ``group_join`` check their arguments and then call the record, and so do
-the semifield and cone operations.  Code that works on members it produced
+the semifield and cone operations; every one of these checks, and Δ(G)'s, is
+``require_members``.  Code that works on members it produced
 itself (enumerated fragments, the Δ(G) payloads of ``algebra``) calls the
 record directly.
 """
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from typing import Any, Callable
@@ -226,14 +228,20 @@ def group_coerce(G: LGroup, x: Any):
     return _descriptor(G).coerce(x)
 
 
+def require_members(S, contains: Callable, *xs) -> None:
+    """Raise StructuralError at the first x with ``contains(S, x)`` false: the
+    one membership check of the checked group, semifield and cone operations
+    and of the Δ(G) payload record."""
+    for x in xs:
+        if not contains(S, x):
+            raise StructuralError(f"{x!r} is not in the carrier of {S!r}")
+
+
 def _checked(name: str, public: str) -> Callable:
     """The record's operation ``name``, once each argument is checked to lie in G."""
     def op(G: LGroup, *xs):
-        r = G.ops
-        for x in xs:
-            if not r.contains(x):
-                raise StructuralError(f"{x!r} is not in the carrier of {G!r}")
-        return getattr(r, name)(*xs)
+        require_members(G, group_contains, *xs)
+        return getattr(G.ops, name)(*xs)
     op.__name__ = op.__qualname__ = public
     return op
 
@@ -262,21 +270,21 @@ def group_positive_cone(G: LGroup, bound: int) -> list:
 # ---------------------------------------------------------------------------
 # Tropical semifields Trop(G) = G ∪ {-inf}.
 
-class _Bottom:
-    """The adjoined zero of a tropical semifield."""
+class Adjoined(Enum):
+    """An element adjoined to a group: the absorbing bottom -inf of a tropical
+    semifield, and the absorbing top ⊤ of a positive cone (``bisemirings``).
+    Each is one object, kept as it is by pickle and copy."""
 
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    BOTTOM = "-inf"
+    TOP = "⊤"
 
     def __repr__(self) -> str:
-        return "-inf"
+        return self.value
+
+    __str__ = __repr__
 
 
-BOTTOM = _Bottom()
+BOTTOM, TOP = Adjoined.BOTTOM, Adjoined.TOP
 
 
 @dataclass(frozen=True)
@@ -293,9 +301,7 @@ def sf_contains(S: TropOfGroup, x) -> bool:
 
 def _sf_members(S: TropOfGroup, *xs) -> GroupOps:
     """The group's record, once every x has been checked to lie in S."""
-    for x in xs:
-        if not sf_contains(S, x):
-            raise StructuralError(f"{x!r} is not in the carrier of {S!r}")
+    require_members(S, sf_contains, *xs)
     return S.group.ops
 
 

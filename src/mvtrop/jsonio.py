@@ -21,7 +21,7 @@ from .bisemirings import TOP, TopCone, cone_elements
 from .characteristics import (INF, Characteristic, characteristic,
                               group_label, parse_group_label)
 from .errors import UsageError
-from .groups import (BOTTOM, Integers, LexZG, LGroup, QSubgroup, TrivialGroup,
+from .groups import (Integers, LexZG, LGroup, QSubgroup, TrivialGroup,
                      TropOfGroup, qsubgroup)
 from .rationals import parse_integer, parse_rational, rational_str
 from .report import CheckReport
@@ -139,15 +139,12 @@ def cone_to_json(T: TopCone, bound: int) -> dict:
 # -- reports -------------------------------------------------------------------
 
 def encode_value(v: Any) -> Any:
-    """Best-effort JSON form for witnesses: payloads for elements, strings for rationals."""
+    """Best-effort JSON form for witnesses: payloads for elements, strings for
+    rationals, and the repr of anything else (-inf and ⊤ among them)."""
     if isinstance(v, MvElement):
         return v.algebra.payload_to_json(v.payload)
     if isinstance(v, Fraction):
         return rational_str(v)
-    if v is TOP:
-        return "⊤"
-    if v is BOTTOM:
-        return "-inf"
     if isinstance(v, dict):
         return {str(k): encode_value(u) for k, u in v.items()}
     if isinstance(v, (list, tuple)):
@@ -206,7 +203,13 @@ def parse_algebra_shorthand(text: str) -> MvAlgebra:
     if text.startswith("delta:"):
         return DeltaOf(parse_group_shorthand(text[6:]))
     if text.startswith("prod:"):
-        parts = _split_factors(text[5:])
+        parts = _split_commas(text[5:])
+        for p in parts:
+            if not p:
+                raise UsageError(f"empty factor in product shorthand {text[5:]!r}")
+            if p.startswith("prod:"):
+                raise UsageError(f"factor {p!r} is a product; write a product inside prod: "
+                                 'as descriptor JSON {"kind":"product","factors":[...]}')
         return ProductAlgebra(tuple(parse_algebra_shorthand(p) for p in parts))
     raise UsageError(f"unrecognized algebra shorthand {text!r}")
 
@@ -220,22 +223,21 @@ def algebra_shorthand(A: MvAlgebra) -> str:
         return "chang"
     if isinstance(A, DeltaOf):
         return "delta:" + group_shorthand(A.group)
-    return "prod:" + ",".join(algebra_shorthand(f) for f in A.factors)
+    return "prod:" + ",".join(dumps(algebra_to_json(f)) if isinstance(f, ProductAlgebra)
+                              else algebra_shorthand(f) for f in A.factors)
 
 
-def _split_factors(text: str) -> list[str]:
-    """Split "chain:2,delta:Z[1/2,1/3]" on the commas outside [...] and {...}."""
+def _split_commas(text: str) -> list[str]:
+    """Split "chain:2,delta:Z[1/2,1/3]" or "1,(0,2)" on the commas outside
+    (...), [...] and {...}; each piece is stripped."""
     parts, depth, start = [], 0, 0
     for i, ch in enumerate(text + ","):
-        if ch in "[{":
+        if ch in "([{":
             depth += 1
-        elif ch in "]}":
+        elif ch in ")]}":
             depth -= 1
         elif ch == "," and depth == 0:
-            piece = text[start:i].strip()
-            if not piece:
-                raise UsageError(f"empty factor in product shorthand {text!r}")
-            parts.append(piece)
+            parts.append(text[start:i].strip())
             start = i + 1
     return parts
 
@@ -258,18 +260,7 @@ def _parse_tuple_tree(text: str):
     """"(1,(0,2))" as the JSON payload form [1, [0, 2]], with rational leaves."""
     text = text.strip()
     if text.startswith("(") and text.endswith(")"):
-        inner = text[1:-1]
-        parts, depth, start = [], 0, 0
-        for i, ch in enumerate(inner):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            elif ch == "," and depth == 0:
-                parts.append(inner[start:i])
-                start = i + 1
-        parts.append(inner[start:])
-        return [_parse_tuple_tree(p) for p in parts]
+        return [_parse_tuple_tree(p) for p in _split_commas(text[1:-1])]
     return parse_rational(text)
 
 

@@ -21,19 +21,14 @@ from .algebra import (CHANG, MvAlgebra, MvElement, PayloadOps, check_identities,
                       payload_ops)
 from .errors import EvaluationError, StructuralError
 from .report import CheckReport
-from .terms import (CONST1, Const, Equation, Implies, Join, Meet, Neg, Odot,
-                    Ominus, Oplus, Term, Var, operation_count, parse,
-                    parse_equation)
+from .terms import (CONST1, Binary, Const, Equation, Neg, Term, Var,
+                    operation_count, parse, parse_equation)
 
 
 @dataclass(frozen=True)
 class Valuation:
     algebra: MvAlgebra
     bindings: Mapping[str, MvElement]
-
-
-_CONNECTIVES = {Oplus: "oplus", Odot: "odot", Ominus: "ominus",
-                Implies: "implies", Meet: "meet", Join: "join"}
 
 
 def _compile_term(t: Term, ops: PayloadOps, slots: dict[str, int]) -> Callable:
@@ -52,10 +47,9 @@ def _compile_term(t: Term, ops: PayloadOps, slots: dict[str, int]) -> Callable:
     if isinstance(t, Neg):
         f, neg = _compile_term(t.arg, ops, slots), ops.neg
         return lambda env: neg(f(env))
-    name = _CONNECTIVES.get(type(t))
-    if name is None:
+    if not isinstance(t, Binary):
         raise TypeError(f"not a term: {t!r}")
-    op = getattr(ops, name)
+    op = getattr(ops, t.op)
     f, g = _compile_term(t.left, ops, slots), _compile_term(t.right, ops, slots)
     return lambda env: op(f(env), g(env))
 

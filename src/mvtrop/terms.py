@@ -5,12 +5,18 @@ prefix negation, and the infix connectives are (+) for ⊕, (.) for ⊙, (-) for
 ⊖, -> for →, /\\ for ∧, \\/ for ∨.  Binding, tightest first:
 ~  >  (.)  >  (+) = (-)  >  /\\  >  \\/  >  ->, with -> right-associative and
 everything else left-associative.  Parentheses override.
+
+The connective table lives on the classes: each ``Binary`` subclass carries
+its record operation, symbol, binding power and associativity, and the lexer,
+the parser, the printer and ``logic``'s compiler all read it from there.
+Traversals are functions over the node data, not methods on the nodes.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import ClassVar
 
 from .errors import TermSyntaxError
 
@@ -35,64 +41,54 @@ class Neg(Term):
 
 
 @dataclass(frozen=True)
-class Oplus(Term):
+class Binary(Term):
+    """A binary connective.  Each subclass is one row of the connective table:
+    ``op``, its operation on a ``PayloadOps`` record; ``symbol``, its ASCII
+    spelling; ``bp``, its binding power (higher binds tighter); and
+    ``right_assoc``."""
+
     left: Term
     right: Term
+    op: ClassVar[str]
+    symbol: ClassVar[str]
+    bp: ClassVar[int]
+    right_assoc: ClassVar[bool] = False
 
 
-@dataclass(frozen=True)
-class Odot(Term):
-    left: Term
-    right: Term
+class Oplus(Binary):
+    op, symbol, bp = "oplus", "(+)", 4
 
 
-@dataclass(frozen=True)
-class Ominus(Term):
-    left: Term
-    right: Term
+class Odot(Binary):
+    op, symbol, bp = "odot", "(.)", 5
 
 
-@dataclass(frozen=True)
-class Implies(Term):
-    left: Term
-    right: Term
+class Ominus(Binary):
+    op, symbol, bp = "ominus", "(-)", 4
 
 
-@dataclass(frozen=True)
-class Meet(Term):
-    left: Term
-    right: Term
+class Implies(Binary):
+    op, symbol, bp, right_assoc = "implies", "->", 1, True
 
 
-@dataclass(frozen=True)
-class Join(Term):
-    left: Term
-    right: Term
+class Meet(Binary):
+    op, symbol, bp = "meet", "/\\", 3
+
+
+class Join(Binary):
+    op, symbol, bp = "join", "\\/", 2
 
 
 CONST0 = Const(0)
 CONST1 = Const(1)
 
-# (symbol, node class, binding power, right-associative?)
-_BINARY = {
-    "->": (Implies, 1, True),
-    "\\/": (Join, 2, False),
-    "/\\": (Meet, 3, False),
-    "(+)": (Oplus, 4, False),
-    "(-)": (Ominus, 4, False),
-    "(.)": (Odot, 5, False),
-}
+_BINARY = {cls.symbol: cls for cls in Binary.__subclasses__()}
 _NEG_BP = 6
 
-_TOKEN = re.compile(r"""
-    (?P<op>\(\+\)|\(\.\)|\(-\)|->|/\\|\\/)
-  | (?P<neg>~)
-  | (?P<lpar>\()
-  | (?P<rpar>\))
-  | (?P<const>[01])
-  | (?P<var>[a-z][a-z0-9_]*)
-  | (?P<ws>\s+)
-""", re.VERBOSE)
+_TOKEN = re.compile("|".join([
+    "(?P<op>" + "|".join(map(re.escape, _BINARY)) + ")",
+    r"(?P<neg>~)", r"(?P<lpar>\()", r"(?P<rpar>\))", r"(?P<const>[01])",
+    r"(?P<var>[a-z][a-z0-9_]*)", r"(?P<ws>\s+)"]))
 
 
 def _lex(text: str) -> list[tuple[str, str, int]]:
@@ -130,11 +126,11 @@ class _Parser:
             kind, text, _ = self.peek()
             if kind != "op":
                 break
-            cls, bp, right_assoc = _BINARY[text]
-            if bp < min_bp:
+            cls = _BINARY[text]
+            if cls.bp < min_bp:
                 break
             self.advance()
-            rhs = self.expr(bp if right_assoc else bp + 1)
+            rhs = self.expr(cls.bp if cls.right_assoc else cls.bp + 1)
             lhs = cls(lhs, rhs)
         return lhs
 
@@ -179,14 +175,12 @@ def _render(t: Term, min_bp: int) -> str:
         return str(t.value)
     if isinstance(t, Neg):
         return "~" + _render(t.arg, _NEG_BP)
-    for sym, (cls, bp, right_assoc) in _BINARY.items():
-        if isinstance(t, cls):
-            if right_assoc:
-                body = f"{_render(t.left, bp + 1)} {sym} {_render(t.right, bp)}"
-            else:
-                body = f"{_render(t.left, bp)} {sym} {_render(t.right, bp + 1)}"
-            return f"({body})" if bp < min_bp else body
-    raise TypeError(f"not a term: {t!r}")
+    if not isinstance(t, Binary):
+        raise TypeError(f"not a term: {t!r}")
+    bp = t.bp
+    left, right = (bp + 1, bp) if t.right_assoc else (bp, bp + 1)
+    body = f"{_render(t.left, left)} {t.symbol} {_render(t.right, right)}"
+    return f"({body})" if bp < min_bp else body
 
 
 def variables(t: Term) -> set[str]:

@@ -11,7 +11,8 @@ from mvtrop.algebra import (CHANG, DeltaOf, FiniteChain, ProductAlgebra,
                             enumerate_payloads, is_boolean_elem, is_infinitesimal_elem, mv_implies,
                             mv_join, mv_leq, mv_meet, mv_neg, mv_odot,
                             mv_ominus, mv_oplus, one, payload_ops,
-                            product_algebra, sample_elements, zero)
+                            payload_tuples, product_algebra, sample_elements,
+                            zero)
 from mvtrop.characteristics import CHI_Q, INF, characteristic
 from mvtrop.errors import DomainError, ModeError, StructuralError
 from mvtrop.groups import TRIVIAL, LexZG, Z, qsubgroup
@@ -311,6 +312,13 @@ def test_mv_axioms_sampled():
         report = check_mv_axioms(A, mode="sampled", samples=150, seed=1, bound=20)
         assert report.verdict == "valid"
         assert report.mode == "sampled"
+
+
+@pytest.mark.parametrize("A", [L3, product_algebra(L2, L3)])
+def test_sampled_pool_of_a_finite_algebra_is_its_whole_carrier(A):
+    draws = {bound: list(payload_tuples(A, bound, 60, 5).tuples(1)) for bound in (None, 0, 1, 9)}
+    assert {p for (p,) in draws[None]} == set(enumerate_payloads(A))
+    assert all(d == draws[None] for d in draws.values())
 
 
 def test_mv_axioms_exhaustive_rejects_infinite():

@@ -196,6 +196,17 @@ def _one_line_error(err):
     return err.startswith("mvtrop: ") and err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("algebra", ["prod:prod:chain:2,chain:3", "prod:chain:2,prod:chain:3"])
+def test_bare_product_inside_a_product_is_usage_error(algebra, capsys):
+    code, out, err = run(["vc-member", "--algebra", algebra], capsys)
+    assert code == 2 and out == "" and _one_line_error(err)
+    assert '{"kind":"product"' in err
+    code, out, _ = run(["vc-member", "--algebra",
+                        'prod:{"kind":"product","factors":[{"kind":"finite_chain","size":2}]},'
+                        'chain:2'], capsys)
+    assert code == 0
+
+
 def test_theta_malformed_algebra_json_is_usage_error(capsys):
     code, out, err = run(["theta", "--algebra", '{"kind":"finite_chain","size":"x"}'], capsys)
     assert code == 2 and out == "" and _one_line_error(err)

@@ -23,6 +23,7 @@ from mvtrop.functors import (Morphism, atoms, boolean_part, cone_to_perfect,
                              theta_image_conditions, theta_on_morphism,
                              theta_perfect, theta_perfect_inverse, theta_star,
                              trop)
+from mvtrop.export import hasse_dot, operation_tables
 from mvtrop.groups import BOTTOM, TRIVIAL, LexZG, Z, qsubgroup
 
 L2 = FiniteChain(2)
@@ -145,6 +146,12 @@ def test_theta_of_boolean_algebra_is_everything():
     for A in (L2, product_algebra(L2, L2), delta(TRIVIAL)):
         S = theta(A)
         assert all(S.contains(x) for x in enumerate_elements(A))
+
+
+def test_an_infinite_carrier_needs_a_bound():
+    for listing in (operation_tables, hasse_dot, lambda A: theta(A).elements()):
+        with pytest.raises(DomainError, match="requires a bound"):
+            listing(CHANG)
 
 
 def test_theta_star_of_chang():

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from mvtrop.bisemirings import TOP
 from mvtrop.characteristics import CHI_Q, CHI_Z, INF, characteristic
 from mvtrop.errors import DomainError, StructuralError
 from mvtrop.groups import (BOTTOM, TRIVIAL, LexZG, QSubgroup,
@@ -113,6 +114,15 @@ def test_semifield_laws_sampled():
         assert stimes(S, x, splus(S, y, z)) == splus(S, stimes(S, x, y), stimes(S, x, z))
         if x is not BOTTOM:
             assert stimes(S, x, sinverse(S, x)) == one               # inverse law
+
+
+@pytest.mark.parametrize("x, text", [(BOTTOM, "-inf"), (TOP, "⊤")])
+def test_adjoined_elements_keep_repr_and_identity(x, text):
+    import copy
+    import pickle
+    assert repr(x) == str(x) == text
+    assert pickle.loads(pickle.dumps(x)) is x
+    assert copy.copy(x) is x and copy.deepcopy(x) is x
 
 
 def test_descriptors_pickle_after_their_record_is_built():

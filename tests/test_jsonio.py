@@ -37,8 +37,8 @@ _DYADIC_JSON = '{"chi":{"default":"0","primes":{"2":"inf"}},"kind":"q_subgroup"}
 # The wire format of every kind in ALGEBRA_ZOO, in order: the descriptor JSON,
 # the shorthand, then (element_str, payload JSON) for the first three and the
 # last element of ``enumerate_elements(A, 2)``.  Recorded before the codecs
-# moved onto the descriptor classes; the nested product's shorthand is pinned
-# as it is written, although it does not parse back to the same algebra.
+# moved onto the descriptor classes; a product inside a product is written as
+# its descriptor JSON, which is what ``prod:`` reads back.
 WIRE_FORMAT = (
     ('{"kind":"finite_chain","size":2}', "chain:2", [("0", '"0"'), ("1", '"1"')]),
     ('{"kind":"finite_chain","size":7}', "chain:7",
@@ -71,7 +71,9 @@ WIRE_FORMAT = (
       ("(1,0)", '[1,"0"]')]),
     ('{"factors":[{"kind":"finite_chain","size":2},{"factors":[{"group":{"kind":"lex_zg",'
      '"tail":{"kind":"integers"}},"kind":"delta"},{"kind":"rational_interval"}],'
-     '"kind":"product"}],"kind":"product"}', "prod:chain:2,prod:delta:lex:Z,interval",
+     '"kind":"product"}],"kind":"product"}',
+     'prod:chain:2,{"factors":[{"group":{"kind":"lex_zg","tail":{"kind":"integers"}},'
+     '"kind":"delta"},{"kind":"rational_interval"}],"kind":"product"}',
      [("(0,((0,(0,0)),0))", '["0",[[0,[0,"0"]],"0"]]'),
       ("(0,((0,(0,0)),1/2))", '["0",[[0,[0,"0"]],"1/2"]]'),
       ("(0,((0,(0,0)),1))", '["0",[[0,[0,"0"]],"1"]]'),
@@ -107,6 +109,7 @@ def test_group_round_trip(G):
 @pytest.mark.parametrize("A", ALGEBRA_ZOO)
 def test_algebra_round_trip(A):
     assert algebra_from_json(algebra_to_json(A)) == A
+    assert parse_algebra_shorthand(algebra_shorthand(A)) == A
 
 
 @pytest.mark.parametrize("A, pinned", zip(ALGEBRA_ZOO, WIRE_FORMAT, strict=True))
