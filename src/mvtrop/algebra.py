@@ -40,8 +40,7 @@ from fractions import Fraction
 from typing import Any, Callable, Iterable
 
 from .errors import DomainError, ModeError, StructuralError, UsageError
-from .groups import (TRIVIAL, LexZG, LGroup, Z, group_coerce, group_contains,
-                     require_members)
+from .groups import TRIVIAL, LexZG, LGroup, Z, group_coerce, require_members
 from .rationals import parse_integer, parse_rational, rational_str
 from .report import CheckReport, Instances, axiom_witness, check_laws
 
@@ -209,7 +208,7 @@ class DeltaOf(MvAlgebra):
             return (1, gz)
 
         def check(p):
-            require_members(G, group_contains, p[1])
+            require_members(G, p[1])
 
         return PayloadOps(oplus, lambda p: (1 - p[0], neg(p[1])), (0, gz), (1, gz),
                           lex.leq, lex.join, lex.meet, check)

@@ -4,7 +4,8 @@ A Bisemiring is a subset of a host MV-algebra, closed under ⊕, ⊙, ∧, ∨ a
 containing 0 and 1, represented as a membership predicate plus, when the
 carrier is finite, an explicit element tuple.  A TopCone is the positive cone
 of an ℓ-group together with an absorbing top element; it is how θ of a perfect
-algebra is packaged.
+algebra is packaged.  Like every ordered structure it carries one ops record
+(see ``groups``), and the cone operations are that record's, checked.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from typing import Callable
 from .algebra import (MvAlgebra, MvElement, enumerate_elements, one,
                       payload_ops, zero)
 from .errors import MalformedInputError, StructuralError
-from .groups import (TOP, GroupOps, LGroup, group_positive_cone,
-                     require_members)
+from .groups import (TOP, GroupOps, LGroup, OrderedStructure, checked_operation,
+                     group_positive_cone)
 from .report import CheckReport, Instances, axiom_witness, check_laws
 
 
@@ -64,7 +65,7 @@ class Bisemiring:
 # Positive cones with a top.
 
 @dataclass(frozen=True)
-class TopCone:
+class TopCone(OrderedStructure):
     """Positive cone of base_group plus a maximum element ⊤ absorbing addition."""
 
     base_group: LGroup
@@ -72,42 +73,28 @@ class TopCone:
     def __repr__(self) -> str:
         return f"TopCone({self.base_group!r})"
 
+    def build_ops(self) -> GroupOps:
+        """The base group's record on its cone, with ⊤ adjoined above; no negation."""
+        r = self.base_group.ops
+        g_contains, g_add, g_leq, g_zero = r.contains, r.add, r.leq, r.zero
 
-def cone_contains(T: TopCone, x) -> bool:
-    if x is TOP:
-        return True
-    r = T.base_group.ops
-    return r.contains(x) and r.leq(r.zero, x)
+        def leq(x, y) -> bool:
+            return y is TOP or (x is not TOP and g_leq(x, y))
 
-
-def _cone_members(T: TopCone, *xs) -> GroupOps:
-    """The base group's record, once every x has been checked to lie in the cone."""
-    require_members(T, cone_contains, *xs)
-    return T.base_group.ops
-
-
-def cone_add(T: TopCone, x, y):
-    r = _cone_members(T, x, y)
-    if x is TOP or y is TOP:
-        return TOP
-    return r.add(x, y)
+        return GroupOps(
+            lambda x: x is TOP or (g_contains(x) and g_leq(g_zero, x)),
+            g_zero,
+            lambda x, y: TOP if x is TOP or y is TOP else g_add(x, y),
+            None,
+            leq,
+            lambda x, y: x if leq(x, y) else y,
+            lambda x, y: y if leq(x, y) else x)
 
 
-def cone_leq(T: TopCone, x, y) -> bool:
-    r = _cone_members(T, x, y)
-    if y is TOP:
-        return True
-    if x is TOP:
-        return False
-    return r.leq(x, y)
-
-
-def cone_meet(T: TopCone, x, y):
-    return x if cone_leq(T, x, y) else y
-
-
-def cone_join(T: TopCone, x, y):
-    return y if cone_leq(T, x, y) else x
+cone_add = checked_operation("add", "cone_add")
+cone_leq = checked_operation("leq", "cone_leq")
+cone_meet = checked_operation("meet", "cone_meet")
+cone_join = checked_operation("join", "cone_join")
 
 
 def cone_elements(T: TopCone, bound: int) -> list:

@@ -9,17 +9,18 @@ addition is join and semiring multiplication is the group operation.
 Each kind is a frozen subclass of ``LGroup`` holding, as methods, all that is
 particular to it; the public functions guard once and call into the kind.
 
-Every descriptor carries one record of group operations, ``G.ops``
+Every ordered structure — each ℓ-group, each Trop(G) and each cone with a top
+(``bisemirings.TopCone``) — carries one record of operations, ``S.ops``
 (``GroupOps``: membership, 0, +, −, ≤, meet, join), built on first use and
-kept on the descriptor.  The record's operations do no membership checks: G
-is closed under +, − and min, so results computed from members stay members.
-Membership is checked at the boundary, once per call and never inside an
-operation: ``group_add``, ``group_negate``, ``group_leq``, ``group_meet``
-and ``group_join`` check their arguments and then call the record, and so do
-the semifield and cone operations; every one of these checks, and Δ(G)'s, is
-``require_members``.  Code that works on members it produced
-itself (enumerated fragments, the Δ(G) payloads of ``algebra``) calls the
-record directly.
+kept on the descriptor.  Trop(G) and the cone build theirs from the group's
+record plus their one adjoined element.  The record's operations do no
+membership checks: each structure is closed under them, so results computed
+from members stay members.  Membership is checked at the boundary, once per
+call and never inside an operation: the group, semifield and cone operations
+are the record's operations lifted by ``checked_operation``, which first runs
+``require_members`` on the arguments, and Δ(G)'s check is ``require_members``
+too.  Code that works on members it produced itself (enumerated fragments,
+the Δ(G) payloads of ``algebra``) calls the record directly.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .rationals import parse_integer, parse_rational, rational_str
 
 
 class GroupOps:
-    """The operations of one group on members, without membership checks."""
+    """The operations of one structure on members, without membership checks."""
 
     __slots__ = ("contains", "zero", "add", "neg", "leq", "meet", "join")
 
@@ -54,10 +55,9 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-class LGroup:
-    """Base of the group descriptors, and the lazily built ops record.  A kind
-    supplies ``build_ops``, ``coerce`` (a member's canonical form) and
-    ``enumerate(bound)``; its members are "p/q" in JSON unless it overrides that."""
+class OrderedStructure:
+    """Base of the ordered structures: the ℓ-groups, Trop(G) and the cones with
+    a top.  Each supplies ``build_ops``; its record is built on first use."""
 
     @cached_property
     def ops(self) -> GroupOps:
@@ -65,6 +65,12 @@ class LGroup:
 
     def __getstate__(self):  # the record holds closures; it is rebuilt on first use
         return {k: v for k, v in self.__dict__.items() if k != "ops"}
+
+
+class LGroup(OrderedStructure):
+    """Base of the group descriptors.  A kind supplies ``build_ops``, ``coerce``
+    (a member's canonical form) and ``enumerate(bound)``; its members are "p/q"
+    in JSON unless it overrides that."""
 
     def payload_to_json(self, x) -> Any:
         return rational_str(x)
@@ -228,29 +234,30 @@ def group_coerce(G: LGroup, x: Any):
     return _descriptor(G).coerce(x)
 
 
-def require_members(S, contains: Callable, *xs) -> None:
-    """Raise StructuralError at the first x with ``contains(S, x)`` false: the
-    one membership check of the checked group, semifield and cone operations
-    and of the Δ(G) payload record."""
+def require_members(S: OrderedStructure, *xs) -> None:
+    """Raise StructuralError at the first x outside S: the one membership check
+    of the checked group, semifield and cone operations and of the Δ(G)
+    payload record."""
+    contains = S.ops.contains
     for x in xs:
-        if not contains(S, x):
+        if not contains(x):
             raise StructuralError(f"{x!r} is not in the carrier of {S!r}")
 
 
-def _checked(name: str, public: str) -> Callable:
-    """The record's operation ``name``, once each argument is checked to lie in G."""
-    def op(G: LGroup, *xs):
-        require_members(G, group_contains, *xs)
-        return getattr(G.ops, name)(*xs)
+def checked_operation(name: str, public: str) -> Callable:
+    """The record's operation ``name``, once each argument is checked to lie in S."""
+    def op(S: OrderedStructure, *xs):
+        require_members(S, *xs)
+        return getattr(S.ops, name)(*xs)
     op.__name__ = op.__qualname__ = public
     return op
 
 
-group_add = _checked("add", "group_add")
-group_negate = _checked("neg", "group_negate")
-group_leq = _checked("leq", "group_leq")
-group_meet = _checked("meet", "group_meet")
-group_join = _checked("join", "group_join")
+group_add = checked_operation("add", "group_add")
+group_negate = checked_operation("neg", "group_negate")
+group_leq = checked_operation("leq", "group_leq")
+group_meet = checked_operation("meet", "group_meet")
+group_join = checked_operation("join", "group_join")
 
 
 def group_enumerate(G: LGroup, bound: int) -> list:
@@ -288,55 +295,38 @@ BOTTOM, TOP = Adjoined.BOTTOM, Adjoined.TOP
 
 
 @dataclass(frozen=True)
-class TropOfGroup:
+class TropOfGroup(OrderedStructure):
     group: LGroup
 
     def __repr__(self) -> str:
         return f"Trop({self.group!r})"
 
+    def build_ops(self) -> GroupOps:
+        """G's record with -inf adjoined below G: neutral for the join, absorbing
+        for the group operation, and without a negative."""
+        r = self.group.ops
+        g_contains, g_add, g_neg, g_leq, g_meet, g_join = (
+            r.contains, r.add, r.neg, r.leq, r.meet, r.join)
 
-def sf_contains(S: TropOfGroup, x) -> bool:
-    return x is BOTTOM or S.group.ops.contains(x)
+        def neg(x):
+            if x is BOTTOM:
+                raise DomainError("-inf has no multiplicative inverse")
+            return g_neg(x)
 
-
-def _sf_members(S: TropOfGroup, *xs) -> GroupOps:
-    """The group's record, once every x has been checked to lie in S."""
-    require_members(S, sf_contains, *xs)
-    return S.group.ops
-
-
-def splus(S: TropOfGroup, x, y):
-    """Semiring addition: join, with -inf neutral."""
-    r = _sf_members(S, x, y)
-    if x is BOTTOM:
-        return y
-    if y is BOTTOM:
-        return x
-    return r.join(x, y)
-
-
-def stimes(S: TropOfGroup, x, y):
-    """Semiring multiplication: the group operation, with -inf absorbing."""
-    r = _sf_members(S, x, y)
-    if x is BOTTOM or y is BOTTOM:
-        return BOTTOM
-    return r.add(x, y)
+        return GroupOps(
+            lambda x: x is BOTTOM or g_contains(x),
+            r.zero,
+            lambda x, y: BOTTOM if x is BOTTOM or y is BOTTOM else g_add(x, y),
+            neg,
+            lambda x, y: x is BOTTOM or (y is not BOTTOM and g_leq(x, y)),
+            lambda x, y: BOTTOM if x is BOTTOM or y is BOTTOM else g_meet(x, y),
+            lambda x, y: y if x is BOTTOM else x if y is BOTTOM else g_join(x, y))
 
 
-def sinverse(S: TropOfGroup, x):
-    if x is BOTTOM:
-        raise DomainError("-inf has no multiplicative inverse")
-    return _sf_members(S, x).neg(x)
-
-
-def sf_leq(S: TropOfGroup, x, y) -> bool:
-    """Natural order of the idempotent semiring: x <= y iff x + y = y."""
-    r = _sf_members(S, x, y)
-    if x is BOTTOM:
-        return True
-    if y is BOTTOM:
-        return False
-    return r.leq(x, y)
+splus = checked_operation("join", "splus")  # semiring addition: join, with -inf neutral
+stimes = checked_operation("add", "stimes")  # multiplication: +, with -inf absorbing
+sinverse = checked_operation("neg", "sinverse")
+sf_leq = checked_operation("leq", "sf_leq")  # natural order: x <= y iff x + y = y
 
 
 def sf_enumerate(S: TropOfGroup, bound: int) -> list:

@@ -43,13 +43,16 @@ def chi_to_json(chi: Characteristic) -> dict:
 
 def chi_from_json(data: dict) -> Characteristic:
     try:
-        default = INF if data["default"] == "inf" else 0
+        default = data["default"]
         assignments = {parse_integer(p, "prime"):
                        (INF if e == "inf" else parse_integer(e, "exponent"))
                        for p, e in data.get("primes", {}).items()}
     except (KeyError, TypeError, ValueError, AttributeError):
         raise UsageError(f"malformed characteristic JSON: {data!r}") from None
-    return characteristic(assignments, default)
+    if default not in ("inf", "0") and not (default == 0 and type(default) is int):
+        raise UsageError('characteristic default must be "inf" or "0", got '
+                         + json.dumps(default, default=repr))
+    return characteristic(assignments, INF if default == "inf" else 0)
 
 
 # -- groups ------------------------------------------------------------------

@@ -13,11 +13,12 @@ from mvtrop.algebra import (CHANG, DeltaOf, FiniteChain, MvElement,
                             is_boolean_elem, mv_implies, mv_join, mv_leq,
                             mv_meet, mv_neg, mv_odot, mv_ominus, mv_oplus,
                             product_algebra, zero)
-from mvtrop.bisemirings import TopCone, cone_add, cone_leq
+from mvtrop.bisemirings import TopCone, cone_add, cone_join, cone_leq, cone_meet
 from mvtrop.characteristics import parse_group_label
-from mvtrop.errors import StructuralError
+from mvtrop.errors import DomainError, StructuralError
 from mvtrop.functors import theta, theta_star
-from mvtrop.groups import TropOfGroup, Z, qsubgroup, sf_leq, sinverse, splus, stimes
+from mvtrop.groups import (BOTTOM, TropOfGroup, Z, qsubgroup, sf_leq, sinverse, splus,
+                           stimes)
 from mvtrop.logic import Valuation, evaluate
 from mvtrop.terms import parse
 
@@ -74,7 +75,16 @@ def test_semifield_and_cone_operations_check_their_arguments():
                 op(S, *args)
     with pytest.raises(StructuralError):
         sinverse(S, half)
-    for op in (cone_add, cone_leq):
+    with pytest.raises(DomainError, match="^-inf has no multiplicative inverse$"):
+        sinverse(S, BOTTOM)
+    for op in (cone_add, cone_leq, cone_meet, cone_join):
         for args in ((third, half), (half, third), (Fraction(-1, 2), half)):
             with pytest.raises(StructuralError):
                 op(T, *args)
+    with pytest.raises(StructuralError) as excinfo:
+        splus(S, 1, half)
+    assert str(excinfo.value) == "Fraction(1, 2) is not in the carrier of Trop(Z)"
+    with pytest.raises(StructuralError) as excinfo:
+        cone_join(T, half, third)
+    assert str(excinfo.value) == ("Fraction(1, 3) is not in the carrier of "
+                                  "TopCone(QSubgroup(Characteristic(default=0, {2:inf})))")

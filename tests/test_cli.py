@@ -255,6 +255,19 @@ def test_non_integral_lex_head_is_usage_error(capsys):
     assert code == 0 and json.loads(out)["value"] == [0, [1, "0"]]
 
 
+@pytest.mark.parametrize("default,label", [
+    ('"inf"', "regularly_dense"), ('"0"', "regularly_discrete"), ("0", "regularly_discrete"),
+    ('"INF"', None), ('"7"', None), ("null", None), ("false", None), ("0.0", None)])
+def test_characteristic_default_is_inf_or_0(default, label, capsys):
+    argv = ["classify", "--group", f'{{"default":{default},"primes":{{}}}}']
+    code, out, err = run(argv, capsys)
+    if label is None:
+        assert code == 2 and out == ""
+        assert err == f'mvtrop: characteristic default must be "inf" or "0", got {default}\n'
+    else:
+        assert code == 0 and json.loads(out)["classification"] == label
+
+
 def test_flat_check_has_no_bound_option(capsys):
     code, out, err = run(["flat-check", "--group", "Z", "--bound", "3"], capsys)
     assert code == 2 and out == "" and "unrecognized arguments: --bound 3" in err

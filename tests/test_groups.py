@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from mvtrop.bisemirings import TOP
+from mvtrop.bisemirings import TOP, TopCone, cone_add
 from mvtrop.characteristics import CHI_Q, CHI_Z, INF, characteristic
 from mvtrop.errors import DomainError, StructuralError
 from mvtrop.groups import (BOTTOM, TRIVIAL, LexZG, QSubgroup,
@@ -131,3 +131,8 @@ def test_descriptors_pickle_after_their_record_is_built():
         group_zero(G)  # builds and caches the ops record
         H = pickle.loads(pickle.dumps(G))
         assert H == G and group_zero(H) == group_zero(G)
+    for S, op, args in ((TropOfGroup(DYADIC), splus, (BOTTOM, Fraction(1, 2))),
+                        (TopCone(LexZG(Z)), cone_add, ((0, 1), (1, -3)))):
+        result = op(S, *args)  # builds and caches the ops record
+        T = pickle.loads(pickle.dumps(S))
+        assert T == S and op(T, *args) == result
