@@ -15,8 +15,15 @@ shipped kind is an MV-chain or a finite product of MV-chains, so each knows its
 order natively.  A record is built on first use in O(number of factors), with
 no tables, and kept in a bounded cache keyed on the frozen descriptor.  The
 ``mv_*`` functions unwrap MvElements, call the record and wrap the result; the
-checkers in ``logic`` and ``export`` call the record on payloads directly and
-build MvElements only for witnesses.
+checkers in ``logic`` call the record on payloads directly and build
+MvElements only for witnesses.
+
+A finite carrier also has a record on codes (``code_ops``), built and cached
+the same way: an element's code is its index in the canonical enumeration.
+Every finite MV-algebra is a finite product of finite Łukasiewicz chains, and
+every shipped kind that is not a product is a chain, so with n elements it is
+L_n on the ints 0..n−1; a product's code is the mixed-radix int whose digits
+are its factors' codes.  ``export`` builds its tables on it.
 
 Δ(G) payloads are (bit, offset) pairs whose arithmetic runs on the group's
 unchecked ops record (``groups.GroupOps``).  Group membership of offsets is
@@ -99,10 +106,24 @@ class MvAlgebra:
     full), ``build_ops()`` (its record; callers use ``payload_ops``),
     ``carrier_size()`` (None, the default, when infinite), ``enumerate(bound)``
     (the carrier or its bounded fragment, in canonical order),
-    ``is_infinitesimal(payload)`` and ``payload_to_json`` / ``payload_from_json``."""
+    ``is_infinitesimal(payload)`` and ``payload_to_json`` / ``payload_from_json``.
+    ``build_code_ops()`` is the record on codes of a finite carrier (callers
+    use ``code_ops``)."""
 
     def carrier_size(self) -> int | None:
         return None
+
+    def build_code_ops(self) -> PayloadOps:
+        """A kind that is not a product is an MV-chain, so with n elements it is
+        the Łukasiewicz chain L_n: code k stands for k/(n−1) and its order is
+        the order of the ints."""
+        top = self.carrier_size() - 1
+
+        def oplus(k, m):
+            s = k + m
+            return s if s < top else top
+
+        return PayloadOps(oplus, lambda k: top - k, 0, top, operator.le, max, min)
 
 
 class _Unit(MvAlgebra):
@@ -274,6 +295,29 @@ class ProductAlgebra(MvAlgebra):
             lambda p, q: tuple([f(a, b) for f, a, b in zip(meets, p, q)]),
             check if checks else None)
 
+    def build_code_ops(self) -> PayloadOps:
+        """Componentwise over the factors' code records.  A code is a mixed-radix
+        int, the factors' codes its digits, most significant first, so the
+        order of codes is the lexicographic order of the enumeration."""
+        parts = [code_ops(f) for f in self.factors]
+        sizes = [f.carrier_size() for f in self.factors]
+        weights = [math.prod(sizes[i + 1:]) for i in range(len(sizes))]
+
+        def spec(name):
+            return tuple((getattr(o, name), w, s) for o, w, s in zip(parts, weights, sizes))
+
+        def binary(name):
+            digits = spec(name)
+            return lambda a, b: sum([f(a // w % s, b // w % s) * w for f, w, s in digits])
+
+        negs, leqs = spec("neg"), spec("leq")
+        return PayloadOps(
+            binary("oplus"), lambda a: sum([f(a // w % s) * w for f, w, s in negs]),
+            sum(o.zero * w for o, w in zip(parts, weights)),
+            sum(o.one * w for o, w in zip(parts, weights)),
+            lambda a, b: all([f(a // w % s, b // w % s) for f, w, s in leqs]),
+            binary("join"), binary("meet"))
+
     def carrier_size(self) -> int | None:
         sizes = [f.carrier_size() for f in self.factors]
         return None if None in sizes else math.prod(sizes)
@@ -324,6 +368,16 @@ def element(A: MvAlgebra, payload: Any) -> MvElement:
 def payload_ops(A: MvAlgebra) -> PayloadOps:
     """The ops record of a descriptor, built in O(number of factors) and cached."""
     return _descriptor(A).build_ops()
+
+
+@functools.lru_cache(maxsize=64)
+def code_ops(A: MvAlgebra) -> PayloadOps:
+    """The ops record of a finite carrier on codes, built like ``payload_ops``.
+    An element's code is its index in ``enumerate_payloads(A)``, so 0 and 1 are
+    the first and the last code and every result is an index into that listing."""
+    if _descriptor(A).carrier_size() is None:
+        raise DomainError(f"{A!r} has an infinite carrier, so its elements have no codes")
+    return A.build_code_ops()
 
 
 def zero(A: MvAlgebra) -> MvElement:
@@ -464,16 +518,17 @@ def check_identities(A: MvAlgebra, laws_of: Callable[[PayloadOps], list[tuple]],
     source = payload_tuples(A, bound, samples, seed)
     if isinstance(A, ProductAlgebra) and source.mode != "sampled" and all(
             check_laws(laws_of(payload_ops(f)), Instances.over(enumerate_payloads(f, bound))).ok
-            for f in _distinct_factors(A)):
+            for f in dict.fromkeys(leaf_factors(A))):
         return source.clean(sum(source.count(arity) for _, arity, _ in laws))
     return check_laws(laws, source)
 
 
-def _distinct_factors(A: MvAlgebra) -> list:
-    """The factors of A that are not products, at any depth, each once, in order."""
+def leaf_factors(A: MvAlgebra) -> list:
+    """The factors of A that are not products, at any depth, in order; [A] when
+    A is not a product.  A's enumeration is the lexicographic product of theirs."""
     if not isinstance(A, ProductAlgebra):
         return [A]
-    return list(dict.fromkeys(f for g in A.factors for f in _distinct_factors(g)))
+    return [f for g in A.factors for f in leaf_factors(g)]
 
 
 # ---------------------------------------------------------------------------

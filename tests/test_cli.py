@@ -1,6 +1,7 @@
 import json
 import re
 import shlex
+import time
 from pathlib import Path
 
 import pytest
@@ -134,6 +135,15 @@ def test_export_dot(capsys):
 def test_export_too_large_is_domain_error(capsys):
     code, _, err = run(["export", "--algebra", "chain:20000"], capsys)
     assert code == 3 and "exceeds" in err
+
+
+def test_export_sizes_a_product_fragment_before_listing_it(capsys):
+    # 642 ** 3 elements at the default bound: refused from the factors' pools
+    start = time.perf_counter()
+    code, out, err = run(["export", "--algebra", "prod:delta:Q,delta:Q,delta:Q", "--dot"], capsys)
+    assert time.perf_counter() - start < 1
+    assert code == 3 and out == ""
+    assert err.startswith("mvtrop: fragment of ") and err.endswith(" exceeds 10000 elements\n")
 
 
 def test_seed_reproducibility(capsys):

@@ -15,10 +15,13 @@ its covers from the brute-force order relation.
 import itertools
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
 import pytest
 
 from mvtrop.algebra import (CHANG, DeltaOf, FiniteChain, RationalInterval,
-                            product_algebra)
+                            carrier_size, code_ops, enumerate_payloads,
+                            payload_ops, product_algebra)
 from mvtrop.export import hasse_dot, operation_tables
 from mvtrop.groups import TRIVIAL, LexZG, Z
 from mvtrop.jsonio import parse_algebra_shorthand
@@ -196,3 +199,47 @@ def test_operation_tables_match_the_oracle(A, bound, oracle):
 @pytest.mark.parametrize("A, bound, oracle", CASES, ids=IDS)
 def test_hasse_dot_matches_the_oracle(A, bound, oracle):
     assert hasse_dot(A, bound) == expected_dot(oracle)
+
+
+# -- the code record and the invariant the native covers rest on ---------------
+
+_LEAVES = st.sampled_from([FiniteChain(n) for n in range(2, 8)] + [DeltaOf(TRIVIAL)])
+_FACTORS = _LEAVES | st.lists(_LEAVES, min_size=1, max_size=3).map(lambda fs: product_algebra(*fs))
+_FINITE = (_LEAVES | st.lists(_FACTORS, min_size=1, max_size=3).map(
+    lambda fs: product_algebra(*fs))).filter(lambda A: carrier_size(A) <= 48)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_FINITE)
+def test_code_record_agrees_with_the_payload_record(A):
+    elems = enumerate_payloads(A)
+    codes, ops = code_ops(A), payload_ops(A)
+    assert (codes.zero, codes.one) == (0, len(elems) - 1)
+    assert (elems[codes.zero], elems[codes.one]) == (ops.zero, ops.one)
+    for a, p in enumerate(elems):
+        assert elems[codes.neg(a)] == ops.neg(p)
+        for b, q in enumerate(elems):
+            for name in ("oplus", "odot", "join", "meet"):
+                assert elems[getattr(codes, name)(a, b)] == getattr(ops, name)(p, q)
+            assert codes.leq(a, b) == ops.leq(p, q)
+
+
+@pytest.mark.parametrize("A", [FiniteChain(2), FiniteChain(9), RationalInterval(), CHANG,
+                               *(parse_algebra_shorthand("delta:" + g) for g in
+                                 ("Z[1/2]", "Z[1/6]", "Q", "lex:Z", "trivial"))], ids=repr)
+@pytest.mark.parametrize("bound", [1, 2, 5])
+def test_each_kind_enumerates_in_strictly_ascending_order(A, bound):
+    leq = payload_ops(A).leq
+    elems = enumerate_payloads(A, bound)
+    assert all(leq(p, q) and not leq(q, p) for p, q in zip(elems, elems[1:]))
+
+
+@pytest.mark.parametrize("n", [2, 3, 10, 200])
+def test_a_chain_has_one_cover_per_step(n):
+    assert hasse_dot(FiniteChain(n)).count("->") == n - 1
+
+
+@pytest.mark.parametrize("a, b", [(2, 2), (2, 5), (4, 3), (7, 7)])
+def test_a_grid_has_one_cover_per_coordinate_step(a, b):
+    assert hasse_dot(product_algebra(FiniteChain(a), FiniteChain(b))).count("->") == \
+        a * (b - 1) + b * (a - 1)
