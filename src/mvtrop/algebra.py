@@ -65,7 +65,8 @@ class PayloadOps:
     exactly as the MV-algebra definitions read.  None of them checks its
     arguments.  ``check`` is the boundary check of one payload (it raises
     StructuralError when a Δ(G) offset lies outside G), or None when the kind
-    needs none.
+    needs none.  The record on the codes of a finite carrier (``code_ops``) is
+    one of these too, with ints for payloads and no check.
     """
 
     __slots__ = ("oplus", "neg", "zero", "one", "check", "odot", "ominus", "implies",
@@ -313,8 +314,7 @@ class ProductAlgebra(MvAlgebra):
         negs, leqs = spec("neg"), spec("leq")
         return PayloadOps(
             binary("oplus"), lambda a: sum([f(a // w % s) * w for f, w, s in negs]),
-            sum(o.zero * w for o, w in zip(parts, weights)),
-            sum(o.one * w for o, w in zip(parts, weights)),
+            0, math.prod(sizes) - 1,
             lambda a, b: all([f(a // w % s, b // w % s) for f, w, s in leqs]),
             binary("join"), binary("meet"))
 

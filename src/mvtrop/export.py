@@ -1,13 +1,15 @@
 """Structure export: full operation tables as JSON and Hasse diagrams as DOT.
 
-On a finite carrier the tables are built on codes (``algebra.code_ops``): an
-element's code is its index in the canonical listing, so every result is
-already the index the table holds, and only the listing itself is rendered
-from payloads.  On a chain a code operation is a few int operations; on a
-product it is the same, digit by digit of a mixed-radix int.  A fragment of an
-infinite carrier stays on payloads (``algebra.payload_ops``), because its
-results can fall outside the listing; each is looked up in an index of the
-listing and rendered as a payload when it is not there.
+On a finite carrier the tables, the negation map and the Boolean elements are
+computed on codes (``algebra.code_ops``): an element's code is its index in
+the canonical listing, so every result is already the index the table holds.
+On a chain a code operation is a few int operations; on a product it is the
+same, digit by digit of a mixed-radix int.  A fragment of an infinite carrier
+stays on payloads (``algebra.payload_ops``), because its results can fall
+outside the listing; each is looked up in an index of the listing and
+rendered as a payload when it is not there.  The listing itself, the
+infinitesimal marks and the diagram's nodes are read from payloads, once per
+element.
 
 The Hasse diagram needs no order tests.  Every kind that is not a product is
 a chain enumerated in ascending order, so consecutive listed elements cover
@@ -46,11 +48,11 @@ def operation_tables(A: MvAlgebra, bound: int | None = None) -> dict:
         ops, xs = payload_ops(A), elems
         index = {p: i for i, p in enumerate(elems)}
 
-        def cell(p):
-            return index[p] if p in index else A.payload_to_json(p)
-
         def lift(op):
-            return lambda *args: cell(op(*args))
+            def cell(*args):
+                p = op(*args)
+                return index[p] if p in index else A.payload_to_json(p)
+            return cell
     else:
         ops, xs = code_ops(A), range(len(elems))
 

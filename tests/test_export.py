@@ -22,6 +22,7 @@ import pytest
 from mvtrop.algebra import (CHANG, DeltaOf, FiniteChain, RationalInterval,
                             carrier_size, code_ops, enumerate_payloads,
                             payload_ops, product_algebra)
+from mvtrop.errors import DomainError
 from mvtrop.export import hasse_dot, operation_tables
 from mvtrop.groups import TRIVIAL, LexZG, Z
 from mvtrop.jsonio import parse_algebra_shorthand
@@ -222,6 +223,11 @@ def test_code_record_agrees_with_the_payload_record(A):
             for name in ("oplus", "odot", "join", "meet"):
                 assert elems[getattr(codes, name)(a, b)] == getattr(ops, name)(p, q)
             assert codes.leq(a, b) == ops.leq(p, q)
+
+
+def test_an_infinite_carrier_has_no_codes():
+    with pytest.raises(DomainError, match="no codes"):
+        code_ops(product_algebra(FiniteChain(2), CHANG))
 
 
 @pytest.mark.parametrize("A", [FiniteChain(2), FiniteChain(9), RationalInterval(), CHANG,
