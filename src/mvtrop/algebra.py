@@ -18,12 +18,13 @@ no tables, and kept in a bounded cache keyed on the frozen descriptor.  The
 checkers in ``logic`` call the record on payloads directly and build
 MvElements only for witnesses.
 
-A finite carrier also has a record on codes (``code_ops``), built and cached
-the same way: an element's code is its index in the canonical enumeration.
+A finite carrier also has a record on codes (``code_ops``), built the same
+way but uncached: an element's code is its index in the canonical enumeration.
 Every finite MV-algebra is a finite product of finite Łukasiewicz chains, and
 every shipped kind that is not a product is a chain, so with n elements it is
 L_n on the ints 0..n−1; a product's code is the mixed-radix int whose digits
-are its factors' codes.  ``export`` builds its tables on it.
+are its factors' codes.  ``export`` builds its tables on it.  The Fractions of
+[0, 1] and the codes of L_n share one record, ``_chain_ops(bottom, top)``.
 
 Δ(G) payloads are (bit, offset) pairs whose arithmetic runs on the group's
 unchecked ops record (``groups.GroupOps``).  Group membership of offsets is
@@ -94,12 +95,18 @@ class PayloadOps:
         return self
 
 
-def _unit_oplus(p, q):
-    s = p + q
-    return s if s < _ONE else _ONE
+def _chain_ops(bottom, top) -> PayloadOps:
+    """Γ of the numbers with unit ``top`` on [bottom, top]: p ⊕ q = min(p + q, top),
+    ¬p = top − p, ordered as numbers (Cignoli, D'Ottaviano and Mundici,
+    *Algebraic Foundations of Many-valued Reasoning*, 2000)."""
+    def oplus(p, q):
+        s = p + q
+        return s if s < top else top
+
+    return PayloadOps(oplus, lambda p: top - p, bottom, top, operator.le, max, min)
 
 
-_UNIT_OPS = PayloadOps(_unit_oplus, lambda p: _ONE - p, _ZERO, _ONE, operator.le, max, min)
+_UNIT_OPS = _chain_ops(_ZERO, _ONE)
 
 
 class MvAlgebra:
@@ -118,13 +125,7 @@ class MvAlgebra:
         """A kind that is not a product is an MV-chain, so with n elements it is
         the Łukasiewicz chain L_n: code k stands for k/(n−1) and its order is
         the order of the ints."""
-        top = self.carrier_size() - 1
-
-        def oplus(k, m):
-            s = k + m
-            return s if s < top else top
-
-        return PayloadOps(oplus, lambda k: top - k, 0, top, operator.le, max, min)
+        return _chain_ops(0, self.carrier_size() - 1)
 
 
 class _Unit(MvAlgebra):
@@ -370,10 +371,9 @@ def payload_ops(A: MvAlgebra) -> PayloadOps:
     return _descriptor(A).build_ops()
 
 
-@functools.lru_cache(maxsize=64)
 def code_ops(A: MvAlgebra) -> PayloadOps:
-    """The ops record of a finite carrier on codes, built like ``payload_ops``.
-    An element's code is its index in ``enumerate_payloads(A)``, so 0 and 1 are
+    """The ops record of a finite carrier on codes, uncached: ``export`` builds one
+    per call.  A code is an index into ``enumerate_payloads(A)``, so 0 and 1 are
     the first and the last code and every result is an index into that listing."""
     if _descriptor(A).carrier_size() is None:
         raise DomainError(f"{A!r} has an infinite carrier, so its elements have no codes")

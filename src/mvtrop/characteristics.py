@@ -4,7 +4,9 @@ A characteristic assigns to every prime an exponent in N ∪ {∞}: finitely man
 primes are listed explicitly, all others take the default (0 or ∞).  It denotes
 the subgroup {q ∈ Q : v_p(q) >= -chi(p) for all primes p}, which always
 contains 1.  ``chi_z`` denotes Z, ``chi_q`` denotes Q, and e.g. chi(2)=∞ with
-default 0 denotes the dyadic rationals Z[1/2].
+default 0 denotes the dyadic rationals Z[1/2].  Membership divides chi's listed
+primes out of a denominator and never factors it; ``factor`` only builds
+characteristics, from the m of ``Z[1/m]``.
 """
 
 from __future__ import annotations
@@ -42,8 +44,8 @@ def is_prime(n: int) -> bool:
 def factor(n: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization of n >= 1 as ((prime, exponent), ...) in ascending order.
 
-    Kept in a bounded cache: membership tests factor the same denominators
-    over and over, and a long-lived process must not grow without limit.
+    Kept in a bounded cache: a long-lived process reads the same ``Z[1/m]``
+    over and over, and must not grow without limit.
     """
     if n < 1:
         raise DomainError(f"cannot factor {n}")
@@ -133,18 +135,20 @@ CHI_Q = characteristic(default=INF)
 
 
 def contains_rational(chi: Characteristic, q) -> bool:
-    """Membership of q in the denoted subgroup of Q."""
+    """Membership of q in the denoted subgroup of Q: what is left of q's denominator
+    after dividing out chi's listed primes must be 1, unless the default is ∞."""
     if not isinstance(q, Fraction):
         q = Fraction(q)
     den = q.denominator
     if den == 1:
         return True
-    if chi.default == INF and not chi.primes:
-        return True
-    for p, e in factor(den):
-        if e > chi.exponent(p):
+    for p, e in chi.primes:
+        while den % p == 0:  # each p spends one of chi(p)'s allowance
+            den //= p
+            e -= 1
+        if e < 0:
             return False
-    return True
+    return den == 1 or chi.default == INF
 
 
 _LABEL_RE = re.compile(r"^Z\[(.+)\]$")

@@ -5,6 +5,11 @@ error, 3 domain error.  Output is deterministic compact JSON by default,
 human-readable with --pretty, DOT with --dot (export).  The environment
 variable MVTROP_DEFAULT_BOUND supplies the fragment bound when --bound is
 omitted.
+
+Each verb is listed once, in ``_VERBS``: its handler, its help line and its
+arguments as plain ``add_argument`` options.  ``build_parser`` and the
+dispatch table ``_HANDLERS`` are both read off it.  The checker verbs share
+``_verdict`` for their exit code and the report's fields.
 """
 
 from __future__ import annotations
@@ -21,8 +26,7 @@ from .errors import MvtropError, TermSyntaxError, UsageError
 from .functors import (delta, detrop, f_equiv, gamma, glue_boolean_perfect,
                        theta, theta_star, trop)
 from .jsonio import (algebra_to_json, chi_from_json, chi_to_json, cone_to_json,
-                     dumps, group_to_json,
-                     parse_algebra_shorthand, parse_group_element_shorthand,
+                     dumps, group_to_json, parse_algebra_shorthand,
                      parse_group_shorthand, parse_payload_shorthand,
                      parse_semifield_shorthand, rational_str, report_to_json,
                      semifield_to_json, _load_json)
@@ -42,7 +46,7 @@ def _parse_chi(text: str) -> Characteristic:
 
 
 def _default_bound(args, fallback: int) -> int:
-    if getattr(args, "bound", None) is not None:
+    if args.bound is not None:
         return args.bound
     env = os.environ.get("MVTROP_DEFAULT_BOUND")
     if env is not None:
@@ -58,8 +62,9 @@ def _fragment_bound(args, A, fallback: int) -> int | None:
     return None if carrier_size(A) is not None else _default_bound(args, fallback)
 
 
-def _report_exit(report) -> int:
-    return 0 if report.ok else 1
+def _verdict(report, **head) -> tuple[int, dict]:
+    """A checker verb's exit code (1 on a counterexample) and ``head`` with the report."""
+    return (0 if report.ok else 1), {**head, **report_to_json(report)}
 
 
 # -- verb handlers -----------------------------------------------------------
@@ -94,14 +99,12 @@ def _cmd_check_eq(args):
     A = parse_algebra_shorthand(args.algebra)
     eq = parse_equation(args.equation)
     report = check_equation_bounded(eq, A, _fragment_bound(args, A, default_chang_bound(eq)))
-    out = {"algebra": algebra_to_json(A), **report_to_json(report)}
-    return _report_exit(report), out
+    return _verdict(report, algebra=algebra_to_json(A))
 
 
 def _cmd_tautology(args):
     A = parse_algebra_shorthand(args.algebra)
-    report = tautology_check(parse(args.term), A)
-    return _report_exit(report), {"algebra": algebra_to_json(A), **report_to_json(report)}
+    return _verdict(tautology_check(parse(args.term), A), algebra=algebra_to_json(A))
 
 
 def _theta_listing(args, builder):
@@ -121,23 +124,19 @@ def _cmd_theta_star(args):
 
 def _cmd_gamma(args):
     G = parse_group_shorthand(args.group)
-    u = parse_group_element_shorthand(G, args.unit)
-    return 0, {"algebra": algebra_to_json(gamma(G, u))}
+    return 0, {"algebra": algebra_to_json(gamma(G, parse_payload_shorthand(G, args.unit)))}
 
 
 def _cmd_delta(args):
-    G = parse_group_shorthand(args.group)
-    return 0, {"algebra": algebra_to_json(delta(G))}
+    return 0, {"algebra": algebra_to_json(delta(parse_group_shorthand(args.group)))}
 
 
 def _cmd_trop(args):
-    G = parse_group_shorthand(args.group)
-    return 0, {"semifield": semifield_to_json(trop(G))}
+    return 0, {"semifield": semifield_to_json(trop(parse_group_shorthand(args.group)))}
 
 
 def _cmd_detrop(args):
-    S = parse_semifield_shorthand(args.semifield)
-    return 0, {"group": group_to_json(detrop(S))}
+    return 0, {"group": group_to_json(detrop(parse_semifield_shorthand(args.semifield)))}
 
 
 def _cmd_f(args):
@@ -154,9 +153,7 @@ def _cmd_glue(args):
 def _cmd_vc_member(args):
     A = parse_algebra_shorthand(args.algebra)
     report = vc_membership(A)
-    out = {"algebra": algebra_to_json(A), "in_variety": report.ok,
-           **report_to_json(report)}
-    return _report_exit(report), out
+    return _verdict(report, algebra=algebra_to_json(A), in_variety=report.ok)
 
 
 def _cmd_gp(args):
@@ -184,12 +181,11 @@ def _cmd_hom(args):
 def _cmd_flat_check(args):
     chi = _parse_chi(args.group)
     report = check_flatness(frobenius_action(chi), samples=args.samples, seed=args.seed)
-    return _report_exit(report), {"group": chi_to_json(chi), **report_to_json(report)}
+    return _verdict(report, group=chi_to_json(chi))
 
 
 def _cmd_theta_pt(args):
-    chi = _parse_chi(args.group)
-    return 0, cone_to_json(theta_pt(chi), _default_bound(args, 10))
+    return 0, cone_to_json(theta_pt(_parse_chi(args.group)), _default_bound(args, 10))
 
 
 def _cmd_axioms(args):
@@ -199,39 +195,66 @@ def _cmd_axioms(args):
     else:
         samples = 500 if args.samples is None else args.samples
         report = axiom_suite(A, samples=samples, seed=args.seed, bound=_default_bound(args, 12))
-    return _report_exit(report), {"algebra": algebra_to_json(A), **report_to_json(report)}
+    return _verdict(report, algebra=algebra_to_json(A))
 
 
 def _cmd_export(args):
     from .export import hasse_dot, operation_tables
     A = parse_algebra_shorthand(args.algebra)
-    bound = _fragment_bound(args, A, 10)
-    if args.dot:
-        return 0, hasse_dot(A, bound)
-    return 0, operation_tables(A, bound)
+    return 0, (hasse_dot if args.dot else operation_tables)(A, _fragment_bound(args, A, 10))
 
 
-_HANDLERS = {
-    "eval": _cmd_eval,
-    "check-eq": _cmd_check_eq,
-    "tautology": _cmd_tautology,
-    "theta": _cmd_theta,
-    "theta-star": _cmd_theta_star,
-    "gamma": _cmd_gamma,
-    "delta": _cmd_delta,
-    "trop": _cmd_trop,
-    "detrop": _cmd_detrop,
-    "f": _cmd_f,
-    "glue": _cmd_glue,
-    "vc-member": _cmd_vc_member,
-    "gp": _cmd_gp,
-    "classify": _cmd_classify,
-    "hom": _cmd_hom,
-    "flat-check": _cmd_flat_check,
-    "theta-pt": _cmd_theta_pt,
-    "axioms": _cmd_axioms,
-    "export": _cmd_export,
+# -- the verb table -------------------------------------------------------------
+# Each verb once: its handler, its help line and its arguments, as
+# (name, add_argument options).  Every verb also takes _OUTPUT.
+
+_ALGEBRA = ("--algebra", {"required": True,
+                          "help": "chain:N | interval | chang | delta:GROUP | prod:A,B | JSON"})
+_GROUP = ("--group", {"required": True, "help": 'Z | Q | "Z[1/2]" | trivial | lex:GROUP | JSON'})
+_BOUND = ("--bound", {"type": int, "default": None,
+                      "help": "fragment bound (default: MVTROP_DEFAULT_BOUND or verb default)"})
+_SEED = ("--seed", {"type": int, "default": 0})
+_SEMIFIELD = ("--semifield", {"required": True, "help": "trop:GROUP | JSON"})
+_OUTPUT = (("--pretty", {"action": "store_true", "help": "human-readable output"}),
+           ("--out", {"default": None, "metavar": "FILE", "help": "write output to FILE"}))
+
+_VERBS = {
+    "eval": (_cmd_eval, "evaluate a term under an assignment",
+             [("term", {}), ("--assign", {"default": "", "help": 'bindings like "x=(0,3);y=1/2"'}),
+              _ALGEBRA]),
+    "check-eq": (_cmd_check_eq, "check an equation lhs = rhs",
+                 [("equation", {}), _ALGEBRA, _BOUND]),
+    "tautology": (_cmd_tautology, "check a term is constantly 1", [("term", {}), _ALGEBRA]),
+    "theta": (_cmd_theta, "list the theta carrier (fragment)", [_ALGEBRA, _BOUND]),
+    "theta-star": (_cmd_theta_star, "list the theta-star carrier (fragment)", [_ALGEBRA, _BOUND]),
+    "gamma": (_cmd_gamma, "interval algebra of a group with strong unit",
+              [("--unit", {"required": True, "help": 'e.g. 2 over Z, "(1,0)" over lex:Z'}),
+               _GROUP]),
+    "delta": (_cmd_delta, "perfect algebra of a group", [_GROUP]),
+    "trop": (_cmd_trop, "tropical semifield of a group", [_GROUP]),
+    "detrop": (_cmd_detrop, "group of a tropical semifield", [_SEMIFIELD]),
+    "f": (_cmd_f, "cone with top of a semifield (theta∘delta∘detrop)", [_SEMIFIELD, _BOUND]),
+    "glue": (_cmd_glue, "combine a Boolean algebra with a perfect one",
+             [("--boolean", {"required": True, "help": "finite Boolean algebra shorthand"}),
+              ("--perfect", {"required": True, "help": "chang | delta:GROUP"})]),
+    "vc-member": (_cmd_vc_member, "membership in the variety of Chang's algebra", [_ALGEBRA]),
+    "gp": (_cmd_gp, "congruence invariant of a subgroup of Q at a prime",
+           [_GROUP, ("--prime", {"type": int, "required": True})]),
+    "classify": (_cmd_classify, "regularly discrete or regularly dense", [_GROUP]),
+    "hom": (_cmd_hom, "existence of an increasing homomorphism",
+            [("--src", {"required": True}), ("--dst", {"required": True})]),
+    "flat-check": (_cmd_flat_check, "flatness of the Frobenius action",
+                   [_GROUP, _SEED, ("--samples", {"type": int, "default": 1000})]),
+    "theta-pt": (_cmd_theta_pt, "cone with top attached to a point", [_GROUP, _BOUND]),
+    "axioms": (_cmd_axioms, "the four Lukasiewicz axioms plus modus ponens",
+               [_ALGEBRA, _BOUND, _SEED, ("--samples", {"type": int, "default": None})]),
+    "export": (_cmd_export, "operation tables (JSON) or Hasse diagram (DOT)",
+               [("--dot", {"action": "store_true", "help": "emit a DOT Hasse diagram"}),
+                _ALGEBRA, _BOUND]),
 }
+
+# The table main dispatches through; kept a plain dict so a caller can patch a verb.
+_HANDLERS = {verb: handler for verb, (handler, _, _) in _VERBS.items()}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -239,94 +262,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="mvtrop",
         description="Exact computer algebra for MV-algebras, ℓ-groups, and tropical semifields.")
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    def common(p, *, algebra=False, group=False, bound=False, seed=False,
-               samples=False, prime=False):
-        if algebra:
-            p.add_argument("--algebra", required=True,
-                           help="chain:N | interval | chang | delta:GROUP | prod:A,B | JSON")
-        if group:
-            p.add_argument("--group", required=True,
-                           help='Z | Q | "Z[1/2]" | trivial | lex:GROUP | JSON')
-        if bound:
-            p.add_argument("--bound", type=int, default=None,
-                           help="fragment bound (default: MVTROP_DEFAULT_BOUND or verb default)")
-        if seed:
-            p.add_argument("--seed", type=int, default=0)
-        if samples:
-            p.add_argument("--samples", type=int, default=None)
-        if prime:
-            p.add_argument("--prime", type=int, required=True)
-        p.add_argument("--pretty", action="store_true", help="human-readable output")
-        p.add_argument("--out", default=None, metavar="FILE", help="write output to FILE")
-
-    p = sub.add_parser("eval", help="evaluate a term under an assignment")
-    p.add_argument("term")
-    p.add_argument("--assign", default="", help='bindings like "x=(0,3);y=1/2"')
-    common(p, algebra=True)
-
-    p = sub.add_parser("check-eq", help="check an equation lhs = rhs")
-    p.add_argument("equation")
-    common(p, algebra=True, bound=True)
-
-    p = sub.add_parser("tautology", help="check a term is constantly 1")
-    p.add_argument("term")
-    common(p, algebra=True)
-
-    for verb in ("theta", "theta-star"):
-        p = sub.add_parser(verb, help=f"list the {verb} carrier (fragment)")
-        common(p, algebra=True, bound=True)
-
-    p = sub.add_parser("gamma", help="interval algebra of a group with strong unit")
-    p.add_argument("--unit", required=True, help='e.g. 2 over Z, "(1,0)" over lex:Z')
-    common(p, group=True)
-
-    for verb, help_text in (("delta", "perfect algebra of a group"),
-                            ("trop", "tropical semifield of a group")):
+    for verb, (_, help_text, arguments) in _VERBS.items():
         p = sub.add_parser(verb, help=help_text)
-        common(p, group=True)
-
-    p = sub.add_parser("detrop", help="group of a tropical semifield")
-    p.add_argument("--semifield", required=True, help="trop:GROUP | JSON")
-    common(p)
-
-    p = sub.add_parser("f", help="cone with top of a semifield (theta∘delta∘detrop)")
-    p.add_argument("--semifield", required=True, help="trop:GROUP | JSON")
-    common(p, bound=True)
-
-    p = sub.add_parser("glue", help="combine a Boolean algebra with a perfect one")
-    p.add_argument("--boolean", required=True, help="finite Boolean algebra shorthand")
-    p.add_argument("--perfect", required=True, help="chang | delta:GROUP")
-    common(p)
-
-    p = sub.add_parser("vc-member", help="membership in the variety of Chang's algebra")
-    common(p, algebra=True)
-
-    p = sub.add_parser("gp", help="congruence invariant of a subgroup of Q at a prime")
-    common(p, group=True, prime=True)
-
-    p = sub.add_parser("classify", help="regularly discrete or regularly dense")
-    common(p, group=True)
-
-    p = sub.add_parser("hom", help="existence of an increasing homomorphism")
-    p.add_argument("--src", required=True)
-    p.add_argument("--dst", required=True)
-    common(p)
-
-    p = sub.add_parser("flat-check", help="flatness of the Frobenius action")
-    common(p, group=True, seed=True)
-    p.add_argument("--samples", type=int, default=1000)
-
-    p = sub.add_parser("theta-pt", help="cone with top attached to a point")
-    common(p, group=True, bound=True)
-
-    p = sub.add_parser("axioms", help="the four Lukasiewicz axioms plus modus ponens")
-    common(p, algebra=True, bound=True, seed=True, samples=True)
-
-    p = sub.add_parser("export", help="operation tables (JSON) or Hasse diagram (DOT)")
-    p.add_argument("--dot", action="store_true", help="emit a DOT Hasse diagram")
-    common(p, algebra=True, bound=True)
-
+        for name, options in (*arguments, *_OUTPUT):
+            p.add_argument(name, **options)
     return parser
 
 
@@ -381,11 +320,11 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     if isinstance(output, str):
         text = output.rstrip("\n")
-    elif getattr(args, "pretty", False):
+    elif args.pretty:
         text = "\n".join(_pretty(output))
     else:
         text = dumps(output)
-    if getattr(args, "out", None):
+    if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text + "\n")

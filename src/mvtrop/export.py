@@ -30,7 +30,7 @@ import math
 from .algebra import (MvAlgebra, MvElement, carrier_size, code_ops, element_str,
                       enumerate_payloads, is_infinitesimal_elem, leaf_factors, payload_ops)
 from .errors import DomainError
-from .jsonio import algebra_to_json
+from .jsonio import algebra_shorthand, algebra_to_json
 
 MAX_EXPORT_CARRIER = 10000
 
@@ -104,5 +104,5 @@ def _listing(A: MvAlgebra, bound: int | None) -> tuple[list, list[int]]:
     shape = [carrier_size(f) or len(enumerate_payloads(f, bound)) for f in leaf_factors(A)]
     if math.prod(shape) > MAX_EXPORT_CARRIER:
         what = "carrier" if carrier_size(A) is not None else "fragment"
-        raise DomainError(f"{what} of {A!r} exceeds {MAX_EXPORT_CARRIER} elements")
+        raise DomainError(f"{what} of {algebra_shorthand(A)} exceeds {MAX_EXPORT_CARRIER} elements")
     return enumerate_payloads(A, bound), shape

@@ -254,8 +254,9 @@ def parse_semifield_shorthand(text: str) -> TropOfGroup:
     raise UsageError(f"unrecognized semifield shorthand {text!r}")
 
 
-def parse_payload_shorthand(A: MvAlgebra, text: str):
-    """Compact element syntax: rationals, or parenthesized tuples like (0,3)."""
+def parse_payload_shorthand(A: MvAlgebra | LGroup, text: str):
+    """Compact element syntax of an MV-algebra or an ℓ-group: rationals, or
+    parenthesized tuples like (0,3), read by the kind's ``payload_from_json``."""
     return _decoded(text, A.payload_from_json, _parse_tuple_tree(text))
 
 
@@ -265,10 +266,6 @@ def _parse_tuple_tree(text: str):
     if text.startswith("(") and text.endswith(")"):
         return [_parse_tuple_tree(p) for p in _split_commas(text[1:-1])]
     return parse_rational(text)
-
-
-def parse_group_element_shorthand(G: LGroup, text: str):
-    return _decoded(text, G.payload_from_json, _parse_tuple_tree(text))
 
 
 def _decoded(text: str, decoder, *args):

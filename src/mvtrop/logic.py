@@ -92,7 +92,7 @@ def _valuation_witness(e: Equation, A: MvAlgebra, env) -> dict:
 
 def check_equation_finite(e: Equation, A: MvAlgebra) -> CheckReport:
     """Exhaustive equation check over all valuations of a finite algebra."""
-    return _check_equation(e, A, None)
+    return check_equation_bounded(e, A, None)
 
 
 def default_chang_bound(e: Equation) -> int:
@@ -101,17 +101,13 @@ def default_chang_bound(e: Equation) -> int:
 
 
 def check_equation_bounded(e: Equation, A: MvAlgebra, bound: int | None) -> CheckReport:
-    """Refutation-only check over the bound-limited fragment of A.
+    """Refutation-only check over the bound-limited fragment of A, every
+    valuation in canonical order; the first counterexample wins.
 
     A counterexample is definitive; a clean run is reported as valid up to the
     bound, which is not a completeness claim.  A bound of None is the
     exhaustive walk of a finite algebra, as in ``check_equation_finite``.
     """
-    return _check_equation(e, A, bound)
-
-
-def _check_equation(e: Equation, A: MvAlgebra, bound: int | None) -> CheckReport:
-    """Every valuation in canonical order; the first counterexample wins."""
     return check_identities(A, lambda ops: [_law("equation", e, ops)], bound).shaped(
         lambda _, env: _bindings(A, sorted(e.variables()), env))
 

@@ -42,6 +42,29 @@ def chang_fragment(bound: int) -> list[tuple]:
     return [(0, n) for n in range(bound + 1)] + [(1, -m) for m in range(bound, -1, -1)]
 
 
+# -- independent membership in a subgroup of Q, by factoring -------------------
+# chi is given as a plain dict {prime: exponent} with a default exponent; the
+# exponent inf is float("inf").
+
+def prime_exponents(n: int) -> dict[int, int]:
+    """{p: v_p(n)} for n >= 1, by trial division."""
+    out, p = {}, 2
+    while p * p <= n:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+        p += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def in_q_subgroup(exponents: dict, default, q: Fraction) -> bool:
+    """q lies in {q : v_p(q) >= -chi(p) for all p}."""
+    return all(v <= exponents.get(p, default)
+               for p, v in prime_exponents(q.denominator).items())
+
+
 # -- random term generation ---------------------------------------------------
 
 _BINARY_NODES = (Oplus, Odot, Ominus, Implies, Meet, Join)

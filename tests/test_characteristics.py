@@ -1,6 +1,9 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
+
+from conftest import in_q_subgroup
 
 from mvtrop.characteristics import (CHI_Q, CHI_Z, INF, characteristic,
                                     contains_rational, factor, group_label,
@@ -103,3 +106,20 @@ def test_group_label_round_trip():
     for text in ("Z", "Q", "Z[1/2]", "Z[1/2,1/3]"):
         assert group_label(parse_group_label(text)) == text
     assert group_label(characteristic({3: 2})) is None
+
+
+SMALL_PRIMES = (2, 3, 5, 7, 11)
+
+
+@given(st.dictionaries(st.sampled_from(SMALL_PRIMES),
+                       st.one_of(st.integers(0, 3), st.just(INF)), max_size=4),
+       st.sampled_from([0, INF]), st.integers(-10**6, 10**6),
+       st.lists(st.integers(0, 5), min_size=5, max_size=5),
+       st.sampled_from([1, 13, 97, 65537]))
+def test_contains_rational_agrees_with_factoring(exponents, default, num, powers, cofactor):
+    den = cofactor
+    for p, k in zip(SMALL_PRIMES, powers):
+        den *= p ** k
+    q = Fraction(num, den)
+    expected = in_q_subgroup(exponents, default, q)
+    assert contains_rational(characteristic(exponents, default), q) == expected

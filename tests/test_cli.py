@@ -143,7 +143,17 @@ def test_export_sizes_a_product_fragment_before_listing_it(capsys):
     code, out, err = run(["export", "--algebra", "prod:delta:Q,delta:Q,delta:Q", "--dot"], capsys)
     assert time.perf_counter() - start < 1
     assert code == 3 and out == ""
-    assert err.startswith("mvtrop: fragment of ") and err.endswith(" exceeds 10000 elements\n")
+    assert err == "mvtrop: fragment of prod:delta:Q,delta:Q,delta:Q exceeds 10000 elements\n"
+
+
+def test_a_large_prime_denominator_is_refused_without_factoring(capsys):
+    # 2**61 - 1 is prime; membership in Z[1/2] must not trial-divide it
+    start = time.perf_counter()
+    code, out, err = run(["eval", "x", "--algebra", "delta:Z[1/2]",
+                          "--assign", "x=(0,1/2305843009213693951)"], capsys)
+    assert time.perf_counter() - start < 1
+    assert code == 3 and out == "" and _one_line_error(err)
+    assert "2305843009213693951" in err
 
 
 def test_seed_reproducibility(capsys):

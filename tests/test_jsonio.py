@@ -13,7 +13,6 @@ from mvtrop.jsonio import (algebra_from_json, algebra_shorthand,
                            cone_to_json, dumps, element_from_json,
                            element_to_json, group_from_json, group_shorthand,
                            group_to_json, parse_algebra_shorthand,
-                           parse_group_element_shorthand,
                            parse_group_shorthand, parse_payload_shorthand,
                            parse_rational, parse_semifield_shorthand,
                            rational_str, semifield_from_json,
@@ -187,11 +186,11 @@ def test_payload_shorthand():
 
 
 def test_group_element_shorthand():
-    assert parse_group_element_shorthand(Z, "4") == 4
-    assert parse_group_element_shorthand(LexZG(Z), "(1,0)") == (1, 0)
-    assert parse_group_element_shorthand(DYADIC, "3/8") == Fraction(3, 8)
+    assert parse_payload_shorthand(Z, "4") == 4
+    assert parse_payload_shorthand(LexZG(Z), "(1,0)") == (1, 0)
+    assert parse_payload_shorthand(DYADIC, "3/8") == Fraction(3, 8)
     with pytest.raises(UsageError):
-        parse_group_element_shorthand(LexZG(Z), "5")
+        parse_payload_shorthand(LexZG(Z), "5")
 
 
 def test_semifield_shorthand():
