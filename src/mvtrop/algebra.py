@@ -18,13 +18,15 @@ no tables, and kept in a bounded cache keyed on the frozen descriptor.  The
 checkers in ``logic`` call the record on payloads directly and build
 MvElements only for witnesses.
 
-A finite carrier also has a record on codes (``code_ops``), built the same
-way but uncached: an element's code is its index in the canonical enumeration.
-Every finite MV-algebra is a finite product of finite Łukasiewicz chains, and
-every shipped kind that is not a product is a chain, so with n elements it is
-L_n on the ints 0..n−1; a product's code is the mixed-radix int whose digits
-are its factors' codes.  ``export`` builds its tables on it.  The Fractions of
-[0, 1] and the codes of L_n share one record, ``_chain_ops(bottom, top)``.
+A finite carrier also has a record on codes (``code_ops``), uncached: an
+element's code is its index in the canonical enumeration.  Every finite
+MV-algebra is a finite product of finite Łukasiewicz chains, and every shipped
+kind that is not a product is a chain, so a finite carrier is its leaf shape
+(``leaf_shape``: the size and mixed-radix weight of each non-product factor).
+A code's digits are its leaves' codes, and a leaf with n elements is L_n on the
+ints 0..n−1.  ``export`` reads its covers and ``functors`` its atoms off the
+shape.  The Fractions of [0, 1] and the codes of L_n share one record,
+``_chain_ops(bottom, top)``.
 
 Δ(G) payloads are (bit, offset) pairs whose arithmetic runs on the group's
 unchecked ops record (``groups.GroupOps``).  Group membership of offsets is
@@ -114,18 +116,10 @@ class MvAlgebra:
     full), ``build_ops()`` (its record; callers use ``payload_ops``),
     ``carrier_size()`` (None, the default, when infinite), ``enumerate(bound)``
     (the carrier or its bounded fragment, in canonical order),
-    ``is_infinitesimal(payload)`` and ``payload_to_json`` / ``payload_from_json``.
-    ``build_code_ops()`` is the record on codes of a finite carrier (callers
-    use ``code_ops``)."""
+    ``is_infinitesimal(payload)`` and ``payload_to_json`` / ``payload_from_json``."""
 
     def carrier_size(self) -> int | None:
         return None
-
-    def build_code_ops(self) -> PayloadOps:
-        """A kind that is not a product is an MV-chain, so with n elements it is
-        the Łukasiewicz chain L_n: code k stands for k/(n−1) and its order is
-        the order of the ints."""
-        return _chain_ops(0, self.carrier_size() - 1)
 
 
 class _Unit(MvAlgebra):
@@ -297,28 +291,6 @@ class ProductAlgebra(MvAlgebra):
             lambda p, q: tuple([f(a, b) for f, a, b in zip(meets, p, q)]),
             check if checks else None)
 
-    def build_code_ops(self) -> PayloadOps:
-        """Componentwise over the factors' code records.  A code is a mixed-radix
-        int, the factors' codes its digits, most significant first, so the
-        order of codes is the lexicographic order of the enumeration."""
-        parts = [code_ops(f) for f in self.factors]
-        sizes = [f.carrier_size() for f in self.factors]
-        weights = [math.prod(sizes[i + 1:]) for i in range(len(sizes))]
-
-        def spec(name):
-            return tuple((getattr(o, name), w, s) for o, w, s in zip(parts, weights, sizes))
-
-        def binary(name):
-            digits = spec(name)
-            return lambda a, b: sum([f(a // w % s, b // w % s) * w for f, w, s in digits])
-
-        negs, leqs = spec("neg"), spec("leq")
-        return PayloadOps(
-            binary("oplus"), lambda a: sum([f(a // w % s) * w for f, w, s in negs]),
-            0, math.prod(sizes) - 1,
-            lambda a, b: all([f(a // w % s, b // w % s) for f, w, s in leqs]),
-            binary("join"), binary("meet"))
-
     def carrier_size(self) -> int | None:
         sizes = [f.carrier_size() for f in self.factors]
         return None if None in sizes else math.prod(sizes)
@@ -374,10 +346,28 @@ def payload_ops(A: MvAlgebra) -> PayloadOps:
 def code_ops(A: MvAlgebra) -> PayloadOps:
     """The ops record of a finite carrier on codes, uncached: ``export`` builds one
     per call.  A code is an index into ``enumerate_payloads(A)``, so 0 and 1 are
-    the first and the last code and every result is an index into that listing."""
-    if _descriptor(A).carrier_size() is None:
+    the first and the last code and every result is an index into that listing.
+    One leaf is L_n: code k stands for k/(n−1).  Several work digit by digit,
+    each on its leaf's record, so a nested product has its flattened leaves' codes."""
+    n = _descriptor(A).carrier_size()
+    if n is None:
         raise DomainError(f"{A!r} has an infinite carrier, so its elements have no codes")
-    return A.build_code_ops()
+    shape = leaf_shape(A)
+    if len(shape) == 1:
+        return _chain_ops(0, n - 1)
+
+    def digits(name):
+        return tuple((getattr(_chain_ops(0, s - 1), name), w, s) for w, s in shape)
+
+    def binary(name):
+        fs = digits(name)
+        return lambda a, b: sum([f(a // w % s, b // w % s) * w for f, w, s in fs])
+
+    negs, leqs = digits("neg"), digits("leq")
+    return PayloadOps(
+        binary("oplus"), lambda a: sum([f(a // w % s) * w for f, w, s in negs]), 0, n - 1,
+        lambda a, b: all([f(a // w % s, b // w % s) for f, w, s in leqs]),
+        binary("join"), binary("meet"))
 
 
 def zero(A: MvAlgebra) -> MvElement:
@@ -529,6 +519,14 @@ def leaf_factors(A: MvAlgebra) -> list:
     if not isinstance(A, ProductAlgebra):
         return [A]
     return [f for g in A.factors for f in leaf_factors(g)]
+
+
+def leaf_shape(A: MvAlgebra, bound: int | None = None) -> list[tuple[int, int]]:
+    """The (weight, size) of each of ``leaf_factors(A)``: its carrier size or its
+    fragment's length at ``bound``, and the product of the sizes after it.  Listed
+    element i has the digit i // weight % size in each leaf."""
+    sizes = [f.carrier_size() or len(enumerate_payloads(f, bound)) for f in leaf_factors(A)]
+    return [(math.prod(sizes[i + 1:]), s) for i, s in enumerate(sizes)]
 
 
 # ---------------------------------------------------------------------------

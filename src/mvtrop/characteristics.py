@@ -6,7 +6,9 @@ the subgroup {q ∈ Q : v_p(q) >= -chi(p) for all primes p}, which always
 contains 1.  ``chi_z`` denotes Z, ``chi_q`` denotes Q, and e.g. chi(2)=∞ with
 default 0 denotes the dyadic rationals Z[1/2].  Membership divides chi's listed
 primes out of a denominator and never factors it; ``factor`` only builds
-characteristics, from the m of ``Z[1/m]``.
+characteristics, from the m of ``Z[1/m]``, and stops trial division at a prime
+cofactor.  Primality is the strong (Miller–Rabin) test to the bases 2..41, exact
+below ψ13 (J. Sorenson and J. Webster, Math. Comp. 86, 2017) and refused above.
 """
 
 from __future__ import annotations
@@ -24,19 +26,29 @@ INF = math.inf
 
 Exponent = Union[int, float]  # a natural number or INF
 
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI_13 = 3317044064679887385961981  # ψ13, the least strong pseudoprime to all of _BASES
+
 
 def is_prime(n: int) -> bool:
     if not isinstance(n, int) or isinstance(n, bool) or n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for a in _BASES:
+        if n % a == 0:
+            return n == a
+    if n >= _PSI_13:
+        raise DomainError(f"cannot test {n} for primality: it is not below {_PSI_13}")
+    r = ((n - 1) & (1 - n)).bit_length() - 1  # n − 1 = 2^r · d with d odd
+    for a in _BASES:
+        x = pow(a, (n - 1) >> r, n)
+        if x == 1:  # 1 is accepted only before the first squaring
+            continue
+        for _ in range(r):
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
             return False
-        f += 2
     return True
 
 
@@ -49,16 +61,16 @@ def factor(n: int) -> tuple[tuple[int, int], ...]:
     """
     if n < 1:
         raise DomainError(f"cannot factor {n}")
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            out.append((d, e))
-        d += 1 if d == 2 else 2
+    out, d = [], 2
+    # until n is a known prime (at or above ψ13 is_prime cannot tell, so divide on)
+    while n > 1 and (n >= _PSI_13 or not is_prime(n)):
+        while n % d:
+            d += 1 if d == 2 else 2
+        e = 0
+        while n % d == 0:
+            n //= d
+            e += 1
+        out.append((d, e))
     if n > 1:
         out.append((n, 1))
     return tuple(out)

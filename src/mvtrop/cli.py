@@ -21,28 +21,20 @@ import re
 import sys
 
 from .algebra import carrier_size, element
-from .characteristics import Characteristic, parse_group_label
 from .errors import MvtropError, TermSyntaxError, UsageError
 from .functors import (delta, detrop, f_equiv, gamma, glue_boolean_perfect,
                        theta, theta_star, trop)
-from .jsonio import (algebra_to_json, chi_from_json, chi_to_json, cone_to_json,
-                     dumps, group_to_json, parse_algebra_shorthand,
+from .jsonio import (algebra_to_json, chi_to_json, cone_to_json, dumps,
+                     group_to_json, parse_algebra_shorthand, parse_chi_shorthand,
                      parse_group_shorthand, parse_payload_shorthand,
                      parse_semifield_shorthand, rational_str, report_to_json,
-                     semifield_to_json, _load_json)
+                     semifield_to_json)
 from .logic import (Valuation, axiom_suite, check_equation_bounded,
                     default_chang_bound, evaluate, parse_equation,
                     tautology_check, vc_membership)
 from .qpoints import (check_flatness, classify_regularity, frobenius_action,
                       gp_invariant, hom_exists, hom_obstruction, theta_pt)
 from .terms import parse, print_term
-
-
-def _parse_chi(text: str) -> Characteristic:
-    text = text.strip()
-    if text.startswith("{"):
-        return chi_from_json(_load_json(text))
-    return parse_group_label(text)
 
 
 def _default_bound(args, fallback: int) -> int:
@@ -157,18 +149,18 @@ def _cmd_vc_member(args):
 
 
 def _cmd_gp(args):
-    chi = _parse_chi(args.group)
+    chi = parse_chi_shorthand(args.group)
     inv = gp_invariant(chi, args.prime)
     return 0, {"group": chi_to_json(chi), "prime": inv.prime, "value": inv.value}
 
 
 def _cmd_classify(args):
-    chi = _parse_chi(args.group)
+    chi = parse_chi_shorthand(args.group)
     return 0, {"group": chi_to_json(chi), "classification": classify_regularity(chi)}
 
 
 def _cmd_hom(args):
-    src, dst = _parse_chi(args.src), _parse_chi(args.dst)
+    src, dst = parse_chi_shorthand(args.src), parse_chi_shorthand(args.dst)
     r = hom_exists(src, dst)
     out = {"src": chi_to_json(src), "dst": chi_to_json(dst), "exists": r is not None}
     if r is not None:
@@ -179,13 +171,13 @@ def _cmd_hom(args):
 
 
 def _cmd_flat_check(args):
-    chi = _parse_chi(args.group)
+    chi = parse_chi_shorthand(args.group)
     report = check_flatness(frobenius_action(chi), samples=args.samples, seed=args.seed)
     return _verdict(report, group=chi_to_json(chi))
 
 
 def _cmd_theta_pt(args):
-    return 0, cone_to_json(theta_pt(_parse_chi(args.group)), _default_bound(args, 10))
+    return 0, cone_to_json(theta_pt(parse_chi_shorthand(args.group)), _default_bound(args, 10))
 
 
 def _cmd_axioms(args):

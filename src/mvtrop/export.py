@@ -13,22 +13,20 @@ element.
 
 The Hasse diagram needs no order tests.  Every kind that is not a product is
 a chain enumerated in ascending order, so consecutive listed elements cover
-each other; a product's listing is the lexicographic product of its
-non-product factors' listings, and its covers move one coordinate one step
-up.  So the covers of element i are i + w, for each factor's mixed-radix
-weight w whose digit in i is not yet the factor's last.  Writing a diagram
-costs O(n) for n listed elements, and the tables 4n² cells.
+each other; a product's listing is the lexicographic product of its leaves'
+(its non-product factors') listings, and its covers move one coordinate one
+step up.  So the covers of element i are i + w, for each (weight w, size s) of
+``algebra.leaf_shape`` whose digit i // w % s is not yet s − 1.  Writing a
+diagram costs O(n) for n listed elements, and the tables 4n² cells.
 
-Both listings are bounded by ``MAX_EXPORT_CARRIER``, checked on the product of
-the factors' pool sizes before the listing is built.
+Both listings are bounded by ``MAX_EXPORT_CARRIER``, checked on the leaf shape
+(the product of the leaves' pool sizes) before the listing is built.
 """
 
 from __future__ import annotations
 
-import math
-
 from .algebra import (MvAlgebra, MvElement, carrier_size, code_ops, element_str,
-                      enumerate_payloads, is_infinitesimal_elem, leaf_factors, payload_ops)
+                      enumerate_payloads, is_infinitesimal_elem, leaf_shape, payload_ops)
 from .errors import DomainError
 from .jsonio import algebra_shorthand, algebra_to_json
 
@@ -90,19 +88,17 @@ def hasse_dot(A: MvAlgebra, bound: int | None = None) -> str:
         if is_infinitesimal_elem(x):
             attrs.append('style=filled fillcolor=lightgray')
         lines.append(f"  n{i} [{' '.join(attrs)}];")
-    # (weight, radix) of each factor, lightest first, so each i's covers ascend
-    steps = [(math.prod(shape[t + 1:]), shape[t]) for t in reversed(range(len(shape)))]
-    for i in range(len(elems)):
-        lines += [f"  n{i} -> n{i + w};" for w, s in steps if i // w % s < s - 1]
+    for i in range(len(elems)):  # lightest leaf first, so each i's covers ascend
+        lines += [f"  n{i} -> n{i + w};" for w, s in shape[::-1] if i // w % s < s - 1]
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
-def _listing(A: MvAlgebra, bound: int | None) -> tuple[list, list[int]]:
-    """The (bounded) carrier in canonical order and the pool size of each of A's
-    non-product factors, whose product is checked before the carrier is listed."""
-    shape = [carrier_size(f) or len(enumerate_payloads(f, bound)) for f in leaf_factors(A)]
-    if math.prod(shape) > MAX_EXPORT_CARRIER:
+def _listing(A: MvAlgebra, bound: int | None) -> tuple[list, list[tuple[int, int]]]:
+    """The (bounded) carrier in canonical order and its ``leaf_shape``, whose
+    length is checked before the carrier is listed."""
+    shape = leaf_shape(A, bound)
+    if shape[0][0] * shape[0][1] > MAX_EXPORT_CARRIER:
         what = "carrier" if carrier_size(A) is not None else "fragment"
         raise DomainError(f"{what} of {algebra_shorthand(A)} exceeds {MAX_EXPORT_CARRIER} elements")
     return enumerate_payloads(A, bound), shape

@@ -15,11 +15,11 @@ from typing import Any, Callable
 from .algebra import (DeltaOf, FiniteChain, MvAlgebra, MvElement,
                       ProductAlgebra, carrier_size, element, element_str,
                       enumerate_elements, enumerate_payloads, is_boolean_elem,
-                      mv_leq, mv_neg, mv_oplus, one, payload_ops, zero)
+                      leaf_shape, mv_neg, mv_oplus, one, payload_ops, zero)
 from .bisemirings import TOP, Bisemiring, TopCone, check_closed, closure_laws
 from .errors import (BrokenHomomorphismError, DomainError, MalformedInputError,
                      UnsupportedRepresentationError)
-from .groups import (Integers, LexZG, LGroup, TropOfGroup, group_coerce,
+from .groups import (BOTTOM, Integers, LexZG, LGroup, TropOfGroup, group_coerce,
                      group_leq, group_zero)
 from .report import COUNTEREXAMPLE, VALID, CheckReport, Instances, check_laws
 
@@ -70,7 +70,6 @@ def detrop(S: TropOfGroup) -> LGroup:
 
 def mv_from_semifield(S: TropOfGroup, u) -> MvAlgebra:
     """Interval algebra of a semifield with strong unit: gamma(detrop(S), u)."""
-    from .groups import BOTTOM
     if u is BOTTOM:
         raise DomainError("the semifield zero is not a strong unit")
     return gamma(detrop(S), u)
@@ -145,19 +144,15 @@ def boolean_part(A: MvAlgebra, bound: int | None = None) -> list[MvElement]:
 
 
 def is_boolean_algebra(A: MvAlgebra) -> bool:
-    """True iff A is finite and every element is idempotent."""
-    if carrier_size(A) is None:
-        return False
-    return all(is_boolean_elem(x) for x in enumerate_elements(A))
+    """True iff A is finite and every element is idempotent, i.e. every leaf is L_2."""
+    return carrier_size(A) is not None and all(s == 2 for _, s in leaf_shape(A))
 
 
 def atoms(A: MvAlgebra) -> list[MvElement]:
-    """Minimal nonzero elements of a finite algebra, in canonical order."""
-    elems = enumerate_elements(A)
-    z = zero(A)
-    nonzero = [x for x in elems if x != z]
-    return [x for x in nonzero
-            if not any(y != x and mv_leq(y, x) for y in nonzero)]
+    """Minimal nonzero elements of a finite algebra, in canonical order: one leaf
+    one step above 0 and every other leaf at 0, i.e. the codes that are leaf weights."""
+    elems = enumerate_payloads(A)
+    return [MvElement(A, elems[w]) for w, _ in reversed(leaf_shape(A))]
 
 
 def glue_boolean_perfect(B: MvAlgebra, P: MvAlgebra) -> MvAlgebra:

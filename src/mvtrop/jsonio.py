@@ -168,6 +168,14 @@ def report_to_json(r: CheckReport) -> dict:
 
 # -- command-line shorthand ------------------------------------------------------
 
+def parse_chi_shorthand(text: str) -> Characteristic:
+    """A group label ("Z", "Q", "Z[1/2]", "Z[1/2,1/3]") or inline characteristic JSON."""
+    text = text.strip()
+    if text.startswith("{"):
+        return chi_from_json(_load_json(text))
+    return parse_group_label(text)
+
+
 def parse_group_shorthand(text: str) -> LGroup:
     """"Z", "Q", "Z[1/2]", "trivial", "lex:GROUP", or inline descriptor JSON."""
     text = text.strip()

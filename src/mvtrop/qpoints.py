@@ -23,7 +23,7 @@ from .characteristics import (CHI_Z, INF, Characteristic, characteristic,
 from .errors import (DomainError, ReconstructionError, StructuralError,
                      WitnessNotFoundError)
 from .functors import delta, theta_perfect
-from .groups import LGroup, qsubgroup
+from .groups import Integers, LGroup, QSubgroup, qsubgroup
 from .report import COUNTEREXAMPLE, VALID, CheckReport, Instances, check_laws
 
 REGULARLY_DISCRETE = "regularly_discrete"
@@ -32,7 +32,6 @@ REGULARLY_DENSE = "regularly_dense"
 
 def group_characteristic(G: LGroup) -> Characteristic:
     """The characteristic denoting a subgroup-of-Q descriptor (inverse of qsubgroup)."""
-    from .groups import Integers, QSubgroup
     if isinstance(G, Integers):
         return CHI_Z
     if isinstance(G, QSubgroup):

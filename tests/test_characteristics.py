@@ -1,7 +1,8 @@
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import in_q_subgroup
 
@@ -11,17 +12,38 @@ from mvtrop.characteristics import (CHI_Q, CHI_Z, INF, characteristic,
 from mvtrop.errors import DomainError, UsageError
 
 
+def _trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
 def test_is_prime_small():
     primes = [n for n in range(40) if is_prime(n)]
     assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
+    assert all(is_prime(n) == _trial_division(n) for n in range(200_000))
+    # strong pseudoprimes to every prime base up to 31, and up to 37
+    # (399,165,290,221 · 798,330,580,441, which only the base 41 exposes)
+    assert not is_prime(3_825_123_056_546_413_051)
+    assert not is_prime(318_665_857_834_031_151_167_461)
+    # a Carmichael number (211 · 421 · 631): every base's run of squares ends in 1,
+    # so 1 must be accepted only before the first squaring
+    assert not is_prime(56_052_361)
+    assert is_prime(2**61 - 1)
+    with pytest.raises(DomainError):
+        is_prime(2**89 - 1)  # prime, but above the range where the test is exact
 
 
-def test_factor():
+@settings(deadline=None)
+@given(st.integers(1, 10**12 - 1))
+def test_factor(n):
     assert factor(1) == ()
     assert factor(360) == ((2, 3), (3, 2), (5, 1))
     assert factor(97) == ((97, 1),)
+    assert factor(5**40 * 43**20) == ((5, 40), (43, 20))  # cofactor 43**20 is above ψ13
     with pytest.raises(DomainError):
         factor(0)
+    primes = [p for p, _ in factor(n)]
+    assert primes == sorted(set(primes)) and all(map(is_prime, primes))
+    assert math.prod(p ** e for p, e in factor(n)) == n
 
 
 def test_factor_cache_is_bounded():

@@ -156,6 +156,29 @@ def test_a_large_prime_denominator_is_refused_without_factoring(capsys):
     assert "2305843009213693951" in err
 
 
+_P61 = "2305843009213693951"  # 2**61 - 1
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["gp", "--group", "Z", "--prime", _P61],
+     '{"group":{"default":"0","primes":{}},"prime":%s,"value":%s}' % (_P61, _P61)),
+    (["delta", "--group", f"Z[1/{_P61}]"],
+     '{"algebra":{"group":{"chi":{"default":"0","primes":{"%s":"inf"}},"kind":"q_subgroup"},'
+     '"kind":"delta"}}' % _P61),
+])
+def test_a_19_digit_prime_is_decided_without_trial_division(argv, expected, capsys):
+    start = time.perf_counter()
+    code, out, err = run(argv, capsys)
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (0, expected + "\n", "")
+
+
+def test_a_prime_beyond_the_exact_primality_test_is_refused(capsys):
+    # 2**89 - 1 is prime, but the strong test is exact only below about 3.3e24
+    code, out, err = run(["gp", "--group", "Z", "--prime", "618970019642690137449562111"], capsys)
+    assert code == 3 and out == "" and _one_line_error(err)
+
+
 def test_seed_reproducibility(capsys):
     args = ["flat-check", "--group", "Z[1/2]", "--samples", "200", "--seed", "9"]
     _, out1, _ = run(args, capsys)

@@ -204,10 +204,13 @@ def test_hasse_dot_matches_the_oracle(A, bound, oracle):
 
 # -- the code record and the invariant the native covers rest on ---------------
 
+def _products(factors):
+    return st.lists(factors, min_size=1, max_size=3).map(lambda fs: product_algebra(*fs))
+
+
 _LEAVES = st.sampled_from([FiniteChain(n) for n in range(2, 8)] + [DeltaOf(TRIVIAL)])
-_FACTORS = _LEAVES | st.lists(_LEAVES, min_size=1, max_size=3).map(lambda fs: product_algebra(*fs))
-_FINITE = (_LEAVES | st.lists(_FACTORS, min_size=1, max_size=3).map(
-    lambda fs: product_algebra(*fs))).filter(lambda A: carrier_size(A) <= 48)
+_FACTORS = _LEAVES | _products(_LEAVES | _products(_LEAVES))  # products nested twice
+_FINITE = (_LEAVES | _products(_FACTORS)).filter(lambda A: carrier_size(A) <= 48)
 
 
 @settings(max_examples=40, deadline=None)

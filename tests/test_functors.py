@@ -311,10 +311,19 @@ def test_boolean_part():
     assert len(boolean_part(product_algebra(L2, L2))) == 4
 
 
-def test_atoms():
-    assert len(atoms(product_algebra(L2, L2))) == 2
-    assert len(atoms(product_algebra(L2, L2, L2))) == 3
-    assert len(atoms(L2)) == 1
+@pytest.mark.parametrize("A, count", [
+    (L2, 1), (product_algebra(L2, L2), 2), (product_algebra(L2, L2, L2), 3),
+    (FiniteChain(5), 1), (product_algebra(L3, L2, FiniteChain(4)), 3),
+    (product_algebra(L2, product_algebra(L3, product_algebra(delta(TRIVIAL), L2)), L3), 5),
+    (product_algebra(L2, product_algebra(L2, product_algebra(delta(TRIVIAL), L2))), 4),
+], ids=repr)
+def test_atoms(A, count):
+    # against the definitions, walked: minimal nonzero elements, all elements idempotent
+    elems = enumerate_elements(A)
+    nonzero = [x for x in elems if x != zero(A)]
+    assert atoms(A) == [x for x in nonzero if not any(y != x and mv_leq(y, x) for y in nonzero)]
+    assert len(atoms(A)) == count
+    assert is_boolean_algebra(A) == all(mv_oplus(x, x) == x for x in elems)
 
 
 def test_glue_with_two_element_boolean_is_identity():
