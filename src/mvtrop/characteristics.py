@@ -7,8 +7,9 @@ contains 1.  ``chi_z`` denotes Z, ``chi_q`` denotes Q, and e.g. chi(2)=∞ with
 default 0 denotes the dyadic rationals Z[1/2].  Membership divides chi's listed
 primes out of a denominator and never factors it; ``factor`` only builds
 characteristics, from the m of ``Z[1/m]``, and stops trial division at a prime
-cofactor.  Primality is the strong (Miller–Rabin) test to the bases 2..41, exact
-below ψ13 (J. Sorenson and J. Webster, Math. Comp. 86, 2017) and refused above.
+cofactor or at 10⁶, where a cofactor that is not a decided prime is refused.
+Primality is the strong (Miller–Rabin) test to the bases 2..41, exact below ψ13
+(J. Sorenson and J. Webster, Math. Comp. 86, 2017) and refused above.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ Exponent = Union[int, float]  # a natural number or INF
 
 _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _PSI_13 = 3317044064679887385961981  # ψ13, the least strong pseudoprime to all of _BASES
+TRIAL_LIMIT = 10 ** 6  # factor's trial division stops here, after about 0.1 s
 
 
 def is_prime(n: int) -> bool:
@@ -56,23 +58,28 @@ def is_prime(n: int) -> bool:
 def factor(n: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization of n >= 1 as ((prime, exponent), ...) in ascending order.
 
-    Kept in a bounded cache: a long-lived process reads the same ``Z[1/m]``
-    over and over, and must not grow without limit.
+    Trial division stops at a cofactor the strong test decides prime, and at
+    TRIAL_LIMIT: a cofactor with no prime factor up to it that is not a decided
+    prime raises DomainError.  Kept in a bounded cache: a long-lived process
+    reads the same ``Z[1/m]`` over and over, and must not grow without limit.
     """
     if n < 1:
         raise DomainError(f"cannot factor {n}")
-    out, d = [], 2
-    # until n is a known prime (at or above ψ13 is_prime cannot tell, so divide on)
-    while n > 1 and (n >= _PSI_13 or not is_prime(n)):
-        while n % d:
+    out, d, rest = [], 2, n
+    # until rest is a known prime (at or above ψ13 is_prime cannot tell, so divide on)
+    while rest > 1 and (rest >= _PSI_13 or not is_prime(rest)):
+        while rest % d:
             d += 1 if d == 2 else 2
+            if d > TRIAL_LIMIT:
+                raise DomainError(f"cannot factor {n}: {rest} has no prime factor up to "
+                                  f"{TRIAL_LIMIT} and is not a decided prime")
         e = 0
-        while n % d == 0:
-            n //= d
+        while rest % d == 0:
+            rest //= d
             e += 1
         out.append((d, e))
-    if n > 1:
-        out.append((n, 1))
+    if rest > 1:
+        out.append((rest, 1))
     return tuple(out)
 
 
@@ -147,11 +154,15 @@ CHI_Q = characteristic(default=INF)
 
 
 def contains_rational(chi: Characteristic, q) -> bool:
-    """Membership of q in the denoted subgroup of Q: what is left of q's denominator
-    after dividing out chi's listed primes must be 1, unless the default is ∞."""
+    """Membership of q in the denoted subgroup of Q, which depends on q's denominator alone."""
     if not isinstance(q, Fraction):
         q = Fraction(q)
-    den = q.denominator
+    return admits_denominator(chi, q.denominator)
+
+
+def admits_denominator(chi: Characteristic, den: int) -> bool:
+    """Whether the group holds the rationals of lowest denominator den: what is left of
+    den after dividing out chi's listed primes must be 1, unless the default is ∞."""
     if den == 1:
         return True
     for p, e in chi.primes:

@@ -6,6 +6,10 @@ group is p-divisible and p otherwise; the group is regularly discrete exactly
 when it is cyclic and regularly dense otherwise.  The Frobenius action
 (n, x) ↦ n·x on the strictly positive cone is the canonical flat action, and
 Θ_pt composes Δ and θ to turn a point into a positive cone with a top.
+
+A flat action also acts on ints, n on a/b as ``act_pair(n, a, b)``.  The
+flatness check and the reconstruction of a group from an action call only that
+and compare by cross-multiplication, with no ``Fraction`` arithmetic per instance.
 """
 
 from __future__ import annotations
@@ -18,13 +22,13 @@ from functools import lru_cache
 from typing import Callable, Iterable
 
 from .bisemirings import TopCone
-from .characteristics import (CHI_Z, INF, Characteristic, characteristic,
-                              contains_rational, factor, is_prime)
+from .characteristics import (CHI_Z, INF, Characteristic, admits_denominator,
+                              characteristic, contains_rational, factor, is_prime)
 from .errors import (DomainError, ReconstructionError, StructuralError,
                      WitnessNotFoundError)
 from .functors import delta, theta_perfect
 from .groups import Integers, LGroup, QSubgroup, qsubgroup
-from .report import COUNTEREXAMPLE, VALID, CheckReport, Instances, check_laws
+from .report import VALID, CheckReport, Instances, check_laws
 
 REGULARLY_DISCRETE = "regularly_discrete"
 REGULARLY_DENSE = "regularly_dense"
@@ -156,27 +160,44 @@ def hom_obstruction(src: Characteristic, dst: Characteristic) -> int | None:
 
 @dataclass(frozen=True, eq=False)
 class FlatAction:
-    """An action (n, x) ↦ act(n, x) on the strictly positive cone of a subgroup of Q."""
+    """An action (n, x) ↦ act(n, x) on the strictly positive cone of a subgroup of Q.
+
+    ``act_pair(n, a, b)`` is the same action on ints: n acting on a/b (b > 0)
+    gives a pair (c, d) for c/d, not necessarily in lowest terms.  The checkers
+    call only ``act_pair``.  ``frobenius_action`` supplies it natively; for an
+    action built from ``act`` alone it is derived once, by calling ``act`` on
+    Fraction(a, b).
+    """
 
     base: Characteristic
     act: Callable[[int, Fraction], Fraction] = field(repr=False)
     label: str = "action"
+    act_pair: Callable[[int, int, int], tuple[int, int]] | None = field(
+        default=None, repr=False, kw_only=True)
+
+    def __post_init__(self):
+        if self.act_pair is None:
+            act = self.act
+            object.__setattr__(self, "act_pair", lambda n, a, b: Fraction(
+                act(n, Fraction(a, b))).as_integer_ratio())
 
     def __repr__(self) -> str:
         return f"FlatAction({self.label}, base={self.base!r})"
 
 
 def frobenius_action(chi: Characteristic) -> FlatAction:
-    """The canonical flat action: n acts on the positive cone as x ↦ n·x."""
-    def act(n: int, x: Fraction) -> Fraction:
+    """The canonical flat action: n acts on the positive cone as x ↦ n·x, on ints as
+    (a, b) ↦ (n·a, b)."""
+    def act_pair(n: int, a: int, b: int) -> tuple[int, int]:
         if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             raise DomainError(f"the acting monoid consists of positive integers, got {n!r}")
-        if not isinstance(x, Fraction):
-            x = Fraction(x)
-        if x <= 0:
-            raise StructuralError(f"{x} is not in the strictly positive cone")
-        return n * x
-    return FlatAction(chi, act, label="frobenius")
+        if a <= 0:
+            raise StructuralError(f"{Fraction(a, b)} is not in the strictly positive cone")
+        return n * a, b
+
+    def act(n: int, x: Fraction) -> Fraction:
+        return Fraction(*act_pair(n, *Fraction(x).as_integer_ratio()))
+    return FlatAction(chi, act, label="frobenius", act_pair=act_pair)
 
 
 def rational_gcd(values: Iterable) -> Fraction:
@@ -192,35 +213,31 @@ def rational_gcd(values: Iterable) -> Fraction:
     return Fraction(num, den)
 
 
-def _positive_fragment(chi: Characteristic, height: int) -> list[Fraction]:
-    out = set()
-    for d in range(1, height + 1):
-        if not contains_rational(chi, Fraction(1, d)):
-            continue  # membership of n/d in lowest terms depends on d alone
-        for n in range(1, height + 1):
-            q = Fraction(n, d)
-            if q.denominator == d:
-                out.add(q)
-    return sorted(out)
+def _positive_fragment(chi: Characteristic, height: int) -> list[tuple[int, int]]:
+    """The cone's elements n/d with n, d <= height, as lowest-terms pairs in increasing order."""
+    pairs = [(n, d) for d in range(1, height + 1) if admits_denominator(chi, d)
+             for n in range(1, height + 1) if math.gcd(n, d) == 1]
+    return sorted(pairs, key=lambda p: Fraction(*p))
 
 
 def check_flatness(F: FlatAction, samples: int = 1000, seed: int = 0,
                    height: int = 12) -> CheckReport:
-    """Sampled verification of the three flatness conditions.
+    """Sampled verification of the three flatness conditions, on ints through ``act_pair``.
 
     Condition 1 (nonemptiness) holds by construction since 1 is in every cone.
     Condition 2 is checked by building the common refinement w = gcd(y, z) for
-    sampled pairs and confirming through the action itself that m·w = y and
-    n·w = z with w inside the cone.  Condition 3 is vacuous on a torsion-free
-    positive cone (m·y = n·y forces m = n); the samples confirm that and the
-    report says so rather than silently passing.
+    sampled pairs y = a/b and z = c/d, which is gcd(a, c)/lcm(b, d) in lowest
+    terms, and confirming through the action itself that m·w = y and n·w = z
+    with w inside the cone.  Condition 3 is vacuous on a torsion-free positive
+    cone (m·y = n·y forces m = n); the samples confirm that and the report says
+    so rather than silently passing.  Results are compared by cross-multiplication.
     """
     if samples < 1:
         raise DomainError("samples must be >= 1")
-    pool = _positive_fragment(F.base, height)
-    if not pool:
-        return CheckReport(COUNTEREXAMPLE, 0, {"condition": 1, "reason": "empty cone"},
-                           mode="sampled")
+    if height < 1:
+        raise DomainError("height must be >= 1")
+    chi, act = F.base, F.act_pair
+    pool = _positive_fragment(chi, height)  # never empty: it holds 1
     rng = random.Random(seed)
 
     def draws(arity):  # pairs (y, z) for condition 2, triples (y, m, n) for condition 3
@@ -229,27 +246,34 @@ def check_flatness(F: FlatAction, samples: int = 1000, seed: int = 0,
         return ((rng.choice(pool), rng.randrange(1, 16), rng.randrange(1, 16))
                 for _ in range(samples))
 
-    def inside(w):
-        return w > 0 and contains_rational(F.base, w)
-
-    def refined(y, z):  # w = gcd(y, z) lies in the cone and the action reaches y and z from it
-        w = rational_gcd([y, z])
-        if not inside(w):
+    def refined(y, z):  # w = g/l lies in the cone and the action reaches y and z from it
+        (a, b), (c, d) = y, z
+        g, l = math.gcd(a, c), math.lcm(b, d)
+        if not admits_denominator(chi, l):
             return False
-        m, n = y / w, z / w
-        return m.denominator == 1 and n.denominator == 1 \
-            and F.act(int(m), w) == y and F.act(int(n), w) == z
+        p, q = act(a // g * (l // b), g, l)
+        if p * b != a * q:
+            return False
+        p, q = act(c // g * (l // d), g, l)
+        return p * d == c * q
+
+    def torsion_free(y, m, n):
+        if m == n:
+            return True
+        (p, q), (r, s) = act(m, *y), act(n, *y)
+        return p * s != r * q
 
     def witness(name, draw):
         if name == "torsion_free":
-            return {"condition": 3, "pair": list(draw[1:]), "y": draw[0],
+            return {"condition": 3, "pair": list(draw[1:]), "y": Fraction(*draw[0]),
                     "reason": "m·y = n·y with m ≠ n on a torsion-free cone"}
-        w = rational_gcd(list(draw))
-        return {"condition": 2, "pair": list(draw), "w": w,
-                "reason": "action does not reach the pair from the refinement" if inside(w)
-                else "constructed witness falls outside the cone"}
-    laws = [("refinement", 2, refined),
-            ("torsion_free", 3, lambda y, m, n: m == n or F.act(m, y) != F.act(n, y))]
+        (a, b), (c, d) = draw
+        l = math.lcm(b, d)
+        return {"condition": 2, "pair": [Fraction(a, b), Fraction(c, d)],
+                "w": Fraction(math.gcd(a, c), l),
+                "reason": "action does not reach the pair from the refinement"
+                if admits_denominator(chi, l) else "constructed witness falls outside the cone"}
+    laws = [("refinement", 2, refined), ("torsion_free", 3, torsion_free)]
     report = check_laws(laws, Instances(draws, "sampled")).shaped(witness)
     if not report.ok:  # condition 1 counts once
         return replace(report, checked=1 + report.checked)
@@ -262,24 +286,28 @@ def group_from_action(F: FlatAction, probes: Iterable) -> LGroup:
 
     The induced sum k·z + k'·z = (k + k')·z generates, from the probes together
     with 1, the cyclic group (1/m)Z where m is the least common denominator.
-    Every probe is re-derived through the action from the common refinement;
-    a mismatch (a non-flat action) raises ReconstructionError.
+    Every probe is re-derived through ``act_pair`` from the common refinement
+    1/m and compared by cross-multiplication; a mismatch (a non-flat action)
+    raises ReconstructionError.
     """
     probes = [x if isinstance(x, Fraction) else Fraction(x) for x in probes]
     if not probes:
         raise DomainError("probes must be nonempty")
-    for x in probes:
-        if not (x > 0 and contains_rational(F.base, x)):
-            raise StructuralError(f"probe {x} is not in the cone of {F.base!r}")
-    m = math.lcm(*(x.denominator for x in probes))
-    g = Fraction(1, m)  # the gcd of the probes and 1
-    if F.act(1, g) != g:
+    chi, act = F.base, F.act_pair
+    nums, dens = [x.numerator for x in probes], [x.denominator for x in probes]
+    m = math.lcm(*dens)
+    # every 1/b lies in the group iff 1/m does, so membership needs one check
+    if min(nums) <= 0 or not admits_denominator(chi, m):
+        x = next(x for x in probes if not (x > 0 and contains_rational(chi, x)))
+        raise StructuralError(f"probe {x} is not in the cone of {chi!r}")
+    c, d = act(1, 1, m)
+    if c * m != d:
         raise ReconstructionError("action violates the identity law at the refinement")
-    for x in probes:
-        k = x.numerator * (m // x.denominator)
-        if F.act(k, g) != x:
-            raise ReconstructionError(
-                f"induced sum is not well defined: {x} is not reached from {g}")
+    for a, b in zip(nums, dens):
+        c, d = act(a * (m // b), 1, m)
+        if c * b != a * d:
+            raise ReconstructionError(f"induced sum is not well defined: {Fraction(a, b)} "
+                                      f"is not reached from {Fraction(1, m)}")
     return _cyclic_group(m)
 
 

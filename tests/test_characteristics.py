@@ -6,9 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import in_q_subgroup
 
-from mvtrop.characteristics import (CHI_Q, CHI_Z, INF, characteristic,
-                                    contains_rational, factor, group_label,
-                                    is_prime, parse_group_label, valuation)
+from mvtrop.characteristics import (CHI_Q, CHI_Z, INF, TRIAL_LIMIT,
+                                    characteristic, contains_rational, factor,
+                                    group_label, is_prime, parse_group_label,
+                                    valuation)
 from mvtrop.errors import DomainError, UsageError
 
 
@@ -44,6 +45,16 @@ def test_factor(n):
     primes = [p for p, _ in factor(n)]
     assert primes == sorted(set(primes)) and all(map(is_prime, primes))
     assert math.prod(p ** e for p, e in factor(n)) == n
+
+
+def test_factor_stops_trial_division_at_its_limit():
+    assert TRIAL_LIMIT == 10**6
+    p61 = 2**61 - 1  # a decided prime cofactor above the limit is kept
+    assert factor(999_983 * p61) == ((999_983, 1), (p61, 1))
+    # two primes above the limit, and a prime beyond the exact primality test
+    for n in (1_000_000_007 * 1_000_000_009, 3 * (2**89 - 1)):
+        with pytest.raises(DomainError, match=f"cannot factor {n}"):
+            factor(n)
 
 
 def test_factor_cache_is_bounded():

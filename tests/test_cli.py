@@ -179,6 +179,15 @@ def test_a_prime_beyond_the_exact_primality_test_is_refused(capsys):
     assert code == 3 and out == "" and _one_line_error(err)
 
 
+@pytest.mark.parametrize("m", ["1000000016000000063", "618970019642690137449562111"])
+def test_a_label_with_no_prime_factor_up_to_the_trial_limit_is_refused(m, capsys):
+    # 1,000,000,007 · 1,000,000,009, and 2**89 - 1, a prime beyond the exact test
+    start = time.perf_counter()
+    code, out, err = run(["delta", "--group", f"Z[1/{m}]"], capsys)
+    assert time.perf_counter() - start < 1
+    assert code == 3 and out == "" and _one_line_error(err) and m in err
+
+
 def test_seed_reproducibility(capsys):
     args = ["flat-check", "--group", "Z[1/2]", "--samples", "200", "--seed", "9"]
     _, out1, _ = run(args, capsys)
