@@ -21,11 +21,23 @@ from mvtrop.characteristics import (INF, characteristic, contains_rational,
 from mvtrop.errors import DomainError, ReconstructionError, StructuralError
 from mvtrop.groups import qsubgroup
 from mvtrop.qpoints import (FlatAction, check_flatness, frobenius_action,
-                            group_from_action, rational_gcd)
+                            group_from_action)
 from mvtrop.report import VALID, CheckReport, Instances, check_laws
 
 
 # -- the Fraction reference ----------------------------------------------------
+
+def rational_gcd(values):
+    """Greatest common divisor in Q: min of the p-adic valuations at every prime."""
+    vs = [v if isinstance(v, Fraction) else Fraction(v) for v in values]
+    if not vs or any(v == 0 for v in vs):
+        raise DomainError("rational gcd needs nonzero arguments")
+    num, den = 0, 1
+    for v in vs:
+        num = math.gcd(num, abs(v.numerator))
+        den = math.lcm(den, v.denominator)
+    return Fraction(num, den)
+
 
 def _ref_fragment(chi, height):
     out = set()
@@ -135,6 +147,14 @@ def _outcome(run):
 
 # -- the tests -----------------------------------------------------------------
 
+def test_rational_gcd():
+    assert rational_gcd([Fraction(1, 2), Fraction(1, 3)]) == Fraction(1, 6)
+    assert rational_gcd([6, 10]) == 2
+    assert rational_gcd([Fraction(3, 4), Fraction(9, 2)]) == Fraction(3, 4)
+    with pytest.raises(DomainError):
+        rational_gcd([Fraction(0)])
+
+
 @settings(max_examples=150, deadline=None)
 @given(actions, st.integers(1, 300), st.integers(0, 999), st.integers(1, 12))
 def test_check_flatness_agrees_with_the_fraction_reference(F, samples, seed, height):
@@ -166,3 +186,22 @@ def test_frobenius_act_pair_keeps_the_checks_of_act():
         F.act_pair(True, 1, 1)
     with pytest.raises(StructuralError, match="-1/2 is not in the strictly positive cone"):
         F.act_pair(2, -1, 2)
+
+
+def test_act_pair_follows_act():
+    F = frobenius_action(characteristic())
+    # a replaced act brings its own int form: the checkers see the new action
+    G = replace(F, act=lambda n, x: x)
+    assert G.act_pair(3, 2, 5) == (2, 5)
+    assert check_flatness(G, samples=50).verdict == "counterexample"
+    with pytest.raises(ReconstructionError):
+        group_from_action(G, [3])
+    # and replacing a user act by Frobenius's picks up Frobenius's native form
+    H = replace(FlatAction(F.base, lambda n, x: x), act=F.act)
+    assert H.act_pair is F.act_pair
+    assert check_flatness(H, samples=50).verdict == VALID
+
+
+def test_act_pair_is_not_a_constructor_argument():
+    with pytest.raises(TypeError):
+        FlatAction(characteristic(), lambda n, x: x, act_pair=lambda n, a, b: (n * a, b))

@@ -16,7 +16,7 @@ from mvtrop.qpoints import (REGULARLY_DENSE, REGULARLY_DISCRETE, FlatAction,
                             common_measure, find_divisible_between,
                             frobenius_action, gp_invariant,
                             group_characteristic, group_from_action,
-                            hom_exists, hom_obstruction, rational_gcd,
+                            hom_exists, hom_obstruction,
                             theta_pt)
 
 CHI_DYADIC = parse_group_label("Z[1/2]")
@@ -207,14 +207,6 @@ def test_action_laws_sampled():
         assert F.act(m, F.act(n, x)) == F.act(m * n, x)
 
 
-def test_rational_gcd():
-    assert rational_gcd([Fraction(1, 2), Fraction(1, 3)]) == Fraction(1, 6)
-    assert rational_gcd([6, 10]) == 2
-    assert rational_gcd([Fraction(3, 4), Fraction(9, 2)]) == Fraction(3, 4)
-    with pytest.raises(DomainError):
-        rational_gcd([Fraction(0)])
-
-
 def test_check_flatness_on_frobenius():
     for chi in (CHI_Z, CHI_Q, CHI_DYADIC):
         report = check_flatness(frobenius_action(chi), samples=300, seed=3)
@@ -260,6 +252,14 @@ def test_group_from_action_errors():
     corrupted = FlatAction(CHI_Z, lambda n, x: x, label="projection")
     with pytest.raises(ReconstructionError):
         group_from_action(corrupted, [3])
+
+
+@pytest.mark.parametrize("m", [1000000007 * 1000000009, 2 ** 89 - 1])
+def test_group_from_action_refuses_a_refinement_it_cannot_factor(m):
+    # 1/m is in the cone of Q, but (1/m)Z needs m factored, and factor stops at 10^6
+    with pytest.raises(DomainError, match=f"^cannot factor {m}: {m} has no prime factor "
+                                          f"up to 1000000 and is not a decided prime$"):
+        group_from_action(frobenius_action(CHI_Q), [Fraction(1, m)])
 
 
 # -- theta_pt ------------------------------------------------------------------------
