@@ -18,14 +18,22 @@ no tables, and kept in a bounded cache keyed on the frozen descriptor.  The
 checkers in ``logic`` call the record on payloads directly and build
 MvElements only for witnesses.
 
-A finite carrier also has a record on codes (``code_ops``), uncached: an
+A walk over a listing that is not a law check (θ, θ*, the Boolean part and
+``export``) runs on the int record of ``int_record(A, bound)``: the record, the
+listing's values on it, and a decoder of any value back to its payload.  It is
+exact because Γ's truncated operations commute with scaling by a positive
+integer.  A finite carrier uses codes (``code_ops``, built per call): an
 element's code is its index in the canonical enumeration.  Every finite
 MV-algebra is a finite product of finite Łukasiewicz chains, and every shipped
 kind that is not a product is a chain, so a finite carrier is its leaf shape
 (``leaf_shape``: the size and mixed-radix weight of each non-product factor).
 A code's digits are its leaves' codes, and a leaf with n elements is L_n on the
 ints 0..n−1.  ``export`` reads its covers and ``functors`` its atoms off the
-shape.  The Fractions of [0, 1] and the codes of L_n share one record,
+shape.  A fragment is scaled by its kind (``scaled``): the interval's runs on
+p·D and Δ(G) for G ⊆ Q on Chang's record over (bit, offset·D), D the lcm of
+the fragment's denominators; lex groups and products with an infinite factor
+keep the payload record, with the payloads as values.  The Fractions of
+[0, 1], the codes of L_n and the scaled interval share one record,
 ``_chain_ops(bottom, top)``.
 
 Δ(G) payloads are (bit, offset) pairs whose arithmetic runs on the group's
@@ -50,7 +58,8 @@ from fractions import Fraction
 from typing import Any, Callable, Iterable
 
 from .errors import DomainError, ModeError, StructuralError, UsageError
-from .groups import TRIVIAL, LexZG, LGroup, Z, group_coerce, require_members
+from .groups import (TRIVIAL, LexZG, LGroup, QSubgroup, Z, group_coerce,
+                     require_members)
 from .rationals import parse_integer, parse_rational, rational_str
 from .report import CheckReport, Instances, axiom_witness, check_laws
 
@@ -116,10 +125,15 @@ class MvAlgebra:
     full), ``build_ops()`` (its record; callers use ``payload_ops``),
     ``carrier_size()`` (None, the default, when infinite), ``enumerate(bound)``
     (the carrier or its bounded fragment, in canonical order),
-    ``is_infinitesimal(payload)`` and ``payload_to_json`` / ``payload_from_json``."""
+    ``is_infinitesimal(payload)`` and ``payload_to_json`` / ``payload_from_json``.
+    A kind with an infinite carrier may supply ``scaled(pool)``, its piece of
+    ``int_record``; the default keeps the payload record."""
 
     def carrier_size(self) -> int | None:
         return None
+
+    def scaled(self, pool: list) -> tuple:
+        return payload_ops(self), pool, lambda p: p
 
 
 class _Unit(MvAlgebra):
@@ -187,6 +201,12 @@ class RationalInterval(_Unit):
         """The Farey sequence of order ``bound``."""
         return sorted({Fraction(n, d) for d in range(1, bound + 1) for n in range(d + 1)})
 
+    def scaled(self, pool: list) -> tuple:
+        """p ↦ p·D on ``_chain_ops(0, D)``, D the lcm of the pool's denominators."""
+        D = math.lcm(*[p.denominator for p in pool])
+        return (_chain_ops(0, D), [p.numerator * (D // p.denominator) for p in pool],
+                lambda v: Fraction(v, D))
+
 
 @dataclass(frozen=True)
 class DeltaOf(MvAlgebra):
@@ -232,6 +252,15 @@ class DeltaOf(MvAlgebra):
 
     def carrier_size(self) -> int | None:
         return 2 if self.group == TRIVIAL else None
+
+    def scaled(self, pool: list) -> tuple:
+        """For G ⊆ Q, (bit, g) ↦ (bit, g·D) on Chang's record, D the lcm of the
+        pool's offset denominators; other groups keep the payload record."""
+        if not isinstance(self.group, QSubgroup):
+            return super().scaled(pool)
+        D = math.lcm(*[g.denominator for _, g in pool])
+        return (payload_ops(CHANG), [(b, g.numerator * (D // g.denominator)) for b, g in pool],
+                lambda v: (v[0], Fraction(v[1], D)))
 
     def enumerate(self, bound: int | None) -> list:
         """Ascending: (0, g) over the bound-limited positive cone, then (1, -g) back down."""
@@ -343,9 +372,21 @@ def payload_ops(A: MvAlgebra) -> PayloadOps:
     return _descriptor(A).build_ops()
 
 
+def int_record(A: MvAlgebra, bound: int | None = None) -> tuple[PayloadOps, Any, Callable]:
+    """The record a walk over ``enumerate_payloads(A, bound)`` runs on, the
+    listing's values on it in the same order, and the decoder of any value of
+    the record, listed or not, to its payload.  A finite carrier uses
+    ``code_ops`` with the values ``range(n)``; a fragment uses its kind's
+    ``scaled`` piece.  Nothing is cached."""
+    n = _descriptor(A).carrier_size()
+    if n is None:
+        return A.scaled(enumerate_payloads(A, bound))
+    return code_ops(A), range(n), enumerate_payloads(A).__getitem__
+
+
 def code_ops(A: MvAlgebra) -> PayloadOps:
-    """The ops record of a finite carrier on codes, uncached: ``export`` builds one
-    per call.  A code is an index into ``enumerate_payloads(A)``, so 0 and 1 are
+    """The ops record of a finite carrier on codes, uncached: ``int_record`` builds
+    one per call.  A code is an index into ``enumerate_payloads(A)``, so 0 and 1 are
     the first and the last code and every result is an index into that listing.
     One leaf is L_n: code k stands for k/(n−1).  Several work digit by digit,
     each on its leaf's record, so a nested product has its flattened leaves' codes."""

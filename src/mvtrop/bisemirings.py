@@ -1,19 +1,23 @@
 """ℓ-bisemiring values (the θ and θ* images) and positive cones with a top.
 
 A Bisemiring is a subset of a host MV-algebra, closed under ⊕, ⊙, ∧, ∨ and
-containing 0 and 1, represented as a membership predicate plus, when the
-carrier is finite, an explicit element tuple.  A TopCone is the positive cone
-of an ℓ-group together with an absorbing top element; it is how θ of a perfect
-algebra is packaged.  Like every ordered structure it carries one ops record
-(see ``groups``), and the cone operations are that record's, checked.
+containing 0 and 1, represented as a record-level membership test plus, when
+the carrier is given from outside, an explicit element tuple.  The test takes
+an ops record and a value on it: membership of one element runs it on the
+host's payload record, and a listing runs it on ``algebra.int_record``, whose
+values are codes or scaled ints wherever the host allows.  A TopCone is the
+positive cone of an ℓ-group together with an absorbing top element; it is how
+θ of a perfect algebra is packaged.  Like every ordered structure it carries
+one ops record (see ``groups``), and the cone operations are that record's,
+checked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Any, Callable
 
-from .algebra import (MvAlgebra, MvElement, enumerate_elements, one,
+from .algebra import (MvAlgebra, MvElement, PayloadOps, int_record, one,
                       payload_ops, zero)
 from .errors import MalformedInputError, StructuralError
 from .groups import (TOP, GroupOps, LGroup, OrderedStructure, checked_operation,
@@ -25,37 +29,48 @@ from .report import CheckReport, Instances, axiom_witness, check_laws
 class Bisemiring:
     """A sub-bisemiring of a host MV-algebra, given by membership.
 
-    Operations are inherited from the host; use the algebra-level functions
-    mv_oplus / mv_odot / mv_meet / mv_join on the elements.
+    ``test(ops, value)`` decides membership of a value on any record of the
+    host: its payload record or ``int_record``'s.  Operations are inherited
+    from the host; use the algebra-level functions mv_oplus / mv_odot /
+    mv_meet / mv_join on the elements.
     """
 
     host: MvAlgebra
-    member: Callable[[MvElement], bool] = field(repr=False)
+    test: Callable[[PayloadOps, Any], bool] = field(repr=False)
     label: str = "bisemiring"
     explicit: tuple | None = None
 
     def contains(self, x: MvElement) -> bool:
-        return self.has(self._in_host(x))
+        return self._member(x, self._host_ops(x))
 
     def has(self, x: MvElement) -> bool:
         """Membership of an element known to lie in the host; nothing is checked."""
-        return x in self.explicit if self.explicit is not None else self.member(x)
+        return self._member(x, payload_ops(self.host))
 
-    def _in_host(self, x: MvElement) -> MvElement:
+    def _member(self, x: MvElement, ops: PayloadOps) -> bool:
+        return x in self.explicit if self.explicit is not None else self.test(ops, x.payload)
+
+    def _host_ops(self, x: MvElement) -> PayloadOps:
+        """The host's payload record, once x is checked to lie in the host."""
         if x.algebra != self.host:
             raise StructuralError(f"{x!r} does not inhabit {self.host!r}")
-        payload_ops(self.host).checked(x.payload)
-        return x
+        return payload_ops(self.host).checked(x.payload)
 
     def elements(self, bound: int | None = None) -> list[MvElement]:
         """The carrier (finite case) or its bound-limited fragment."""
         if self.explicit is not None:
             return list(self.explicit)
-        return [x for x in enumerate_elements(self.host, bound) if self.member(x)]
+        return [MvElement(self.host, p) for p in self.payloads(bound)]
 
     def payloads(self, bound: int | None = None) -> list:
-        """The payloads of ``elements(bound)``, each checked once to lie in the host."""
-        return [self._in_host(x).payload for x in self.elements(bound)]
+        """The payloads of ``elements(bound)``.  Listed ones come from the host's
+        enumeration, so only explicit elements are checked to lie in the host."""
+        if self.explicit is not None:
+            for x in self.explicit:
+                self._host_ops(x)
+            return [x.payload for x in self.explicit]
+        ops, values, decode = int_record(self.host, bound)
+        return [decode(v) for v in values if self.test(ops, v)]
 
     def __repr__(self) -> str:
         return f"{self.label}({self.host!r})"

@@ -1,15 +1,16 @@
 """Structure export: full operation tables as JSON and Hasse diagrams as DOT.
 
-On a finite carrier the tables, the negation map and the Boolean elements are
-computed on codes (``algebra.code_ops``): an element's code is its index in
-the canonical listing, so every result is already the index the table holds.
-On a chain a code operation is a few int operations; on a product it is the
-same, digit by digit of a mixed-radix int.  A fragment of an infinite carrier
-stays on payloads (``algebra.payload_ops``), because its results can fall
-outside the listing; each is looked up in an index of the listing and
-rendered as a payload when it is not there.  The listing itself, the
-infinitesimal marks and the diagram's nodes are read from payloads, once per
-element.
+The tables, the negation map and the Boolean elements are computed on the
+listing's int record (``algebra.int_record``).  On a finite carrier its values
+are codes: an element's code is its index in the canonical listing, so every
+result is already the index the table holds.  On a chain a code operation is a
+few int operations; on a product it is the same, digit by digit of a
+mixed-radix int.  On a fragment of an infinite carrier the values are scaled
+ints (payloads for a lex group or a product with an infinite factor), and a
+result can fall outside the listing: each is looked up in an int-keyed index
+of the listing, and only a result that is not there is decoded and rendered
+as a payload.  The listing itself, the infinitesimal marks and the diagram's
+nodes are decoded to payloads once per element.
 
 The Hasse diagram needs no order tests.  Every kind that is not a product is
 a chain enumerated in ascending order, so consecutive listed elements cover
@@ -25,8 +26,8 @@ Both listings are bounded by ``MAX_EXPORT_CARRIER``, checked on the leaf shape
 
 from __future__ import annotations
 
-from .algebra import (MvAlgebra, MvElement, carrier_size, code_ops, element_str,
-                      enumerate_payloads, is_infinitesimal_elem, leaf_shape, payload_ops)
+from .algebra import (MvAlgebra, MvElement, carrier_size, element_str, int_record,
+                      leaf_shape)
 from .errors import DomainError
 from .jsonio import algebra_shorthand, algebra_to_json
 
@@ -40,27 +41,21 @@ def operation_tables(A: MvAlgebra, bound: int | None = None) -> dict:
     fragment, in which case operation results can escape the listed elements
     and are rendered as payloads instead of indices (flagged by "fragment").
     """
-    elems, _ = _listing(A, bound)
+    ops, xs, decode, _ = _listing(A, bound)
     fragment = carrier_size(A) is None
-    if fragment:
-        ops, xs = payload_ops(A), elems
-        index = {p: i for i, p in enumerate(elems)}
+    index = {x: i for i, x in enumerate(xs)} if fragment else {}
 
-        def lift(op):
-            def cell(*args):
-                p = op(*args)
-                return index[p] if p in index else A.payload_to_json(p)
-            return cell
-    else:
-        ops, xs = code_ops(A), range(len(elems))
-
-        def lift(op):
-            return op
+    def lift(op):  # a code is its own cell; a fragment's result is looked up
+        def cell(*args):
+            r = op(*args)
+            return index[r] if r in index else A.payload_to_json(decode(r))
+        return cell if fragment else op
 
     tables = {name: [[f(x, y) for y in xs] for x in xs]
               for name, f in (("oplus", lift(ops.oplus)), ("odot", lift(ops.odot)),
                               ("meet", lift(ops.meet)), ("join", lift(ops.join)))}
     neg = lift(ops.neg)
+    elems = [decode(x) for x in xs]
     return {
         "algebra": algebra_to_json(A),
         "fragment": fragment,
@@ -77,28 +72,27 @@ def hasse_dot(A: MvAlgebra, bound: int | None = None) -> str:
 
     Boolean elements are drawn with a double border, infinitesimals filled gray.
     """
-    elems, shape = _listing(A, bound)
-    ops = payload_ops(A)
+    ops, xs, decode, shape = _listing(A, bound)
     lines = ["digraph hasse {", "  rankdir=BT;", '  node [shape=ellipse];']
-    for i, p in enumerate(elems):
-        x = MvElement(A, p)
-        attrs = [f'label="{element_str(x)}"']
-        if ops.oplus(p, p) == p:
+    for i, x in enumerate(xs):
+        p = decode(x)
+        attrs = [f'label="{element_str(MvElement(A, p))}"']
+        if ops.oplus(x, x) == x:
             attrs.append("peripheries=2")
-        if is_infinitesimal_elem(x):
+        if A.is_infinitesimal(p):
             attrs.append('style=filled fillcolor=lightgray')
         lines.append(f"  n{i} [{' '.join(attrs)}];")
-    for i in range(len(elems)):  # lightest leaf first, so each i's covers ascend
+    for i in range(len(xs)):  # lightest leaf first, so each i's covers ascend
         lines += [f"  n{i} -> n{i + w};" for w, s in shape[::-1] if i // w % s < s - 1]
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
-def _listing(A: MvAlgebra, bound: int | None) -> tuple[list, list[tuple[int, int]]]:
-    """The (bounded) carrier in canonical order and its ``leaf_shape``, whose
-    length is checked before the carrier is listed."""
+def _listing(A: MvAlgebra, bound: int | None) -> tuple:
+    """``algebra.int_record(A, bound)`` and the ``leaf_shape``, whose length is
+    checked before the carrier is listed."""
     shape = leaf_shape(A, bound)
     if shape[0][0] * shape[0][1] > MAX_EXPORT_CARRIER:
         what = "carrier" if carrier_size(A) is not None else "fragment"
         raise DomainError(f"{what} of {algebra_shorthand(A)} exceeds {MAX_EXPORT_CARRIER} elements")
-    return enumerate_payloads(A, bound), shape
+    return (*int_record(A, bound), shape)

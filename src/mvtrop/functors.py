@@ -14,8 +14,8 @@ from typing import Any, Callable
 
 from .algebra import (DeltaOf, FiniteChain, MvAlgebra, MvElement,
                       ProductAlgebra, carrier_size, element, element_str,
-                      enumerate_elements, enumerate_payloads, is_boolean_elem,
-                      leaf_shape, mv_neg, mv_oplus, one, payload_ops, zero)
+                      enumerate_payloads, int_record, leaf_shape, mv_neg,
+                      mv_oplus, one, payload_ops, zero)
 from .bisemirings import TOP, Bisemiring, TopCone, check_closed, closure_laws
 from .errors import (BrokenHomomorphismError, DomainError, MalformedInputError,
                      UnsupportedRepresentationError)
@@ -79,23 +79,19 @@ def mv_from_semifield(S: TropOfGroup, u) -> MvAlgebra:
 # θ and θ*.
 
 def theta(A: MvAlgebra) -> Bisemiring:
-    """θ(A) = {x : x >= 2x²}, as a membership predicate over A."""
-    ops = payload_ops(A)
-
-    def member(x: MvElement) -> bool:
-        sq = ops.odot(x.payload, x.payload)
-        return ops.leq(ops.oplus(sq, sq), x.payload)
-    return Bisemiring(A, member, label="theta")
+    """θ(A) = {x : x >= 2x²}, as a record-level test over A."""
+    def test(ops, p) -> bool:
+        sq = ops.odot(p, p)
+        return ops.leq(ops.oplus(sq, sq), p)
+    return Bisemiring(A, test, label="theta")
 
 
 def theta_star(A: MvAlgebra) -> Bisemiring:
     """θ*(A) = {x : x <= 2x²}."""
-    ops = payload_ops(A)
-
-    def member(x: MvElement) -> bool:
-        sq = ops.odot(x.payload, x.payload)
-        return ops.leq(x.payload, ops.oplus(sq, sq))
-    return Bisemiring(A, member, label="theta_star")
+    def test(ops, p) -> bool:
+        sq = ops.odot(p, p)
+        return ops.leq(p, ops.oplus(sq, sq))
+    return Bisemiring(A, test, label="theta_star")
 
 
 def theta_perfect(P: MvAlgebra) -> TopCone:
@@ -139,8 +135,9 @@ def f_equiv(S: TropOfGroup) -> TopCone:
 # Boolean part, gluing, and recognition of θ images.
 
 def boolean_part(A: MvAlgebra, bound: int | None = None) -> list[MvElement]:
-    """All idempotent elements of the (bounded) carrier."""
-    return [x for x in enumerate_elements(A, bound) if is_boolean_elem(x)]
+    """All idempotent elements of the (bounded) carrier, tested on ``int_record``."""
+    ops, values, decode = int_record(A, bound)
+    return [MvElement(A, decode(v)) for v in values if ops.oplus(v, v) == v]
 
 
 def is_boolean_algebra(A: MvAlgebra) -> bool:

@@ -230,11 +230,11 @@ def test_theta_image_is_lbisemiring_exhaustive():
 
 
 def test_lbisemiring_checker_rejects_malformed():
-    half_only = Bisemiring(L3, lambda x: True,
+    half_only = Bisemiring(L3, lambda ops, x: True,
                            explicit=(zero(L3), element(L3, Fraction(1, 2))))
     with pytest.raises(MalformedInputError):
         check_lbisemiring_of(half_only)
-    singleton = Bisemiring(L2, lambda x: True, explicit=(zero(L2),))
+    singleton = Bisemiring(L2, lambda ops, x: True, explicit=(zero(L2),))
     with pytest.raises(MalformedInputError):
         check_lbisemiring_of(singleton)
 
@@ -368,7 +368,7 @@ def test_glue_result_satisfies_vc_axiom_on_fragment():
 # -- recognizing theta images -------------------------------------------------------------
 
 def _full_bisemiring(A):
-    return Bisemiring(A, lambda x: True, explicit=tuple(enumerate_elements(A)))
+    return Bisemiring(A, lambda ops, x: True, explicit=tuple(enumerate_elements(A)))
 
 
 def test_recognize_accepts_boolean_four():
@@ -385,12 +385,12 @@ def test_recognize_rejects_three_chain():
 
 def test_recognize_malformed_inputs():
     with pytest.raises(MalformedInputError):
-        recognize_theta_image(Bisemiring(L2, lambda x: True, explicit=(zero(L2),)))
+        recognize_theta_image(Bisemiring(L2, lambda ops, x: True, explicit=(zero(L2),)))
     # {0, 1/3, 1} in the four-chain is not closed under oplus (1/3 ⊕ 1/3 = 2/3)
     L4 = FiniteChain(4)
     with pytest.raises(MalformedInputError):
         recognize_theta_image(Bisemiring(
-            L4, lambda x: True,
+            L4, lambda ops, x: True,
             explicit=(zero(L4), element(L4, Fraction(1, 3)), one(L4))))
 
 
@@ -398,7 +398,7 @@ def test_theta_image_conditions_on_fragments():
     assert theta_image_conditions(theta(CHANG), 6).verdict == "valid"
     assert theta_image_conditions(theta(delta(DYADIC)), 4).verdict == "valid"
     # whole three-chain: Inf = {0, 1/2} is not closed under ⊕
-    report = theta_image_conditions(Bisemiring(L3, lambda x: True), None)
+    report = theta_image_conditions(Bisemiring(L3, lambda ops, x: True), None)
     assert report.verdict == "counterexample"
     assert report.witness["condition"] == "inf_closure"
 

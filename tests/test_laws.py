@@ -37,11 +37,11 @@ HALVES = [Fraction(0), Fraction(1, 2), Fraction(1)]
 
 
 def _full(A):
-    return Bisemiring(A, lambda x: True, explicit=tuple(enumerate_elements(A)))
+    return Bisemiring(A, lambda ops, x: True, explicit=tuple(enumerate_elements(A)))
 
 
 def _explicit(A, *payloads):
-    return Bisemiring(A, lambda x: True, explicit=tuple(element(A, p) for p in payloads))
+    return Bisemiring(A, lambda ops, x: True, explicit=tuple(element(A, p) for p in payloads))
 
 
 def _chain_bisemiring(**corrupt):
@@ -121,7 +121,7 @@ CASES = {
     "conditions/theta(chang)/3": lambda: theta_image_conditions(theta(CHANG), 3),
     "conditions/theta(dyadic)/2": lambda: theta_image_conditions(theta(DYADIC), 2),
     "conditions/theta_star(chang)/2": lambda: theta_image_conditions(theta_star(CHANG), 2),
-    "conditions/full(chain:3)": lambda: theta_image_conditions(Bisemiring(L3, lambda x: True)),
+    "conditions/full(chain:3)": lambda: theta_image_conditions(Bisemiring(L3, lambda ops, x: True)),
     "conditions/missing_one": lambda: theta_image_conditions(_explicit(L2, 0)),
     "conditions/bool_closure": lambda: theta_image_conditions(_explicit(
         product_algebra(L2, L2, L2), (0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 1))),
