@@ -22,18 +22,15 @@ A walk over a listing that is not a law check (θ, θ*, the Boolean part and
 ``export``) runs on the int record of ``int_record(A, bound)``: the record, the
 listing's values on it, and a decoder of any value back to its payload.  It is
 exact because Γ's truncated operations commute with scaling by a positive
-integer.  A finite carrier uses codes (``code_ops``, built per call): an
-element's code is its index in the canonical enumeration.  Every finite
-MV-algebra is a finite product of finite Łukasiewicz chains, and every shipped
-kind that is not a product is a chain, so a finite carrier is its leaf shape
-(``leaf_shape``: the size and mixed-radix weight of each non-product factor).
-A code's digits are its leaves' codes, and a leaf with n elements is L_n on the
-ints 0..n−1.  ``export`` reads its covers and ``functors`` its atoms off the
-shape.  A fragment is scaled by its kind (``scaled``): the interval's runs on
-p·D and Δ(G) for G ⊆ Q on Chang's record over (bit, offset·D), D the lcm of
-the fragment's denominators; lex groups and products with an infinite factor
-keep the payload record, with the payloads as values.  The Fractions of
-[0, 1], the codes of L_n and the scaled interval share one record,
+integer.  Each kind builds its piece (``build_int_record``).  A finite leaf
+with n elements is L_n on the ints 0..n−1, decoded by indexing its listing.
+An infinite leaf is scaled by its kind (``scaled``): the interval's fragment
+runs on p·D and Δ(G) for G ⊆ Q on Chang's record over (bit, offset·D), D the
+lcm of the fragment's denominators; a lex group keeps the payload record, with
+the payloads as values.  A product's int record is its factors' side by side,
+componentwise, as its payload record is (``_componentwise``): its values are
+the tuples of theirs and its decoder is theirs, coordinate by coordinate.  The
+Fractions of [0, 1], the ints of L_n and the scaled interval share one record,
 ``_chain_ops(bottom, top)``.
 
 Δ(G) payloads are (bit, offset) pairs whose arithmetic runs on the group's
@@ -77,8 +74,8 @@ class PayloadOps:
     exactly as the MV-algebra definitions read.  None of them checks its
     arguments.  ``check`` is the boundary check of one payload (it raises
     StructuralError when a Δ(G) offset lies outside G), or None when the kind
-    needs none.  The record on the codes of a finite carrier (``code_ops``) is
-    one of these too, with ints for payloads and no check.
+    needs none.  The int records of ``int_record`` are ones too, on ints or
+    tuples of them.
     """
 
     __slots__ = ("oplus", "neg", "zero", "one", "check", "odot", "ominus", "implies",
@@ -126,11 +123,18 @@ class MvAlgebra:
     ``carrier_size()`` (None, the default, when infinite), ``enumerate(bound)``
     (the carrier or its bounded fragment, in canonical order),
     ``is_infinitesimal(payload)`` and ``payload_to_json`` / ``payload_from_json``.
-    A kind with an infinite carrier may supply ``scaled(pool)``, its piece of
-    ``int_record``; the default keeps the payload record."""
+    ``build_int_record(bound)`` is its piece of ``int_record``; by default a leaf
+    with n elements is L_n on ``range(n)``, and an infinite one is ``scaled(pool)``,
+    which by default keeps the payload record with the payloads as values."""
 
     def carrier_size(self) -> int | None:
         return None
+
+    def build_int_record(self, bound: int | None) -> tuple:
+        pool = self.enumerate(bound)
+        if self.carrier_size() is None:
+            return self.scaled(pool)
+        return _chain_ops(0, len(pool) - 1), range(len(pool)), pool.__getitem__
 
     def scaled(self, pool: list) -> tuple:
         return payload_ops(self), pool, lambda p: p
@@ -301,24 +305,13 @@ class ProductAlgebra(MvAlgebra):
         return tuple(f.coerce(p) for f, p in zip(self.factors, payload))
 
     def build_ops(self) -> PayloadOps:
-        parts = [payload_ops(f) for f in self.factors]
-        pluses, negs = tuple(o.oplus for o in parts), tuple(o.neg for o in parts)
-        leqs, joins = tuple(o.leq for o in parts), tuple(o.join for o in parts)
-        meets = tuple(o.meet for o in parts)
-        checks = tuple((i, o.check) for i, o in enumerate(parts) if o.check is not None)
+        return _componentwise([payload_ops(f) for f in self.factors])
 
-        def check(p):
-            for i, c in checks:
-                c(p[i])
-
-        return PayloadOps(
-            lambda p, q: tuple([f(a, b) for f, a, b in zip(pluses, p, q)]),
-            lambda p: tuple([f(a) for f, a in zip(negs, p)]),
-            tuple(o.zero for o in parts), tuple(o.one for o in parts),
-            lambda p, q: all([f(a, b) for f, a, b in zip(leqs, p, q)]),
-            lambda p, q: tuple([f(a, b) for f, a, b in zip(joins, p, q)]),
-            lambda p, q: tuple([f(a, b) for f, a, b in zip(meets, p, q)]),
-            check if checks else None)
+    def build_int_record(self, bound: int | None) -> tuple:
+        """The factors' int records side by side: values are the tuples of theirs."""
+        opss, valuess, decoders = zip(*[f.build_int_record(bound) for f in self.factors])
+        return (_componentwise(opss), list(itertools.product(*valuess)),
+                lambda v: tuple([d(c) for d, c in zip(decoders, v)]))
 
     def carrier_size(self) -> int | None:
         sizes = [f.carrier_size() for f in self.factors]
@@ -337,6 +330,27 @@ class ProductAlgebra(MvAlgebra):
         if not isinstance(data, list) or len(data) != len(self.factors):
             raise UsageError(f"payload arity mismatch for {self!r}: {data!r}")
         return tuple(f.payload_from_json(c) for f, c in zip(self.factors, data))
+
+
+def _componentwise(parts) -> PayloadOps:
+    """The product of the records ``parts``, on tuples with one coordinate each."""
+    pluses, negs = tuple(o.oplus for o in parts), tuple(o.neg for o in parts)
+    leqs, joins = tuple(o.leq for o in parts), tuple(o.join for o in parts)
+    meets = tuple(o.meet for o in parts)
+    checks = tuple((i, o.check) for i, o in enumerate(parts) if o.check is not None)
+
+    def check(p):
+        for i, c in checks:
+            c(p[i])
+
+    return PayloadOps(
+        lambda p, q: tuple([f(a, b) for f, a, b in zip(pluses, p, q)]),
+        lambda p: tuple([f(a) for f, a in zip(negs, p)]),
+        tuple(o.zero for o in parts), tuple(o.one for o in parts),
+        lambda p, q: all([f(a, b) for f, a, b in zip(leqs, p, q)]),
+        lambda p, q: tuple([f(a, b) for f, a, b in zip(joins, p, q)]),
+        lambda p, q: tuple([f(a, b) for f, a, b in zip(meets, p, q)]),
+        check if checks else None)
 
 
 CHANG = DeltaOf(Z)
@@ -375,40 +389,9 @@ def payload_ops(A: MvAlgebra) -> PayloadOps:
 def int_record(A: MvAlgebra, bound: int | None = None) -> tuple[PayloadOps, Any, Callable]:
     """The record a walk over ``enumerate_payloads(A, bound)`` runs on, the
     listing's values on it in the same order, and the decoder of any value of
-    the record, listed or not, to its payload.  A finite carrier uses
-    ``code_ops`` with the values ``range(n)``; a fragment uses its kind's
-    ``scaled`` piece.  Nothing is cached."""
-    n = _descriptor(A).carrier_size()
-    if n is None:
-        return A.scaled(enumerate_payloads(A, bound))
-    return code_ops(A), range(n), enumerate_payloads(A).__getitem__
-
-
-def code_ops(A: MvAlgebra) -> PayloadOps:
-    """The ops record of a finite carrier on codes, uncached: ``int_record`` builds
-    one per call.  A code is an index into ``enumerate_payloads(A)``, so 0 and 1 are
-    the first and the last code and every result is an index into that listing.
-    One leaf is L_n: code k stands for k/(n−1).  Several work digit by digit,
-    each on its leaf's record, so a nested product has its flattened leaves' codes."""
-    n = _descriptor(A).carrier_size()
-    if n is None:
-        raise DomainError(f"{A!r} has an infinite carrier, so its elements have no codes")
-    shape = leaf_shape(A)
-    if len(shape) == 1:
-        return _chain_ops(0, n - 1)
-
-    def digits(name):
-        return tuple((getattr(_chain_ops(0, s - 1), name), w, s) for w, s in shape)
-
-    def binary(name):
-        fs = digits(name)
-        return lambda a, b: sum([f(a // w % s, b // w % s) * w for f, w, s in fs])
-
-    negs, leqs = digits("neg"), digits("leq")
-    return PayloadOps(
-        binary("oplus"), lambda a: sum([f(a // w % s) * w for f, w, s in negs]), 0, n - 1,
-        lambda a, b: all([f(a // w % s, b // w % s) for f, w, s in leqs]),
-        binary("join"), binary("meet"))
+    the record, listed or not, to its payload; built by the kind
+    (``build_int_record``), uncached."""
+    return _bounded(A, bound).build_int_record(bound)
 
 
 def zero(A: MvAlgebra) -> MvElement:
@@ -487,12 +470,17 @@ def carrier_size(A: MvAlgebra) -> int | None:
 def enumerate_payloads(A: MvAlgebra, bound: int | None = None) -> list:
     """Canonical enumeration: the full carrier when finite (any bound is ignored),
     else the fragment of a bound >= 1; see each kind's ``enumerate``."""
+    return _bounded(A, bound).enumerate(bound)
+
+
+def _bounded(A: MvAlgebra, bound: int | None) -> MvAlgebra:
+    """A, once a bound >= 1 is given if its carrier is infinite."""
     if _descriptor(A).carrier_size() is None:
         if bound is None:
             raise DomainError(f"enumerating {A!r} requires a bound")
         if bound < 1:
             raise DomainError("bound must be >= 1")
-    return A.enumerate(bound)
+    return A
 
 
 def enumerate_elements(A: MvAlgebra, bound: int | None = None) -> list[MvElement]:

@@ -5,7 +5,7 @@ containing 0 and 1, represented as a record-level membership test plus, when
 the carrier is given from outside, an explicit element tuple.  The test takes
 an ops record and a value on it: membership of one element runs it on the
 host's payload record, and a listing runs it on ``algebra.int_record``, whose
-values are codes or scaled ints wherever the host allows.  A TopCone is the
+values are ints, scaled ints or tuples of them wherever the host allows.  A TopCone is the
 positive cone of an ℓ-group together with an absorbing top element; it is how
 θ of a perfect algebra is packaged.  Like every ordered structure it carries
 one ops record (see ``groups``), and the cone operations are that record's,

@@ -83,23 +83,6 @@ def factor(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-def valuation(q: Fraction, p: int) -> int:
-    """p-adic valuation of a nonzero rational."""
-    if q == 0:
-        raise DomainError("valuation of 0 is undefined")
-    q = Fraction(q)
-    v = 0
-    n = q.numerator
-    while n % p == 0:
-        n //= p
-        v += 1
-    d = q.denominator
-    while d % p == 0:
-        d //= p
-        v -= 1
-    return v
-
-
 @dataclass(frozen=True)
 class Characteristic:
     """Canonical form: entries sorted by prime, no entry equal to the default."""

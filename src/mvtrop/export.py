@@ -1,16 +1,13 @@
 """Structure export: full operation tables as JSON and Hasse diagrams as DOT.
 
 The tables, the negation map and the Boolean elements are computed on the
-listing's int record (``algebra.int_record``).  On a finite carrier its values
-are codes: an element's code is its index in the canonical listing, so every
-result is already the index the table holds.  On a chain a code operation is a
-few int operations; on a product it is the same, digit by digit of a
-mixed-radix int.  On a fragment of an infinite carrier the values are scaled
-ints (payloads for a lex group or a product with an infinite factor), and a
-result can fall outside the listing: each is looked up in an int-keyed index
-of the listing, and only a result that is not there is decoded and rendered
-as a payload.  The listing itself, the infinitesimal marks and the diagram's
-nodes are decoded to payloads once per element.
+listing's int record (``algebra.int_record``): ints on a chain or a scaled
+fragment, tuples of them on a product (payloads on a lex group).  Every result
+is looked up in an index of the listing keyed on the record's values; on a
+fragment of an infinite carrier a result can fall outside the listing, and
+only such a result is decoded and rendered as a payload.  The listing itself,
+the infinitesimal marks and the diagram's nodes are decoded to payloads once
+per element.
 
 The Hasse diagram needs no order tests.  Every kind that is not a product is
 a chain enumerated in ascending order, so consecutive listed elements cover
@@ -25,6 +22,8 @@ Both listings are bounded by ``MAX_EXPORT_CARRIER``, checked on the leaf shape
 """
 
 from __future__ import annotations
+
+from itertools import repeat
 
 from .algebra import (MvAlgebra, MvElement, carrier_size, element_str, int_record,
                       leaf_shape)
@@ -42,25 +41,21 @@ def operation_tables(A: MvAlgebra, bound: int | None = None) -> dict:
     and are rendered as payloads instead of indices (flagged by "fragment").
     """
     ops, xs, decode, _ = _listing(A, bound)
-    fragment = carrier_size(A) is None
-    index = {x: i for i, x in enumerate(xs)} if fragment else {}
 
-    def lift(op):  # a code is its own cell; a fragment's result is looked up
-        def cell(*args):
-            r = op(*args)
-            return index[r] if r in index else A.payload_to_json(decode(r))
-        return cell if fragment else op
+    class Index(dict):  # a result outside the listing is rendered as its payload
+        def __missing__(self, r):
+            return A.payload_to_json(decode(r))
 
-    tables = {name: [[f(x, y) for y in xs] for x in xs]
-              for name, f in (("oplus", lift(ops.oplus)), ("odot", lift(ops.odot)),
-                              ("meet", lift(ops.meet)), ("join", lift(ops.join)))}
-    neg = lift(ops.neg)
+    cell = Index((x, i) for i, x in enumerate(xs)).__getitem__
+    tables = {name: [list(map(cell, map(f, repeat(x), xs))) for x in xs]
+              for name, f in (("oplus", ops.oplus), ("odot", ops.odot),
+                              ("meet", ops.meet), ("join", ops.join))}
     elems = [decode(x) for x in xs]
     return {
         "algebra": algebra_to_json(A),
-        "fragment": fragment,
+        "fragment": carrier_size(A) is None,
         "elements": [A.payload_to_json(p) for p in elems],
-        "neg": [neg(x) for x in xs],
+        "neg": list(map(cell, map(ops.neg, xs))),
         "tables": tables,
         "boolean": [i for i, x in enumerate(xs) if ops.oplus(x, x) == x],
         "infinitesimal": [i for i, p in enumerate(elems) if A.is_infinitesimal(p)],

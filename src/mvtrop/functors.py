@@ -147,7 +147,8 @@ def is_boolean_algebra(A: MvAlgebra) -> bool:
 
 def atoms(A: MvAlgebra) -> list[MvElement]:
     """Minimal nonzero elements of a finite algebra, in canonical order: one leaf
-    one step above 0 and every other leaf at 0, i.e. the codes that are leaf weights."""
+    one step above 0 and every other leaf at 0, i.e. the listing positions that
+    are leaf weights."""
     elems = enumerate_payloads(A)
     return [MvElement(A, elems[w]) for w, _ in reversed(leaf_shape(A))]
 

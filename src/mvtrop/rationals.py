@@ -13,10 +13,9 @@ _INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
 def rational_str(q) -> str:
-    q = Fraction(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    """An int or a Fraction as "p/q", or "p" when integral."""
+    n, d = q.as_integer_ratio()
+    return str(n) if d == 1 else f"{n}/{d}"
 
 
 def parse_rational(text: str) -> Fraction:

@@ -8,8 +8,7 @@ from conftest import in_q_subgroup
 
 from mvtrop.characteristics import (CHI_Q, CHI_Z, INF, TRIAL_LIMIT,
                                     characteristic, contains_rational, factor,
-                                    group_label, is_prime, parse_group_label,
-                                    valuation)
+                                    group_label, is_prime, parse_group_label)
 from mvtrop.errors import DomainError, UsageError
 
 
@@ -64,14 +63,6 @@ def test_factor_cache_is_bounded():
         factor(n)
     assert factor.cache_info().currsize <= info.maxsize
     assert factor(360) == ((2, 3), (3, 2), (5, 1))
-
-
-def test_valuation():
-    assert valuation(Fraction(3, 8), 2) == -3
-    assert valuation(Fraction(12), 2) == 2
-    assert valuation(Fraction(5, 6), 3) == -1
-    with pytest.raises(DomainError):
-        valuation(Fraction(0), 2)
 
 
 def test_canonical_form_drops_default_entries():

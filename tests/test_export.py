@@ -20,9 +20,8 @@ from hypothesis import strategies as st
 import pytest
 
 from mvtrop.algebra import (CHANG, DeltaOf, FiniteChain, RationalInterval,
-                            carrier_size, code_ops, enumerate_payloads,
+                            carrier_size, enumerate_payloads, int_record,
                             payload_ops, product_algebra)
-from mvtrop.errors import DomainError
 from mvtrop.export import hasse_dot, operation_tables
 from mvtrop.groups import TRIVIAL, LexZG, Z
 from mvtrop.jsonio import parse_algebra_shorthand
@@ -202,7 +201,7 @@ def test_hasse_dot_matches_the_oracle(A, bound, oracle):
     assert hasse_dot(A, bound) == expected_dot(oracle)
 
 
-# -- the code record and the invariant the native covers rest on ---------------
+# -- the int record and the invariant the native covers rest on ----------------
 
 def _products(factors):
     return st.lists(factors, min_size=1, max_size=3).map(lambda fs: product_algebra(*fs))
@@ -215,22 +214,25 @@ _FINITE = (_LEAVES | _products(_FACTORS)).filter(lambda A: carrier_size(A) <= 48
 
 @settings(max_examples=40, deadline=None)
 @given(_FINITE)
-def test_code_record_agrees_with_the_payload_record(A):
+def test_int_record_agrees_with_the_payload_record(A):
     elems = enumerate_payloads(A)
-    codes, ops = code_ops(A), payload_ops(A)
-    assert (codes.zero, codes.one) == (0, len(elems) - 1)
-    assert (elems[codes.zero], elems[codes.one]) == (ops.zero, ops.one)
-    for a, p in enumerate(elems):
-        assert elems[codes.neg(a)] == ops.neg(p)
-        for b, q in enumerate(elems):
+    (rec, values, decode), ops = int_record(A), payload_ops(A)
+    assert [decode(a) for a in values] == elems
+    assert (decode(rec.zero), decode(rec.one)) == (ops.zero, ops.one)
+    for a, p in zip(values, elems):
+        assert decode(rec.neg(a)) == ops.neg(p)
+        for b, q in zip(values, elems):
             for name in ("oplus", "odot", "join", "meet"):
-                assert elems[getattr(codes, name)(a, b)] == getattr(ops, name)(p, q)
-            assert codes.leq(a, b) == ops.leq(p, q)
+                assert decode(getattr(rec, name)(a, b)) == getattr(ops, name)(p, q)
+            assert rec.leq(a, b) == ops.leq(p, q)
 
 
-def test_an_infinite_carrier_has_no_codes():
-    with pytest.raises(DomainError, match="no codes"):
-        code_ops(product_algebra(FiniteChain(2), CHANG))
+def test_a_product_with_an_infinite_factor_has_an_int_record():
+    A = product_algebra(FiniteChain(2), CHANG)
+    rec, values, decode = int_record(A, 2)
+    assert values[:3] == [(0, (0, 0)), (0, (0, 1)), (0, (0, 2))]
+    assert [decode(v) for v in values] == enumerate_payloads(A, 2)
+    assert decode(rec.oplus(values[1], values[-1])) == (Fraction(1), (1, 0))
 
 
 @pytest.mark.parametrize("A", [FiniteChain(2), FiniteChain(9), RationalInterval(), CHANG,

@@ -1,14 +1,15 @@
 """Differential test: listings on ``int_record`` against a payload-record reference.
 
 θ, θ*, ``boolean_part``, ``operation_tables`` and ``hasse_dot`` walk a listing on
-the int record of ``algebra.int_record``: codes on a finite carrier, scaled ints
-on the interval's and Δ(G ⊆ Q)'s fragments, and the payload record itself on a
-lex group or a product with an infinite factor.  The references below are their
-earlier forms, which walk the listing on ``payload_ops`` (``Fraction``s and
-(bit, offset) pairs); every output must be equal, including table cells that
-fall outside a fragment's listing.  Each int record must also agree with the
-payload record operation by operation after decoding, and θ and θ* of a finite
-chain must match their closed forms.
+the int record of ``algebra.int_record``: L_n on ``range(n)`` for a finite leaf,
+scaled ints on the interval's and Δ(G ⊆ Q)'s fragments, the payload record
+itself on a lex group, and the factors' records side by side on a product,
+finite or not.  The references below are their earlier forms, which walk the
+listing on ``payload_ops`` (``Fraction``s and (bit, offset) pairs); every
+output must be equal, including table cells that fall outside a fragment's
+listing.  Each int record must also agree with the payload record operation by
+operation after decoding, and θ and θ* of a finite chain must match their
+closed forms.
 """
 
 from fractions import Fraction
@@ -97,8 +98,13 @@ FINITE = ([f"chain:{n}" for n in range(2, 13)]
              '{"kind":"product","factors":[{"kind":"product","factors":['
              '{"kind":"finite_chain","size":3},{"kind":"finite_chain","size":2}]},{"kind":"finite_chain","size":3}]}'])
 SCALED = [("interval", range(1, 13)), ("chang", range(1, 7)), ("delta:Z[1/2]", range(1, 5)),
-          ("delta:Z[1/6]", range(1, 5)), ("delta:Q", range(1, 5))]
-FALLBACK = [("delta:lex:Z", range(1, 4)), ("prod:chang,chain:3", range(1, 4))]
+          ("delta:Z[1/6]", range(1, 5)), ("delta:Q", range(1, 5)),
+          ("prod:chang,chain:3", range(1, 4)), ("prod:interval,chain:3", range(1, 5)),
+          ("prod:delta:Z[1/6],chain:2", range(1, 4)),
+          ('{"kind":"product","factors":[{"kind":"product","factors":['
+           '{"kind":"rational_interval"},{"kind":"finite_chain","size":2}]},{"kind":"chang"}]}',
+           range(1, 4))]
+FALLBACK = [("delta:lex:Z", range(1, 4))]
 KINDS = [(s, [None]) for s in FINITE] + [(s, list(b)) for s, b in SCALED + FALLBACK]
 
 
@@ -175,8 +181,9 @@ def test_int_record_agrees_with_the_payload_record(case):
 
 
 def test_int_record_kinds():
-    """Codes on finite carriers, scaled ints on the interval and Δ(G ⊆ Q), and the
-    payload record with payloads as values on the fallback kinds."""
+    """L_n on a finite chain, scaled ints on the interval and Δ(G ⊆ Q), the
+    factors' values side by side on a product, and the payload record with
+    payloads as values on the fallback kinds."""
     ops, values, _ = int_record(FiniteChain(5))
     assert values == range(5) and ops.one == 4
     ops, values, decode = int_record(parse_algebra_shorthand("interval"), 3)
@@ -184,7 +191,10 @@ def test_int_record_kinds():
     ops, values, decode = int_record(parse_algebra_shorthand("delta:Z[1/2]"), 2)
     assert ops is payload_ops(CHANG) and all(isinstance(g, int) for _, g in values)
     assert decode((0, 1)) == (0, Fraction(1, 2))
-    for text in ("delta:lex:Z", "prod:chang,chain:3", "chang"):
+    ops, values, decode = int_record(parse_algebra_shorthand("prod:delta:Z[1/2],chain:3"), 2)
+    assert values[4] == ((0, 1), 1)
+    assert decode(values[4]) == ((0, Fraction(1, 2)), Fraction(1, 2))
+    for text in ("delta:lex:Z", "chang"):
         A = parse_algebra_shorthand(text)
         ops, values, decode = int_record(A, 2)
         assert ops is payload_ops(A) and values == enumerate_payloads(A, 2)

@@ -85,6 +85,7 @@ def test_rational_strings():
     assert rational_str(Fraction(-3, 4)) == "-3/4"
     assert rational_str(Fraction(5)) == "5"
     assert rational_str(0) == "0"
+    assert rational_str(-7) == "-7"
     assert parse_rational("1/2") == Fraction(1, 2)
     assert parse_rational("5") == 5
     with pytest.raises(UsageError):
