@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvtrop.algebra import (CHANG, DeltaOf, FiniteChain, RationalInterval,
                             element_str, enumerate_elements, product_algebra)
@@ -92,6 +94,13 @@ def test_rational_strings():
         parse_rational("one half")
     with pytest.raises(UsageError):
         parse_rational("1/0")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.integers(), st.fractions()))
+def test_rational_str_agrees_with_fraction(q):
+    assert rational_str(q) == str(Fraction(q))
+    assert parse_rational(rational_str(q)) == q
 
 
 def test_chi_round_trip():
