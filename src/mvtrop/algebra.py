@@ -6,7 +6,9 @@ Z lex G, so Chang's algebra is DeltaOf(Z)), and finite products.  All
 arithmetic is exact: chain and interval payloads are reduced Fractions,
 DeltaOf payloads are (bit, offset) lex pairs with offset in the base group.
 Each kind is a frozen subclass of ``MvAlgebra`` holding, as methods, all that
-is particular to it; the public functions guard once and call into the kind.
+is particular to it, its JSON ``tag``, descriptor JSON (``to_json``) and
+shorthand (``str(A)``, which messages use) among them; the public functions
+guard once and call into the kind.
 
 Every operation goes through one payload-ops record per descriptor
 (``payload_ops``): a kind supplies ⊕, ¬, 0 and 1 on raw payloads together with
@@ -57,7 +59,7 @@ from typing import Any, Callable, Iterable
 from .errors import DomainError, ModeError, StructuralError, UsageError
 from .groups import (TRIVIAL, LexZG, LGroup, QSubgroup, Z, group_coerce,
                      require_members)
-from .rationals import parse_integer, parse_rational, rational_str
+from .rationals import dumps, parse_integer, parse_rational, rational_str
 from .report import CheckReport, Instances, axiom_witness, check_laws
 
 DEFAULT_SAMPLE_BOUND = 100
@@ -118,14 +120,18 @@ _UNIT_OPS = _chain_ops(_ZERO, _ONE)
 
 
 class MvAlgebra:
-    """Base of the MV descriptors.  A kind supplies ``coerce(payload)`` (validated in
-    full), ``build_ops()`` (its record; callers use ``payload_ops``),
+    """Base of the MV descriptors.  A kind supplies its ``tag`` and ``__str__`` (its
+    JSON is the tag alone unless it overrides ``to_json``), ``coerce(payload)``
+    (validated in full), ``build_ops()`` (its record; callers use ``payload_ops``),
     ``carrier_size()`` (None, the default, when infinite), ``enumerate(bound)``
     (the carrier or its bounded fragment, in canonical order),
     ``is_infinitesimal(payload)`` and ``payload_to_json`` / ``payload_from_json``.
     ``build_int_record(bound)`` is its piece of ``int_record``; by default a leaf
     with n elements is L_n on ``range(n)``, and an infinite one is ``scaled(pool)``,
     which by default keeps the payload record with the payloads as values."""
+
+    def to_json(self) -> dict:
+        return {"kind": self.tag}
 
     def carrier_size(self) -> int | None:
         return None
@@ -163,7 +169,7 @@ class _Unit(MvAlgebra):
 
     def payload_from_json(self, data) -> Fraction:
         if isinstance(data, list):
-            raise UsageError(f"expected a rational for {self!r}")
+            raise UsageError(f"expected a rational for {self}")
         return parse_rational(str(data))
 
 
@@ -172,6 +178,7 @@ class FiniteChain(_Unit):
     """The chain 0 < 1/(size-1) < ... < 1 with truncated addition."""
 
     size: int
+    tag = "finite_chain"
 
     def __post_init__(self):
         if not isinstance(self.size, int) or self.size < 2:
@@ -179,6 +186,12 @@ class FiniteChain(_Unit):
 
     def __repr__(self) -> str:
         return f"FiniteChain({self.size})"
+
+    def __str__(self) -> str:
+        return f"chain:{self.size}"
+
+    def to_json(self) -> dict:
+        return {"kind": self.tag, "size": self.size}
 
     def coerce(self, payload) -> Fraction:
         value = super().coerce(payload)
@@ -198,8 +211,13 @@ class FiniteChain(_Unit):
 class RationalInterval(_Unit):
     """[0, 1] ∩ Q with x ⊕ y = min(x + y, 1) and ¬x = 1 - x."""
 
+    tag = "rational_interval"
+
     def __repr__(self) -> str:
         return "RationalInterval"
+
+    def __str__(self) -> str:
+        return "interval"
 
     def enumerate(self, bound: int) -> list:
         """The Farey sequence of order ``bound``."""
@@ -217,9 +235,18 @@ class DeltaOf(MvAlgebra):
     """Unit interval of Z lex G: payloads (0, g) with g >= 0 and (1, g) with g <= 0."""
 
     group: LGroup
+    tag = "delta"
 
     def __repr__(self) -> str:
         return "Chang" if self.group == Z else f"DeltaOf({self.group!r})"
+
+    def __str__(self) -> str:  # Chang's algebra is the one alias, here and in to_json
+        return "chang" if self.group == Z else f"delta:{self.group}"
+
+    def to_json(self) -> dict:
+        if self.group == Z:
+            return {"kind": "chang"}
+        return {"kind": self.tag, "group": self.group.to_json()}
 
     def coerce(self, payload) -> tuple:
         if not isinstance(payload, tuple) or len(payload) != 2 or payload[0] not in (0, 1):
@@ -289,6 +316,7 @@ class ProductAlgebra(MvAlgebra):
     """Componentwise operations; payloads are tuples, enumerated lexicographically."""
 
     factors: tuple
+    tag = "product"
 
     def __post_init__(self):
         if not isinstance(self.factors, tuple) or not self.factors:
@@ -298,6 +326,13 @@ class ProductAlgebra(MvAlgebra):
 
     def __repr__(self) -> str:
         return "Product(" + ", ".join(repr(f) for f in self.factors) + ")"
+
+    def __str__(self) -> str:  # a product factor as its JSON, which prod: reads back
+        return "prod:" + ",".join(dumps(f.to_json()) if f.tag == self.tag
+                                  else str(f) for f in self.factors)
+
+    def to_json(self) -> dict:
+        return {"kind": self.tag, "factors": [f.to_json() for f in self.factors]}
 
     def coerce(self, payload) -> tuple:
         if not isinstance(payload, tuple) or len(payload) != len(self.factors):
@@ -328,7 +363,7 @@ class ProductAlgebra(MvAlgebra):
 
     def payload_from_json(self, data) -> tuple:
         if not isinstance(data, list) or len(data) != len(self.factors):
-            raise UsageError(f"payload arity mismatch for {self!r}: {data!r}")
+            raise UsageError(f"payload arity mismatch for {self}: {data!r}")
         return tuple(f.payload_from_json(c) for f, c in zip(self.factors, data))
 
 
@@ -404,7 +439,7 @@ def one(A: MvAlgebra) -> MvElement:
 
 def _same_algebra(x: MvElement, y: MvElement) -> MvAlgebra:
     if x.algebra != y.algebra:
-        raise StructuralError(f"descriptor mismatch: {x.algebra!r} vs {y.algebra!r}")
+        raise StructuralError(f"descriptor mismatch: {x.algebra} vs {y.algebra}")
     return x.algebra
 
 
@@ -477,7 +512,7 @@ def _bounded(A: MvAlgebra, bound: int | None) -> MvAlgebra:
     """A, once a bound >= 1 is given if its carrier is infinite."""
     if _descriptor(A).carrier_size() is None:
         if bound is None:
-            raise DomainError(f"enumerating {A!r} requires a bound")
+            raise DomainError(f"enumerating {A} requires a bound")
         if bound < 1:
             raise DomainError("bound must be >= 1")
     return A
@@ -503,7 +538,7 @@ def payload_tuples(A: MvAlgebra, bound: int | None = None, samples: int | None =
     set, bounded when ``bound`` is, and exhaustive otherwise."""
     if samples is None:
         if bound is None and carrier_size(A) is None:
-            raise ModeError(f"{A!r} has an infinite carrier; use a bounded or sampled check")
+            raise ModeError(f"{A} has an infinite carrier; use a bounded or sampled check")
         return Instances.over(enumerate_payloads(A, bound),
                               "exhaustive" if bound is None else "bounded", bound)
     if samples < 1:

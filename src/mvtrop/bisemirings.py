@@ -53,7 +53,7 @@ class Bisemiring:
     def _host_ops(self, x: MvElement) -> PayloadOps:
         """The host's payload record, once x is checked to lie in the host."""
         if x.algebra != self.host:
-            raise StructuralError(f"{x!r} does not inhabit {self.host!r}")
+            raise StructuralError(f"{x!r} does not inhabit {self.host}")
         return payload_ops(self.host).checked(x.payload)
 
     def elements(self, bound: int | None = None) -> list[MvElement]:

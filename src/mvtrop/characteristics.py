@@ -71,8 +71,8 @@ def factor(n: int) -> tuple[tuple[int, int], ...]:
         while rest % d:
             d += 1 if d == 2 else 2
             if d > TRIAL_LIMIT:
-                raise DomainError(f"cannot factor {n}: {rest} has no prime factor up to "
-                                  f"{TRIAL_LIMIT} and is not a decided prime")
+                raise DomainError(f"cannot factor {n}: {'it' if rest == n else rest} has no "
+                                  f"prime factor up to {TRIAL_LIMIT} and is not a decided prime")
         e = 0
         while rest % d == 0:
             rest //= d
@@ -109,6 +109,10 @@ class Characteristic:
         for p, e in self.primes:
             m *= p ** int(e)
         return m
+
+    def to_json(self) -> dict:
+        return {"default": "inf" if self.default == INF else "0",
+                "primes": {str(p): ("inf" if e == INF else str(int(e))) for p, e in self.primes}}
 
     def __repr__(self) -> str:
         entries = ", ".join(f"{p}:{'inf' if e == INF else int(e)}" for p, e in self.primes)

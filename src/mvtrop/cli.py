@@ -24,11 +24,9 @@ from .algebra import carrier_size, element
 from .errors import MvtropError, TermSyntaxError, UsageError
 from .functors import (delta, detrop, f_equiv, gamma, glue_boolean_perfect,
                        theta, theta_star, trop)
-from .jsonio import (algebra_to_json, chi_to_json, cone_to_json, dumps,
-                     group_to_json, parse_algebra_shorthand, parse_chi_shorthand,
+from .jsonio import (cone_to_json, dumps, parse_algebra_shorthand, parse_chi_shorthand,
                      parse_group_shorthand, parse_payload_shorthand,
-                     parse_semifield_shorthand, rational_str, report_to_json,
-                     semifield_to_json)
+                     parse_semifield_shorthand, rational_str, report_to_json)
 from .logic import (Valuation, axiom_suite, check_equation_bounded,
                     default_chang_bound, evaluate, parse_equation,
                     tautology_check, vc_membership)
@@ -83,7 +81,7 @@ def _cmd_eval(args):
                 raise UsageError(f"variable {name!r} is assigned twice")
             bindings[name] = element(A, parse_payload_shorthand(A, payload))
     value = evaluate(term, Valuation(A, bindings))
-    return 0, {"algebra": algebra_to_json(A), "term": print_term(term),
+    return 0, {"algebra": A.to_json(), "term": print_term(term),
                "value": A.payload_to_json(value.payload)}
 
 
@@ -91,18 +89,18 @@ def _cmd_check_eq(args):
     A = parse_algebra_shorthand(args.algebra)
     eq = parse_equation(args.equation)
     report = check_equation_bounded(eq, A, _fragment_bound(args, A, default_chang_bound(eq)))
-    return _verdict(report, algebra=algebra_to_json(A))
+    return _verdict(report, algebra=A.to_json())
 
 
 def _cmd_tautology(args):
     A = parse_algebra_shorthand(args.algebra)
-    return _verdict(tautology_check(parse(args.term), A), algebra=algebra_to_json(A))
+    return _verdict(tautology_check(parse(args.term), A), algebra=A.to_json())
 
 
 def _theta_listing(args, builder):
     A = parse_algebra_shorthand(args.algebra)
     bound = _fragment_bound(args, A, 10)
-    return 0, {"algebra": algebra_to_json(A), "bound": bound,
+    return 0, {"algebra": A.to_json(), "bound": bound,
                "elements": [A.payload_to_json(x.payload) for x in builder(A).elements(bound)]}
 
 
@@ -116,19 +114,19 @@ def _cmd_theta_star(args):
 
 def _cmd_gamma(args):
     G = parse_group_shorthand(args.group)
-    return 0, {"algebra": algebra_to_json(gamma(G, parse_payload_shorthand(G, args.unit)))}
+    return 0, {"algebra": gamma(G, parse_payload_shorthand(G, args.unit)).to_json()}
 
 
 def _cmd_delta(args):
-    return 0, {"algebra": algebra_to_json(delta(parse_group_shorthand(args.group)))}
+    return 0, {"algebra": delta(parse_group_shorthand(args.group)).to_json()}
 
 
 def _cmd_trop(args):
-    return 0, {"semifield": semifield_to_json(trop(parse_group_shorthand(args.group)))}
+    return 0, {"semifield": trop(parse_group_shorthand(args.group)).to_json()}
 
 
 def _cmd_detrop(args):
-    return 0, {"group": group_to_json(detrop(parse_semifield_shorthand(args.semifield)))}
+    return 0, {"group": detrop(parse_semifield_shorthand(args.semifield)).to_json()}
 
 
 def _cmd_f(args):
@@ -139,30 +137,30 @@ def _cmd_f(args):
 def _cmd_glue(args):
     B = parse_algebra_shorthand(args.boolean)
     P = parse_algebra_shorthand(args.perfect)
-    return 0, {"algebra": algebra_to_json(glue_boolean_perfect(B, P))}
+    return 0, {"algebra": glue_boolean_perfect(B, P).to_json()}
 
 
 def _cmd_vc_member(args):
     A = parse_algebra_shorthand(args.algebra)
     report = vc_membership(A)
-    return _verdict(report, algebra=algebra_to_json(A), in_variety=report.ok)
+    return _verdict(report, algebra=A.to_json(), in_variety=report.ok)
 
 
 def _cmd_gp(args):
     chi = parse_chi_shorthand(args.group)
     inv = gp_invariant(chi, args.prime)
-    return 0, {"group": chi_to_json(chi), "prime": inv.prime, "value": inv.value}
+    return 0, {"group": chi.to_json(), "prime": inv.prime, "value": inv.value}
 
 
 def _cmd_classify(args):
     chi = parse_chi_shorthand(args.group)
-    return 0, {"group": chi_to_json(chi), "classification": classify_regularity(chi)}
+    return 0, {"group": chi.to_json(), "classification": classify_regularity(chi)}
 
 
 def _cmd_hom(args):
     src, dst = parse_chi_shorthand(args.src), parse_chi_shorthand(args.dst)
     r = hom_exists(src, dst)
-    out = {"src": chi_to_json(src), "dst": chi_to_json(dst), "exists": r is not None}
+    out = {"src": src.to_json(), "dst": dst.to_json(), "exists": r is not None}
     if r is not None:
         out["r"] = rational_str(r)
     else:
@@ -173,7 +171,7 @@ def _cmd_hom(args):
 def _cmd_flat_check(args):
     chi = parse_chi_shorthand(args.group)
     report = check_flatness(frobenius_action(chi), samples=args.samples, seed=args.seed)
-    return _verdict(report, group=chi_to_json(chi))
+    return _verdict(report, group=chi.to_json())
 
 
 def _cmd_theta_pt(args):
@@ -187,7 +185,7 @@ def _cmd_axioms(args):
     else:
         samples = 500 if args.samples is None else args.samples
         report = axiom_suite(A, samples=samples, seed=args.seed, bound=_default_bound(args, 12))
-    return _verdict(report, algebra=algebra_to_json(A))
+    return _verdict(report, algebra=A.to_json())
 
 
 def _cmd_export(args):

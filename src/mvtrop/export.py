@@ -28,7 +28,6 @@ from itertools import repeat
 from .algebra import (MvAlgebra, MvElement, carrier_size, element_str, int_record,
                       leaf_shape)
 from .errors import DomainError
-from .jsonio import algebra_shorthand, algebra_to_json
 
 MAX_EXPORT_CARRIER = 10000
 
@@ -52,7 +51,7 @@ def operation_tables(A: MvAlgebra, bound: int | None = None) -> dict:
                               ("meet", ops.meet), ("join", ops.join))}
     elems = [decode(x) for x in xs]
     return {
-        "algebra": algebra_to_json(A),
+        "algebra": A.to_json(),
         "fragment": carrier_size(A) is None,
         "elements": [A.payload_to_json(p) for p in elems],
         "neg": list(map(cell, map(ops.neg, xs))),
@@ -89,5 +88,5 @@ def _listing(A: MvAlgebra, bound: int | None) -> tuple:
     shape = leaf_shape(A, bound)
     if shape[0][0] * shape[0][1] > MAX_EXPORT_CARRIER:
         what = "carrier" if carrier_size(A) is not None else "fragment"
-        raise DomainError(f"{what} of {algebra_shorthand(A)} exceeds {MAX_EXPORT_CARRIER} elements")
+        raise DomainError(f"{what} of {A} exceeds {MAX_EXPORT_CARRIER} elements")
     return (*int_record(A, bound), shape)

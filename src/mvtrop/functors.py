@@ -41,7 +41,7 @@ def gamma(G: LGroup, u) -> MvAlgebra:
         if u == (1, group_zero(G.tail)):
             return DeltaOf(G.tail)
         raise DomainError(f"only (1, 0)-shaped strong units are supported, got {u!r}")
-    raise DomainError(f"no structurally verified strong units for {G!r}")
+    raise DomainError(f"no structurally verified strong units for {G}")
 
 
 def delta(G: LGroup) -> DeltaOf:
@@ -53,7 +53,7 @@ def delta_inverse(P: MvAlgebra) -> LGroup:
     if isinstance(P, DeltaOf):
         return P.group
     raise UnsupportedRepresentationError(
-        f"{P!r} was not built by delta; the general inverse is out of scope")
+        f"{P} was not built by delta; the general inverse is out of scope")
 
 
 def trop(G: LGroup) -> TropOfGroup:
@@ -64,7 +64,7 @@ def trop(G: LGroup) -> TropOfGroup:
 def detrop(S: TropOfGroup) -> LGroup:
     """Delete the zero of the semifield, recovering the ℓ-group."""
     if not isinstance(S, TropOfGroup):
-        raise UnsupportedRepresentationError(f"{S!r} is not a tropical semifield")
+        raise UnsupportedRepresentationError(f"{S} is not a tropical semifield")
     return S.group
 
 
@@ -99,7 +99,7 @@ def theta_perfect(P: MvAlgebra) -> TopCone:
     and the unit becomes ⊤."""
     if not isinstance(P, DeltaOf):
         raise UnsupportedRepresentationError(
-            f"{P!r} is not a DeltaOf algebra; theta_perfect is representation-aware")
+            f"{P} is not a DeltaOf algebra; theta_perfect is representation-aware")
     return TopCone(P.group)
 
 
@@ -111,13 +111,13 @@ def perfect_to_cone(x: MvElement):
     """The bijection θ(P) → cone: (0, g) ↦ g and 1 ↦ ⊤."""
     P = x.algebra
     if not isinstance(P, DeltaOf):
-        raise UnsupportedRepresentationError(f"{P!r} is not a DeltaOf algebra")
+        raise UnsupportedRepresentationError(f"{P} is not a DeltaOf algebra")
     bit, off = x.payload
     if bit == 0:
         return off
     if off == group_zero(P.group):
         return TOP
-    raise DomainError(f"{x!r} is not in theta of the perfect algebra")
+    raise DomainError(f"{element_str(x)} is not in theta of {P}")
 
 
 def cone_to_perfect(P: DeltaOf, c) -> MvElement:
@@ -163,10 +163,10 @@ def glue_boolean_perfect(B: MvAlgebra, P: MvAlgebra) -> MvAlgebra:
     of Rad(P).
     """
     if not is_boolean_algebra(B):
-        raise DomainError(f"{B!r} is not a finite Boolean algebra")
+        raise DomainError(f"{B} is not a finite Boolean algebra")
     if not isinstance(P, DeltaOf):
         raise UnsupportedRepresentationError(
-            f"{P!r} is not a DeltaOf algebra; gluing is representation-aware")
+            f"{P} is not a DeltaOf algebra; gluing is representation-aware")
     k = len(atoms(B))
     if k == 1:
         return P
@@ -291,9 +291,9 @@ def identity_morphism(A: MvAlgebra) -> Morphism:
 
 def projection_morphism(A: ProductAlgebra, index: int) -> Morphism:
     if not isinstance(A, ProductAlgebra):
-        raise DomainError(f"{A!r} is not a product algebra")
+        raise DomainError(f"{A} is not a product algebra")
     if not 0 <= index < len(A.factors):
-        raise DomainError(f"no factor {index} in {A!r}")
+        raise DomainError(f"no factor {index} in {A}")
     target = A.factors[index]
     return Morphism(A, target, f"proj_{index}",
                     lambda x: MvElement(target, x.payload[index]))

@@ -7,7 +7,8 @@ semifield Trop(G) adjoins an absorbing bottom element -inf to G; semiring
 addition is join and semiring multiplication is the group operation.
 
 Each kind is a frozen subclass of ``LGroup`` holding, as methods, all that is
-particular to it; the public functions guard once and call into the kind.
+particular to it, its JSON ``tag``, descriptor JSON (``to_json``) and shorthand
+(``str(G)``) among them; the public functions guard once and call into the kind.
 
 Every ordered structure — each ℓ-group, each Trop(G) and each cone with a top
 (``bisemirings.TopCone``) — carries one record of operations, ``S.ops``
@@ -32,9 +33,9 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Any, Callable
 
-from .characteristics import CHI_Z, Characteristic, contains_rational
+from .characteristics import CHI_Z, Characteristic, contains_rational, group_label
 from .errors import DomainError, StructuralError, UsageError
-from .rationals import parse_integer, parse_rational, rational_str
+from .rationals import dumps, parse_integer, parse_rational, rational_str
 
 
 class GroupOps:
@@ -68,23 +69,30 @@ class OrderedStructure:
 
 
 class LGroup(OrderedStructure):
-    """Base of the group descriptors.  A kind supplies ``build_ops``, ``coerce``
-    (a member's canonical form) and ``enumerate(bound)``; its members are "p/q"
-    in JSON unless it overrides that."""
+    """Base of the group descriptors.  A kind supplies its ``tag``, ``__str__``,
+    ``build_ops``, ``coerce`` (a member's canonical form) and ``enumerate(bound)``;
+    its JSON is its tag alone and its members are "p/q" unless it overrides that."""
+
+    def to_json(self) -> dict:
+        return {"kind": self.tag}
 
     def payload_to_json(self, x) -> Any:
         return rational_str(x)
 
     def payload_from_json(self, data) -> Any:
         if isinstance(data, list):
-            raise UsageError(f"expected a rational for {self!r}")
+            raise UsageError(f"expected a rational for {self}")
         return self.coerce(parse_rational(str(data)))
 
 
 @dataclass(frozen=True)
 class Integers(LGroup):
+    tag = "integers"
+
     def __repr__(self) -> str:
         return "Z"
+
+    __str__ = __repr__
 
     def build_ops(self) -> GroupOps:
         return GroupOps(_is_int, 0, *_NATIVE)
@@ -102,8 +110,13 @@ class Integers(LGroup):
 
 @dataclass(frozen=True)
 class TrivialGroup(LGroup):
+    tag = "trivial"
+
     def __repr__(self) -> str:
         return "TrivialGroup"
+
+    def __str__(self) -> str:
+        return "trivial"
 
     def build_ops(self) -> GroupOps:
         return GroupOps(lambda x: x == 0, 0, *_NATIVE)
@@ -120,9 +133,16 @@ class TrivialGroup(LGroup):
 @dataclass(frozen=True)
 class QSubgroup(LGroup):
     chi: Characteristic
+    tag = "q_subgroup"
 
     def __repr__(self) -> str:
         return f"QSubgroup({self.chi!r})"
+
+    def __str__(self) -> str:  # its label where one exists, else its JSON
+        return group_label(self.chi) or dumps(self.to_json())
+
+    def to_json(self) -> dict:
+        return {"kind": self.tag, "chi": self.chi.to_json()}
 
     def build_ops(self) -> GroupOps:
         chi = self.chi
@@ -136,7 +156,7 @@ class QSubgroup(LGroup):
         if _is_int(x):
             x = Fraction(x)
         if not self.ops.contains(x):
-            raise StructuralError(f"{x!r} violates the characteristic constraint of {self!r}")
+            raise StructuralError(f"{x!r} violates the characteristic constraint of {self}")
         return x
 
     def enumerate(self, bound: int) -> list:
@@ -156,9 +176,16 @@ class QSubgroup(LGroup):
 @dataclass(frozen=True)
 class LexZG(LGroup):
     tail: LGroup
+    tag = "lex_zg"
 
     def __repr__(self) -> str:
         return f"LexZG({self.tail!r})"
+
+    def __str__(self) -> str:
+        return f"lex:{self.tail}"
+
+    def to_json(self) -> dict:
+        return {"kind": self.tag, "tail": self.tail.to_json()}
 
     def build_ops(self) -> GroupOps:
         """Lex pairs over the tail's record: heads first, then tails."""
@@ -225,10 +252,6 @@ def group_zero(G: LGroup):
     return G.ops.zero
 
 
-def group_contains(G: LGroup, x: Any) -> bool:
-    return G.ops.contains(x)
-
-
 def group_coerce(G: LGroup, x: Any):
     """Coerce x into the canonical carrier representation of G, validating membership."""
     return _descriptor(G).coerce(x)
@@ -241,7 +264,7 @@ def require_members(S: OrderedStructure, *xs) -> None:
     contains = S.ops.contains
     for x in xs:
         if not contains(x):
-            raise StructuralError(f"{x!r} is not in the carrier of {S!r}")
+            raise StructuralError(f"{x!r} is not in the carrier of {S}")
 
 
 def checked_operation(name: str, public: str) -> Callable:
@@ -297,9 +320,16 @@ BOTTOM, TOP = Adjoined.BOTTOM, Adjoined.TOP
 @dataclass(frozen=True)
 class TropOfGroup(OrderedStructure):
     group: LGroup
+    tag = "trop"
 
     def __repr__(self) -> str:
         return f"Trop({self.group!r})"
+
+    def __str__(self) -> str:
+        return f"trop:{self.group}"
+
+    def to_json(self) -> dict:
+        return {"kind": self.tag, "group": self.group.to_json()}
 
     def build_ops(self) -> GroupOps:
         """G's record with -inf adjoined below G: neutral for the join, absorbing
@@ -327,7 +357,3 @@ splus = checked_operation("join", "splus")  # semiring addition: join, with -inf
 stimes = checked_operation("add", "stimes")  # multiplication: +, with -inf absorbing
 sinverse = checked_operation("neg", "sinverse")
 sf_leq = checked_operation("leq", "sf_leq")  # natural order: x <= y iff x + y = y
-
-
-def sf_enumerate(S: TropOfGroup, bound: int) -> list:
-    return [BOTTOM] + group_enumerate(S.group, bound)

@@ -1,12 +1,10 @@
-"""Canonical JSON encodings and command-line shorthand parsing.
+"""Reading input: descriptor JSON and command-line shorthand, and the report JSON.
 
-This module is the registry of descriptor codecs: the "kind" tags of the JSON
-form ({"kind": ..., params}) and the shorthand spellings, each encoder next to
-its decoder.  Payloads belong to their kinds: elements render as
-{"algebra": ..., "payload": A.payload_to_json(payload)}, and rationals as "p/q"
-strings ("p" when the denominator is 1; see ``rationals``).  Every
-encoder/decoder pair round-trips exactly, and ``dumps`` is deterministic
-(sorted keys, no whitespace) so command output can be used as goldens.
+Each kind writes its own descriptor JSON ({"kind": tag, params}, ``to_json``),
+shorthand (``str``) and payloads; this module reads them back, splitting on the
+tag or the prefix, exactly.  Input nests at most ``MAX_NESTING`` descriptors or
+payload tuples deep; deeper input is a usage error before anything recurses on
+it.  ``dumps`` (from ``rationals``) is deterministic, so output can be a golden.
 """
 
 from __future__ import annotations
@@ -16,30 +14,26 @@ from fractions import Fraction
 from typing import Any
 
 from .algebra import (CHANG, DeltaOf, FiniteChain, MvAlgebra, MvElement,
-                      ProductAlgebra, RationalInterval, element)
+                      ProductAlgebra, RationalInterval)
 from .bisemirings import TOP, TopCone, cone_elements
-from .characteristics import (INF, Characteristic, characteristic,
-                              group_label, parse_group_label)
+from .characteristics import INF, Characteristic, characteristic, parse_group_label
 from .errors import UsageError
-from .groups import (Integers, LexZG, LGroup, QSubgroup, TrivialGroup,
-                     TropOfGroup, qsubgroup)
-from .rationals import parse_integer, parse_rational, rational_str
+from .groups import Integers, LexZG, LGroup, QSubgroup, TrivialGroup, TropOfGroup, qsubgroup
+from .rationals import dumps, parse_integer, parse_rational, rational_str
 from .report import CheckReport
 
+MAX_NESTING = 32  # so nothing that recurses over an input runs out of stack
+_TOO_DEEP = f"input nests deeper than {MAX_NESTING} levels"
 
-def dumps(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
+
+def _deeper(depth: int) -> int:
+    """The depth one level inside ``depth``, refused beyond ``MAX_NESTING``."""
+    if depth >= MAX_NESTING:
+        raise UsageError(_TOO_DEEP)
+    return depth + 1
 
 
 # -- characteristics --------------------------------------------------------
-
-def chi_to_json(chi: Characteristic) -> dict:
-    return {
-        "default": "inf" if chi.default == INF else "0",
-        "primes": {str(p): ("inf" if e == INF else str(int(e)))
-                   for p, e in chi.primes},
-    }
-
 
 def chi_from_json(data: dict) -> Characteristic:
     try:
@@ -58,82 +52,51 @@ def chi_from_json(data: dict) -> Characteristic:
 # -- groups ------------------------------------------------------------------
 
 def group_to_json(G: LGroup) -> dict:
-    if isinstance(G, Integers):
-        return {"kind": "integers"}
-    if isinstance(G, TrivialGroup):
-        return {"kind": "trivial"}
-    if isinstance(G, QSubgroup):
-        return {"kind": "q_subgroup", "chi": chi_to_json(G.chi)}
-    return {"kind": "lex_zg", "tail": group_to_json(G.tail)}
+    return G.to_json()
 
 
-def group_from_json(data: dict) -> LGroup:
+def group_from_json(data: dict, depth: int = 0) -> LGroup:
     kind = data.get("kind")
-    if kind == "integers":
+    if kind == Integers.tag:
         return Integers()
-    if kind == "trivial":
+    if kind == TrivialGroup.tag:
         return TrivialGroup()
-    if kind == "q_subgroup":
+    if kind == QSubgroup.tag:
         return qsubgroup(chi_from_json(data.get("chi", {})))
-    if kind == "lex_zg":
-        return LexZG(group_from_json(data.get("tail", {})))
+    if kind == LexZG.tag:
+        return LexZG(group_from_json(data.get("tail", {}), _deeper(depth)))
     raise UsageError(f"unknown group kind {kind!r}")
 
 
-# -- MV algebras and elements -------------------------------------------------
+# -- MV algebras -----------------------------------------------------------------
 
-def algebra_to_json(A: MvAlgebra) -> dict:
-    if isinstance(A, FiniteChain):
-        return {"kind": "finite_chain", "size": A.size}
-    if isinstance(A, RationalInterval):
-        return {"kind": "rational_interval"}
-    if isinstance(A, DeltaOf):
-        if A == CHANG:
-            return {"kind": "chang"}
-        return {"kind": "delta", "group": group_to_json(A.group)}
-    return {"kind": "product", "factors": [algebra_to_json(f) for f in A.factors]}
-
-
-def algebra_from_json(data: dict) -> MvAlgebra:
+def algebra_from_json(data: dict, depth: int = 0) -> MvAlgebra:
     kind = data.get("kind")
-    if kind == "finite_chain":
+    if kind == FiniteChain.tag:
         return FiniteChain(parse_integer(data["size"], "chain size"))
-    if kind == "rational_interval":
+    if kind == RationalInterval.tag:
         return RationalInterval()
     if kind == "chang":
         return CHANG
-    if kind == "delta":
-        return DeltaOf(group_from_json(data.get("group", {})))
-    if kind == "product":
-        return ProductAlgebra(tuple(algebra_from_json(f) for f in data.get("factors", [])))
+    if kind == DeltaOf.tag:
+        return DeltaOf(group_from_json(data.get("group", {}), _deeper(depth)))
+    if kind == ProductAlgebra.tag:
+        factors = data.get("factors", [])
+        return ProductAlgebra(tuple(algebra_from_json(f, _deeper(depth)) for f in factors))
     raise UsageError(f"unknown algebra kind {kind!r}")
-
-
-def element_to_json(x: MvElement) -> dict:
-    return {"algebra": algebra_to_json(x.algebra),
-            "payload": x.algebra.payload_to_json(x.payload)}
-
-
-def element_from_json(data: dict) -> MvElement:
-    A = algebra_from_json(data.get("algebra", {}))
-    return element(A, A.payload_from_json(data.get("payload")))
 
 
 # -- semifields and cones ------------------------------------------------------
 
-def semifield_to_json(S: TropOfGroup) -> dict:
-    return {"kind": "trop", "group": group_to_json(S.group)}
-
-
 def semifield_from_json(data: dict) -> TropOfGroup:
-    if data.get("kind") != "trop":
+    if data.get("kind") != TropOfGroup.tag:
         raise UsageError(f"unknown semifield kind {data.get('kind')!r}")
-    return TropOfGroup(group_from_json(data.get("group", {})))
+    return TropOfGroup(group_from_json(data.get("group", {}), _deeper(0)))
 
 
 def cone_to_json(T: TopCone, bound: int) -> dict:
     elems = cone_elements(T, bound)
-    return {"base_group": group_to_json(T.base_group),
+    return {"base_group": T.base_group.to_json(),
             "elements": [("⊤" if x is TOP else T.base_group.payload_to_json(x))
                          for x in elems],
             "top": "⊤"}
@@ -176,35 +139,23 @@ def parse_chi_shorthand(text: str) -> Characteristic:
     return parse_group_label(text)
 
 
-def parse_group_shorthand(text: str) -> LGroup:
+def parse_group_shorthand(text: str, depth: int = 0) -> LGroup:
     """"Z", "Q", "Z[1/2]", "trivial", "lex:GROUP", or inline descriptor JSON."""
     text = text.strip()
     if text.startswith("{"):
-        return _decoded(text, group_from_json, _load_json(text))
+        return _decoded(text, group_from_json, _load_json(text), depth)
     if text == "trivial":
         return TrivialGroup()
     if text.startswith("lex:"):
-        return LexZG(parse_group_shorthand(text[4:]))
+        return LexZG(parse_group_shorthand(text[4:], _deeper(depth)))
     return qsubgroup(parse_group_label(text))
 
 
-def group_shorthand(G: LGroup) -> str:
-    """Compact spelling of a group where one exists, else its JSON."""
-    if isinstance(G, Integers):
-        return "Z"
-    if isinstance(G, TrivialGroup):
-        return "trivial"
-    if isinstance(G, LexZG):
-        return "lex:" + group_shorthand(G.tail)
-    label = group_label(G.chi)
-    return dumps(group_to_json(G)) if label is None else label
-
-
-def parse_algebra_shorthand(text: str) -> MvAlgebra:
+def parse_algebra_shorthand(text: str, depth: int = 0) -> MvAlgebra:
     """"chain:N", "interval", "chang", "delta:GROUP", "prod:A,B,...", or JSON."""
     text = text.strip()
     if text.startswith("{"):
-        return _decoded(text, algebra_from_json, _load_json(text))
+        return _decoded(text, algebra_from_json, _load_json(text), depth)
     if text == "interval":
         return RationalInterval()
     if text == "chang":
@@ -212,30 +163,17 @@ def parse_algebra_shorthand(text: str) -> MvAlgebra:
     if text.startswith("chain:"):
         return FiniteChain(parse_integer(text[6:], "chain size"))
     if text.startswith("delta:"):
-        return DeltaOf(parse_group_shorthand(text[6:]))
+        return DeltaOf(parse_group_shorthand(text[6:], _deeper(depth)))
     if text.startswith("prod:"):
         parts = _split_commas(text[5:])
         for p in parts:
             if not p:
                 raise UsageError(f"empty factor in product shorthand {text[5:]!r}")
             if p.startswith("prod:"):
-                raise UsageError(f"factor {p!r} is a product; write a product inside prod: "
-                                 'as descriptor JSON {"kind":"product","factors":[...]}')
-        return ProductAlgebra(tuple(parse_algebra_shorthand(p) for p in parts))
+                raise UsageError(f"factor {p!r} is a product; inside prod: write it as JSON "
+                                 '{"kind":"product","factors":[...]}')
+        return ProductAlgebra(tuple(parse_algebra_shorthand(p, _deeper(depth)) for p in parts))
     raise UsageError(f"unrecognized algebra shorthand {text!r}")
-
-
-def algebra_shorthand(A: MvAlgebra) -> str:
-    if isinstance(A, FiniteChain):
-        return f"chain:{A.size}"
-    if isinstance(A, RationalInterval):
-        return "interval"
-    if A == CHANG:
-        return "chang"
-    if isinstance(A, DeltaOf):
-        return "delta:" + group_shorthand(A.group)
-    return "prod:" + ",".join(dumps(algebra_to_json(f)) if isinstance(f, ProductAlgebra)
-                              else algebra_shorthand(f) for f in A.factors)
 
 
 def _split_commas(text: str) -> list[str]:
@@ -258,7 +196,7 @@ def parse_semifield_shorthand(text: str) -> TropOfGroup:
     if text.startswith("{"):
         return _decoded(text, semifield_from_json, _load_json(text))
     if text.startswith("trop:"):
-        return TropOfGroup(parse_group_shorthand(text[5:]))
+        return TropOfGroup(parse_group_shorthand(text[5:], _deeper(0)))
     raise UsageError(f"unrecognized semifield shorthand {text!r}")
 
 
@@ -268,11 +206,11 @@ def parse_payload_shorthand(A: MvAlgebra | LGroup, text: str):
     return _decoded(text, A.payload_from_json, _parse_tuple_tree(text))
 
 
-def _parse_tuple_tree(text: str):
+def _parse_tuple_tree(text: str, depth: int = 0):
     """"(1,(0,2))" as the JSON payload form [1, [0, 2]], with rational leaves."""
     text = text.strip()
     if text.startswith("(") and text.endswith(")"):
-        return [_parse_tuple_tree(p) for p in _split_commas(text[1:-1])]
+        return [_parse_tuple_tree(p, _deeper(depth)) for p in _split_commas(text[1:-1])]
     return parse_rational(text)
 
 
@@ -289,6 +227,8 @@ def _load_json(text: str) -> dict:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise UsageError(f"bad JSON: {exc}") from None
+    except RecursionError:
+        raise UsageError(_TOO_DEEP) from None
     if not isinstance(data, dict):
         raise UsageError("expected a JSON object")
     return data

@@ -67,7 +67,7 @@ def evaluate(t: Term, v: Valuation) -> MvElement:
         except KeyError:
             raise EvaluationError(f"variable {name!r} is not bound") from None
         if x.algebra != A:
-            raise StructuralError(f"binding for {name!r} inhabits {x.algebra!r}, not {A!r}")
+            raise StructuralError(f"binding for {name!r} inhabits {x.algebra}, not {A}")
         env.append(x.payload)
     ops.checked(*env)
     return MvElement(A, f(env))

@@ -22,25 +22,16 @@ from functools import lru_cache
 from typing import Callable, Iterable
 
 from .bisemirings import TopCone
-from .characteristics import (CHI_Z, INF, Characteristic, admits_denominator,
+from .characteristics import (INF, Characteristic, admits_denominator,
                               characteristic, contains_rational, factor, is_prime)
 from .errors import (DomainError, ReconstructionError, StructuralError,
                      WitnessNotFoundError)
 from .functors import delta, theta_perfect
-from .groups import Integers, LGroup, QSubgroup, qsubgroup
+from .groups import LGroup, qsubgroup
 from .report import VALID, CheckReport, Instances, check_laws
 
 REGULARLY_DISCRETE = "regularly_discrete"
 REGULARLY_DENSE = "regularly_dense"
-
-
-def group_characteristic(G: LGroup) -> Characteristic:
-    """The characteristic denoting a subgroup-of-Q descriptor (inverse of qsubgroup)."""
-    if isinstance(G, Integers):
-        return CHI_Z
-    if isinstance(G, QSubgroup):
-        return G.chi
-    raise DomainError(f"{G!r} is not a subgroup-of-Q descriptor")
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
-"""Rationals as "p/q" strings ("p" when integral), and strict parsing of
-rationals and integers: the leaves of every JSON payload and shorthand."""
+"""Rationals as "p/q" strings ("p" when integral), strict parsing of rationals
+and integers, and ``dumps``: the leaves of every JSON payload and shorthand,
+and the one JSON writer the descriptor kinds and the command line share."""
 
 from __future__ import annotations
 
@@ -10,6 +11,11 @@ from fractions import Fraction
 from .errors import UsageError
 
 _INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def dumps(obj) -> str:
+    """Deterministic compact JSON (sorted keys, no whitespace), usable as a golden."""
+    return json.dumps(obj, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
 
 
 def rational_str(q) -> str:

@@ -83,7 +83,7 @@ def test_semifield_and_cone_operations_check_their_arguments():
                 op(T, *args)
     with pytest.raises(StructuralError) as excinfo:
         splus(S, 1, half)
-    assert str(excinfo.value) == "Fraction(1, 2) is not in the carrier of Trop(Z)"
+    assert str(excinfo.value) == "Fraction(1, 2) is not in the carrier of trop:Z"
     with pytest.raises(StructuralError) as excinfo:
         cone_join(T, half, third)
     assert str(excinfo.value) == ("Fraction(1, 3) is not in the carrier of "

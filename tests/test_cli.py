@@ -8,13 +8,19 @@ import pytest
 
 from mvtrop import cli
 from mvtrop.cli import main
+from mvtrop.jsonio import MAX_NESTING
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run(argv, capsys):
+    """Run the CLI in process; every message of ours fits on a 120-character line
+    (argparse's own "mvtrop: error:" lines, which echo the choices, are exempt)."""
     code = main(argv)
     out = capsys.readouterr()
+    for line in out.err.splitlines():
+        if line.startswith("mvtrop: ") and not line.startswith("mvtrop: error:"):
+            assert len(line) <= 120, line
     return code, out.out, out.err
 
 
@@ -259,6 +265,48 @@ def test_bare_product_inside_a_product_is_usage_error(algebra, capsys):
     assert code == 0
 
 
+def test_messages_name_a_kind_by_its_shorthand(capsys):
+    algebra = "prod:delta:Z[1/2],delta:lex:Z"
+    code, out, err = run(["tautology", "x", "--algebra", algebra], capsys)
+    assert code == 3 and out == ""
+    assert err == f"mvtrop: {algebra} has an infinite carrier; use a bounded or sampled check\n"
+
+
+def _nested(opening, leaf, closing, depth):
+    return opening * depth + leaf + closing * depth
+
+
+_CHAIN = '{"kind":"finite_chain","size":2}'
+_PRODUCT = ('{"kind":"product","factors":[', "]}")
+_LEX = ('{"kind":"lex_zg","tail":', "}")
+
+
+@pytest.mark.parametrize("argv", [
+    ["delta", "--group", "lex:" * 1000 + "Z"],
+    ["delta", "--group", _nested(_LEX[0], '{"kind":"integers"}', _LEX[1], 1000)],
+    ["check-eq", "x=x", "--algebra", _nested(_PRODUCT[0], _CHAIN, _PRODUCT[1], 300)],
+    ["theta", "--algebra", '{"kind":' + "[" * 100000 + "]" * 100000 + "}"],
+    ["eval", "x", "--algebra", "chain:2", "--assign", "x=" + _nested("(", "1", ")", 1000)],
+    ["detrop", "--semifield", "trop:" + "lex:" * (MAX_NESTING + 1) + "Z"],
+], ids=["lex-shorthand", "lex-json", "product-json", "json-arrays", "payload", "semifield"])
+def test_deep_nesting_is_usage_error(argv, capsys):
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err == f"mvtrop: input nests deeper than {MAX_NESTING} levels\n"
+
+
+def test_nesting_at_the_limit_answers(capsys):
+    code, out, _ = run(["delta", "--group", "lex:" * MAX_NESTING + "Z"], capsys)
+    assert code == 0 and out.count("lex_zg") == MAX_NESTING
+    algebra = _nested(_PRODUCT[0], _CHAIN, _PRODUCT[1], MAX_NESTING)
+    code, out, _ = run(["check-eq", "x=x", "--algebra", algebra], capsys)
+    assert code == 0 and json.loads(out)["verdict"] == "valid"
+    code, out, _ = run(["eval", "x", "--algebra", algebra,
+                        "--assign", "x=" + _nested("(", "1", ")", MAX_NESTING)], capsys)
+    assert code == 0
+    assert json.loads(out)["value"] == json.loads(_nested("[", '"1"', "]", MAX_NESTING))
+
+
 def test_theta_malformed_algebra_json_is_usage_error(capsys):
     code, out, err = run(["theta", "--algebra", '{"kind":"finite_chain","size":"x"}'], capsys)
     assert code == 2 and out == "" and _one_line_error(err)
@@ -269,8 +317,9 @@ def test_detrop_malformed_semifield_json_is_usage_error(capsys):
     assert code == 2 and out == "" and _one_line_error(err)
 
 
-def test_eval_unwritable_out_is_usage_error(tmp_path, capsys):
-    target = tmp_path / "missing-dir" / "f"
+def test_eval_unwritable_out_is_usage_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # the message echoes the path, so keep it short
+    target = Path("missing-dir") / "f"
     code, out, err = run(["eval", "x", "--algebra", "chain:3", "--assign", "x=1/2",
                           "--out", str(target)], capsys)
     assert code == 2 and out == "" and _one_line_error(err)

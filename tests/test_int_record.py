@@ -28,7 +28,7 @@ from mvtrop.errors import StructuralError
 from mvtrop.export import hasse_dot, operation_tables
 from mvtrop.functors import boolean_part, delta, theta, theta_star
 from mvtrop.groups import Z, LexZG, qsubgroup
-from mvtrop.jsonio import algebra_to_json, parse_algebra_shorthand
+from mvtrop.jsonio import parse_algebra_shorthand
 
 # -- the payload-record reference ----------------------------------------------------
 
@@ -63,7 +63,7 @@ def ref_operation_tables(A, bound):
                               ("meet", lift(ops.meet)), ("join", lift(ops.join)))}
     neg = lift(ops.neg)
     return {
-        "algebra": algebra_to_json(A),
+        "algebra": A.to_json(),
         "fragment": carrier_size(A) is None,
         "elements": [A.payload_to_json(p) for p in elems],
         "neg": [neg(x) for x in elems],

@@ -1,24 +1,23 @@
+import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvtrop.algebra import (CHANG, DeltaOf, FiniteChain, RationalInterval,
-                            element_str, enumerate_elements, product_algebra)
+from mvtrop.algebra import (CHANG, DeltaOf, FiniteChain, ProductAlgebra,
+                            RationalInterval, element, element_str,
+                            enumerate_elements, product_algebra)
 from mvtrop.bisemirings import TopCone
 from mvtrop.characteristics import CHI_Q, CHI_Z, INF, characteristic
 from mvtrop.errors import UsageError
-from mvtrop.groups import LexZG, TrivialGroup, TropOfGroup, Z, qsubgroup
-from mvtrop.jsonio import (algebra_from_json, algebra_shorthand,
-                           algebra_to_json, chi_from_json, chi_to_json,
-                           cone_to_json, dumps, element_from_json,
-                           element_to_json, group_from_json, group_shorthand,
-                           group_to_json, parse_algebra_shorthand,
-                           parse_group_shorthand, parse_payload_shorthand,
-                           parse_rational, parse_semifield_shorthand,
-                           rational_str, semifield_from_json,
-                           semifield_to_json)
+from mvtrop.groups import TRIVIAL, LexZG, TrivialGroup, TropOfGroup, Z, qsubgroup
+from mvtrop.jsonio import (algebra_from_json, chi_from_json, cone_to_json,
+                           dumps, group_from_json, group_to_json,
+                           parse_algebra_shorthand, parse_group_shorthand,
+                           parse_payload_shorthand, parse_rational,
+                           parse_semifield_shorthand, rational_str,
+                           semifield_from_json)
 
 DYADIC = qsubgroup(characteristic({2: INF}))
 
@@ -105,51 +104,56 @@ def test_rational_str_agrees_with_fraction(q):
 
 def test_chi_round_trip():
     for chi in (CHI_Z, CHI_Q, characteristic({2: INF, 3: 4})):
-        assert chi_from_json(chi_to_json(chi)) == chi
-    data = chi_to_json(characteristic({2: INF, 3: 4}))
+        assert chi_from_json(chi.to_json()) == chi
+    data = characteristic({2: INF, 3: 4}).to_json()
     assert data == {"default": "0", "primes": {"2": "inf", "3": "4"}}
 
 
 @pytest.mark.parametrize("G", GROUP_ZOO)
 def test_group_round_trip(G):
-    assert group_from_json(group_to_json(G)) == G
+    assert group_from_json(G.to_json()) == G
+    assert group_to_json(G) == G.to_json()
+    assert parse_group_shorthand(str(G)) == G
 
 
 @pytest.mark.parametrize("A", ALGEBRA_ZOO)
 def test_algebra_round_trip(A):
-    assert algebra_from_json(algebra_to_json(A)) == A
-    assert parse_algebra_shorthand(algebra_shorthand(A)) == A
+    assert algebra_from_json(A.to_json()) == A
+    assert parse_algebra_shorthand(str(A)) == A
 
 
 @pytest.mark.parametrize("A, pinned", zip(ALGEBRA_ZOO, WIRE_FORMAT, strict=True))
 def test_wire_format_is_pinned(A, pinned):
     algebra_json, shorthand, elements = pinned
-    assert dumps(algebra_to_json(A)) == algebra_json
-    assert algebra_shorthand(A) == shorthand
+    assert dumps(A.to_json()) == algebra_json
+    assert str(A) == shorthand
     found = enumerate_elements(A, 2)
     picked = list(dict.fromkeys(found[:3] + found[-1:]))
     assert [element_str(x) for x in picked] == [text for text, _ in elements]
-    assert [dumps(element_to_json(x)) for x in picked] == [
+    assert [dumps({"algebra": A.to_json(), "payload": A.payload_to_json(x.payload)})
+            for x in picked] == [
         f'{{"algebra":{algebra_json},"payload":{payload}}}' for _, payload in elements]
     for x in picked:
         assert parse_payload_shorthand(A, element_str(x)) == x.payload
 
 
 def test_chang_encodes_by_name_and_decodes_from_delta_form():
-    assert algebra_to_json(CHANG) == {"kind": "chang"}
+    assert CHANG.to_json() == {"kind": "chang"} and str(CHANG) == "chang"
     assert algebra_from_json({"kind": "delta", "group": {"kind": "integers"}}) == CHANG
 
 
 @pytest.mark.parametrize("A", ALGEBRA_ZOO)
 def test_element_round_trip(A):
+    B = algebra_from_json(json.loads(dumps(A.to_json())))
     for x in enumerate_elements(A, 3)[:12]:
-        assert element_from_json(element_to_json(x)) == x
+        assert element(B, B.payload_from_json(json.loads(dumps(A.payload_to_json(x.payload))))) == x
 
 
 def test_semifield_round_trip():
     for G in GROUP_ZOO:
         S = TropOfGroup(G)
-        assert semifield_from_json(semifield_to_json(S)) == S
+        assert semifield_from_json(S.to_json()) == S
+        assert parse_semifield_shorthand(str(S)) == S
 
 
 def test_cone_json_shape():
@@ -166,7 +170,7 @@ def test_dumps_is_deterministic():
 def test_group_shorthand_round_trips():
     for text in ("Z", "Q", "Z[1/2]", "trivial", "lex:Z", "lex:Z[1/2]"):
         G = parse_group_shorthand(text)
-        assert group_shorthand(G) == text
+        assert str(G) == text
     assert parse_group_shorthand('{"kind":"integers"}') == Z
     with pytest.raises(UsageError):
         parse_group_shorthand("nonsense")
@@ -176,7 +180,7 @@ def test_algebra_shorthand_round_trips():
     for text in ("chain:3", "interval", "chang", "delta:Q", "delta:trivial",
                  "prod:chain:2,chain:3"):
         A = parse_algebra_shorthand(text)
-        assert algebra_shorthand(A) == text
+        assert str(A) == text
     with pytest.raises(UsageError):
         parse_algebra_shorthand("chain:x")
     with pytest.raises(UsageError):
@@ -214,9 +218,42 @@ def test_product_shorthand_keeps_commas_inside_brackets():
     text = "prod:delta:Z[1/2,1/3],chain:2"
     A = parse_algebra_shorthand(text)
     assert len(A.factors) == 2 and A.factors[1] == FiniteChain(2)
-    assert algebra_shorthand(A) == text
-    assert parse_algebra_shorthand(algebra_shorthand(A)) == A
+    assert str(A) == text
+    assert parse_algebra_shorthand(str(A)) == A
     nested = parse_algebra_shorthand('prod:{"kind":"finite_chain","size":3},interval')
     assert nested.factors == (FiniteChain(3), RationalInterval())
     with pytest.raises(UsageError):
         parse_algebra_shorthand("prod:chain:2,,chain:3")
+
+
+# Nested descriptors: lex towers over Z, the trivial group and subgroups of Q,
+# and products whose factors are products.  Each kind writes its JSON and its
+# shorthand, and the readers take both back to an equal descriptor.
+CHARACTERISTICS = st.builds(
+    characteristic,
+    st.dictionaries(st.sampled_from([2, 3, 5, 7]), st.one_of(st.integers(0, 3), st.just(INF)),
+                    max_size=3),
+    st.sampled_from([0, INF]))
+NESTED_GROUPS = st.recursive(
+    st.one_of(st.just(Z), st.just(TRIVIAL), CHARACTERISTICS.map(qsubgroup)),
+    lambda tails: tails.map(LexZG), max_leaves=16)
+NESTED_ALGEBRAS = st.recursive(
+    st.one_of(st.integers(2, 9).map(FiniteChain), st.just(RationalInterval()),
+              st.just(CHANG), NESTED_GROUPS.map(DeltaOf)),
+    lambda factors: st.lists(factors, min_size=1, max_size=3).map(
+        lambda fs: ProductAlgebra(tuple(fs))),
+    max_leaves=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(NESTED_GROUPS)
+def test_nested_groups_round_trip(G):
+    assert group_from_json(json.loads(dumps(G.to_json()))) == G
+    assert parse_group_shorthand(str(G)) == G
+
+
+@settings(max_examples=200, deadline=None)
+@given(NESTED_ALGEBRAS)
+def test_nested_algebras_round_trip(A):
+    assert algebra_from_json(json.loads(dumps(A.to_json()))) == A
+    assert parse_algebra_shorthand(str(A)) == A
