@@ -37,7 +37,7 @@ from .qpoints import (REGULARLY_DENSE, REGULARLY_DISCRETE, FlatAction,
                       frobenius_action, gp_invariant, group_from_action,
                       hom_exists, hom_obstruction, theta_pt)
 from .report import COUNTEREXAMPLE, VALID, VALID_UP_TO_BOUND, CheckReport
-from .terms import (Equation, Term, Var, operation_count, parse,
+from .terms import (Equation, Term, Var, fold, operation_count, parse,
                     parse_equation, print_term, substitute, variables)
 
 __version__ = "0.1.0"

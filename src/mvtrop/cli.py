@@ -1,10 +1,11 @@
 """Command-line surface: construction, evaluation, checking, and export.
 
 Exit codes: 0 success or valid, 1 counterexample found, 2 usage or parse
-error, 3 domain error.  Output is deterministic compact JSON by default,
-human-readable with --pretty, DOT with --dot (export).  The environment
-variable MVTROP_DEFAULT_BOUND supplies the fragment bound when --bound is
-omitted.
+error, 3 domain error or out of memory.  Every message is one stderr line of
+at most 120 characters; a longer one is cut in the middle.  Output is
+deterministic compact JSON by default, human-readable with --pretty, DOT with
+--dot (export).  The environment variable MVTROP_DEFAULT_BOUND supplies the
+fragment bound when --bound is omitted.
 
 Each verb is listed once, in ``_VERBS``: its handler, its help line and its
 arguments as plain ``add_argument`` options.  ``build_parser`` and the
@@ -295,6 +296,15 @@ def _scalar(v) -> str:
 _parser = functools.cache(build_parser)
 
 
+def _say(message: str) -> None:
+    """Print a message as one stderr line of at most 120 characters; a longer one
+    is cut in the middle, so its kind at the start and its reason at the end survive."""
+    line = f"mvtrop: {message}"
+    if len(line) > 120:
+        line = line[:57] + " [...] " + line[-56:]  # 57 + 7 + 56 = 120
+    print(line, file=sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _parser().parse_args(argv)
@@ -303,10 +313,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         code, output = _HANDLERS[args.verb](args)
     except (TermSyntaxError, UsageError) as exc:
-        print(f"mvtrop: {exc}", file=sys.stderr)
+        _say(str(exc))
         return 2
     except MvtropError as exc:
-        print(f"mvtrop: {exc}", file=sys.stderr)
+        _say(str(exc))
+        return 3
+    except MemoryError:
+        _say("out of memory")
         return 3
     if isinstance(output, str):
         text = output.rstrip("\n")
@@ -319,7 +332,7 @@ def main(argv: list[str] | None = None) -> int:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text + "\n")
         except OSError as exc:
-            print(f"mvtrop: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+            _say(f"cannot write {args.out}: {exc.strerror or exc}")
             return 2
     else:
         print(text)

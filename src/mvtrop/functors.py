@@ -203,22 +203,19 @@ def recognize_theta_image(S: Bisemiring) -> CheckReport:
     closure_checked = check_closed(elems, _lattice(ops), lambda p: element_str(MvElement(A, p)))
     inf_set, bool_set = map(set, _inf_bool(elems, ops))
     # Bool(S) = S forces Inf(S) = {0}; the radical conditions are then vacuous
-    # and it remains to confirm Bool(S) is a Boolean algebra under ⊕/⊙.  Each
-    # law is named by the reason its witness gives.
+    # and it remains to confirm Bool(S) is a Boolean algebra under ⊕/⊙.  On
+    # idempotents ⊕ and ⊙ already are ∨ and ∧, so only complements need a
+    # check.  Each law is named by the reason its witness gives.
     laws = [
         ("x⊙x ≠ x", 1, lambda x: x in bool_set),
-        ("⊕/⊙ do not agree with ∨/∧", 2,
-         lambda x, y: oplus(x, y) == ops.join(x, y) and odot(x, y) == ops.meet(x, y)),
         ("no complement", 1, lambda x: any(oplus(x, y) == o and odot(x, y) == z for y in elems)),
     ]
 
     def witness(reason, instance):
-        found = [MvElement(A, p) for p in instance]
-        if len(found) == 2:
-            return {"elements": found, "reason": reason}
-        if reason == "x⊙x ≠ x" and instance[0] in inf_set:
+        x, = instance
+        if reason == "x⊙x ≠ x" and x in inf_set:
             reason = "x⊙x = 0 but x ≠ 0"
-        return {"element": found[0], "reason": reason}
+        return {"element": MvElement(A, x), "reason": reason}
     report = check_laws(laws, Instances.over(elems)).shaped(witness)
     return replace(report, checked=closure_checked + report.checked,
                    details={"inf_size": len(inf_set), "bool_size": len(bool_set)})

@@ -1,5 +1,8 @@
 """Evaluation of Lukasiewicz terms and equation / tautology checking.
 
+A term is compiled once per check, by a ``terms.fold``, into a closure over
+one descriptor's payload operations; ``evaluate`` and every law run that.
+
 Exhaustive checks walk every valuation of a finite algebra in canonical order
 and report the first counterexample; bounded checks run over the bound-limited
 fragment of an infinite algebra and can only refute (a clean run is reported
@@ -21,8 +24,8 @@ from .algebra import (CHANG, MvAlgebra, MvElement, PayloadOps, check_identities,
                       payload_ops)
 from .errors import EvaluationError, StructuralError
 from .report import CheckReport
-from .terms import (CONST1, Binary, Const, Equation, Neg, Term, Var,
-                    operation_count, parse, parse_equation)
+from .terms import (CONST1, Equation, Term, fold, operation_count, parse,
+                    parse_equation)
 
 
 @dataclass(frozen=True)
@@ -37,21 +40,16 @@ def _compile_term(t: Term, ops: PayloadOps, slots: dict[str, int]) -> Callable:
     The result maps a sequence of payloads to the payload of t, reading
     variable ``name`` at position ``slots[name]``.  A variable missing from
     ``slots`` gets the next free position, so an empty dict collects the
-    variables in evaluation order.
+    variables in evaluation order, left to right.
     """
-    if isinstance(t, Var):
-        return itemgetter(slots.setdefault(t.name, len(slots)))
-    if isinstance(t, Const):
-        c = ops.zero if t.value == 0 else ops.one
-        return lambda env: c
-    if isinstance(t, Neg):
-        f, neg = _compile_term(t.arg, ops, slots), ops.neg
-        return lambda env: neg(f(env))
-    if not isinstance(t, Binary):
-        raise TypeError(f"not a term: {t!r}")
-    op = getattr(ops, t.op)
-    f, g = _compile_term(t.left, ops, slots), _compile_term(t.right, ops, slots)
-    return lambda env: op(f(env), g(env))
+    zero, one, negate = ops.zero, ops.one, ops.neg
+
+    def binary(cls, f, g):
+        op = getattr(ops, cls.op)
+        return lambda env: op(f(env), g(env))
+    return fold(t, lambda name: itemgetter(slots.setdefault(name, len(slots))),
+                lambda value: (lambda env: one) if value else (lambda env: zero),
+                lambda f: lambda env: negate(f(env)), binary)
 
 
 def evaluate(t: Term, v: Valuation) -> MvElement:

@@ -4,19 +4,22 @@ ASCII grammar: variables are [a-z][a-z0-9_]*, constants are 0 and 1, ~ is
 prefix negation, and the infix connectives are (+) for ⊕, (.) for ⊙, (-) for
 ⊖, -> for →, /\\ for ∧, \\/ for ∨.  Binding, tightest first:
 ~  >  (.)  >  (+) = (-)  >  /\\  >  \\/  >  ->, with -> right-associative and
-everything else left-associative.  Parentheses override.
+everything else left-associative.  Parentheses override.  A term nests at
+most ``MAX_NESTING`` levels (each ~, parenthesis pair and connective above a
+leaf is one); the parser refuses deeper input, so no traversal overflows.
 
 The connective table lives on the classes: each ``Binary`` subclass carries
 its record operation, symbol, binding power and associativity, and the lexer,
 the parser, the printer and ``logic``'s compiler all read it from there.
-Traversals are functions over the node data, not methods on the nodes.
+Traversals are folds over the node data (``fold``, the one dispatch on node
+types), not methods on the nodes.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import ClassVar
+from typing import Callable, ClassVar
 
 from .errors import TermSyntaxError
 
@@ -84,70 +87,68 @@ CONST1 = Const(1)
 
 _BINARY = {cls.symbol: cls for cls in Binary.__subclasses__()}
 _NEG_BP = 6
+MAX_NESTING = 200
+_TOO_DEEP = f"term nests deeper than {MAX_NESTING} levels"
 
 _TOKEN = re.compile("|".join([
     "(?P<op>" + "|".join(map(re.escape, _BINARY)) + ")",
     r"(?P<neg>~)", r"(?P<lpar>\()", r"(?P<rpar>\))", r"(?P<const>[01])",
-    r"(?P<var>[a-z][a-z0-9_]*)", r"(?P<ws>\s+)"]))
+    r"(?P<var>[a-z][a-z0-9_]*)", r"(?P<ws>\s+)", r"(?P<bad>.)"]))
 
 
 def _lex(text: str) -> list[tuple[str, str, int]]:
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            raise TermSyntaxError(f"unexpected character {text[pos]!r}", pos,
+    for m in _TOKEN.finditer(text):
+        if m.lastgroup == "bad":
+            raise TermSyntaxError(f"unexpected character {m.group()!r}", m.start(),
                                   ("variable", "0", "1", "~", "(", *sorted(_BINARY)))
-        kind = m.lastgroup
-        if kind != "ws":
-            tokens.append((kind, m.group(0), pos))
-        pos = m.end()
+        if m.lastgroup != "ws":
+            tokens.append((m.lastgroup, m.group(), m.start()))
     tokens.append(("eof", "", len(text)))
     return tokens
 
 
 class _Parser:
+    """Precedence climbing.  ``depth`` counts the levels above the subterm being
+    read and each subterm comes back with its height, so a term nesting deeper
+    than ``MAX_NESTING`` is refused before anything recurses on it."""
+
     def __init__(self, text: str):
-        self.tokens = _lex(text)
-        self.index = 0
+        self.tokens = _lex(text)[::-1]  # the next token is last
 
-    def peek(self):
-        return self.tokens[self.index]
-
-    def advance(self):
-        tok = self.tokens[self.index]
-        self.index += 1
-        return tok
-
-    def expr(self, min_bp: int) -> Term:
-        lhs = self.atom()
+    def expr(self, min_bp: int, depth: int) -> tuple[Term, int]:
+        lhs, height = self.atom(depth)
         while True:
-            kind, text, _ = self.peek()
+            kind, text, pos = self.tokens[-1]
             if kind != "op":
                 break
             cls = _BINARY[text]
             if cls.bp < min_bp:
                 break
-            self.advance()
-            rhs = self.expr(cls.bp if cls.right_assoc else cls.bp + 1)
-            lhs = cls(lhs, rhs)
-        return lhs
+            self.tokens.pop()
+            rhs, rhs_height = self.expr(cls.bp if cls.right_assoc else cls.bp + 1, depth + 1)
+            lhs, height = cls(lhs, rhs), 1 + max(height, rhs_height)
+            if depth + height > MAX_NESTING:  # a left-associative spine grows here
+                raise TermSyntaxError(_TOO_DEEP, pos)
+        return lhs, height
 
-    def atom(self) -> Term:
-        kind, text, pos = self.advance()
+    def atom(self, depth: int) -> tuple[Term, int]:
+        kind, text, pos = self.tokens.pop()
+        if depth > MAX_NESTING:
+            raise TermSyntaxError(_TOO_DEEP, pos)
         if kind == "neg":
-            return Neg(self.atom())
+            arg, height = self.atom(depth + 1)
+            return Neg(arg), height + 1
         if kind == "lpar":
-            inner = self.expr(1)
-            kind, _, pos = self.advance()
+            inner, height = self.expr(1, depth + 1)
+            kind, _, pos = self.tokens.pop()
             if kind != "rpar":
                 raise TermSyntaxError("unbalanced parenthesis", pos, (")",))
-            return inner
+            return inner, height + 1
         if kind == "const":
-            return CONST0 if text == "0" else CONST1
+            return (CONST0 if text == "0" else CONST1), 0
         if kind == "var":
-            return Var(text)
+            return Var(text), 0
         raise TermSyntaxError(f"unexpected {text!r}" if text else "unexpected end of input",
                               pos, ("variable", "0", "1", "~", "("))
 
@@ -155,63 +156,62 @@ class _Parser:
 def parse(text: str) -> Term:
     """Parse a term; syntax errors carry the offset and the expected token set."""
     parser = _Parser(text)
-    term = parser.expr(1)
-    kind, text_, pos = parser.peek()
+    term, _ = parser.expr(1, 0)
+    kind, text_, pos = parser.tokens[-1]
     if kind != "eof":
         raise TermSyntaxError(f"trailing input {text_!r}", pos,
                               tuple(sorted(_BINARY)) + ("end of input",))
     return term
 
 
-def print_term(t: Term) -> str:
-    """Canonical minimal-parenthesis rendering; parse(print_term(t)) == t."""
-    return _render(t, 1)
-
-
-def _render(t: Term, min_bp: int) -> str:
+def fold(t: Term, var: Callable, const: Callable, neg: Callable, binary: Callable):
+    """Combine t bottom-up, the left subterm before the right: ``var(name)``,
+    ``const(value)``, ``neg(arg)`` and ``binary(cls, left, right)`` receive
+    the results for the children.  The one dispatch on node types."""
+    if isinstance(t, Binary):
+        return binary(type(t), fold(t.left, var, const, neg, binary),
+                      fold(t.right, var, const, neg, binary))
     if isinstance(t, Var):
-        return t.name
-    if isinstance(t, Const):
-        return str(t.value)
+        return var(t.name)
     if isinstance(t, Neg):
-        return "~" + _render(t.arg, _NEG_BP)
-    if not isinstance(t, Binary):
-        raise TypeError(f"not a term: {t!r}")
-    bp = t.bp
-    left, right = (bp + 1, bp) if t.right_assoc else (bp, bp + 1)
-    body = f"{_render(t.left, left)} {t.symbol} {_render(t.right, right)}"
-    return f"({body})" if bp < min_bp else body
+        return neg(fold(t.arg, var, const, neg, binary))
+    if isinstance(t, Const):
+        return const(t.value)
+    raise TypeError(f"not a term: {t!r}")
+
+
+def _wrap(printed: tuple[str, int], min_bp: int) -> str:
+    text, bp = printed
+    return f"({text})" if bp < min_bp else text
+
+
+def print_term(t: Term) -> str:
+    """Canonical minimal-parenthesis rendering; parse(print_term(t)) == t.
+
+    A fold to (text, binding power) pairs: a child binding looser than its
+    place allows is parenthesized, and atoms and negations bind tightest."""
+    def binary(cls, left, right):  # only the associative side may bind at cls.bp
+        bp, ra = cls.bp, cls.right_assoc
+        return f"{_wrap(left, bp + ra)} {cls.symbol} {_wrap(right, bp + 1 - ra)}", bp
+    return fold(t, lambda name: (name, _NEG_BP), lambda value: (str(value), _NEG_BP),
+                lambda arg: ("~" + _wrap(arg, _NEG_BP), _NEG_BP), binary)[0]
 
 
 def variables(t: Term) -> set[str]:
-    if isinstance(t, Var):
-        return {t.name}
-    if isinstance(t, Const):
-        return set()
-    if isinstance(t, Neg):
-        return variables(t.arg)
-    return variables(t.left) | variables(t.right)
+    return fold(t, lambda name: {name}, lambda _: set(), lambda arg: arg,
+                lambda _, left, right: left | right)
 
 
 def substitute(t: Term, name: str, replacement: Term) -> Term:
     """Capture-free substitution t[name := replacement]."""
-    if isinstance(t, Var):
-        return replacement if t.name == name else t
-    if isinstance(t, Const):
-        return t
-    if isinstance(t, Neg):
-        return Neg(substitute(t.arg, name, replacement))
-    return type(t)(substitute(t.left, name, replacement),
-                   substitute(t.right, name, replacement))
+    return fold(t, lambda v: replacement if v == name else Var(v), Const, Neg,
+                lambda cls, left, right: cls(left, right))
 
 
 def operation_count(t: Term) -> int:
     """Number of connective nodes, used for the default refutation bound."""
-    if isinstance(t, (Var, Const)):
-        return 0
-    if isinstance(t, Neg):
-        return 1 + operation_count(t.arg)
-    return 1 + operation_count(t.left) + operation_count(t.right)
+    return fold(t, lambda _: 0, lambda _: 0, lambda arg: arg + 1,
+                lambda _, left, right: left + right + 1)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ import pytest
 from mvtrop import cli
 from mvtrop.cli import main
 from mvtrop.jsonio import MAX_NESTING
+from mvtrop.terms import MAX_NESTING as TERM_NESTING
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -305,6 +306,68 @@ def test_nesting_at_the_limit_answers(capsys):
                         "--assign", "x=" + _nested("(", "1", ")", MAX_NESTING)], capsys)
     assert code == 0
     assert json.loads(out)["value"] == json.loads(_nested("[", '"1"', "]", MAX_NESTING))
+
+
+# The four ways a term nests, each ``depth`` levels deep, and the answer at the limit.
+_NESTED_TERMS = {
+    "negations": (lambda depth: ["eval", "~" * depth + "x", "--algebra", "chain:2",
+                                 "--assign", "x=1"], (0, "value", "1")),
+    "parentheses": (lambda depth: ["eval", _nested("(", "x", ")", depth), "--algebra", "chain:2",
+                                   "--assign", "x=1"], (0, "value", "1")),
+    "right-operands": (lambda depth: ["check-eq", "x" + " -> x" * depth + " = 1",
+                                      "--algebra", "chain:3"], (0, "verdict", "valid")),
+    "left-spine": (lambda depth: ["check-eq", "x" + " (+) x" * depth + " = x",
+                                  "--algebra", "chain:3"], (1, "verdict", "counterexample")),
+}
+
+
+@pytest.mark.parametrize("shape", _NESTED_TERMS)
+def test_term_at_the_nesting_limit_answers(shape, capsys):
+    argv, (expected_code, field, value) = _NESTED_TERMS[shape]
+    code, out, err = run(argv(TERM_NESTING), capsys)
+    assert (code, err) == (expected_code, "")
+    assert json.loads(out)[field] == value
+
+
+@pytest.mark.parametrize("depth", [TERM_NESTING + 1, 3000])
+@pytest.mark.parametrize("shape", _NESTED_TERMS)
+def test_term_past_the_nesting_limit_is_usage_error(shape, depth, capsys):
+    code, out, err = run(_NESTED_TERMS[shape][0](depth), capsys)
+    assert (code, out) == (2, "") and _one_line_error(err)
+    assert err.startswith(f"mvtrop: term nests deeper than {TERM_NESTING} levels at position ")
+
+
+def test_unbound_variable_is_named_in_evaluation_order(capsys):
+    code, out, err = run(["eval", "y (+) x", "--algebra", "chain:3"], capsys)
+    assert (code, out, err) == (3, "", "mvtrop: variable 'y' is not bound\n")
+
+
+_JSON_LIST = json.dumps(list(range(100)))
+
+
+@pytest.mark.parametrize("argv, expected_code, kind", [
+    (["theta", "--algebra", "x" * 300], 2, "unrecognized algebra shorthand"),
+    (["theta", "--algebra", '{"kind":"finite_chain","size":' + _JSON_LIST + "}"], 2,
+     "chain size must be an integer"),
+    (["theta", "--algebra", '{"kind":"finite_chain","sizes":' + _JSON_LIST + "}"], 2,
+     "malformed input"),
+    (["eval", "x", "--algebra", "chain:3", "--assign", "x=" + "9" * 300], 3, "9999"),
+    (["gp", "--group", "Z[1/" + "7" * 200 + "]", "--prime", "2"], 3, "cannot factor"),
+    (["delta", "--group", "Z[1/1856910058928070412348686333]"], 3, "cannot factor"),
+], ids=["algebra-shorthand", "size-json", "malformed-json", "payload", "label", "cofactor"])
+def test_long_messages_are_cut_in_the_middle(argv, expected_code, kind, capsys):
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (expected_code, "") and _one_line_error(err)
+    assert len(err) == 121 and " [...] " in err  # 120 characters and the newline
+    assert err.startswith("mvtrop: " + kind)
+
+
+def test_out_of_memory_is_one_line_with_exit_3(monkeypatch, capsys):
+    def exhausted(args):
+        raise MemoryError
+    monkeypatch.setitem(cli._HANDLERS, "check-eq", exhausted)
+    code, out, err = run(["check-eq", "x = x", "--algebra", "chain:3"], capsys)
+    assert (code, out, err) == (3, "", "mvtrop: out of memory\n")
 
 
 def test_theta_malformed_algebra_json_is_usage_error(capsys):

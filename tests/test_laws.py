@@ -261,13 +261,13 @@ EXPECTED = {
     'recognize/open_third':
         ('raises', 'MalformedInputError', 'carrier is not closed under oplus at (1/3, 1/3)'),
     'recognize/theta(chain:2)':
-        ('valid', 24, 'exhaustive', 'None', "{'inf_size': 1, 'bool_size': 2}"),
+        ('valid', 20, 'exhaustive', 'None', "{'inf_size': 1, 'bool_size': 2}"),
     'recognize/theta(chain:2xchain:2)':
-        ('valid', 88, 'exhaustive', 'None', "{'inf_size': 1, 'bool_size': 4}"),
+        ('valid', 72, 'exhaustive', 'None', "{'inf_size': 1, 'bool_size': 4}"),
     'recognize/theta(chain:5)':
         ('raises', 'MalformedInputError', 'carrier is not closed under oplus at (1/4, 1/2)'),
     'recognize/theta_star(chain:3)':
-        ('valid', 24, 'exhaustive', 'None', "{'inf_size': 1, 'bool_size': 2}"),
+        ('valid', 20, 'exhaustive', 'None', "{'inf_size': 1, 'bool_size': 2}"),
     'tautology/axiom_2/chain:4':
         ('valid', 64, 'exhaustive', 'None', '{}'),
     'tautology/closed/chain:2':

@@ -72,6 +72,13 @@ def test_evaluate_errors():
         evaluate(parse("x"), Valuation(L3, {"x": element(L2, 1)}))
 
 
+def test_the_first_unbound_variable_from_the_left_is_named():
+    # evaluate binds variables in evaluation order, left subterm first
+    for text in ("y (+) x", "~y -> x (.) z", "(y \\/ 0) /\\ x"):
+        with pytest.raises(EvaluationError, match="^variable 'y' is not bound$"):
+            evaluate(parse(text), Valuation(L3, {}))
+
+
 def test_substitution_is_a_homomorphism():
     rng = random.Random(23)
     for _ in range(120):

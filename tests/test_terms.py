@@ -5,9 +5,10 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import random_term
 from mvtrop.errors import TermSyntaxError
-from mvtrop.terms import (CONST0, CONST1, Equation, Implies, Join, Meet, Neg,
-                          Odot, Ominus, Oplus, Var, operation_count, parse,
-                          parse_equation, print_term, substitute, variables)
+from mvtrop.terms import (CONST0, CONST1, MAX_NESTING, Equation, Implies, Join,
+                          Meet, Neg, Odot, Ominus, Oplus, Var, fold,
+                          operation_count, parse, parse_equation, print_term,
+                          substitute, variables)
 
 x, y, z = Var("x"), Var("y"), Var("z")
 
@@ -104,6 +105,50 @@ def test_variables_and_substitution():
     assert s == Implies(Oplus(z, z), Implies(y, Oplus(z, z)))
     assert variables(s) == {"y", "z"}
     assert substitute(t, "w", z) == t
+
+
+def test_substitution_reaches_under_negation():
+    assert substitute(parse("~x (+) ~~x"), "x", y) == parse("~y (+) ~~y")
+
+
+def test_fold_visits_the_left_subterm_first():
+    seen = []
+    fold(parse("(y -> ~x) (.) (1 \\/ z)"), seen.append, seen.append, lambda arg: None,
+         lambda cls, left, right: seen.append(cls.symbol))
+    assert seen == ["y", "x", "->", 1, "z", "\\/", "(.)"]
+    with pytest.raises(TypeError, match="not a term"):
+        fold(Oplus(x, "y"), str, str, str, lambda cls, left, right: left)
+
+
+# The four ways a term nests, each ``depth`` levels deep: negations,
+# parentheses, right operands of ->, and a left-associative spine of (+).
+NESTED = {
+    "negations": lambda depth: "~" * depth + "x",
+    "parentheses": lambda depth: "(" * depth + "x" + ")" * depth,
+    "right-operands": lambda depth: "x" + " -> x" * depth,
+    "left-spine": lambda depth: "x" + " (+) x" * depth,
+}
+
+
+@pytest.mark.parametrize("shape", NESTED)
+def test_nesting_limit(shape):
+    text = NESTED[shape](MAX_NESTING)
+    t = parse(text)
+    assert parse(print_term(t)) == t
+    with pytest.raises(TermSyntaxError, match=f"deeper than {MAX_NESTING} levels at position"):
+        parse(NESTED[shape](MAX_NESTING + 1))
+
+
+def test_nesting_counts_every_level_of_a_mixed_term():
+    # a spine inside parentheses, continued outside them: 150 + 1 + 49 levels
+    spine = "(x" + " (+) x" * 150 + ")"
+    parse(spine + " (.) x" * 49)
+    with pytest.raises(TermSyntaxError) as err:
+        parse(spine + " (.) x" * 50)
+    assert err.value.position == len(spine) + 50 * 6 - 5
+    parse("~(" * 100 + "x" + ")" * 100)
+    with pytest.raises(TermSyntaxError):
+        parse("~(" * 100 + "~x" + ")" * 100)
 
 
 def test_operation_count():
