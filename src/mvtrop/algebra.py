@@ -20,20 +20,25 @@ no tables, and kept in a bounded cache keyed on the frozen descriptor.  The
 checkers in ``logic`` call the record on payloads directly and build
 MvElements only for witnesses.
 
-A walk over a listing that is not a law check (θ, θ*, the Boolean part and
-``export``) runs on the int record of ``int_record(A, bound)``: the record, the
-listing's values on it, and a decoder of any value back to its payload.  It is
-exact because Γ's truncated operations commute with scaling by a positive
-integer.  Each kind builds its piece (``build_int_record``).  A finite leaf
-with n elements is L_n on the ints 0..n−1, decoded by indexing its listing.
-An infinite leaf is scaled by its kind (``scaled``): the interval's fragment
-runs on p·D and Δ(G) for G ⊆ Q on Chang's record over (bit, offset·D), D the
-lcm of the fragment's denominators; a lex group keeps the payload record, with
-the payloads as values.  A product's int record is its factors' side by side,
-componentwise, as its payload record is (``_componentwise``): its values are
-the tuples of theirs and its decoder is theirs, coordinate by coordinate.  The
-Fractions of [0, 1], the ints of L_n and the scaled interval share one record,
-``_chain_ops(bottom, top)``.
+A walk over a listing (θ, θ*, the Boolean part and ``export``) and every
+sampled check run on the int record of ``int_record(A, bound)``: the record,
+the listing's values on it, and a decoder of any value back to its payload.
+It is exact because Γ's truncated operations commute with scaling by a
+positive integer.  Each kind builds its piece (``build_int_record``).  A finite
+chain with n elements is L_n on ``range(n)``, i decoded as Fraction(i, n−1),
+so its listing is never built and only what a walk keeps is decoded; Δ(trivial),
+the other finite leaf, indexes its two-element listing.  An infinite leaf is
+scaled by its kind (``scaled``): the interval's fragment runs on p·D and Δ(G)
+for G ⊆ Q on Chang's record over (bit, offset·D), D the lcm of the fragment's
+denominators; a lex group keeps the payload record, with the payloads as
+values.  A product's int record is its factors' side by side, componentwise,
+as its payload record is (``_componentwise``): its values are the tuples of
+theirs and its decoder is theirs, coordinate by coordinate.  The Fractions of
+[0, 1], the ints of L_n and the scaled interval share one record,
+``_chain_ops(bottom, top)``.  A sampled check draws on the values with the
+seeded ``rng.choice``, which picks the same indices as it would on the
+listing, and decodes only a counterexample's instance; exhaustive and bounded
+checks walk payloads.
 
 Δ(G) payloads are (bit, offset) pairs whose arithmetic runs on the group's
 unchecked ops record (``groups.GroupOps``).  Group membership of offsets is
@@ -127,8 +132,9 @@ class MvAlgebra:
     (the carrier or its bounded fragment, in canonical order),
     ``is_infinitesimal(payload)`` and ``payload_to_json`` / ``payload_from_json``.
     ``build_int_record(bound)`` is its piece of ``int_record``; by default a leaf
-    with n elements is L_n on ``range(n)``, and an infinite one is ``scaled(pool)``,
-    which by default keeps the payload record with the payloads as values."""
+    with n elements is L_n on ``range(n)``, decoded by indexing its listing, and
+    an infinite one is ``scaled(pool)``, which by default keeps the payload
+    record with the payloads as values."""
 
     def to_json(self) -> dict:
         return {"kind": self.tag}
@@ -205,6 +211,11 @@ class FiniteChain(_Unit):
     def enumerate(self, bound) -> list:
         n = self.size - 1
         return [Fraction(k, n) for k in range(n + 1)]
+
+    def build_int_record(self, bound) -> tuple:
+        """L_n on ``range(n)``, i decoded as Fraction(i, n − 1); no listing is built."""
+        top = self.size - 1
+        return _chain_ops(0, top), range(self.size), lambda i: Fraction(i, top)
 
 
 @dataclass(frozen=True)
@@ -531,29 +542,43 @@ def sample_elements(A: MvAlgebra, count: int, seed: int,
 
 def payload_tuples(A: MvAlgebra, bound: int | None = None, samples: int | None = None,
                    seed: int = 0) -> Instances:
-    """The instances of every check: ``tuples(arity)`` yields all arity-tuples of
-    payloads of the (bound-limited) carrier in canonical order or, with
-    ``samples`` set, that many seeded draws with replacement, where the bound
-    only applies to infinite carriers.  The mode is sampled when ``samples`` is
-    set, bounded when ``bound`` is, and exhaustive otherwise."""
+    """The instances of a check on payloads: ``tuples(arity)`` yields all
+    arity-tuples of payloads of the (bound-limited) carrier in canonical order
+    or, with ``samples`` set, the draws of ``_sampled`` decoded.  The mode
+    is sampled when ``samples`` is set, bounded when ``bound`` is, and
+    exhaustive otherwise."""
     if samples is None:
         if bound is None and carrier_size(A) is None:
             raise ModeError(f"{A} has an infinite carrier; use a bounded or sampled check")
         return Instances.over(enumerate_payloads(A, bound),
                               "exhaustive" if bound is None else "bounded", bound)
+    _, source, decode = _sampled(A, bound, samples, seed)
+    return Instances(lambda arity: (tuple([decode(v) for v in instance])
+                                    for instance in source.tuples(arity)), "sampled", bound)
+
+
+def _sampled(A: MvAlgebra, bound: int | None, samples: int,
+             seed: int) -> tuple[PayloadOps, Instances, Callable]:
+    """The one sampler: the record and decoder of ``int_record(A, bound)`` and
+    ``samples`` seeded draws with replacement of its values (the bound only
+    applies to infinite carriers).  ``rng.choice`` picks an index from the
+    length alone, and the values have the listing's length and order, so these
+    are the listing's draws; a finite chain's values are a ``range``, never listed."""
     if samples < 1:
         raise DomainError("samples must be >= 1")
-    pool = enumerate_payloads(A, bound)
+    ops, values, decode = int_record(A, bound)
     rng = random.Random(seed)
-    return Instances(lambda arity: (tuple(rng.choice(pool) for _ in range(arity))
-                                    for _ in range(samples)), "sampled", bound)
+    return ops, Instances(lambda arity: (tuple([rng.choice(values) for _ in range(arity)])
+                                         for _ in range(samples)), "sampled", bound), decode
 
 
 def check_identities(A: MvAlgebra, laws_of: Callable[[PayloadOps], list[tuple]],
                      bound: int | None = None, samples: int | None = None,
                      seed: int = 0) -> CheckReport:
-    """Check the laws ``laws_of(payload_ops(A))`` over ``payload_tuples(A, bound,
-    samples, seed)``, deciding a valid walk over a product factor by factor.
+    """Check the laws ``laws_of(ops)`` over the instances of ``payload_tuples(A,
+    bound, samples, seed)``, deciding a valid walk over a product factor by
+    factor.  ``laws_of`` builds the laws on any record of A it is given: the
+    payload record, or for a sampled source the int record.
 
     Every law must be an identity or a quasi-identity (a Horn sentence: premises
     that are equations, one equation as conclusion).  Such a law holds on all
@@ -566,11 +591,18 @@ def check_identities(A: MvAlgebra, laws_of: Callable[[PayloadOps], list[tuple]],
     walking it: the same verdict, mode and details, and ``checked`` = the sum
     over the laws of ``source.count(arity)``.  If one fails, the product is
     walked, so the first counterexample in canonical order and its ``checked``
-    are the walk's.  A sampled source is always walked.
+    are the walk's.
+
+    A sampled source is always walked, on ints: the laws are built on the
+    record of ``_sampled`` and only a counterexample's instance is decoded.
     """
+    if samples is not None:
+        ops, source, decode = _sampled(A, bound, samples, seed)
+        return check_laws(laws_of(ops), source).shaped(
+            lambda name, instance: (name, tuple([decode(v) for v in instance])))
     laws = laws_of(payload_ops(A))
-    source = payload_tuples(A, bound, samples, seed)
-    if isinstance(A, ProductAlgebra) and source.mode != "sampled" and all(
+    source = payload_tuples(A, bound)
+    if isinstance(A, ProductAlgebra) and all(
             check_laws(laws_of(payload_ops(f)), Instances.over(enumerate_payloads(f, bound))).ok
             for f in dict.fromkeys(leaf_factors(A))):
         return source.clean(sum(source.count(arity) for _, arity, _ in laws))

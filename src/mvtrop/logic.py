@@ -1,7 +1,11 @@
 """Evaluation of Lukasiewicz terms and equation / tautology checking.
 
 A term is compiled once per check, by a ``terms.fold``, into a closure over
-one descriptor's payload operations; ``evaluate`` and every law run that.
+one record's operations; ``evaluate`` and every law run that.  Exhaustive and
+bounded checks and ``evaluate`` run on the descriptor's payload record; a
+sampled check runs on the int record of ``algebra.int_record`` (L_n's ints
+0..n−1 for a finite chain, decoded as Fraction(i, n−1)), and only its
+counterexample is decoded to payloads.
 
 Exhaustive checks walk every valuation of a finite algebra in canonical order
 and report the first counterexample; bounded checks run over the bound-limited

@@ -96,15 +96,16 @@ _TOKEN = re.compile("|".join([
     r"(?P<var>[a-z][a-z0-9_]*)", r"(?P<ws>\s+)", r"(?P<bad>.)"]))
 
 
-def _lex(text: str) -> list[tuple[str, str, int]]:
+def _lex(text: str, start: int, end: int) -> list[tuple[str, str, int]]:
+    """The tokens of text[start:end], each with its position in the whole text."""
     tokens = []
-    for m in _TOKEN.finditer(text):
+    for m in _TOKEN.finditer(text, start, end):
         if m.lastgroup == "bad":
             raise TermSyntaxError(f"unexpected character {m.group()!r}", m.start(),
                                   ("variable", "0", "1", "~", "(", *sorted(_BINARY)))
         if m.lastgroup != "ws":
             tokens.append((m.lastgroup, m.group(), m.start()))
-    tokens.append(("eof", "", len(text)))
+    tokens.append(("eof", "", end))
     return tokens
 
 
@@ -113,8 +114,8 @@ class _Parser:
     read and each subterm comes back with its height, so a term nesting deeper
     than ``MAX_NESTING`` is refused before anything recurses on it."""
 
-    def __init__(self, text: str):
-        self.tokens = _lex(text)[::-1]  # the next token is last
+    def __init__(self, text: str, start: int, end: int):
+        self.tokens = _lex(text, start, end)[::-1]  # the next token is last
 
     def expr(self, min_bp: int, depth: int) -> tuple[Term, int]:
         lhs, height = self.atom(depth)
@@ -153,9 +154,10 @@ class _Parser:
                               pos, ("variable", "0", "1", "~", "("))
 
 
-def parse(text: str) -> Term:
-    """Parse a term; syntax errors carry the offset and the expected token set."""
-    parser = _Parser(text)
+def parse(text: str, start: int = 0, end: int | None = None) -> Term:
+    """Parse the term text[start:end]; syntax errors carry the offset in text and
+    the expected token set."""
+    parser = _Parser(text, start, len(text) if end is None else end)
     term, _ = parser.expr(1, 0)
     kind, text_, pos = parser.tokens[-1]
     if kind != "eof":
@@ -228,5 +230,5 @@ def parse_equation(text: str) -> Equation:
     if text.count("=") != 1:
         raise TermSyntaxError("an equation needs exactly one '='",
                               text.find("=") if "=" in text else len(text), ("=",))
-    lhs, rhs = text.split("=")
-    return Equation(parse(lhs), parse(rhs))
+    i = text.index("=")
+    return Equation(parse(text, 0, i), parse(text, i + 1))

@@ -80,3 +80,14 @@ def random_term(rng: random.Random, depth: int, names=("x", "y", "z")):
         return Neg(random_term(rng, depth - 1, names))
     cls = rng.choice(_BINARY_NODES)
     return cls(random_term(rng, depth - 1, names), random_term(rng, depth - 1, names))
+
+
+# -- reference draws for sampled checks ----------------------------------------
+
+def reference_draws(pool: list, samples: int, seed: int):
+    """The instances of a sampled check, drawn straight from a payload listing:
+    ``tuples(arity)`` yields ``samples`` tuples of ``random.Random(seed).choice``s,
+    one generator shared by every call, as the laws of one check share it."""
+    rng = random.Random(seed)
+    return lambda arity: (tuple(rng.choice(pool) for _ in range(arity))
+                          for _ in range(samples))

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from mvtrop import cli
+from mvtrop.algebra import FiniteChain
 from mvtrop.cli import main
 from mvtrop.jsonio import MAX_NESTING
 from mvtrop.terms import MAX_NESTING as TERM_NESTING
@@ -102,6 +103,18 @@ def test_axioms_verb(capsys):
     code, out, _ = run(["axioms", "--algebra", "interval",
                         "--samples", "60", "--seed", "2"], capsys)
     assert code == 0 and json.loads(out)["mode"] == "sampled"
+
+
+def test_axioms_samples_a_huge_chain_without_listing_it(monkeypatch, capsys):
+    def refuse(self, bound):
+        raise AssertionError(f"{self} was listed")
+    argv = ["axioms", "--algebra", "chain:7", "--samples", "5", "--seed", "3"]
+    expected = run(argv, capsys)
+    monkeypatch.setattr(FiniteChain, "enumerate", refuse)
+    assert run(argv, capsys) == expected
+    code, out, err = run(["axioms", "--algebra", "chain:10000000", "--samples", "5"], capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["checked"] == 25
 
 
 @pytest.mark.parametrize("samples", ["-1", "0"])
@@ -335,6 +348,18 @@ def test_term_past_the_nesting_limit_is_usage_error(shape, depth, capsys):
     code, out, err = run(_NESTED_TERMS[shape][0](depth), capsys)
     assert (code, out) == (2, "") and _one_line_error(err)
     assert err.startswith(f"mvtrop: term nests deeper than {TERM_NESTING} levels at position ")
+
+
+@pytest.mark.parametrize("equation, message", [
+    ("x (+) ? = y", "unexpected character '?' at position 6"),
+    ("(x (+) y = y", "unbalanced parenthesis at position 9"),
+    ("x (+) y = y ?", "unexpected character '?' at position 12"),
+    ("x (+) y = y (+) (x", "unbalanced parenthesis at position 18"),
+], ids=["left-character", "left-parenthesis", "right-character", "right-parenthesis"])
+def test_equation_syntax_errors_are_placed_in_the_whole_equation(equation, message, capsys):
+    code, out, err = run(["check-eq", equation, "--algebra", "chain:3"], capsys)
+    assert (code, out) == (2, "") and _one_line_error(err)
+    assert err.startswith(f"mvtrop: {message} (expected one of: ")
 
 
 def test_unbound_variable_is_named_in_evaluation_order(capsys):

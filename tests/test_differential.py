@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (chang_fragment, chang_neg, chang_oplus, luk_neg,
-                      luk_odot, luk_oplus, random_term)
+                      luk_odot, luk_oplus, random_term, reference_draws)
 import pytest
 
 from mvtrop.algebra import (CHANG, DeltaOf, FiniteChain, MvElement,
@@ -33,7 +33,7 @@ from mvtrop.groups import (LexZG, Z, group_add, group_enumerate, group_leq,
 from mvtrop.logic import (VC_AXIOM, Valuation, _law, _suite_laws, axiom_suite,
                           check_equation_bounded, check_equation_finite,
                           evaluate, tautology_check, vc_membership)
-from mvtrop.report import check_laws
+from mvtrop.report import Instances, check_laws
 from mvtrop.terms import (Const, Equation, Implies, Join, Meet, Neg, Odot,
                           Ominus, Oplus, Var, variables)
 
@@ -296,8 +296,14 @@ PRODUCTS = [product_algebra(L2, L3), product_algebra(L3, L2, L3),
 
 
 def _walk(A, laws_of, bound=None, samples=None, seed=0):
-    """The law engine over every instance of A itself, with no factorwise shortcut."""
-    return check_laws(laws_of(payload_ops(A)), payload_tuples(A, bound, samples, seed))
+    """The law engine over every instance of A itself, with no factorwise
+    shortcut; a sampled walk draws from A's payload listing on its own."""
+    if samples is None:
+        source = payload_tuples(A, bound)
+    else:
+        draws = reference_draws(enumerate_payloads(A, bound), samples, seed)
+        source = Instances(draws, "sampled", bound)
+    return check_laws(laws_of(payload_ops(A)), source)
 
 
 @pytest.mark.parametrize("A", PRODUCTS, ids=repr)

@@ -1,0 +1,132 @@
+"""Differential test: sampled checks on the int record against a payload reference.
+
+A sampled check draws its instances from the values of ``algebra.int_record``,
+runs its laws on that record and decodes only a counterexample's instance.
+The reference below is the earlier form: it draws ``random.Random(seed).choice``
+from the payload listing ``enumerate_payloads`` and checks the laws on
+``payload_ops``.  The whole report must be equal, the witness down to the
+types of its payloads.  A finite chain's int record is a ``range`` decoded on
+demand, so sampled checks, θ, θ* and the Boolean part must answer, with the
+same results, when a finite chain's listing cannot be built at all.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import random_term, reference_draws
+import mvtrop.algebra as algebra
+from mvtrop.algebra import (FiniteChain, _mv_laws, check_identities, enumerate_payloads,
+                            payload_ops, sample_elements)
+from mvtrop.functors import boolean_part, theta, theta_star
+from mvtrop.jsonio import parse_algebra_shorthand
+from mvtrop.logic import _law, _suite_laws
+from mvtrop.report import COUNTEREXAMPLE, VALID, CheckReport
+from mvtrop.terms import CONST1, Equation
+
+
+def reference_check(A, laws_of, bound, samples, seed):
+    """The sampled walk on payloads: each law over fresh draws from the listing,
+    an arity-0 law once; the first failure wins."""
+    draws = reference_draws(enumerate_payloads(A, bound), samples, seed)
+    checked = 0
+    for name, arity, holds in laws_of(payload_ops(A)):
+        for instance in draws(arity) if arity else [()]:
+            checked += 1
+            if not holds(*instance):
+                return CheckReport(COUNTEREXAMPLE, checked, (name, instance), "sampled")
+    return CheckReport(VALID, checked, mode="sampled")
+
+
+# (shorthand, bounds); a finite carrier ignores its bound
+KINDS = ([(f"chain:{n}", [None, 1, 5]) for n in range(2, 10)]
+         + [("chain:2001", [None, 3]), ("interval", range(1, 7)), ("chang", range(1, 6)),
+            ("delta:Z[1/2]", range(1, 5)), ("delta:lex:Z", range(1, 3)),
+            ("prod:chain:2,chain:3", [None, 2]), ("prod:chain:3,chang", range(1, 4))])
+
+terms = st.builds(lambda seed, depth: random_term(random.Random(seed), depth),
+                  st.integers(0, 2 ** 32), st.integers(0, 4))
+
+
+def _equation(lhs, rhs):
+    return lambda ops: [_law("equation", Equation(lhs, rhs), ops)]
+
+
+def _tautology(t):
+    return lambda ops: [_law("tautology", Equation(t, CONST1), ops)]
+
+
+laws = st.one_of(st.builds(_equation, terms, terms), st.builds(_tautology, terms),
+                 st.just(_suite_laws), st.just(_mv_laws))
+
+
+@st.composite
+def algebras(draw):
+    text, bounds = draw(st.sampled_from(KINDS))
+    return parse_algebra_shorthand(text), draw(st.sampled_from(bounds))
+
+
+@settings(max_examples=300, deadline=None)
+@given(algebras(), laws, st.integers(1, 40), st.integers(0, 2 ** 32))
+def test_sampled_checks_match_the_payload_reference(case, laws_of, samples, seed):
+    A, bound = case
+    report = check_identities(A, laws_of, bound, samples, seed)
+    expected = reference_check(A, laws_of, bound, samples, seed)
+    assert report == expected
+    assert repr(report.witness) == repr(expected.witness)
+
+
+@settings(max_examples=100, deadline=None)
+@given(algebras(), st.integers(1, 60), st.integers(0, 2 ** 32))
+def test_sample_elements_are_the_reference_draws(case, count, seed):
+    A, bound = case
+    bound = bound or 1
+    expected = [p for (p,) in reference_draws(enumerate_payloads(A, bound), count, seed)(1)]
+    assert [repr(x.payload) for x in sample_elements(A, count, seed, bound)] == list(
+        map(repr, expected))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 2001, 10 ** 5])
+def test_seeded_choices_from_a_range_and_from_its_list_agree(n):
+    values = range(n)
+    listed = list(values)
+    for seed in (0, 1, 18):
+        a, b = random.Random(seed), random.Random(seed)
+        assert [a.choice(values) for _ in range(10_000)] == [b.choice(listed) for _ in range(10_000)]
+
+
+# -- a finite chain's listing is never built to be sampled or walked --------------------
+
+def _unlistable(monkeypatch):
+    def refuse(self, bound):
+        raise AssertionError(f"{self} was listed")
+    monkeypatch.setattr(FiniteChain, "enumerate", refuse)
+
+
+def _listings(A):
+    return [[x.payload for x in xs] for xs in (theta(A).elements(), theta_star(A).elements(),
+                                               boolean_part(A))]
+
+
+def test_listings_and_draws_do_not_list_a_finite_chain(monkeypatch):
+    small = [parse_algebra_shorthand(s) for s in ("chain:2001", "prod:chain:3,chain:4")]
+    chain = FiniteChain(7)
+    expected = ([_listings(A) for A in small], sample_elements(chain, 30, 4),
+                check_identities(chain, _suite_laws, None, 30, 4))
+    _unlistable(monkeypatch)
+    assert ([_listings(A) for A in small], sample_elements(chain, 30, 4),
+            check_identities(chain, _suite_laws, None, 30, 4)) == expected
+    huge = FiniteChain(10 ** 7)
+    indices = reference_draws(range(10 ** 7), 5, 1)(1)
+    assert [x.payload for x in sample_elements(huge, 5, 1)] == [
+        Fraction(i, 10 ** 7 - 1) for (i,) in indices]
+    assert check_identities(huge, _suite_laws, None, 5, 1).checked == 25
+
+
+def test_theta_star_of_chain_2001_builds_only_the_fractions_it_lists(monkeypatch):
+    built = []
+    monkeypatch.setattr(algebra, "Fraction", lambda *args: built.append(args) or Fraction(*args))
+    assert len(theta_star(FiniteChain(2001)).elements()) == len(built) == 668
