@@ -33,7 +33,8 @@ for G ⊆ Q on Chang's record over (bit, offset·D), D the lcm of the fragment's
 denominators; a lex group keeps the payload record, with the payloads as
 values.  A product's int record is its factors' side by side, componentwise,
 as its payload record is (``_componentwise``): its values are the tuples of
-theirs and its decoder is theirs, coordinate by coordinate.  The Fractions of
+theirs, a sequence that builds only the tuples it is asked for (``_Tuples``),
+and its decoder is theirs, coordinate by coordinate.  The Fractions of
 [0, 1], the ints of L_n and the scaled interval share one record,
 ``_chain_ops(bottom, top)``.  A sampled check draws on the values with the
 seeded ``rng.choice``, which picks the same indices as it would on the
@@ -57,6 +58,7 @@ import itertools
 import math
 import operator
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Iterable
@@ -305,10 +307,11 @@ class DeltaOf(MvAlgebra):
                 lambda v: (v[0], Fraction(v[1], D)))
 
     def enumerate(self, bound: int | None) -> list:
-        """Ascending: (0, g) over the bound-limited positive cone, then (1, -g) back down."""
-        r = self.group.ops
-        cone = [g for g in self.group.enumerate(bound) if r.leq(r.zero, g)]
-        return [(0, g) for g in cone] + [(1, r.neg(g)) for g in reversed(cone)]
+        """Ascending: (0, g) over the upper half of the group's fragment, its cone,
+        then (1, g) over the lower half, up to 0; no offset is negated."""
+        fragment = self.group.enumerate(bound)
+        mid = len(fragment) // 2
+        return [(0, g) for g in fragment[mid:]] + [(1, g) for g in fragment[:mid + 1]]
 
     def is_infinitesimal(self, p) -> bool:
         return p[0] == 0
@@ -356,7 +359,7 @@ class ProductAlgebra(MvAlgebra):
     def build_int_record(self, bound: int | None) -> tuple:
         """The factors' int records side by side: values are the tuples of theirs."""
         opss, valuess, decoders = zip(*[f.build_int_record(bound) for f in self.factors])
-        return (_componentwise(opss), list(itertools.product(*valuess)),
+        return (_componentwise(opss), _Tuples(valuess),
                 lambda v: tuple([d(c) for d, c in zip(decoders, v)]))
 
     def carrier_size(self) -> int | None:
@@ -376,6 +379,27 @@ class ProductAlgebra(MvAlgebra):
         if not isinstance(data, list) or len(data) != len(self.factors):
             raise UsageError(f"payload arity mismatch for {self}: {data!r}")
         return tuple(f.payload_from_json(c) for f, c in zip(self.factors, data))
+
+
+class _Tuples:
+    """The tuples of ``itertools.product(*parts)``, listing none: tuple i has the
+    digit i // weight % size in each part, by the parts' ``_shape``."""
+
+    def __init__(self, parts):
+        self.parts, self.shape = parts, _shape([len(p) for p in parts])
+        self.indices = range(self.shape[0][0] * self.shape[0][1])
+
+    def __len__(self) -> int:
+        return len(self.indices)
+
+    def __getitem__(self, i):
+        i = self.indices[i]  # a list's IndexError, negative indices and slices
+        if isinstance(i, range):
+            return [self[j] for j in i]
+        return tuple([p[i // w % s] for p, (w, s) in zip(self.parts, self.shape)])
+
+    def __iter__(self):
+        return itertools.product(*self.parts)
 
 
 def _componentwise(parts) -> PayloadOps:
@@ -563,9 +587,12 @@ def _sampled(A: MvAlgebra, bound: int | None, samples: int,
     ``samples`` seeded draws with replacement of its values (the bound only
     applies to infinite carriers).  ``rng.choice`` picks an index from the
     length alone, and the values have the listing's length and order, so these
-    are the listing's draws; a finite chain's values are a ``range``, never listed."""
+    are the listing's draws; a finite chain's ``range`` and a product's
+    ``_Tuples`` are never listed."""
     if samples < 1:
         raise DomainError("samples must be >= 1")
+    if (carrier_size(A) or 0) > sys.maxsize:  # rng.choice takes the length as a C ssize_t
+        raise DomainError(f"cannot draw from {A}: it has more than {sys.maxsize} elements")
     ops, values, decode = int_record(A, bound)
     rng = random.Random(seed)
     return ops, Instances(lambda arity: (tuple([rng.choice(values) for _ in range(arity)])
@@ -618,10 +645,14 @@ def leaf_factors(A: MvAlgebra) -> list:
 
 
 def leaf_shape(A: MvAlgebra, bound: int | None = None) -> list[tuple[int, int]]:
-    """The (weight, size) of each of ``leaf_factors(A)``: its carrier size or its
-    fragment's length at ``bound``, and the product of the sizes after it.  Listed
-    element i has the digit i // weight % size in each leaf."""
-    sizes = [f.carrier_size() or len(enumerate_payloads(f, bound)) for f in leaf_factors(A)]
+    """The ``_shape`` of ``leaf_factors(A)``, each one's size its carrier size or
+    its fragment's length at ``bound``: listed element i has the digit
+    i // weight % size in each leaf."""
+    return _shape([f.carrier_size() or len(enumerate_payloads(f, bound)) for f in leaf_factors(A)])
+
+
+def _shape(sizes: list[int]) -> list[tuple[int, int]]:
+    """The (weight, size) of each of ``sizes``, its weight the product of the sizes after it."""
     return [(math.prod(sizes[i + 1:]), s) for i, s in enumerate(sizes)]
 
 

@@ -9,8 +9,9 @@ fragment bound when --bound is omitted.
 
 Each verb is listed once, in ``_VERBS``: its handler, its help line and its
 arguments as plain ``add_argument`` options.  ``build_parser`` and the
-dispatch table ``_HANDLERS`` are both read off it.  The checker verbs share
-``_verdict`` for their exit code and the report's fields.
+dispatch table ``_HANDLERS`` are both read off it.  A command line that starts
+with a verb is parsed once, by that verb's own parser.  The checker verbs
+share ``_verdict`` for their exit code and the report's fields.
 """
 
 from __future__ import annotations
@@ -255,8 +256,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True)
     for verb, (_, help_text, arguments) in _VERBS.items():
         p = sub.add_parser(verb, help=help_text)
+        p.set_defaults(verb=verb)  # so that main can parse with p alone
         for name, options in (*arguments, *_OUTPUT):
             p.add_argument(name, **options)
+    parser.verbs = sub.choices
     return parser
 
 
@@ -306,8 +309,11 @@ def _say(message: str) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    parser = _parser()
+    verb = parser.verbs.get(argv[0]) if argv else None
     try:
-        args = _parser().parse_args(argv)
+        args = parser.parse_args(argv) if verb is None else verb.parse_args(argv[1:])
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:

@@ -83,10 +83,11 @@ def hasse_dot(A: MvAlgebra, bound: int | None = None) -> str:
 
 
 def _listing(A: MvAlgebra, bound: int | None) -> tuple:
-    """``algebra.int_record(A, bound)`` and the ``leaf_shape``, whose length is
-    checked before the carrier is listed."""
+    """``algebra.int_record(A, bound)``, its values listed once, and the
+    ``leaf_shape``, whose length is checked before the carrier is listed."""
     shape = leaf_shape(A, bound)
     if shape[0][0] * shape[0][1] > MAX_EXPORT_CARRIER:
         what = "carrier" if carrier_size(A) is not None else "fragment"
         raise DomainError(f"{what} of {A} exceeds {MAX_EXPORT_CARRIER} elements")
-    return (*int_record(A, bound), shape)
+    ops, values, decode = int_record(A, bound)
+    return ops, list(values), decode, shape

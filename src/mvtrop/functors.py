@@ -148,9 +148,9 @@ def is_boolean_algebra(A: MvAlgebra) -> bool:
 def atoms(A: MvAlgebra) -> list[MvElement]:
     """Minimal nonzero elements of a finite algebra, in canonical order: one leaf
     one step above 0 and every other leaf at 0, i.e. the listing positions that
-    are leaf weights."""
-    elems = enumerate_payloads(A)
-    return [MvElement(A, elems[w]) for w, _ in reversed(leaf_shape(A))]
+    are leaf weights, decoded from ``int_record`` without listing the carrier."""
+    _, values, decode = int_record(A)
+    return [MvElement(A, decode(values[w])) for w, _ in reversed(leaf_shape(A))]
 
 
 def glue_boolean_perfect(B: MvAlgebra, P: MvAlgebra) -> MvAlgebra:

@@ -9,6 +9,9 @@ addition is join and semiring multiplication is the group operation.
 Each kind is a frozen subclass of ``LGroup`` holding, as methods, all that is
 particular to it, its JSON ``tag``, descriptor JSON (``to_json``) and shorthand
 (``str(G)``) among them; the public functions guard once and call into the kind.
+A kind lists its bounded positive cone in ascending order from 0 (``cone``); its
+fragment (``enumerate``) is that cone mirrored through −.  A subgroup of Q
+orders its cone on exact int keys, so listing it compares no ``Fraction``.
 
 Every ordered structure — each ℓ-group, each Trop(G) and each cone with a top
 (``bisemirings.TopCone``) — carries one record of operations, ``S.ops``
@@ -26,6 +29,7 @@ the Δ(G) payloads of ``algebra``) calls the record directly.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
@@ -33,7 +37,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Any, Callable
 
-from .characteristics import CHI_Z, Characteristic, contains_rational, group_label
+from .characteristics import (CHI_Z, Characteristic, admits_denominator, contains_rational,
+                              group_label)
 from .errors import DomainError, StructuralError, UsageError
 from .rationals import dumps, parse_integer, parse_rational, rational_str
 
@@ -70,8 +75,13 @@ class OrderedStructure:
 
 class LGroup(OrderedStructure):
     """Base of the group descriptors.  A kind supplies its ``tag``, ``__str__``,
-    ``build_ops``, ``coerce`` (a member's canonical form) and ``enumerate(bound)``;
+    ``build_ops``, ``coerce`` (a member's canonical form) and ``cone(bound)``;
     its JSON is its tag alone and its members are "p/q" unless it overrides that."""
+
+    def enumerate(self, bound: int) -> list:
+        """The bounded fragment in ascending order: the cone mirrored through −."""
+        cone, neg = self.cone(bound), self.ops.neg
+        return [neg(x) for x in cone[:0:-1]] + cone
 
     def to_json(self) -> dict:
         return {"kind": self.tag}
@@ -104,8 +114,8 @@ class Integers(LGroup):
             raise StructuralError(f"{x!r} is not an integer")
         return x
 
-    def enumerate(self, bound: int) -> list:
-        return list(range(-bound, bound + 1))
+    def cone(self, bound: int) -> list:
+        return list(range(bound + 1))
 
 
 @dataclass(frozen=True)
@@ -126,7 +136,7 @@ class TrivialGroup(LGroup):
             raise StructuralError(f"{x!r} is not in the trivial group")
         return 0
 
-    def enumerate(self, bound: int) -> list:
+    def cone(self, bound: int) -> list:
         return [0]
 
 
@@ -159,18 +169,14 @@ class QSubgroup(LGroup):
             raise StructuralError(f"{x!r} violates the characteristic constraint of {self}")
         return x
 
-    def enumerate(self, bound: int) -> list:
-        """Members q with |q| <= bound and denominator <= bound."""
-        seen = {Fraction(0)}
-        for d in range(1, bound + 1):
-            if not contains_rational(self.chi, Fraction(1, d)):
-                continue  # membership of n/d in lowest terms depends on d alone
-            for n in range(1, bound * d + 1):
-                q = Fraction(n, d)
-                if q.denominator == d:
-                    seen.add(q)
-                    seen.add(-q)
-        return sorted(seen)
+    def cone(self, bound: int) -> list:
+        """Members 0 <= n/d <= bound with d <= bound, in lowest terms, sorted on
+        the int key n·(L/d), L the lcm of the admitted denominators d."""
+        ds = [d for d in range(1, bound + 1) if admits_denominator(self.chi, d)]
+        L = math.lcm(*ds)
+        keyed = sorted((n * (L // d), n, d) for d in ds
+                       for n in range(1, bound * d + 1) if math.gcd(n, d) == 1)
+        return [Fraction(0)] + [Fraction(n, d) for _, n, d in keyed]
 
 
 @dataclass(frozen=True)
@@ -216,6 +222,10 @@ class LexZG(LGroup):
         if not _is_int(head):
             raise StructuralError(f"lex head {x[0]!r} is not an integer")
         return (head, self.tail.coerce(x[1]))
+
+    def cone(self, bound: int) -> list:  # the upper half, from the fragment's middle 0
+        fragment = self.enumerate(bound)
+        return fragment[len(fragment) // 2:]
 
     def enumerate(self, bound: int) -> list:
         """Lexicographic pairs over [-bound, bound] and the tail's fragment."""
@@ -291,10 +301,10 @@ def group_enumerate(G: LGroup, bound: int) -> list:
 
 
 def group_positive_cone(G: LGroup, bound: int) -> list:
-    """Fragment of {x in G : x >= 0} in ascending order."""
-    r = G.ops
-    z, leq = r.zero, r.leq
-    return [x for x in group_enumerate(G, bound) if leq(z, x)]
+    """Fragment of {x in G : x >= 0} in ascending order (see each kind's ``cone``)."""
+    if bound < 1:
+        raise DomainError("bound must be >= 1")
+    return _descriptor(G).cone(bound)
 
 
 # ---------------------------------------------------------------------------

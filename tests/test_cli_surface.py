@@ -4,6 +4,8 @@ action.  A change to the parser that moves any of these fails here."""
 
 import argparse
 
+import pytest
+
 from mvtrop.cli import build_parser, main
 
 TEXT = (None, True, "str")       # a required string option
@@ -104,3 +106,46 @@ def test_top_level_help_is_pinned(monkeypatch, capsys):
     monkeypatch.setenv("COLUMNS", "80")
     assert main(["--help"]) == 0
     assert capsys.readouterr().out == HELP
+
+
+# -- dispatch: a named verb's own parser reads the rest of the line --------------------
+
+def _sample_argv(verb, optional):
+    """The verb's positionals and required options, and with ``optional`` every
+    other option too, each with a value of its kind."""
+    positionals, options = SURFACE[verb]
+    argv = [verb, *positionals]
+    for option, (_, required, kind) in options.items():
+        if required or optional:
+            argv += [option] if kind == "store_true" else [option, "7" if kind == "int" else "v"]
+    return argv
+
+
+def test_a_verbs_own_parser_gives_the_top_level_namespace():
+    parser = build_parser()
+    for verb in SURFACE:
+        for optional in (False, True):
+            argv = _sample_argv(verb, optional)
+            args = parser.verbs[verb].parse_args(argv[1:])
+            assert args == parser.parse_args(argv) and args.verb == verb, argv
+
+
+@pytest.mark.parametrize("argv, code", [
+    ([], 2), (["-h"], 0), (["--help"], 0), (["bogus"], 2), (["--pretty"], 2),
+    (["check-eq", "x = x"], 2),                                         # --algebra missing
+    (["check-eq", "x = x", "--algebra", "chain:2", "--bogus"], 2),
+    (["check-eq", "-h"], 0),
+])
+def test_exit_codes_of_parse_errors_and_help(argv, code, capsys):
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    assert (out != "") == (code == 0) and (err != "") == (code == 2)
+
+
+def test_an_unrecognized_argument_names_the_verb(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main(["check-eq", "x = x", "--algebra", "chain:2", "--bogus"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage: mvtrop check-eq [-h] --algebra ALGEBRA")
+    assert err.splitlines()[-1] == "mvtrop check-eq: error: unrecognized arguments: --bogus"

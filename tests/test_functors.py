@@ -3,9 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from mvtrop.algebra import (CHANG, DeltaOf, FiniteChain, RationalInterval,
-                            element, enumerate_elements, is_boolean_elem,
-                            is_infinitesimal_elem, mv_join, mv_leq, mv_meet,
+import mvtrop.algebra as algebra
+import mvtrop.functors as functors
+from mvtrop.algebra import (CHANG, DeltaOf, FiniteChain, MvElement, ProductAlgebra,
+                            RationalInterval, element, enumerate_elements,
+                            enumerate_payloads, is_boolean_elem,
+                            is_infinitesimal_elem, leaf_shape, mv_join, mv_leq, mv_meet,
                             mv_neg, mv_odot, mv_oplus, one, product_algebra,
                             zero)
 from mvtrop.bisemirings import (TOP, Bisemiring, TopCone, check_lbisemiring_of,
@@ -25,6 +28,7 @@ from mvtrop.functors import (Morphism, atoms, boolean_part, cone_to_perfect,
                              trop)
 from mvtrop.export import hasse_dot, operation_tables
 from mvtrop.groups import BOTTOM, TRIVIAL, LexZG, Z, qsubgroup
+from mvtrop.jsonio import parse_algebra_shorthand
 
 L2 = FiniteChain(2)
 L3 = FiniteChain(3)
@@ -325,6 +329,26 @@ def test_atoms(A, count):
     assert atoms(A) == [x for x in nonzero if not any(y != x and mv_leq(y, x) for y in nonzero)]
     assert len(atoms(A)) == count
     assert is_boolean_algebra(A) == all(mv_oplus(x, x) == x for x in elems)
+
+
+@pytest.mark.parametrize("text", ["chain:2", "chain:9", "prod:chain:2,chain:2,chain:2",
+                                  "prod:chain:3,chain:2,chain:4", "prod:chain:5,delta:trivial",
+                                  'prod:chain:2,{"kind":"product","factors":'
+                                  '[{"kind":"finite_chain","size":3},{"kind":"finite_chain",'
+                                  '"size":2}]},chain:4'])
+def test_atoms_do_not_list_the_carrier(text, monkeypatch):
+    A = parse_algebra_shorthand(text)
+    elems = enumerate_payloads(A)  # the listing positions that are leaf weights
+    expected = [MvElement(A, elems[w]) for w, _ in reversed(leaf_shape(A))]
+
+    def refuse(*args):
+        raise AssertionError("the carrier was listed")
+    for kind in (FiniteChain, ProductAlgebra):
+        monkeypatch.setattr(kind, "enumerate", refuse)
+    for module in (algebra, functors):
+        monkeypatch.setattr(module, "enumerate_payloads", refuse)
+    assert atoms(A) == expected
+    assert atoms(FiniteChain(10 ** 6)) == [MvElement(FiniteChain(10 ** 6), Fraction(1, 10 ** 6 - 1))]
 
 
 def test_glue_with_two_element_boolean_is_identity():

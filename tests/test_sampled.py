@@ -7,7 +7,9 @@ from the payload listing ``enumerate_payloads`` and checks the laws on
 ``payload_ops``.  The whole report must be equal, the witness down to the
 types of its payloads.  A finite chain's int record is a ``range`` decoded on
 demand, so sampled checks, θ, θ* and the Boolean part must answer, with the
-same results, when a finite chain's listing cannot be built at all.
+same results, when a finite chain's listing cannot be built at all.  A
+product's values are a sequence that turns an index into one tuple, so draws
+on a product are the listing's draws without the listing.
 """
 
 import random
@@ -19,8 +21,9 @@ from hypothesis import strategies as st
 
 from conftest import random_term, reference_draws
 import mvtrop.algebra as algebra
-from mvtrop.algebra import (FiniteChain, _mv_laws, check_identities, enumerate_payloads,
-                            payload_ops, sample_elements)
+from mvtrop.algebra import (FiniteChain, ProductAlgebra, _mv_laws, check_identities,
+                            enumerate_payloads, int_record, payload_ops, sample_elements)
+from mvtrop.errors import DomainError
 from mvtrop.functors import boolean_part, theta, theta_star
 from mvtrop.jsonio import parse_algebra_shorthand
 from mvtrop.logic import _law, _suite_laws
@@ -130,3 +133,45 @@ def test_theta_star_of_chain_2001_builds_only_the_fractions_it_lists(monkeypatch
     built = []
     monkeypatch.setattr(algebra, "Fraction", lambda *args: built.append(args) or Fraction(*args))
     assert len(theta_star(FiniteChain(2001)).elements()) == len(built) == 668
+
+
+# -- a product's int record is a sequence of its tuples, listed only by a walk ---------
+
+@pytest.mark.parametrize("text, bound", [
+    ("prod:chain:2,chain:3", None), ("prod:chain:3,chang", 2), ("prod:interval,chain:3", 3),
+    ('prod:chain:2,{"kind":"product","factors":[{"kind":"finite_chain","size":3},'
+     '{"kind":"chang"}]},chain:4', 2)])
+def test_a_products_values_index_and_draw_as_their_listing(text, bound):
+    A = parse_algebra_shorthand(text)
+    _, values, decode = int_record(A, bound)
+    listed = list(values)
+    assert [decode(v) for v in listed] == enumerate_payloads(A, bound)
+    assert len(values) == len(listed)
+    assert [values[i] for i in range(-len(listed), len(listed))] == listed + listed
+    assert values[1:7:2] == listed[1:7:2]
+    for i in (-len(listed) - 1, len(listed)):
+        with pytest.raises(IndexError):
+            values[i]
+    for seed in (0, 1, 18):
+        a, b = random.Random(seed), random.Random(seed)
+        assert [a.choice(values) for _ in range(500)] == [b.choice(listed) for _ in range(500)]
+
+
+def test_draws_on_a_product_of_chains_do_not_list_it(monkeypatch):
+    def refuse(self, bound):
+        raise AssertionError(f"{self} was listed")
+    monkeypatch.setattr(ProductAlgebra, "enumerate", refuse)
+    _unlistable(monkeypatch)
+    n = 10 ** 5
+    A = parse_algebra_shorthand(f"prod:chain:{n},chain:{n}")
+    assert [x.payload for x in sample_elements(A, 5, 1)] == [
+        (Fraction(i // n, n - 1), Fraction(i % n, n - 1))
+        for (i,) in reference_draws(range(n * n), 5, 1)(1)]
+    assert check_identities(A, _suite_laws, None, 5, 1).checked == 25
+
+
+@pytest.mark.parametrize("text", ["chain:100000000000000000000",
+                                  "prod:chain:100000,chain:100000,chain:100000,chain:100000"])
+def test_a_carrier_too_long_to_draw_from_is_a_domain_error(text):
+    with pytest.raises(DomainError, match="cannot draw from"):
+        sample_elements(parse_algebra_shorthand(text), 5, 1)
