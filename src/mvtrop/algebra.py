@@ -20,10 +20,10 @@ no tables, and kept in a bounded cache keyed on the frozen descriptor.  The
 checkers in ``logic`` call the record on payloads directly and build
 MvElements only for witnesses.
 
-A walk over a listing (θ, θ*, the Boolean part and ``export``) and every
-sampled check run on the int record of ``int_record(A, bound)``: the record,
-the listing's values on it, and a decoder of any value back to its payload.
-It is exact because Γ's truncated operations commute with scaling by a
+A walk over a listing (θ, θ*, the Boolean part and ``export``), every sampled
+check and every check of a product run on the int record of ``int_record(A,
+bound)``: the record, the listing's values on it, and a decoder of any value
+back to its payload.  It is exact because Γ's truncated operations commute with scaling by a
 positive integer.  Each kind builds its piece (``build_int_record``).  A finite
 chain with n elements is L_n on ``range(n)``, i decoded as Fraction(i, n−1),
 so its listing is never built and only what a walk keeps is decoded; Δ(trivial),
@@ -38,8 +38,10 @@ and its decoder is theirs, coordinate by coordinate.  The Fractions of
 [0, 1], the ints of L_n and the scaled interval share one record,
 ``_chain_ops(bottom, top)``.  A sampled check draws on the values with the
 seeded ``rng.choice``, which picks the same indices as it would on the
-listing, and decodes only a counterexample's instance; exhaustive and bounded
-checks walk payloads.
+listing; a product walked in full (exhaustive or bounded) is decided on its
+leaves' records or walked on the k-tuples of its values (``_Tuples.tuples``).
+Both decode only a counterexample's instance.  Exhaustive and bounded checks of
+a leaf still walk payloads.
 
 Δ(G) payloads are (bit, offset) pairs whose arithmetic runs on the group's
 unchecked ops record (``groups.GroupOps``).  Group membership of offsets is
@@ -401,6 +403,13 @@ class _Tuples:
     def __iter__(self):
         return itertools.product(*self.parts)
 
+    def tuples(self, k: int):
+        """``itertools.product(self, repeat=k)``, listing none of these tuples: the
+        product of the parts repeated k times, each of its tuples cut in k."""
+        m = len(self.parts)
+        cuts = [slice(i, i + m) for i in range(0, m * k, m)]
+        return (tuple([flat[c] for c in cuts]) for flat in itertools.product(*self.parts * k))
+
 
 def _componentwise(parts) -> PayloadOps:
     """The product of the records ``parts``, on tuples with one coordinate each."""
@@ -572,13 +581,19 @@ def payload_tuples(A: MvAlgebra, bound: int | None = None, samples: int | None =
     is sampled when ``samples`` is set, bounded when ``bound`` is, and
     exhaustive otherwise."""
     if samples is None:
-        if bound is None and carrier_size(A) is None:
-            raise ModeError(f"{A} has an infinite carrier; use a bounded or sampled check")
-        return Instances.over(enumerate_payloads(A, bound),
-                              "exhaustive" if bound is None else "bounded", bound)
+        mode = _walk_mode(A, bound)
+        return Instances.over(enumerate_payloads(A, bound), mode, bound)
     _, source, decode = _sampled(A, bound, samples, seed)
     return Instances(lambda arity: (tuple([decode(v) for v in instance])
                                     for instance in source.tuples(arity)), "sampled", bound)
+
+
+def _walk_mode(A: MvAlgebra, bound: int | None) -> str:
+    """The mode of a walk over every tuple: bounded when ``bound`` is set, else
+    exhaustive, which needs a finite carrier."""
+    if bound is None and carrier_size(A) is None:
+        raise ModeError(f"{A} has an infinite carrier; use a bounded or sampled check")
+    return "exhaustive" if bound is None else "bounded"
 
 
 def _sampled(A: MvAlgebra, bound: int | None, samples: int,
@@ -605,7 +620,7 @@ def check_identities(A: MvAlgebra, laws_of: Callable[[PayloadOps], list[tuple]],
     """Check the laws ``laws_of(ops)`` over the instances of ``payload_tuples(A,
     bound, samples, seed)``, deciding a valid walk over a product factor by
     factor.  ``laws_of`` builds the laws on any record of A it is given: the
-    payload record, or for a sampled source the int record.
+    payload record of a leaf walked in full, else an int record.
 
     Every law must be an identity or a quasi-identity (a Horn sentence: premises
     that are equations, one equation as conclusion).  Such a law holds on all
@@ -613,27 +628,36 @@ def check_identities(A: MvAlgebra, laws_of: Callable[[PayloadOps], list[tuple]],
     (Birkhoff: varieties and quasivarieties are closed under products), and
     the pool of a product, bounded or not, is the product of its factors'
     pools.  So when A is a product walked in full, the laws are first checked
-    on each distinct factor of the product tree once, with the same bound.
-    If all pass, the report is the one the product walk would give, without
-    walking it: the same verdict, mode and details, and ``checked`` = the sum
-    over the laws of ``source.count(arity)``.  If one fails, the product is
-    walked, so the first counterexample in canonical order and its ``checked``
-    are the walk's.
+    on the int record of each distinct leaf of the product tree once, with the
+    same bound, decoding nothing.  If all pass, the report is the one the
+    product walk would give, without walking it: the same verdict, mode and
+    details, and ``checked`` = the sum over the laws of ``source.count(arity)``.
+    If one fails, the laws are built on the product's int record and walked
+    over its values' k-tuples (``_Tuples.tuples``), so the first counterexample
+    in canonical order and its ``checked`` are the walk's.
 
     A sampled source is always walked, on ints: the laws are built on the
-    record of ``_sampled`` and only a counterexample's instance is decoded.
+    record of ``_sampled``.  On ints, only a counterexample's instance is decoded.
     """
     if samples is not None:
         ops, source, decode = _sampled(A, bound, samples, seed)
-        return check_laws(laws_of(ops), source).shaped(
-            lambda name, instance: (name, tuple([decode(v) for v in instance])))
-    laws = laws_of(payload_ops(A))
-    source = payload_tuples(A, bound)
-    if isinstance(A, ProductAlgebra) and all(
-            check_laws(laws_of(payload_ops(f)), Instances.over(enumerate_payloads(f, bound))).ok
-            for f in dict.fromkeys(leaf_factors(A))):
-        return source.clean(sum(source.count(arity) for _, arity, _ in laws))
-    return check_laws(laws, source)
+        return _decoded(check_laws(laws_of(ops), source), decode)
+    if not isinstance(A, ProductAlgebra):
+        return check_laws(laws_of(payload_ops(A)), payload_tuples(A, bound))
+    mode = _walk_mode(A, bound)
+    ops, values, decode = int_record(A, bound)
+    source = Instances(values.tuples, mode, bound, len(values))
+    for f in dict.fromkeys(leaf_factors(A)):
+        leaf_ops, leaf_values, _ = int_record(f, bound)
+        laws = laws_of(leaf_ops)
+        if not check_laws(laws, Instances.over(leaf_values)).ok:
+            return _decoded(check_laws(laws_of(ops), source), decode)
+    return source.clean(sum(source.count(arity) for _, arity, _ in laws))
+
+
+def _decoded(report: CheckReport, decode: Callable) -> CheckReport:
+    """The report of a walk on an int record, its counterexample's instance decoded."""
+    return report.shaped(lambda name, instance: (name, tuple([decode(v) for v in instance])))
 
 
 def leaf_factors(A: MvAlgebra) -> list:

@@ -23,7 +23,7 @@ import re
 import sys
 
 from .algebra import carrier_size, element
-from .errors import MvtropError, TermSyntaxError, UsageError
+from .errors import DomainError, MvtropError, TermSyntaxError, UsageError
 from .functors import (delta, detrop, f_equiv, gamma, glue_boolean_perfect,
                        theta, theta_star, trop)
 from .jsonio import (cone_to_json, dumps, parse_algebra_shorthand, parse_chi_shorthand,
@@ -317,6 +317,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
+        if getattr(args, "bound", None) is not None and args.bound < 1:  # on every carrier
+            raise DomainError("bound must be >= 1")
         code, output = _HANDLERS[args.verb](args)
     except (TermSyntaxError, UsageError) as exc:
         _say(str(exc))

@@ -1,11 +1,11 @@
 """Evaluation of Lukasiewicz terms and equation / tautology checking.
 
 A term is compiled once per check, by a ``terms.fold``, into a closure over
-one record's operations; ``evaluate`` and every law run that.  Exhaustive and
-bounded checks and ``evaluate`` run on the descriptor's payload record; a
-sampled check runs on the int record of ``algebra.int_record`` (L_n's ints
-0..n−1 for a finite chain, decoded as Fraction(i, n−1)), and only its
-counterexample is decoded to payloads.
+one record's operations; ``evaluate`` and every law run that.  ``evaluate`` and
+exhaustive and bounded checks of a leaf run on the descriptor's payload record;
+a sampled check, and any check of a product, runs on the int record of
+``algebra.int_record`` (L_n's ints 0..n−1 for a finite chain, decoded as
+Fraction(i, n−1)), and only its counterexample is decoded to payloads.
 
 Exhaustive checks walk every valuation of a finite algebra in canonical order
 and report the first counterexample; bounded checks run over the bound-limited
@@ -14,8 +14,8 @@ as valid_up_to_bound, never as a completeness claim).
 
 Every checker here runs identities or quasi-identities through
 ``algebra.check_identities``, so on a product a valid verdict is decided
-factor by factor, with the ``checked`` count of the full walk, and a failure
-is still the first counterexample of the full walk.
+leaf by leaf on the leaves' int records, with the ``checked`` count of the full
+walk, and a failure is still the first counterexample of the full walk.
 """
 
 from __future__ import annotations

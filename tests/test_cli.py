@@ -414,10 +414,31 @@ def test_eval_unwritable_out_is_usage_error(tmp_path, monkeypatch, capsys):
     assert str(target) in err
 
 
+# Every verb that takes --bound, with the arguments it needs besides it.
+_BOUND_VERBS = {"check-eq": ["x = x (+) 0", "--algebra"], "theta": ["--algebra"],
+                "theta-star": ["--algebra"], "axioms": ["--algebra"], "export": ["--algebra"],
+                "f": ["--semifield", "trop:Z"], "theta-pt": ["--group", "Z"]}
+
+
+def test_every_verb_with_a_bound_is_listed():
+    assert sorted(_BOUND_VERBS) == sorted(
+        verb for verb, (_, _, arguments) in cli._VERBS.items() if cli._BOUND in arguments)
+
+
 def test_interval_bound_below_one_is_domain_error(monkeypatch, capsys):
     monkeypatch.setenv("MVTROP_DEFAULT_BOUND", "-5")
     code, out, err = run(["check-eq", "x = x (+) 0", "--algebra", "interval"], capsys)
     assert code == 3 and out == "" and "bound must be >= 1" in err
+    # A --bound below 1 is refused before the verb runs, on finite carriers too,
+    # where no bound is used.
+    for verb in _BOUND_VERBS:
+        monkeypatch.setitem(cli._HANDLERS, verb, lambda args: pytest.fail("the verb ran"))
+    for verb, argv in _BOUND_VERBS.items():
+        for algebra in ("chain:3", "prod:chain:2,chain:3", "chang"):
+            for bound in ("0", "-3"):
+                argv_of = [verb, *argv, *([algebra] if argv[-1] == "--algebra" else [])]
+                code, out, err = run([*argv_of, "--bound", bound], capsys)
+                assert (code, out, err) == (3, "", "mvtrop: bound must be >= 1\n"), argv_of
 
 
 def test_non_integral_bit_is_usage_error(capsys):

@@ -1,4 +1,4 @@
-"""Differential test: sampled checks on the int record against a payload reference.
+"""Differential test: checks on the int record against a payload reference.
 
 A sampled check draws its instances from the values of ``algebra.int_record``,
 runs its laws on that record and decodes only a counterexample's instance.
@@ -10,8 +10,15 @@ demand, so sampled checks, θ, θ* and the Boolean part must answer, with the
 same results, when a finite chain's listing cannot be built at all.  A
 product's values are a sequence that turns an index into one tuple, so draws
 on a product are the listing's draws without the listing.
+
+A product walked in full (exhaustive or bounded) is decided on its leaves'
+int records, or walked on the k-tuples of its int record's values; the
+reference walks the payload listing, every law over every tuple of
+``payload_tuples`` on ``payload_ops``.  The whole report must again be equal.
 """
 
+import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -22,13 +29,15 @@ from hypothesis import strategies as st
 from conftest import random_term, reference_draws
 import mvtrop.algebra as algebra
 from mvtrop.algebra import (FiniteChain, ProductAlgebra, _mv_laws, check_identities,
-                            enumerate_payloads, int_record, payload_ops, sample_elements)
+                            enumerate_payloads, int_record, payload_ops, payload_tuples,
+                            sample_elements)
 from mvtrop.errors import DomainError
 from mvtrop.functors import boolean_part, theta, theta_star
 from mvtrop.jsonio import parse_algebra_shorthand
-from mvtrop.logic import _law, _suite_laws
-from mvtrop.report import COUNTEREXAMPLE, VALID, CheckReport
-from mvtrop.terms import CONST1, Equation
+from mvtrop.logic import (LUKASIEWICZ_AXIOMS, VC_AXIOM, _law, _suite_laws, tautology_check,
+                          vc_membership)
+from mvtrop.report import COUNTEREXAMPLE, VALID, CheckReport, check_laws
+from mvtrop.terms import CONST1, Equation, Join, Neg, Oplus, Var
 
 
 def reference_check(A, laws_of, bound, samples, seed):
@@ -62,8 +71,12 @@ def _tautology(t):
     return lambda ops: [_law("tautology", Equation(t, CONST1), ops)]
 
 
+def _vc_laws(ops):
+    return [_law("vc_axiom", VC_AXIOM, ops)]
+
+
 laws = st.one_of(st.builds(_equation, terms, terms), st.builds(_tautology, terms),
-                 st.just(_suite_laws), st.just(_mv_laws))
+                 st.just(_suite_laws), st.just(_mv_laws), st.just(_vc_laws))
 
 
 @st.composite
@@ -175,3 +188,91 @@ def test_draws_on_a_product_of_chains_do_not_list_it(monkeypatch):
 def test_a_carrier_too_long_to_draw_from_is_a_domain_error(text):
     with pytest.raises(DomainError, match="cannot draw from"):
         sample_elements(parse_algebra_shorthand(text), 5, 1)
+
+
+# -- a product walked in full runs on its int record --------------------------------
+
+def walk_reference(A, laws_of, bound):
+    """The exhaustive or bounded walk on payloads: every law over every tuple of
+    the payload listing, in canonical order; the first failure wins."""
+    return check_laws(laws_of(payload_ops(A)), payload_tuples(A, bound))
+
+
+def _product(*factors):
+    return {"kind": "product", "factors": list(factors)}
+
+
+_L2, _L3 = {"kind": "finite_chain", "size": 2}, {"kind": "finite_chain", "size": 3}
+_NESTED = [json.dumps(d) for d in (_product(_L3, _product(_L2, _L3)),
+                                   _product(_product(_L2, _L2), _L3),
+                                   _product(_L2, _product(_L3, {"kind": "chang"})))]
+
+# (shorthand, bounds), each pool at most 28 elements: 21,952 tuples for a
+# 3-variable law; a finite carrier ignores its bound, but the mode reads it
+WALKED = ([("prod:chain:2,chain:2", [None]), ("prod:chain:2,chain:3", [None, 2]),
+           ("prod:chain:3,chain:4", [None]), ("prod:chain:2,chain:5", [None]),
+           ("prod:chain:2,chain:2,chain:3", [None]), ("prod:chain:4", [None]),
+           ("delta:trivial", [None]), ("prod:delta:trivial,chain:3", [None, 1]),
+           ("prod:chain:3,chang", [1, 2, 3]), ("prod:delta:Z[1/2],chain:2", [1, 2, 3]),
+           ("prod:interval,chain:3", [1, 2, 3]), ("prod:delta:lex:Z,chain:2", [1])]
+          + [(text, [None]) for text in _NESTED[:2]] + [(_NESTED[2], [1, 2])])
+
+
+@st.composite
+def walked(draw):
+    text, bounds = draw(st.sampled_from(WALKED))
+    return parse_algebra_shorthand(text), draw(st.sampled_from(bounds))
+
+
+@settings(max_examples=150, deadline=None)
+@given(walked(), laws)
+def test_product_walks_match_the_payload_reference(case, laws_of):
+    A, bound = case
+    report, expected = check_identities(A, laws_of, bound), walk_reference(A, laws_of, bound)
+    assert report == expected
+    assert repr(report.witness) == repr(expected.witness)
+
+
+# delta:lex:Z × chain:2 has 52 and 100 elements at bounds 2 and 3: laws of one
+# and two variables only
+@pytest.mark.parametrize("bound", [2, 3])
+@pytest.mark.parametrize("laws_of", [
+    _vc_laws, _equation(Oplus(Var("x"), Var("y")), Oplus(Var("y"), Var("x"))),
+    _equation(Oplus(Var("x"), Var("y")), Var("y")), _tautology(Join(Var("x"), Neg(Var("x"))))])
+def test_lex_product_walks_match_the_payload_reference(laws_of, bound):
+    A = parse_algebra_shorthand("prod:delta:lex:Z,chain:2")
+    report, expected = check_identities(A, laws_of, bound), walk_reference(A, laws_of, bound)
+    assert report == expected
+    assert repr(report.witness) == repr(expected.witness)
+
+
+@pytest.mark.parametrize("text, bound", [
+    ("prod:chain:2,chain:3", None), ("prod:chain:4", None), ("prod:chain:3,chang", 2),
+    ("prod:interval,chain:3", 2), ("prod:delta:Z[1/2],chain:2", 1),
+    ("prod:delta:lex:Z,chain:2", 1), ("prod:delta:trivial,chain:3", None),
+    *[(text, 1) for text in _NESTED]])
+def test_a_products_k_tuples_are_the_listings(text, bound):
+    _, values, _ = int_record(parse_algebra_shorthand(text), bound)
+    for k in range(4):
+        assert list(values.tuples(k)) == list(itertools.product(list(values), repeat=k))
+
+
+def test_product_checks_do_not_list_the_product_or_a_chain(monkeypatch):
+    small = [parse_algebra_shorthand(t) for t in ("prod:chain:2,chain:3", _NESTED[0])]
+    big = parse_algebra_shorthand("prod:chain:4000,chain:4000")
+    axiom_2 = dict(LUKASIEWICZ_AXIOMS)["axiom_2"]
+
+    def checks():
+        return ([(vc_membership(A), tautology_check(axiom_2, A), check_identities(A, _mv_laws),
+                  check_identities(A, _equation(Var("x"), Var("y")), 2)) for A in small],
+                vc_membership(big), check_identities(big, _equation(Var("x"), Var("y"))),
+                tautology_check(axiom_2, parse_algebra_shorthand("prod:chain:30,chain:30")))
+    expected = checks()
+    assert [r.ok for r in expected[0][0]] == [False, True, True, False]
+    _unlistable(monkeypatch)
+    monkeypatch.setattr(ProductAlgebra, "enumerate", lambda self, bound: pytest.fail("listed"))
+    reports = checks()
+    assert reports == expected
+    assert repr(reports) == repr(expected)
+    assert [(r.verdict, r.checked) for r in reports[1:]] == [
+        (COUNTEREXAMPLE, 1001), (COUNTEREXAMPLE, 2), (VALID, 30 ** 6)]
