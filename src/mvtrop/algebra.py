@@ -23,25 +23,25 @@ MvElements only for witnesses.
 A walk over a listing (θ, θ*, the Boolean part and ``export``), every sampled
 check and every check of a product run on the int record of ``int_record(A,
 bound)``: the record, the listing's values on it, and a decoder of any value
-back to its payload.  It is exact because Γ's truncated operations commute with scaling by a
-positive integer.  Each kind builds its piece (``build_int_record``).  A finite
-chain with n elements is L_n on ``range(n)``, i decoded as Fraction(i, n−1),
-so its listing is never built and only what a walk keeps is decoded; Δ(trivial),
-the other finite leaf, indexes its two-element listing.  An infinite leaf is
-scaled by its kind (``scaled``): the interval's fragment runs on p·D and Δ(G)
-for G ⊆ Q on Chang's record over (bit, offset·D), D the lcm of the fragment's
-denominators; a lex group keeps the payload record, with the payloads as
-values.  A product's int record is its factors' side by side, componentwise,
-as its payload record is (``_componentwise``): its values are the tuples of
-theirs, a sequence that builds only the tuples it is asked for (``_Tuples``),
-and its decoder is theirs, coordinate by coordinate.  The Fractions of
-[0, 1], the ints of L_n and the scaled interval share one record,
-``_chain_ops(bottom, top)``.  A sampled check draws on the values with the
-seeded ``rng.choice``, which picks the same indices as it would on the
-listing; a product walked in full (exhaustive or bounded) is decided on its
-leaves' records or walked on the k-tuples of its values (``_Tuples.tuples``).
-Both decode only a counterexample's instance.  Exhaustive and bounded checks of
-a leaf still walk payloads.
+back to its payload.  It is exact because Γ's truncated operations commute
+with scaling by a positive integer.  Each kind builds its own
+(``build_int_record``).  A finite chain with n elements is L_n on
+``range(n)``, i decoded as Fraction(i, n−1).  The interval's fragment runs on
+p·D and Δ(G)'s for G ⊆ Q on Chang's record over (bit, offset·D), D the lcm of
+the listing's denominators; any other Δ(G) keeps the payload record, with the
+payloads as values.  A product's int record is one flat record over its leaves
+(``leaf_factors``), componentwise (``_componentwise``): its values are the
+tuples of theirs, a sequence that builds only the tuples it is asked for
+(``_Tuples``), and its decoder regroups the leaves' payloads by the product
+tree.  The listing of a chain or a product is its values decoded
+(``MvAlgebra.enumerate``), so a walk builds no listing of either and decodes
+only what it keeps.  The Fractions of [0, 1], the ints of L_n and the scaled
+interval share one record, ``_chain_ops(bottom, top)``.  A sampled check draws
+on the values with the seeded ``rng.choice``, which picks the same indices as
+it would on the listing; a product walked in full (exhaustive or bounded) is
+decided on its leaves' records or walked on the k-tuples of its values
+(``_Tuples.tuples``).  Both decode only a counterexample's instance.
+Exhaustive and bounded checks of a leaf still walk payloads.
 
 Δ(G) payloads are (bit, offset) pairs whose arithmetic runs on the group's
 unchecked ops record (``groups.GroupOps``).  Group membership of offsets is
@@ -132,13 +132,13 @@ class MvAlgebra:
     """Base of the MV descriptors.  A kind supplies its ``tag`` and ``__str__`` (its
     JSON is the tag alone unless it overrides ``to_json``), ``coerce(payload)``
     (validated in full), ``build_ops()`` (its record; callers use ``payload_ops``),
-    ``carrier_size()`` (None, the default, when infinite), ``enumerate(bound)``
-    (the carrier or its bounded fragment, in canonical order),
+    ``carrier_size()`` (None, the default, when infinite),
     ``is_infinitesimal(payload)`` and ``payload_to_json`` / ``payload_from_json``.
-    ``build_int_record(bound)`` is its piece of ``int_record``; by default a leaf
-    with n elements is L_n on ``range(n)``, decoded by indexing its listing, and
-    an infinite one is ``scaled(pool)``, which by default keeps the payload
-    record with the payloads as values."""
+    Finite chains and products supply ``build_int_record(bound)``, their piece of
+    ``int_record``, and list their carrier by decoding its values (``enumerate``).
+    The interval and Δ(G) supply ``enumerate(bound)``, the carrier or its bounded
+    fragment in canonical order, from which their int record is built; by
+    default that is the payload record, with the listing as its values."""
 
     def to_json(self) -> dict:
         return {"kind": self.tag}
@@ -147,13 +147,11 @@ class MvAlgebra:
         return None
 
     def build_int_record(self, bound: int | None) -> tuple:
-        pool = self.enumerate(bound)
-        if self.carrier_size() is None:
-            return self.scaled(pool)
-        return _chain_ops(0, len(pool) - 1), range(len(pool)), pool.__getitem__
+        return payload_ops(self), self.enumerate(bound), lambda p: p
 
-    def scaled(self, pool: list) -> tuple:
-        return payload_ops(self), pool, lambda p: p
+    def enumerate(self, bound: int | None) -> list:
+        _, values, decode = self.build_int_record(bound)
+        return [decode(v) for v in values]
 
 
 class _Unit(MvAlgebra):
@@ -212,10 +210,6 @@ class FiniteChain(_Unit):
     def carrier_size(self) -> int:
         return self.size
 
-    def enumerate(self, bound) -> list:
-        n = self.size - 1
-        return [Fraction(k, n) for k in range(n + 1)]
-
     def build_int_record(self, bound) -> tuple:
         """L_n on ``range(n)``, i decoded as Fraction(i, n − 1); no listing is built."""
         top = self.size - 1
@@ -238,8 +232,9 @@ class RationalInterval(_Unit):
         """The Farey sequence of order ``bound``."""
         return sorted({Fraction(n, d) for d in range(1, bound + 1) for n in range(d + 1)})
 
-    def scaled(self, pool: list) -> tuple:
-        """p ↦ p·D on ``_chain_ops(0, D)``, D the lcm of the pool's denominators."""
+    def build_int_record(self, bound: int) -> tuple:
+        """p ↦ p·D on ``_chain_ops(0, D)``, D the lcm of the listing's denominators."""
+        pool = self.enumerate(bound)
         D = math.lcm(*[p.denominator for p in pool])
         return (_chain_ops(0, D), [p.numerator * (D // p.denominator) for p in pool],
                 lambda v: Fraction(v, D))
@@ -299,11 +294,12 @@ class DeltaOf(MvAlgebra):
     def carrier_size(self) -> int | None:
         return 2 if self.group == TRIVIAL else None
 
-    def scaled(self, pool: list) -> tuple:
+    def build_int_record(self, bound: int | None) -> tuple:
         """For G ⊆ Q, (bit, g) ↦ (bit, g·D) on Chang's record, D the lcm of the
-        pool's offset denominators; other groups keep the payload record."""
+        listing's offset denominators; other groups keep the payload record."""
         if not isinstance(self.group, QSubgroup):
-            return super().scaled(pool)
+            return super().build_int_record(bound)
+        pool = self.enumerate(bound)
         D = math.lcm(*[g.denominator for _, g in pool])
         return (payload_ops(CHANG), [(b, g.numerator * (D // g.denominator)) for b, g in pool],
                 lambda v: (v[0], Fraction(v[1], D)))
@@ -359,17 +355,20 @@ class ProductAlgebra(MvAlgebra):
         return _componentwise([payload_ops(f) for f in self.factors])
 
     def build_int_record(self, bound: int | None) -> tuple:
-        """The factors' int records side by side: values are the tuples of theirs."""
-        opss, valuess, decoders = zip(*[f.build_int_record(bound) for f in self.factors])
+        """The leaves' int records side by side: values are the tuples of theirs,
+        decoded leaf by leaf and regrouped by the product tree."""
+        opss, valuess, decoders = zip(*[f.build_int_record(bound) for f in leaf_factors(self)])
+
+        def regroup(A, leaves):  # A's payload from an iterator over its leaves' payloads
+            return tuple([regroup(f, leaves) if f.tag == self.tag else next(leaves)
+                          for f in A.factors])
+
         return (_componentwise(opss), _Tuples(valuess),
-                lambda v: tuple([d(c) for d, c in zip(decoders, v)]))
+                lambda v: regroup(self, iter([d(c) for d, c in zip(decoders, v)])))
 
     def carrier_size(self) -> int | None:
         sizes = [f.carrier_size() for f in self.factors]
         return None if None in sizes else math.prod(sizes)
-
-    def enumerate(self, bound: int | None) -> list:
-        return list(itertools.product(*(f.enumerate(bound) for f in self.factors)))
 
     def is_infinitesimal(self, p) -> bool:
         return all(f.is_infinitesimal(c) for f, c in zip(self.factors, p))
@@ -395,9 +394,7 @@ class _Tuples:
         return len(self.indices)
 
     def __getitem__(self, i):
-        i = self.indices[i]  # a list's IndexError, negative indices and slices
-        if isinstance(i, range):
-            return [self[j] for j in i]
+        i = self.indices[i]  # a list's IndexError and negative indices
         return tuple([p[i // w % s] for p, (w, s) in zip(self.parts, self.shape)])
 
     def __iter__(self):
@@ -569,23 +566,18 @@ def enumerate_elements(A: MvAlgebra, bound: int | None = None) -> list[MvElement
 
 def sample_elements(A: MvAlgebra, count: int, seed: int,
                     bound: int = DEFAULT_SAMPLE_BOUND) -> list[MvElement]:
-    """Deterministic sample, uniform over the bounded fragment (with replacement)."""
-    return [MvElement(A, p) for (p,) in payload_tuples(A, bound, count, seed).tuples(1)]
+    """``count`` seeded draws with replacement from the (bounded) carrier's
+    listing: the draws of ``_sampled``, decoded."""
+    _, source, decode = _sampled(A, bound, count, seed)
+    return [MvElement(A, decode(v)) for (v,) in source.tuples(1)]
 
 
-def payload_tuples(A: MvAlgebra, bound: int | None = None, samples: int | None = None,
-                   seed: int = 0) -> Instances:
-    """The instances of a check on payloads: ``tuples(arity)`` yields all
-    arity-tuples of payloads of the (bound-limited) carrier in canonical order
-    or, with ``samples`` set, the draws of ``_sampled`` decoded.  The mode
-    is sampled when ``samples`` is set, bounded when ``bound`` is, and
-    exhaustive otherwise."""
-    if samples is None:
-        mode = _walk_mode(A, bound)
-        return Instances.over(enumerate_payloads(A, bound), mode, bound)
-    _, source, decode = _sampled(A, bound, samples, seed)
-    return Instances(lambda arity: (tuple([decode(v) for v in instance])
-                                    for instance in source.tuples(arity)), "sampled", bound)
+def payload_tuples(A: MvAlgebra, bound: int | None = None) -> Instances:
+    """The instances of a walk on payloads: ``tuples(arity)`` yields every
+    arity-tuple of the (bound-limited) carrier's listing in canonical order.
+    The mode is bounded when ``bound`` is set, and exhaustive otherwise."""
+    mode = _walk_mode(A, bound)
+    return Instances.over(enumerate_payloads(A, bound), mode, bound)
 
 
 def _walk_mode(A: MvAlgebra, bound: int | None) -> str:
@@ -617,10 +609,10 @@ def _sampled(A: MvAlgebra, bound: int | None, samples: int,
 def check_identities(A: MvAlgebra, laws_of: Callable[[PayloadOps], list[tuple]],
                      bound: int | None = None, samples: int | None = None,
                      seed: int = 0) -> CheckReport:
-    """Check the laws ``laws_of(ops)`` over the instances of ``payload_tuples(A,
-    bound, samples, seed)``, deciding a valid walk over a product factor by
-    factor.  ``laws_of`` builds the laws on any record of A it is given: the
-    payload record of a leaf walked in full, else an int record.
+    """Check the laws ``laws_of(ops)`` over the tuples of ``payload_tuples(A, bound)``
+    or, with ``samples`` set, the draws of ``_sampled``, deciding a valid walk over
+    a product factor by factor.  ``laws_of`` builds the laws on any record of A it
+    is given: the payload record of a leaf walked in full, else an int record.
 
     Every law must be an identity or a quasi-identity (a Horn sentence: premises
     that are equations, one equation as conclusion).  Such a law holds on all

@@ -1,11 +1,11 @@
 """Command-line surface: construction, evaluation, checking, and export.
 
 Exit codes: 0 success or valid, 1 counterexample found, 2 usage or parse
-error, 3 domain error or out of memory.  Every message is one stderr line of
-at most 120 characters; a longer one is cut in the middle.  Output is
-deterministic compact JSON by default, human-readable with --pretty, DOT with
---dot (export).  The environment variable MVTROP_DEFAULT_BOUND supplies the
-fragment bound when --bound is omitted.
+error or output that cannot be written, 3 domain error or out of memory.  Every
+message is one stderr line of at most 120 characters; a longer one is cut in
+the middle.  Output is deterministic compact JSON by default, human-readable
+with --pretty, DOT with --dot (export).  The environment variable
+MVTROP_DEFAULT_BOUND supplies the fragment bound when --bound is omitted.
 
 Each verb is listed once, in ``_VERBS``: its handler, its help line and its
 arguments as plain ``add_argument`` options.  ``build_parser`` and the
@@ -335,15 +335,19 @@ def main(argv: list[str] | None = None) -> int:
         text = "\n".join(_pretty(output))
     else:
         text = dumps(output)
-    if args.out:
-        try:
+    try:
+        if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text + "\n")
-        except OSError as exc:
-            _say(f"cannot write {args.out}: {exc.strerror or exc}")
-            return 2
-    else:
-        print(text)
+        else:
+            print(text, flush=True)
+    except OSError as exc:
+        if not args.out:  # e.g. a closed pipe: the flush at exit then goes to devnull
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        _say(f"cannot write {args.out or 'stdout'}: {exc.strerror or exc}")
+        return 2
     return code
 
 

@@ -2,7 +2,7 @@
 
 The tables, the negation map and the Boolean elements are computed on the
 listing's int record (``algebra.int_record``): ints on a chain or a scaled
-fragment, tuples of them on a product (payloads on a lex group).  Every result
+fragment, tuples of them on a product (payloads on any other Δ(G)).  Every result
 is looked up in an index of the listing keyed on the record's values; on a
 fragment of an infinite carrier a result can fall outside the listing, and
 only such a result is decoded and rendered as a payload.  The listing itself,

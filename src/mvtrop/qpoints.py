@@ -212,6 +212,9 @@ def check_flatness(F: FlatAction, samples: int = 1000, seed: int = 0,
     so does 1/lcm(b, d).  Condition 3 is vacuous on a torsion-free positive
     cone (m·y = n·y forces m = n); the samples confirm that and the report says
     so rather than silently passing.  Results are compared by cross-multiplication.
+    A valid report's ``condition3_collisions`` is always 0, because the first
+    collision is a counterexample; it stays because the README and the benchmark
+    oracle print it.
     """
     if samples < 1:
         raise DomainError("samples must be >= 1")

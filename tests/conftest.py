@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -91,3 +92,16 @@ def reference_draws(pool: list, samples: int, seed: int):
     rng = random.Random(seed)
     return lambda arity: (tuple(rng.choice(pool) for _ in range(arity))
                           for _ in range(samples))
+
+
+# -- reference listings, built without the int record ------------------------
+
+def reference_listing(A, bound=None) -> list:
+    """A's payload listing built without any int record: a finite chain's
+    k/(n − 1) in order, a product's ``itertools.product`` of its factors'
+    listings at any depth, and the interval's and Δ(G)'s own ``enumerate``."""
+    if A.tag == "product":
+        return list(itertools.product(*(reference_listing(f, bound) for f in A.factors)))
+    if A.tag == "finite_chain":
+        return [Fraction(k, A.size - 1) for k in range(A.size)]
+    return A.enumerate(bound)

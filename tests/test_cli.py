@@ -1,11 +1,15 @@
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
+import mvtrop
 from mvtrop import cli
 from mvtrop.algebra import FiniteChain
 from mvtrop.cli import main
@@ -412,6 +416,18 @@ def test_eval_unwritable_out_is_usage_error(tmp_path, monkeypatch, capsys):
                           "--out", str(target)], capsys)
     assert code == 2 and out == "" and _one_line_error(err)
     assert str(target) in err
+
+
+def test_a_closed_stdout_is_a_usage_error_without_a_traceback():
+    """A reader that stops after 10 of some 1.3 MB closes the pipe mid-write."""
+    env = dict(os.environ, PYTHONPATH=str(Path(mvtrop.__file__).resolve().parents[1]))
+    argv = [sys.executable, "-m", "mvtrop.cli", "export", "--algebra", "chain:300"]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    head = proc.stdout.read(10)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert (head, proc.wait(timeout=60)) == (b'{"algebra"', 2)
+    assert err == "mvtrop: cannot write stdout: Broken pipe\n"
 
 
 # Every verb that takes --bound, with the arguments it needs besides it.

@@ -230,7 +230,7 @@ def test_int_record_agrees_with_the_payload_record(A):
 def test_a_product_with_an_infinite_factor_has_an_int_record():
     A = product_algebra(FiniteChain(2), CHANG)
     rec, values, decode = int_record(A, 2)
-    assert values[:3] == [(0, (0, 0)), (0, (0, 1)), (0, (0, 2))]
+    assert [values[i] for i in range(3)] == [(0, (0, 0)), (0, (0, 1)), (0, (0, 2))]
     assert [decode(v) for v in values] == enumerate_payloads(A, 2)
     assert decode(rec.oplus(values[1], values[-1])) == (Fraction(1), (1, 0))
 

@@ -1,9 +1,9 @@
 """Differential test: listings on ``int_record`` against a payload-record reference.
 
 θ, θ*, ``boolean_part``, ``operation_tables`` and ``hasse_dot`` walk a listing on
-the int record of ``algebra.int_record``: L_n on ``range(n)`` for a finite leaf,
+the int record of ``algebra.int_record``: L_n on ``range(n)`` for a finite chain,
 scaled ints on the interval's and Δ(G ⊆ Q)'s fragments, the payload record
-itself on a lex group, and the factors' records side by side on a product,
+itself on any other Δ(G), and one flat record over the leaves on a product,
 finite or not.  The references below are their earlier forms, which walk the
 listing on ``payload_ops`` (``Fraction``s and (bit, offset) pairs); every
 output must be equal, including table cells that fall outside a fragment's

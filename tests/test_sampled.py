@@ -3,47 +3,57 @@
 A sampled check draws its instances from the values of ``algebra.int_record``,
 runs its laws on that record and decodes only a counterexample's instance.
 The reference below is the earlier form: it draws ``random.Random(seed).choice``
-from the payload listing ``enumerate_payloads`` and checks the laws on
-``payload_ops``.  The whole report must be equal, the witness down to the
-types of its payloads.  A finite chain's int record is a ``range`` decoded on
-demand, so sampled checks, θ, θ* and the Boolean part must answer, with the
-same results, when a finite chain's listing cannot be built at all.  A
-product's values are a sequence that turns an index into one tuple, so draws
-on a product are the listing's draws without the listing.
+from the payload listing and checks the laws on ``payload_ops``.  The whole
+report must be equal, the witness down to the types of its payloads.  A
+finite chain's int record is a ``range`` decoded on demand, so sampled
+checks, θ, θ* and the Boolean part must answer, with the same results, when a
+finite chain's listing cannot be built at all.  A product's values are a
+sequence that turns an index into one tuple, so draws on a product are the
+listing's draws without the listing.
 
 A product walked in full (exhaustive or bounded) is decided on its leaves'
 int records, or walked on the k-tuples of its int record's values; the
-reference walks the payload listing, every law over every tuple of
-``payload_tuples`` on ``payload_ops``.  The whole report must again be equal.
+reference walks the payload listing, every law over every tuple of it on
+``payload_ops``.  The whole report must again be equal.
+
+A finite chain's or a product's own listing is its int record's values
+decoded, so every reference here lists the payloads without the record
+(``conftest.reference_listing``): k/(n − 1) in order on a chain, and
+``itertools.product`` of the factors' listings on a product, nested or not.
+A nested product's int record is one flat record over its leaves, so its
+listings, draws, exports and checks must equal the references too, the
+nesting of each payload included.
 """
 
 import itertools
 import json
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_term, reference_draws
+from conftest import random_term, reference_draws, reference_listing
 import mvtrop.algebra as algebra
 from mvtrop.algebra import (FiniteChain, ProductAlgebra, _mv_laws, check_identities,
-                            enumerate_payloads, int_record, payload_ops, payload_tuples,
-                            sample_elements)
+                            enumerate_payloads, int_record, payload_ops, sample_elements)
 from mvtrop.errors import DomainError
-from mvtrop.functors import boolean_part, theta, theta_star
+from mvtrop.export import hasse_dot, operation_tables
+from mvtrop.functors import atoms, boolean_part, theta, theta_star
 from mvtrop.jsonio import parse_algebra_shorthand
 from mvtrop.logic import (LUKASIEWICZ_AXIOMS, VC_AXIOM, _law, _suite_laws, tautology_check,
                           vc_membership)
-from mvtrop.report import COUNTEREXAMPLE, VALID, CheckReport, check_laws
+from mvtrop.report import COUNTEREXAMPLE, VALID, CheckReport, Instances, check_laws
 from mvtrop.terms import CONST1, Equation, Join, Neg, Oplus, Var
+from test_export import expected_dot, expected_tables
 
 
 def reference_check(A, laws_of, bound, samples, seed):
     """The sampled walk on payloads: each law over fresh draws from the listing,
     an arity-0 law once; the first failure wins."""
-    draws = reference_draws(enumerate_payloads(A, bound), samples, seed)
+    draws = reference_draws(reference_listing(A, bound), samples, seed)
     checked = 0
     for name, arity, holds in laws_of(payload_ops(A)):
         for instance in draws(arity) if arity else [()]:
@@ -100,7 +110,7 @@ def test_sampled_checks_match_the_payload_reference(case, laws_of, samples, seed
 def test_sample_elements_are_the_reference_draws(case, count, seed):
     A, bound = case
     bound = bound or 1
-    expected = [p for (p,) in reference_draws(enumerate_payloads(A, bound), count, seed)(1)]
+    expected = [p for (p,) in reference_draws(reference_listing(A, bound), count, seed)(1)]
     assert [repr(x.payload) for x in sample_elements(A, count, seed, bound)] == list(
         map(repr, expected))
 
@@ -158,10 +168,9 @@ def test_a_products_values_index_and_draw_as_their_listing(text, bound):
     A = parse_algebra_shorthand(text)
     _, values, decode = int_record(A, bound)
     listed = list(values)
-    assert [decode(v) for v in listed] == enumerate_payloads(A, bound)
+    assert repr([decode(v) for v in listed]) == repr(reference_listing(A, bound))
     assert len(values) == len(listed)
     assert [values[i] for i in range(-len(listed), len(listed))] == listed + listed
-    assert values[1:7:2] == listed[1:7:2]
     for i in (-len(listed) - 1, len(listed)):
         with pytest.raises(IndexError):
             values[i]
@@ -195,7 +204,9 @@ def test_a_carrier_too_long_to_draw_from_is_a_domain_error(text):
 def walk_reference(A, laws_of, bound):
     """The exhaustive or bounded walk on payloads: every law over every tuple of
     the payload listing, in canonical order; the first failure wins."""
-    return check_laws(laws_of(payload_ops(A)), payload_tuples(A, bound))
+    source = Instances.over(reference_listing(A, bound),
+                            "exhaustive" if bound is None else "bounded", bound)
+    return check_laws(laws_of(payload_ops(A)), source)
 
 
 def _product(*factors):
@@ -203,9 +214,12 @@ def _product(*factors):
 
 
 _L2, _L3 = {"kind": "finite_chain", "size": 2}, {"kind": "finite_chain", "size": 3}
+_L4000 = {"kind": "finite_chain", "size": 4000}
+# the last one has 3.2·10⁷ elements: it is checked, never listed
 _NESTED = [json.dumps(d) for d in (_product(_L3, _product(_L2, _L3)),
                                    _product(_product(_L2, _L2), _L3),
-                                   _product(_L2, _product(_L3, {"kind": "chang"})))]
+                                   _product(_L2, _product(_L3, {"kind": "chang"})),
+                                   _product(_L2, _product(_L4000, _L4000)))]
 
 # (shorthand, bounds), each pool at most 28 elements: 21,952 tuples for a
 # 3-variable law; a finite carrier ignores its bound, but the mode reads it
@@ -250,7 +264,7 @@ def test_lex_product_walks_match_the_payload_reference(laws_of, bound):
     ("prod:chain:2,chain:3", None), ("prod:chain:4", None), ("prod:chain:3,chang", 2),
     ("prod:interval,chain:3", 2), ("prod:delta:Z[1/2],chain:2", 1),
     ("prod:delta:lex:Z,chain:2", 1), ("prod:delta:trivial,chain:3", None),
-    *[(text, 1) for text in _NESTED]])
+    *[(text, 1) for text in _NESTED[:3]]])
 def test_a_products_k_tuples_are_the_listings(text, bound):
     _, values, _ = int_record(parse_algebra_shorthand(text), bound)
     for k in range(4):
@@ -276,3 +290,51 @@ def test_product_checks_do_not_list_the_product_or_a_chain(monkeypatch):
     assert repr(reports) == repr(expected)
     assert [(r.verdict, r.checked) for r in reports[1:]] == [
         (COUNTEREXAMPLE, 1001), (COUNTEREXAMPLE, 2), (VALID, 30 ** 6)]
+
+
+def test_a_nested_product_is_checked_as_its_flat_form_without_a_listing(monkeypatch):
+    nested = parse_algebra_shorthand(_NESTED[3])
+    flat = parse_algebra_shorthand("prod:chain:2,chain:4000,chain:4000")
+    _unlistable(monkeypatch)
+    monkeypatch.setattr(ProductAlgebra, "enumerate", lambda self, bound: pytest.fail("listed"))
+    monkeypatch.setattr(algebra._Tuples, "__iter__", lambda self: pytest.fail("values listed"))
+    x_is_y = _equation(Var("x"), Var("y"))
+    involutive = _equation(Neg(Neg(Var("x"))), Var("x"))
+    checks = [vc_membership, lambda A: check_identities(A, x_is_y),
+              lambda A: check_identities(A, involutive)]
+    reports = [(check(nested), check(flat)) for check in checks]
+    assert [(r.verdict, r.checked) for r, _ in reports] == [
+        (e.verdict, e.checked) for _, e in reports]
+    assert [r.checked for r, _ in reports] == [1001, 2, 2 * 4000 * 4000]
+    witness = (Fraction(0), (Fraction(0), Fraction(1000, 3999)))
+    assert reports[0][0].witness["x"].payload == witness
+
+
+# -- nested products list, draw and export as their payload reference -----------
+
+_DEEP = json.dumps(_product(_L2, _product(_L3, _product({"kind": "delta", "group": {
+    "kind": "trivial"}}, _L2))))
+
+
+@pytest.mark.parametrize("text, bound", [
+    (_NESTED[0], None), (_NESTED[1], None), (_NESTED[2], 1), (_NESTED[2], 2), (_DEEP, None)])
+def test_nested_products_list_and_export_as_the_payload_reference(text, bound):
+    A = parse_algebra_shorthand(text)
+    ops, listing = payload_ops(A), reference_listing(A, bound)
+    assert repr(enumerate_payloads(A, bound)) == repr(listing)
+    for part in (theta(A), theta_star(A)):
+        assert repr(part.payloads(bound)) == repr([p for p in listing if part.test(ops, p)])
+    oracle = SimpleNamespace(elements=listing, render=A.payload_to_json,
+                             infinitesimal=A.is_infinitesimal, oplus=ops.oplus, odot=ops.odot,
+                             neg=ops.neg, meet=ops.meet, join=ops.join, leq=ops.leq)
+    fragment = bound is not None
+    assert operation_tables(A, bound) == dict(algebra=A.to_json(),
+                                              **expected_tables(oracle, fragment))
+    assert hasse_dot(A, bound) == expected_dot(oracle)
+    for seed in (0, 7):
+        assert repr([x.payload for x in sample_elements(A, 40, seed, bound)]) == repr(
+            [p for (p,) in reference_draws(listing, 40, seed)(1)])
+    if not fragment:
+        nonzero = [p for p in listing if p != ops.zero]
+        assert repr([x.payload for x in atoms(A)]) == repr(
+            [p for p in nonzero if not any(q != p and ops.leq(q, p) for q in nonzero)])
