@@ -16,9 +16,9 @@ its order ≤, ∨ and ∧, and the record derives ⊙, ⊖ and → from ⊕ and
 shipped kind is an MV-chain or a finite product of MV-chains, so each knows its
 order natively.  A record is built on first use in O(number of factors), with
 no tables, and kept in a bounded cache keyed on the frozen descriptor.  The
-``mv_*`` functions unwrap MvElements, call the record and wrap the result; the
-checkers in ``logic`` call the record on payloads directly and build
-MvElements only for witnesses.
+``mv_*`` functions unwrap MvElements, call the record and wrap the result; a
+check compiles its laws (``report.Law``, the MV axioms one table of them) on a
+record and builds MvElements only for witnesses.
 
 A walk over a listing (θ, θ*, the Boolean part and ``export``), every sampled
 check and every check of a product run on the int record of ``int_record(A,
@@ -69,7 +69,8 @@ from .errors import DomainError, ModeError, StructuralError, UsageError
 from .groups import (TRIVIAL, LexZG, LGroup, QSubgroup, Z, group_coerce,
                      require_members)
 from .rationals import dumps, parse_integer, parse_rational, rational_str
-from .report import CheckReport, Instances, axiom_witness, check_laws
+from .report import CheckReport, Instances, Law, axiom_witness, check_laws
+from .terms import parse_equation
 
 DEFAULT_SAMPLE_BOUND = 100
 
@@ -384,10 +385,11 @@ class ProductAlgebra(MvAlgebra):
 
 class _Tuples:
     """The tuples of ``itertools.product(*parts)``, listing none: tuple i has the
-    digit i // weight % size in each part, by the parts' ``_shape``."""
+    digit i // weight % size in each part, by its (weight, size) in ``shape``."""
 
     def __init__(self, parts):
-        self.parts, self.shape = parts, _shape([len(p) for p in parts])
+        sizes = [len(p) for p in parts]
+        self.parts, self.shape = parts, [(math.prod(sizes[i + 1:]), s) for i, s in enumerate(sizes)]
         self.indices = range(self.shape[0][0] * self.shape[0][1])
 
     def __len__(self) -> int:
@@ -468,6 +470,12 @@ def int_record(A: MvAlgebra, bound: int | None = None) -> tuple[PayloadOps, Any,
     the record, listed or not, to its payload; built by the kind
     (``build_int_record``), uncached."""
     return _bounded(A, bound).build_int_record(bound)
+
+
+def record_shape(A: MvAlgebra, values) -> list[tuple[int, int]]:
+    """The (weight, size) of each leaf of ``values``, A's int record's: a product's
+    ``_Tuples.shape``, or a leaf's (1, its carrier size or its fragment's length)."""
+    return values.shape if A.tag == ProductAlgebra.tag else [(1, carrier_size(A) or len(values))]
 
 
 def zero(A: MvAlgebra) -> MvElement:
@@ -606,15 +614,14 @@ def _sampled(A: MvAlgebra, bound: int | None, samples: int,
                                          for _ in range(samples)), "sampled", bound), decode
 
 
-def check_identities(A: MvAlgebra, laws_of: Callable[[PayloadOps], list[tuple]],
-                     bound: int | None = None, samples: int | None = None,
-                     seed: int = 0) -> CheckReport:
-    """Check the laws ``laws_of(ops)`` over the tuples of ``payload_tuples(A, bound)``
-    or, with ``samples`` set, the draws of ``_sampled``, deciding a valid walk over
-    a product factor by factor.  ``laws_of`` builds the laws on any record of A it
-    is given: the payload record of a leaf walked in full, else an int record.
+def check_identities(A: MvAlgebra, laws: list[Law], bound: int | None = None,
+                     samples: int | None = None, seed: int = 0) -> CheckReport:
+    """Check ``laws`` over the tuples of ``payload_tuples(A, bound)`` or, with
+    ``samples`` set, the draws of ``_sampled``, deciding a valid walk over a
+    product factor by factor.  Each law is compiled on the record walked: the
+    payload record of a leaf walked in full, kept by ``_compiled``, else an int record.
 
-    Every law must be an identity or a quasi-identity (a Horn sentence: premises
+    Every ``Law`` is an identity or a quasi-identity (a Horn sentence: premises
     that are equations, one equation as conclusion).  Such a law holds on all
     tuples of a product of pools iff it holds on all tuples of each pool
     (Birkhoff: varieties and quasivarieties are closed under products), and
@@ -624,27 +631,32 @@ def check_identities(A: MvAlgebra, laws_of: Callable[[PayloadOps], list[tuple]],
     same bound, decoding nothing.  If all pass, the report is the one the
     product walk would give, without walking it: the same verdict, mode and
     details, and ``checked`` = the sum over the laws of ``source.count(arity)``.
-    If one fails, the laws are built on the product's int record and walked
+    If one fails, the laws are compiled on the product's int record and walked
     over its values' k-tuples (``_Tuples.tuples``), so the first counterexample
     in canonical order and its ``checked`` are the walk's.
 
-    A sampled source is always walked, on ints: the laws are built on the
+    A sampled source is always walked, on ints: the laws are compiled on the
     record of ``_sampled``.  On ints, only a counterexample's instance is decoded.
     """
     if samples is not None:
         ops, source, decode = _sampled(A, bound, samples, seed)
-        return _decoded(check_laws(laws_of(ops), source), decode)
+        return _decoded(check_laws([law.on(ops) for law in laws], source), decode)
     if not isinstance(A, ProductAlgebra):
-        return check_laws(laws_of(payload_ops(A)), payload_tuples(A, bound))
+        return check_laws(_compiled(tuple(laws), payload_ops(A)), payload_tuples(A, bound))
     mode = _walk_mode(A, bound)
     ops, values, decode = int_record(A, bound)
     source = Instances(values.tuples, mode, bound, len(values))
     for f in dict.fromkeys(leaf_factors(A)):
         leaf_ops, leaf_values, _ = int_record(f, bound)
-        laws = laws_of(leaf_ops)
-        if not check_laws(laws, Instances.over(leaf_values)).ok:
-            return _decoded(check_laws(laws_of(ops), source), decode)
-    return source.clean(sum(source.count(arity) for _, arity, _ in laws))
+        if not check_laws([law.on(leaf_ops) for law in laws], Instances.over(leaf_values)).ok:
+            return _decoded(check_laws([law.on(ops) for law in laws], source), decode)
+    return source.clean(sum(source.count(len(law.slots)) for law in laws))
+
+
+@functools.lru_cache(maxsize=64)
+def _compiled(laws: tuple[Law, ...], ops: PayloadOps) -> tuple:
+    """``laws`` compiled on a record of the ``payload_ops`` cache, once per descriptor."""
+    return tuple([law.on(ops) for law in laws])
 
 
 def _decoded(report: CheckReport, decode: Callable) -> CheckReport:
@@ -655,41 +667,21 @@ def _decoded(report: CheckReport, decode: Callable) -> CheckReport:
 def leaf_factors(A: MvAlgebra) -> list:
     """The factors of A that are not products, at any depth, in order; [A] when
     A is not a product.  A's enumeration is the lexicographic product of theirs."""
-    if not isinstance(A, ProductAlgebra):
-        return [A]
-    return [f for g in A.factors for f in leaf_factors(g)]
-
-
-def leaf_shape(A: MvAlgebra, bound: int | None = None) -> list[tuple[int, int]]:
-    """The ``_shape`` of ``leaf_factors(A)``, each one's size its carrier size or
-    its fragment's length at ``bound``: listed element i has the digit
-    i // weight % size in each leaf."""
-    return _shape([f.carrier_size() or len(enumerate_payloads(f, bound)) for f in leaf_factors(A)])
-
-
-def _shape(sizes: list[int]) -> list[tuple[int, int]]:
-    """The (weight, size) of each of ``sizes``, its weight the product of the sizes after it."""
-    return [(math.prod(sizes[i + 1:]), s) for i, s in enumerate(sizes)]
+    return [f for g in A.factors for f in leaf_factors(g)] if A.tag == ProductAlgebra.tag else [A]
 
 
 # ---------------------------------------------------------------------------
 # MV axiom suite.
 
-def _mv_axioms(oplus: Callable, neg: Callable, zero_el, one_el) -> list[tuple]:
-    return [
-        ("oplus_associative", 3, lambda x, y, z: oplus(oplus(x, y), z) == oplus(x, oplus(y, z))),
-        ("oplus_commutative", 2, lambda x, y: oplus(x, y) == oplus(y, x)),
-        ("zero_neutral", 1, lambda x: oplus(x, zero_el) == x),
-        ("one_absorbing", 1, lambda x: oplus(x, one_el) == one_el),
-        ("neg_involutive", 1, lambda x: neg(neg(x)) == x),
-        ("neg_zero_is_one", 0, lambda: neg(zero_el) == one_el),
-        ("lukasiewicz_exchange", 2,
-         lambda x, y: oplus(neg(oplus(neg(x), y)), y) == oplus(neg(oplus(neg(y), x)), x)),
-    ]
-
-
-def _mv_laws(ops: PayloadOps) -> list[tuple]:
-    return _mv_axioms(ops.oplus, ops.neg, ops.zero, ops.one)
+_MV_AXIOMS = [Law(name, parse_equation(text)) for name, text in (
+    ("oplus_associative", "(x (+) y) (+) z = x (+) (y (+) z)"),
+    ("oplus_commutative", "x (+) y = y (+) x"),
+    ("zero_neutral", "x (+) 0 = x"),
+    ("one_absorbing", "x (+) 1 = 1"),
+    ("neg_involutive", "~~x = x"),
+    ("neg_zero_is_one", "~0 = 1"),
+    ("lukasiewicz_exchange", "~(~x (+) y) (+) y = ~(~y (+) x) (+) x"),
+)]
 
 
 def check_mv_axioms(A: MvAlgebra, mode: str = "exhaustive", *,
@@ -700,13 +692,10 @@ def check_mv_axioms(A: MvAlgebra, mode: str = "exhaustive", *,
     Exhaustive mode requires a finite carrier.  The first counterexample in
     canonical enumeration order is reported.
     """
-    if mode == "exhaustive":
-        report = check_identities(A, _mv_laws)
-    elif mode == "sampled":
-        report = check_identities(A, _mv_laws, bound, samples, seed)
-    else:
+    if mode not in ("exhaustive", "sampled"):
         raise DomainError(f"unknown mode {mode!r}")
-    return report.shaped(
+    sampled = (bound, samples, seed) if mode == "sampled" else ()
+    return check_identities(A, _MV_AXIOMS, *sampled).shaped(
         lambda name, instance: axiom_witness(name, [MvElement(A, p) for p in instance]))
 
 
@@ -718,5 +707,6 @@ def check_axioms_over(elements: Iterable, oplus: Callable, neg: Callable,
     control: feed a corrupted operation table and the counterexample must
     surface.
     """
-    return check_laws(_mv_axioms(oplus, neg, zero_el, one_el),
+    ops = PayloadOps(oplus, neg, zero_el, one_el, None, None, None)
+    return check_laws([law.on(ops) for law in _MV_AXIOMS],
                       Instances.over(elements)).shaped(axiom_witness)

@@ -14,19 +14,18 @@ a chain enumerated in ascending order, so consecutive listed elements cover
 each other; a product's listing is the lexicographic product of its leaves'
 (its non-product factors') listings, and its covers move one coordinate one
 step up.  So the covers of element i are i + w, for each (weight w, size s) of
-``algebra.leaf_shape`` whose digit i // w % s is not yet s − 1.  Writing a
-diagram costs O(n) for n listed elements, and the tables 4n² cells.
+``algebra.record_shape`` whose digit i // w % s is not yet s − 1.  Writing
+a diagram costs O(n) for n listed elements, and the tables 4n² cells.
 
-Both listings are bounded by ``MAX_EXPORT_CARRIER``, checked on the leaf shape
-(the product of the leaves' pool sizes) before the listing is built.
+Both listings are bounded by ``MAX_EXPORT_CARRIER``: a finite carrier's exact size
+is checked before its record is built, a fragment's shape before it is listed.
 """
 
 from __future__ import annotations
 
 from itertools import repeat
 
-from .algebra import (MvAlgebra, MvElement, carrier_size, element_str, int_record,
-                      leaf_shape)
+from .algebra import MvAlgebra, MvElement, carrier_size, element_str, int_record, record_shape
 from .errors import DomainError
 
 MAX_EXPORT_CARRIER = 10000
@@ -83,11 +82,12 @@ def hasse_dot(A: MvAlgebra, bound: int | None = None) -> str:
 
 
 def _listing(A: MvAlgebra, bound: int | None) -> tuple:
-    """``algebra.int_record(A, bound)``, its values listed once, and the
-    ``leaf_shape``, whose length is checked before the carrier is listed."""
-    shape = leaf_shape(A, bound)
-    if shape[0][0] * shape[0][1] > MAX_EXPORT_CARRIER:
-        what = "carrier" if carrier_size(A) is not None else "fragment"
-        raise DomainError(f"{what} of {A} exceeds {MAX_EXPORT_CARRIER} elements")
-    ops, values, decode = int_record(A, bound)
-    return ops, list(values), decode, shape
+    """``algebra.int_record(A, bound)``, its values listed once, and its
+    ``record_shape``, refused past ``MAX_EXPORT_CARRIER`` as the module says."""
+    if (carrier_size(A) or 0) <= MAX_EXPORT_CARRIER:
+        ops, values, decode = int_record(A, bound)
+        shape = record_shape(A, values)
+        if shape[0][0] * shape[0][1] <= MAX_EXPORT_CARRIER:
+            return ops, list(values), decode, shape
+    what = "carrier" if carrier_size(A) is not None else "fragment"
+    raise DomainError(f"{what} of {A} exceeds {MAX_EXPORT_CARRIER} elements")

@@ -13,9 +13,9 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Callable
 
 from .algebra import (DeltaOf, FiniteChain, MvAlgebra, MvElement,
-                      ProductAlgebra, carrier_size, element, element_str,
-                      enumerate_payloads, int_record, leaf_shape, mv_neg,
-                      mv_oplus, one, payload_ops, zero)
+                      ProductAlgebra, element, element_str, enumerate_payloads,
+                      int_record, leaf_factors, mv_neg, mv_oplus, one,
+                      payload_ops, record_shape, zero)
 from .bisemirings import TOP, Bisemiring, TopCone, check_closed, closure_laws
 from .errors import (BrokenHomomorphismError, DomainError, MalformedInputError,
                      UnsupportedRepresentationError)
@@ -142,7 +142,7 @@ def boolean_part(A: MvAlgebra, bound: int | None = None) -> list[MvElement]:
 
 def is_boolean_algebra(A: MvAlgebra) -> bool:
     """True iff A is finite and every element is idempotent, i.e. every leaf is L_2."""
-    return carrier_size(A) is not None and all(s == 2 for _, s in leaf_shape(A))
+    return all(f.carrier_size() == 2 for f in leaf_factors(A))
 
 
 def atoms(A: MvAlgebra) -> list[MvElement]:
@@ -150,7 +150,7 @@ def atoms(A: MvAlgebra) -> list[MvElement]:
     one step above 0 and every other leaf at 0, i.e. the listing positions that
     are leaf weights, decoded from ``int_record`` without listing the carrier."""
     _, values, decode = int_record(A)
-    return [MvElement(A, decode(values[w])) for w, _ in reversed(leaf_shape(A))]
+    return [MvElement(A, decode(values[w])) for w, _ in reversed(record_shape(A, values))]
 
 
 def glue_boolean_perfect(B: MvAlgebra, P: MvAlgebra) -> MvAlgebra:

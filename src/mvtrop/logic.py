@@ -1,9 +1,10 @@
 """Evaluation of Lukasiewicz terms and equation / tautology checking.
 
-A term is compiled once per check, by a ``terms.fold``, into a closure over
-one record's operations; ``evaluate`` and every law run that.  ``evaluate`` and
-exhaustive and bounded checks of a leaf run on the descriptor's payload record;
-a sampled check, and any check of a product, runs on the int record of
+A term is compiled once per check, by ``terms.compile_term``, into a closure
+over one record's operations; ``evaluate`` runs that, and every checker passes
+its laws as ``report.Law``s, compiled on the record a check walks.  ``evaluate``
+and exhaustive and bounded checks of a leaf run on the descriptor's payload
+record; a sampled check, and any check of a product, runs on the int record of
 ``algebra.int_record`` (L_n's ints 0..n−1 for a finite chain, decoded as
 Fraction(i, n−1)), and only its counterexample is decoded to payloads.
 
@@ -12,23 +13,21 @@ and report the first counterexample; bounded checks run over the bound-limited
 fragment of an infinite algebra and can only refute (a clean run is reported
 as valid_up_to_bound, never as a completeness claim).
 
-Every checker here runs identities or quasi-identities through
-``algebra.check_identities``, so on a product a valid verdict is decided
-leaf by leaf on the leaves' int records, with the ``checked`` count of the full
-walk, and a failure is still the first counterexample of the full walk.
+Every law here is an identity or a quasi-identity (modus ponens), run through
+``algebra.check_identities``, so on a product a valid verdict is decided leaf
+by leaf on the leaves' int records, with the ``checked`` count of the full walk,
+and a failure is still the first counterexample of the full walk.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
-from typing import Callable, Mapping
+from typing import Mapping
 
-from .algebra import (CHANG, MvAlgebra, MvElement, PayloadOps, check_identities,
-                      payload_ops)
+from .algebra import CHANG, MvAlgebra, MvElement, check_identities, payload_ops
 from .errors import EvaluationError, StructuralError
-from .report import CheckReport
-from .terms import (CONST1, Equation, Term, fold, operation_count, parse,
+from .report import CheckReport, Law
+from .terms import (CONST1, Equation, Term, compile_term, operation_count, parse,
                     parse_equation)
 
 
@@ -38,30 +37,12 @@ class Valuation:
     bindings: Mapping[str, MvElement]
 
 
-def _compile_term(t: Term, ops: PayloadOps, slots: dict[str, int]) -> Callable:
-    """Close t over payload operations, once per check.
-
-    The result maps a sequence of payloads to the payload of t, reading
-    variable ``name`` at position ``slots[name]``.  A variable missing from
-    ``slots`` gets the next free position, so an empty dict collects the
-    variables in evaluation order, left to right.
-    """
-    zero, one, negate = ops.zero, ops.one, ops.neg
-
-    def binary(cls, f, g):
-        op = getattr(ops, cls.op)
-        return lambda env: op(f(env), g(env))
-    return fold(t, lambda name: itemgetter(slots.setdefault(name, len(slots))),
-                lambda value: (lambda env: one) if value else (lambda env: zero),
-                lambda f: lambda env: negate(f(env)), binary)
-
-
 def evaluate(t: Term, v: Valuation) -> MvElement:
     """Evaluate t under v; → is read as ¬x ⊕ y, ⊖ as x ⊙ ¬y."""
     A = v.algebra
     slots: dict[str, int] = {}
     ops = payload_ops(A)
-    f = _compile_term(t, ops, slots)
+    f = compile_term(t, ops, slots)
     env = []
     for name in slots:
         try:
@@ -73,13 +54,6 @@ def evaluate(t: Term, v: Valuation) -> MvElement:
         env.append(x.payload)
     ops.checked(*env)
     return MvElement(A, f(env))
-
-
-def _law(name: str, e: Equation, ops: PayloadOps) -> tuple:
-    """The law e on payloads; slot i holds the i-th of e's variables in sorted order."""
-    slots = {v: i for i, v in enumerate(sorted(e.variables()))}
-    lhs, rhs = _compile_term(e.lhs, ops, slots), _compile_term(e.rhs, ops, slots)
-    return name, len(slots), lambda *env: lhs(env) == rhs(env)
 
 
 def _bindings(A: MvAlgebra, names, env) -> dict[str, MvElement]:
@@ -110,7 +84,7 @@ def check_equation_bounded(e: Equation, A: MvAlgebra, bound: int | None) -> Chec
     bound, which is not a completeness claim.  A bound of None is the
     exhaustive walk of a finite algebra, as in ``check_equation_finite``.
     """
-    return check_identities(A, lambda ops: [_law("equation", e, ops)], bound).shaped(
+    return check_identities(A, [Law("equation", e)], bound).shaped(
         lambda _, env: _bindings(A, sorted(e.variables()), env))
 
 
@@ -124,7 +98,7 @@ def check_equation_chang(e: Equation, bound: int | None = None) -> CheckReport:
 def tautology_check(t: Term, A: MvAlgebra) -> CheckReport:
     """Valid iff the term evaluates to 1 under every valuation of a finite algebra."""
     e = Equation(t, CONST1)
-    return check_identities(A, lambda ops: [_law("tautology", e, ops)]).shaped(
+    return check_identities(A, [Law("tautology", e)]).shaped(
         lambda _, env: _valuation_witness(e, A, env))
 
 
@@ -143,18 +117,10 @@ LUKASIEWICZ_AXIOMS = (
     ("axiom_4", parse("(~x -> ~y) -> (y -> x)")),
 )
 
-_AXIOMS = {name: Equation(axiom, CONST1) for name, axiom in LUKASIEWICZ_AXIOMS}
-
-
-def _suite_laws(ops: PayloadOps) -> list[tuple]:
-    """The four axioms as tautologies, then modus ponens, on one payload record."""
-    laws = [_law(name, e, ops) for name, e in _AXIOMS.items()]
-    top, implies = ops.one, ops.implies
-    # Modus ponens soundness, a quasi-identity: whenever x → y and x take the
-    # value 1, so does y.
-    laws.append(("modus_ponens", 2,
-                 lambda x, y: not (implies(x, y) == top and x == top) or y == top))
-    return laws
+# Modus ponens soundness, a quasi-identity: if x → y = 1 and x = 1, then y = 1.
+_SUITE = [Law(name, Equation(axiom, CONST1)) for name, axiom in LUKASIEWICZ_AXIOMS] + [
+    Law("modus_ponens", parse_equation("y = 1"),
+        (parse_equation("x -> y = 1"), parse_equation("x = 1")))]
 
 
 def axiom_suite(A: MvAlgebra, *, samples: int | None = None, seed: int = 0,
@@ -168,6 +134,7 @@ def axiom_suite(A: MvAlgebra, *, samples: int | None = None, seed: int = 0,
     def witness(name, env):
         if name == "modus_ponens":
             return {"axiom": name, "valuation": _bindings(A, ("x", "y"), env)}
-        return {"axiom": name, **_valuation_witness(_AXIOMS[name], A, env)}
-    return check_identities(A, _suite_laws, None if samples is None else bound,
+        axiom = next(law.conclusion for law in _SUITE if law.name == name)
+        return {"axiom": name, **_valuation_witness(axiom, A, env)}
+    return check_identities(A, _SUITE, None if samples is None else bound,
                             samples, seed).shaped(witness)

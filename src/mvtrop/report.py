@@ -1,10 +1,13 @@
-"""Verification outcomes shared by all checkers, and the one engine that checks laws."""
+"""Verification outcomes shared by all checkers, the one engine that checks laws,
+and ``Law``, an equational law as data, compiled on the record a check walks."""
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterable
+
+from .terms import Equation, compile_term
 
 VALID = "valid"
 VALID_UP_TO_BOUND = "valid_up_to_bound"
@@ -91,3 +94,27 @@ def check_laws(laws: Iterable[tuple], source: Instances) -> CheckReport:
             if not holds(*instance):
                 return CheckReport(COUNTEREXAMPLE, checked, (name, instance), source.mode)
     return source.clean(checked)
+
+
+@dataclass(frozen=True, eq=False)
+class Law:
+    """A Horn sentence over equations: ``conclusion`` holds wherever all of
+    ``premises`` do (an identity has none).  Its slots, fixed when it is built,
+    are its sorted variables, bound in that order; a law hashes by identity."""
+
+    name: str
+    conclusion: Equation
+    premises: tuple[Equation, ...] = ()
+    slots: dict = field(init=False, repr=False)
+
+    def __post_init__(self):
+        names = set().union(*[e.variables() for e in (self.conclusion, *self.premises)])
+        object.__setattr__(self, "slots", {v: i for i, v in enumerate(sorted(names))})
+
+    def on(self, ops) -> tuple:
+        """The ``(name, arity, holds)`` of ``check_laws``, compiled on the record
+        ``ops``; ``holds`` tests the premises only when the conclusion fails."""
+        (lhs, rhs), *premises = [[compile_term(t, ops, self.slots) for t in (e.lhs, e.rhs)]
+                                 for e in (self.conclusion, *self.premises)]
+        return self.name, len(self.slots), lambda *env: lhs(env) == rhs(env) or not all(
+            p(env) == q(env) for p, q in premises)

@@ -105,3 +105,17 @@ def reference_listing(A, bound=None) -> list:
     if A.tag == "finite_chain":
         return [Fraction(k, A.size - 1) for k in range(A.size)]
     return A.enumerate(bound)
+
+
+def reference_shape(A, bound=None) -> list:
+    """The (weight, size) of each leaf (non-product factor, at any depth) of A,
+    built without any int record: its size its ``reference_listing``'s length,
+    its weight the product of the sizes of the leaves after it."""
+    def leaves(B):
+        return [f for g in B.factors for f in leaves(g)] if B.tag == "product" else [B]
+    shape, weight = [], 1
+    for leaf in reversed(leaves(A)):
+        size = len(reference_listing(leaf, bound))
+        shape.insert(0, (weight, size))
+        weight *= size
+    return shape

@@ -10,8 +10,8 @@ from pathlib import Path
 import pytest
 
 import mvtrop
-from mvtrop import cli
-from mvtrop.algebra import FiniteChain
+from mvtrop import algebra, cli
+from mvtrop.algebra import FiniteChain, ProductAlgebra
 from mvtrop.cli import main
 from mvtrop.jsonio import MAX_NESTING
 from mvtrop.terms import MAX_NESTING as TERM_NESTING
@@ -159,6 +159,27 @@ def test_export_dot(capsys):
 def test_export_too_large_is_domain_error(capsys):
     code, _, err = run(["export", "--algebra", "chain:20000"], capsys)
     assert code == 3 and "exceeds" in err
+
+
+@pytest.mark.parametrize("text", ["chain:100000000000000000000",
+                                  "prod:chain:100000000000000000000,chain:2"])
+@pytest.mark.parametrize("dot", [[], ["--dot"]])
+def test_export_sizes_a_chain_beyond_a_c_ssize_t(text, dot, capsys):
+    # refused from the exact carrier size: no record is built on a leaf len() cannot size
+    code, out, err = run(["export", "--algebra", text, *dot], capsys)
+    assert code == 3 and out == ""
+    assert err == f"mvtrop: carrier of {text} exceeds 10000 elements\n"
+
+
+def test_export_refuses_a_large_product_before_listing_anything(monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("listed")
+    for kind in (FiniteChain, ProductAlgebra):
+        monkeypatch.setattr(kind, "enumerate", refuse)
+    monkeypatch.setattr(algebra._Tuples, "__iter__", refuse)
+    code, out, err = run(["export", "--algebra", "prod:chain:1000,chain:1000"], capsys)
+    assert code == 3 and out == ""
+    assert err == "mvtrop: carrier of prod:chain:1000,chain:1000 exceeds 10000 elements\n"
 
 
 def test_export_sizes_a_product_fragment_before_listing_it(capsys):

@@ -24,16 +24,16 @@ from conftest import (chang_fragment, chang_neg, chang_oplus, luk_neg,
 import pytest
 
 from mvtrop.algebra import (CHANG, DeltaOf, FiniteChain, MvElement,
-                            RationalInterval, _mv_laws, check_mv_axioms,
+                            RationalInterval, _MV_AXIOMS, check_mv_axioms,
                             enumerate_payloads, payload_ops, payload_tuples,
                             product_algebra)
 from mvtrop.characteristics import CHI_Q, parse_group_label
 from mvtrop.groups import (LexZG, Z, group_add, group_enumerate, group_leq,
                            group_negate, group_zero, qsubgroup)
-from mvtrop.logic import (VC_AXIOM, Valuation, _law, _suite_laws, axiom_suite,
+from mvtrop.logic import (_SUITE, VC_AXIOM, Valuation, axiom_suite,
                           check_equation_bounded, check_equation_finite,
                           evaluate, tautology_check, vc_membership)
-from mvtrop.report import Instances, check_laws
+from mvtrop.report import Instances, Law, check_laws
 from mvtrop.terms import (Const, Equation, Implies, Join, Meet, Neg, Odot,
                           Ominus, Oplus, Var, variables)
 
@@ -295,7 +295,7 @@ PRODUCTS = [product_algebra(L2, L3), product_algebra(L3, L2, L3),
             product_algebra(L2, product_algebra(L3, L2)), product_algebra(L2, L2, L2)]
 
 
-def _walk(A, laws_of, bound=None, samples=None, seed=0):
+def _walk(A, laws, bound=None, samples=None, seed=0):
     """The law engine over every instance of A itself, with no factorwise
     shortcut; a sampled walk draws from A's payload listing on its own."""
     if samples is None:
@@ -303,20 +303,19 @@ def _walk(A, laws_of, bound=None, samples=None, seed=0):
     else:
         draws = reference_draws(enumerate_payloads(A, bound), samples, seed)
         source = Instances(draws, "sampled", bound)
-    return check_laws(laws_of(payload_ops(A)), source)
+    return check_laws([law.on(payload_ops(A)) for law in laws], source)
 
 
 @pytest.mark.parametrize("A", PRODUCTS, ids=repr)
 def test_mv_axioms_and_axiom_suite_decided_on_products_match_the_walk(A):
-    assert check_mv_axioms(A) == _walk(A, _mv_laws)
-    assert axiom_suite(A) == _walk(A, _suite_laws)
+    assert check_mv_axioms(A) == _walk(A, _MV_AXIOMS)
+    assert axiom_suite(A) == _walk(A, _SUITE)
     assert check_mv_axioms(A, "sampled", samples=60, seed=3, bound=4) == _walk(
-        A, _mv_laws, 4, 60, 3)
-    assert axiom_suite(A, samples=60, seed=3, bound=4) == _walk(A, _suite_laws, 4, 60, 3)
+        A, _MV_AXIOMS, 4, 60, 3)
+    assert axiom_suite(A, samples=60, seed=3, bound=4) == _walk(A, _SUITE, 4, 60, 3)
 
 
-def _vc_laws(ops):
-    return [_law("equation", VC_AXIOM, ops)]
+_VC = [Law("equation", VC_AXIOM)]
 
 
 def _vc_witness(report):
@@ -327,10 +326,10 @@ def _vc_witness(report):
                                      (product_algebra(CHANG, L3, CHANG), 1)], ids=repr)
 def test_sampled_and_bounded_products_match_the_walk(A, bound):
     assert check_mv_axioms(A, "sampled", samples=80, seed=1, bound=bound) == _walk(
-        A, _mv_laws, bound, 80, 1)
+        A, _MV_AXIOMS, bound, 80, 1)
     assert axiom_suite(A, samples=80, seed=1, bound=bound) == _walk(
-        A, _suite_laws, bound, 80, 1)
-    report, walk = check_equation_bounded(VC_AXIOM, A, bound), _walk(A, _vc_laws, bound)
+        A, _SUITE, bound, 80, 1)
+    report, walk = check_equation_bounded(VC_AXIOM, A, bound), _walk(A, _VC, bound)
     assert (report.verdict, report.checked, report.mode, report.details) == (
         walk.verdict, walk.checked, walk.mode, walk.details)
     assert (report.witness and payloads(report.witness)) == _vc_witness(walk)
@@ -342,6 +341,6 @@ def test_sampled_and_bounded_products_match_the_walk(A, bound):
 def test_vc_membership_on_products_fails_where_the_walk_does(A):
     """(2x)² = 2(x²) holds in chain:2 and fails in chain:3, so a product with a
     chain:3 factor anywhere is refuted at the walk's first counterexample."""
-    report, walk = vc_membership(A), _walk(A, _vc_laws)
+    report, walk = vc_membership(A), _walk(A, _VC)
     assert (report.verdict, report.checked, report.mode) == (walk.verdict, walk.checked, walk.mode)
     assert (report.witness and payloads(report.witness)) == _vc_witness(walk)

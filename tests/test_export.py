@@ -227,6 +227,21 @@ def test_int_record_agrees_with_the_payload_record(A):
             assert rec.leq(a, b) == ops.leq(p, q)
 
 
+@pytest.mark.parametrize("export, text, bound", [
+    (operation_tables, "delta:Z[1/2]", 3), (operation_tables, "interval", 5),
+    (hasse_dot, "prod:chang,chain:3", 2), (hasse_dot, "prod:interval,chang,interval", 1)])
+def test_an_export_lists_each_infinite_leaf_once(export, text, bound, monkeypatch):
+    A = parse_algebra_shorthand(text)
+    listed = []
+    for kind in (RationalInterval, DeltaOf):
+        def counted(self, b, enumerate=kind.enumerate):
+            listed.append(self)
+            return enumerate(self, b)
+        monkeypatch.setattr(kind, "enumerate", counted)
+    export(A, bound)
+    assert listed == [f for f in getattr(A, "factors", [A]) if carrier_size(f) is None]
+
+
 def test_a_product_with_an_infinite_factor_has_an_int_record():
     A = product_algebra(FiniteChain(2), CHANG)
     rec, values, decode = int_record(A, 2)

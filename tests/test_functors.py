@@ -3,12 +3,13 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import reference_shape
 import mvtrop.algebra as algebra
 import mvtrop.functors as functors
 from mvtrop.algebra import (CHANG, DeltaOf, FiniteChain, MvElement, ProductAlgebra,
                             RationalInterval, element, enumerate_elements,
                             enumerate_payloads, is_boolean_elem,
-                            is_infinitesimal_elem, leaf_shape, mv_join, mv_leq, mv_meet,
+                            is_infinitesimal_elem, mv_join, mv_leq, mv_meet,
                             mv_neg, mv_odot, mv_oplus, one, product_algebra,
                             zero)
 from mvtrop.bisemirings import (TOP, Bisemiring, TopCone, check_lbisemiring_of,
@@ -339,7 +340,7 @@ def test_atoms(A, count):
 def test_atoms_do_not_list_the_carrier(text, monkeypatch):
     A = parse_algebra_shorthand(text)
     elems = enumerate_payloads(A)  # the listing positions that are leaf weights
-    expected = [MvElement(A, elems[w]) for w, _ in reversed(leaf_shape(A))]
+    expected = [MvElement(A, elems[w]) for w, _ in reversed(reference_shape(A))]
 
     def refuse(*args):
         raise AssertionError("the carrier was listed")

@@ -18,10 +18,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import reference_shape
 import mvtrop.algebra as algebra
 from mvtrop.algebra import (CHANG, FiniteChain, MvElement, carrier_size, element_str,
                             enumerate_elements, enumerate_payloads, int_record,
-                            leaf_shape, payload_ops)
+                            payload_ops, record_shape)
 from mvtrop.bisemirings import Bisemiring
 from mvtrop.characteristics import INF, characteristic
 from mvtrop.errors import StructuralError
@@ -74,7 +75,7 @@ def ref_operation_tables(A, bound):
 
 
 def ref_hasse_dot(A, bound):
-    elems, shape = enumerate_payloads(A, bound), leaf_shape(A, bound)
+    elems, shape = enumerate_payloads(A, bound), reference_shape(A, bound)
     ops = payload_ops(A)
     lines = ["digraph hasse {", "  rankdir=BT;", '  node [shape=ellipse];']
     for i, p in enumerate(elems):
@@ -145,6 +146,13 @@ def test_fragment_cells_outside_the_listing(text, bound):
     outside = [c for t in doc["tables"].values() for row in t for c in row if not isinstance(c, int)]
     assert outside
     assert doc == ref_operation_tables(A, bound)
+
+
+@settings(max_examples=100, deadline=None)
+@given(listings())
+def test_record_shape_matches_the_reference_shape(case):
+    A, bound = case
+    assert record_shape(A, int_record(A, bound)[1]) == reference_shape(A, bound)
 
 
 # -- each int record against the payload record ----------------------------------------

@@ -1,0 +1,221 @@
+"""Laws as data: the MV axioms and modus ponens against the closures they replaced.
+
+``algebra._MV_AXIOMS`` and the modus ponens of ``logic._SUITE`` are
+``report.Law``s, Horn sentences over equations compiled on whichever record a
+check walks.  The closures below are the hand-written laws they replaced, kept
+here as an independent reference.  Each compiled law must have its closure's
+name and arity and agree with it on every instance of every record tried: the
+payload and int records of each kind, valid or not, and random operation
+tables, on which a law holds or fails instance by instance, so a transcription
+error or a slot bound to the wrong variable shows.
+
+``Law.on`` is also tested on its own: a false premise makes an instance hold,
+the premises run only when the conclusion fails, an arity-0 law runs once, the
+slots follow the sorted variables, a product decided factor by factor on a
+quasi-identity gives the report of the plain walk, a table is compiled once on
+a cached payload record, and a failing suite axiom is witnessed through its own
+equation.
+"""
+
+import itertools
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import luk_neg, luk_oplus
+from mvtrop.algebra import (_MV_AXIOMS, PayloadOps, check_identities, enumerate_payloads,
+                            int_record, payload_ops)
+from mvtrop.jsonio import parse_algebra_shorthand
+import mvtrop.algebra as algebra
+import mvtrop.logic as logic
+from mvtrop.logic import _SUITE, LUKASIEWICZ_AXIOMS, Valuation, axiom_suite, evaluate
+from mvtrop.report import Instances, Law, check_laws
+from mvtrop.terms import parse_equation
+from test_differential import PRODUCTS, _walk
+
+
+def mv_axiom_closures(ops):
+    """The MV axioms as the closures the ``Law`` table replaced, in its order."""
+    oplus, neg, zero_el, one_el = ops.oplus, ops.neg, ops.zero, ops.one
+    return [
+        ("oplus_associative", 3, lambda x, y, z: oplus(oplus(x, y), z) == oplus(x, oplus(y, z))),
+        ("oplus_commutative", 2, lambda x, y: oplus(x, y) == oplus(y, x)),
+        ("zero_neutral", 1, lambda x: oplus(x, zero_el) == x),
+        ("one_absorbing", 1, lambda x: oplus(x, one_el) == one_el),
+        ("neg_involutive", 1, lambda x: neg(neg(x)) == x),
+        ("neg_zero_is_one", 0, lambda: neg(zero_el) == one_el),
+        ("lukasiewicz_exchange", 2,
+         lambda x, y: oplus(neg(oplus(neg(x), y)), y) == oplus(neg(oplus(neg(y), x)), x)),
+    ]
+
+
+def modus_ponens_closure(ops):
+    top, implies = ops.one, ops.implies
+    return "modus_ponens", 2, lambda x, y: not (implies(x, y) == top and x == top) or y == top
+
+
+def _records(text, bound=None):
+    """The payload record of A with its listing, and A's int record with its values."""
+    A = parse_algebra_shorthand(text)
+    ops, values, _ = int_record(A, bound)
+    return [(f"{text}@{bound}/payload", payload_ops(A), enumerate_payloads(A, bound)),
+            (f"{text}@{bound}/int", ops, list(values))]
+
+
+def _bad_oplus(x, y):  # drops the truncation
+    return x + y
+
+
+def _skew_neg(x):  # breaks the involution
+    return Fraction(0) if x == 1 else Fraction(1) - x / 2
+
+
+_HALVES = [Fraction(0), Fraction(1, 2), Fraction(1)]
+RECORDS = ([r for n in range(2, 10) for r in _records(f"chain:{n}")]
+           + [r for b in range(1, 6) for r in _records("interval", b)]
+           + [r for b in range(1, 5) for r in _records("chang", b)]
+           + [r for b in range(1, 4) for r in _records("delta:Z[1/2]", b)]
+           + _records("prod:chain:2,chain:3") + _records("prod:chain:3,chang", 1)
+           + _records("prod:interval,chain:2", 2)
+           + [("bad_oplus", PayloadOps(_bad_oplus, luk_neg, _HALVES[0], _HALVES[2], None, None,
+                                       None), _HALVES),
+              ("skew_neg", PayloadOps(luk_oplus, _skew_neg, _HALVES[0], _HALVES[2], None, None,
+                                      None), _HALVES)])
+
+
+@st.composite
+def tables(draw):
+    """A random record on 0..k−1: any ⊕ table and any ¬ map, 0 and k − 1 the constants."""
+    k = draw(st.integers(2, 4))
+    cells = st.integers(0, k - 1)
+    plus = draw(st.lists(cells, min_size=k * k, max_size=k * k))
+    neg = draw(st.lists(cells, min_size=k, max_size=k))
+    ops = PayloadOps(lambda p, q: plus[p * k + q], neg.__getitem__, 0, k - 1, None, None, None)
+    return f"table:{plus}/{neg}", ops, range(k)
+
+
+def assert_agree(ops, pool):
+    compiled = [law.on(ops) for law in (*_MV_AXIOMS, _SUITE[-1])]
+    expected = [*mv_axiom_closures(ops), modus_ponens_closure(ops)]
+    assert len(compiled) == len(expected)
+    for (name, arity, holds), (ref_name, ref_arity, ref_holds) in zip(compiled, expected):
+        assert (name, arity) == (ref_name, ref_arity)
+        for instance in itertools.product(pool, repeat=arity):
+            assert holds(*instance) == ref_holds(*instance), (name, instance)
+
+
+@pytest.mark.parametrize("label, ops, pool", RECORDS, ids=[r[0] for r in RECORDS])
+def test_each_compiled_law_is_its_closure_on_every_record(label, ops, pool):
+    assert_agree(ops, pool)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tables())
+def test_each_compiled_law_is_its_closure_on_random_tables(record):
+    _, ops, pool = record
+    assert_agree(ops, pool)
+
+
+# -- Law.on on its own -----------------------------------------------------------
+
+_L3 = int_record(parse_algebra_shorthand("chain:3"))[0]  # L_3 on 0, 1, 2
+
+
+def test_a_false_premise_holds_whatever_the_conclusion():
+    _, arity, holds = Law("q", parse_equation("x = y"),
+                          (parse_equation("x = 1"), parse_equation("y = 0"))).on(_L3)
+    assert arity == 2
+    assert [holds(x, y) for x in range(3) for y in range(3)] == [
+        x != 2 or y != 0 or x == y for x in range(3) for y in range(3)]
+    assert holds(0, 2) and holds(1, 0) and holds(2, 1)  # premises false, conclusion false
+
+
+def test_true_premises_and_a_false_conclusion_fail():
+    _, _, holds = Law("q", parse_equation("x = y"),
+                      (parse_equation("x = 1"), parse_equation("y = 0"))).on(_L3)
+    assert not holds(2, 0)
+    _, _, holds = Law("q", parse_equation("~x = y"),
+                      (parse_equation("x (+) y = 1"), parse_equation("x (.) y = 0"))).on(_L3)
+    assert all(holds(x, y) for x in range(3) for y in range(3))
+
+
+def test_the_premises_run_only_when_the_conclusion_fails():
+    def oplus(p, q):
+        raise AssertionError("a premise ran")
+    ops = PayloadOps(oplus, lambda p: 2 - p, 0, 2, None, None, None)
+    _, _, holds = Law("q", parse_equation("~~x = x"), (parse_equation("x (+) x = x"),)).on(ops)
+    assert all(holds(x) for x in range(3))
+    broken = PayloadOps(oplus, lambda p: 0, 0, 2, None, None, None)
+    _, _, holds = Law("q", parse_equation("~~x = x"), (parse_equation("x (+) x = x"),)).on(broken)
+    with pytest.raises(AssertionError, match="a premise ran"):
+        holds(1)
+
+
+def test_an_arity_0_law_runs_once():
+    law = Law("neg_zero_is_one", parse_equation("~0 = 1"))
+    name, arity, holds = law.on(_L3)
+    assert (name, arity, holds()) == ("neg_zero_is_one", 0, True)
+    assert check_laws([law.on(_L3)], Instances.over(range(3))).checked == 1
+    for text in ("chain:5", "prod:chain:2,chain:3"):
+        assert check_identities(parse_algebra_shorthand(text), [law]).checked == 1
+    assert check_identities(parse_algebra_shorthand("chang"), [law], 3, 7, 1).checked == 1
+
+
+def test_slots_are_the_sorted_variables_of_all_the_equations():
+    law = Law("q", parse_equation("y = 1"), (parse_equation("x = 1"),))
+    assert list(law.slots) == ["x", "y"]
+    _, _, holds = law.on(_L3)
+    assert not holds(2, 0)  # x = 1 and y = 0
+    assert holds(0, 2)
+    assert list(Law("e", parse_equation("z (+) b = a")).slots) == ["a", "b", "z"]
+    assert list(_SUITE[-1].slots) == ["x", "y"]
+
+
+_QUASI = [Law("complement", parse_equation("~x = y"),
+              (parse_equation("x (+) y = 1"), parse_equation("x (.) y = 0"))),
+          Law("booleans_are_equal", parse_equation("x = y"),
+              (parse_equation("x (+) x = x"), parse_equation("y (+) y = y")))]
+
+
+@pytest.mark.parametrize("A", PRODUCTS, ids=repr)
+@pytest.mark.parametrize("law", _QUASI, ids=lambda law: law.name)
+def test_a_product_decided_on_a_quasi_identity_is_the_plain_walk(A, law):
+    report = check_identities(A, [law])
+    assert report == _walk(A, [law])
+    assert report.ok == (law.name == "complement")
+    assert check_identities(A, [law], None, 50, 2) == _walk(A, [law], None, 50, 2)
+
+
+def test_a_table_is_compiled_once_per_cached_payload_record(monkeypatch):
+    A = parse_algebra_shorthand("chain:7")
+    first = check_identities(A, _MV_AXIOMS)
+    compiled = []
+
+    def counted(self, ops, on=Law.on):
+        compiled.append(self.name)
+        return on(self, ops)
+    monkeypatch.setattr(Law, "on", counted)
+    assert check_identities(A, _MV_AXIOMS) == first
+    assert compiled == []
+    law = Law("equation", parse_equation("x (+) y = y (+) x"))  # a new law is compiled
+    assert check_identities(A, [law]).ok and compiled == ["equation"]
+    compiled.clear()
+    check_identities(parse_algebra_shorthand("prod:chain:7,chain:7"), _MV_AXIOMS)
+    assert compiled == [law.name for law in _MV_AXIOMS]  # on the leaf's int record
+
+
+@pytest.mark.parametrize("first", range(4))
+def test_a_failing_suite_axiom_is_witnessed_by_its_own_valuation(first, monkeypatch):
+    A = parse_algebra_shorthand("chain:3")
+    good = payload_ops(A)
+    broken = PayloadOps(max, good.neg, good.zero, good.one, good.leq, good.join, good.meet)
+    for module in (algebra, logic):  # the checked record and the witness's evaluation
+        monkeypatch.setattr(module, "payload_ops", lambda B: broken)
+    monkeypatch.setattr(logic, "_SUITE", [_SUITE[first]] + _SUITE[:first] + _SUITE[first + 1:])
+    witness = axiom_suite(A).witness
+    name, term = LUKASIEWICZ_AXIOMS[first]
+    assert witness["axiom"] == name
+    assert witness["value"] == evaluate(term, Valuation(A, witness["valuation"]))
+    assert witness["value"].payload != 1

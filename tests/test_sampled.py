@@ -37,25 +37,25 @@ from hypothesis import strategies as st
 
 from conftest import random_term, reference_draws, reference_listing
 import mvtrop.algebra as algebra
-from mvtrop.algebra import (FiniteChain, ProductAlgebra, _mv_laws, check_identities,
+from mvtrop.algebra import (_MV_AXIOMS, FiniteChain, ProductAlgebra, check_identities,
                             enumerate_payloads, int_record, payload_ops, sample_elements)
 from mvtrop.errors import DomainError
 from mvtrop.export import hasse_dot, operation_tables
 from mvtrop.functors import atoms, boolean_part, theta, theta_star
 from mvtrop.jsonio import parse_algebra_shorthand
-from mvtrop.logic import (LUKASIEWICZ_AXIOMS, VC_AXIOM, _law, _suite_laws, tautology_check,
+from mvtrop.logic import (_SUITE, LUKASIEWICZ_AXIOMS, VC_AXIOM, tautology_check,
                           vc_membership)
-from mvtrop.report import COUNTEREXAMPLE, VALID, CheckReport, Instances, check_laws
+from mvtrop.report import COUNTEREXAMPLE, VALID, CheckReport, Instances, Law, check_laws
 from mvtrop.terms import CONST1, Equation, Join, Neg, Oplus, Var
 from test_export import expected_dot, expected_tables
 
 
-def reference_check(A, laws_of, bound, samples, seed):
+def reference_check(A, laws, bound, samples, seed):
     """The sampled walk on payloads: each law over fresh draws from the listing,
     an arity-0 law once; the first failure wins."""
     draws = reference_draws(reference_listing(A, bound), samples, seed)
     checked = 0
-    for name, arity, holds in laws_of(payload_ops(A)):
+    for name, arity, holds in [law.on(payload_ops(A)) for law in laws]:
         for instance in draws(arity) if arity else [()]:
             checked += 1
             if not holds(*instance):
@@ -74,19 +74,17 @@ terms = st.builds(lambda seed, depth: random_term(random.Random(seed), depth),
 
 
 def _equation(lhs, rhs):
-    return lambda ops: [_law("equation", Equation(lhs, rhs), ops)]
+    return [Law("equation", Equation(lhs, rhs))]
 
 
 def _tautology(t):
-    return lambda ops: [_law("tautology", Equation(t, CONST1), ops)]
+    return [Law("tautology", Equation(t, CONST1))]
 
 
-def _vc_laws(ops):
-    return [_law("vc_axiom", VC_AXIOM, ops)]
+_VC = [Law("vc_axiom", VC_AXIOM)]
 
-
-laws = st.one_of(st.builds(_equation, terms, terms), st.builds(_tautology, terms),
-                 st.just(_suite_laws), st.just(_mv_laws), st.just(_vc_laws))
+law_lists = st.one_of(st.builds(_equation, terms, terms), st.builds(_tautology, terms),
+                      st.just(_SUITE), st.just(_MV_AXIOMS), st.just(_VC))
 
 
 @st.composite
@@ -96,11 +94,11 @@ def algebras(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(algebras(), laws, st.integers(1, 40), st.integers(0, 2 ** 32))
-def test_sampled_checks_match_the_payload_reference(case, laws_of, samples, seed):
+@given(algebras(), law_lists, st.integers(1, 40), st.integers(0, 2 ** 32))
+def test_sampled_checks_match_the_payload_reference(case, laws, samples, seed):
     A, bound = case
-    report = check_identities(A, laws_of, bound, samples, seed)
-    expected = reference_check(A, laws_of, bound, samples, seed)
+    report = check_identities(A, laws, bound, samples, seed)
+    expected = reference_check(A, laws, bound, samples, seed)
     assert report == expected
     assert repr(report.witness) == repr(expected.witness)
 
@@ -141,15 +139,15 @@ def test_listings_and_draws_do_not_list_a_finite_chain(monkeypatch):
     small = [parse_algebra_shorthand(s) for s in ("chain:2001", "prod:chain:3,chain:4")]
     chain = FiniteChain(7)
     expected = ([_listings(A) for A in small], sample_elements(chain, 30, 4),
-                check_identities(chain, _suite_laws, None, 30, 4))
+                check_identities(chain, _SUITE, None, 30, 4))
     _unlistable(monkeypatch)
     assert ([_listings(A) for A in small], sample_elements(chain, 30, 4),
-            check_identities(chain, _suite_laws, None, 30, 4)) == expected
+            check_identities(chain, _SUITE, None, 30, 4)) == expected
     huge = FiniteChain(10 ** 7)
     indices = reference_draws(range(10 ** 7), 5, 1)(1)
     assert [x.payload for x in sample_elements(huge, 5, 1)] == [
         Fraction(i, 10 ** 7 - 1) for (i,) in indices]
-    assert check_identities(huge, _suite_laws, None, 5, 1).checked == 25
+    assert check_identities(huge, _SUITE, None, 5, 1).checked == 25
 
 
 def test_theta_star_of_chain_2001_builds_only_the_fractions_it_lists(monkeypatch):
@@ -189,7 +187,7 @@ def test_draws_on_a_product_of_chains_do_not_list_it(monkeypatch):
     assert [x.payload for x in sample_elements(A, 5, 1)] == [
         (Fraction(i // n, n - 1), Fraction(i % n, n - 1))
         for (i,) in reference_draws(range(n * n), 5, 1)(1)]
-    assert check_identities(A, _suite_laws, None, 5, 1).checked == 25
+    assert check_identities(A, _SUITE, None, 5, 1).checked == 25
 
 
 @pytest.mark.parametrize("text", ["chain:100000000000000000000",
@@ -201,12 +199,12 @@ def test_a_carrier_too_long_to_draw_from_is_a_domain_error(text):
 
 # -- a product walked in full runs on its int record --------------------------------
 
-def walk_reference(A, laws_of, bound):
+def walk_reference(A, laws, bound):
     """The exhaustive or bounded walk on payloads: every law over every tuple of
     the payload listing, in canonical order; the first failure wins."""
     source = Instances.over(reference_listing(A, bound),
                             "exhaustive" if bound is None else "bounded", bound)
-    return check_laws(laws_of(payload_ops(A)), source)
+    return check_laws([law.on(payload_ops(A)) for law in laws], source)
 
 
 def _product(*factors):
@@ -239,10 +237,10 @@ def walked(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(walked(), laws)
-def test_product_walks_match_the_payload_reference(case, laws_of):
+@given(walked(), law_lists)
+def test_product_walks_match_the_payload_reference(case, laws):
     A, bound = case
-    report, expected = check_identities(A, laws_of, bound), walk_reference(A, laws_of, bound)
+    report, expected = check_identities(A, laws, bound), walk_reference(A, laws, bound)
     assert report == expected
     assert repr(report.witness) == repr(expected.witness)
 
@@ -250,12 +248,12 @@ def test_product_walks_match_the_payload_reference(case, laws_of):
 # delta:lex:Z × chain:2 has 52 and 100 elements at bounds 2 and 3: laws of one
 # and two variables only
 @pytest.mark.parametrize("bound", [2, 3])
-@pytest.mark.parametrize("laws_of", [
-    _vc_laws, _equation(Oplus(Var("x"), Var("y")), Oplus(Var("y"), Var("x"))),
+@pytest.mark.parametrize("laws", [
+    _VC, _equation(Oplus(Var("x"), Var("y")), Oplus(Var("y"), Var("x"))),
     _equation(Oplus(Var("x"), Var("y")), Var("y")), _tautology(Join(Var("x"), Neg(Var("x"))))])
-def test_lex_product_walks_match_the_payload_reference(laws_of, bound):
+def test_lex_product_walks_match_the_payload_reference(laws, bound):
     A = parse_algebra_shorthand("prod:delta:lex:Z,chain:2")
-    report, expected = check_identities(A, laws_of, bound), walk_reference(A, laws_of, bound)
+    report, expected = check_identities(A, laws, bound), walk_reference(A, laws, bound)
     assert report == expected
     assert repr(report.witness) == repr(expected.witness)
 
@@ -277,7 +275,7 @@ def test_product_checks_do_not_list_the_product_or_a_chain(monkeypatch):
     axiom_2 = dict(LUKASIEWICZ_AXIOMS)["axiom_2"]
 
     def checks():
-        return ([(vc_membership(A), tautology_check(axiom_2, A), check_identities(A, _mv_laws),
+        return ([(vc_membership(A), tautology_check(axiom_2, A), check_identities(A, _MV_AXIOMS),
                   check_identities(A, _equation(Var("x"), Var("y")), 2)) for A in small],
                 vc_membership(big), check_identities(big, _equation(Var("x"), Var("y"))),
                 tautology_check(axiom_2, parse_algebra_shorthand("prod:chain:30,chain:30")))
