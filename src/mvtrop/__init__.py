@@ -39,5 +39,6 @@ from .qpoints import (REGULARLY_DENSE, REGULARLY_DISCRETE, FlatAction,
 from .report import COUNTEREXAMPLE, VALID, VALID_UP_TO_BOUND, CheckReport
 from .terms import (Equation, Term, Var, fold, operation_count, parse,
                     parse_equation, print_term, substitute, variables)
+from .value import replace
 
 __version__ = "0.1.0"

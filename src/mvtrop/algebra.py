@@ -41,7 +41,9 @@ on the values with the seeded ``rng.choice``, which picks the same indices as
 it would on the listing; a product walked in full (exhaustive or bounded) is
 decided on its leaves' records or walked on the k-tuples of its values
 (``_Tuples.tuples``).  Both decode only a counterexample's instance.
-Exhaustive and bounded checks of a leaf still walk payloads.
+Exhaustive and bounded checks of a leaf still walk payloads.  Both refuse, on
+``sized_record``, a record with more values than ``sys.maxsize``, the most that
+``len`` and ``rng.choice`` take; a product builds each distinct leaf's record once.
 
 Δ(G) payloads are (bit, offset) pairs whose arithmetic runs on the group's
 unchecked ops record (``groups.GroupOps``).  Group membership of offsets is
@@ -61,7 +63,6 @@ import math
 import operator
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Iterable
 
@@ -71,6 +72,7 @@ from .groups import (TRIVIAL, LexZG, LGroup, QSubgroup, Z, group_coerce,
 from .rationals import dumps, parse_integer, parse_rational, rational_str
 from .report import CheckReport, Instances, Law, axiom_witness, check_laws
 from .terms import parse_equation
+from .value import Value, set_field
 
 DEFAULT_SAMPLE_BOUND = 100
 
@@ -129,7 +131,7 @@ def _chain_ops(bottom, top) -> PayloadOps:
 _UNIT_OPS = _chain_ops(_ZERO, _ONE)
 
 
-class MvAlgebra:
+class MvAlgebra(Value):
     """Base of the MV descriptors.  A kind supplies its ``tag`` and ``__str__`` (its
     JSON is the tag alone unless it overrides ``to_json``), ``coerce(payload)``
     (validated in full), ``build_ops()`` (its record; callers use ``payload_ops``),
@@ -182,16 +184,15 @@ class _Unit(MvAlgebra):
         return parse_rational(str(data))
 
 
-@dataclass(frozen=True)
 class FiniteChain(_Unit):
     """The chain 0 < 1/(size-1) < ... < 1 with truncated addition."""
 
-    size: int
     tag = "finite_chain"
 
-    def __post_init__(self):
-        if not isinstance(self.size, int) or self.size < 2:
+    def __init__(self, size: int):
+        if not isinstance(size, int) or size < 2:
             raise DomainError("a finite chain needs at least the two elements 0 and 1")
+        set_field(self, "size", size)
 
     def __repr__(self) -> str:
         return f"FiniteChain({self.size})"
@@ -217,7 +218,6 @@ class FiniteChain(_Unit):
         return _chain_ops(0, top), range(self.size), lambda i: Fraction(i, top)
 
 
-@dataclass(frozen=True)
 class RationalInterval(_Unit):
     """[0, 1] ∩ Q with x ⊕ y = min(x + y, 1) and ¬x = 1 - x."""
 
@@ -241,12 +241,13 @@ class RationalInterval(_Unit):
                 lambda v: Fraction(v, D))
 
 
-@dataclass(frozen=True)
 class DeltaOf(MvAlgebra):
     """Unit interval of Z lex G: payloads (0, g) with g >= 0 and (1, g) with g <= 0."""
 
-    group: LGroup
     tag = "delta"
+
+    def __init__(self, group: LGroup):
+        set_field(self, "group", group)
 
     def __repr__(self) -> str:
         return "Chang" if self.group == Z else f"DeltaOf({self.group!r})"
@@ -324,18 +325,17 @@ class DeltaOf(MvAlgebra):
         return (parse_integer(data[0], "bit"), self.group.payload_from_json(data[1]))
 
 
-@dataclass(frozen=True)
 class ProductAlgebra(MvAlgebra):
     """Componentwise operations; payloads are tuples, enumerated lexicographically."""
 
-    factors: tuple
     tag = "product"
 
-    def __post_init__(self):
-        if not isinstance(self.factors, tuple) or not self.factors:
+    def __init__(self, factors: tuple):
+        if not isinstance(factors, tuple) or not factors:
             raise DomainError("a product algebra needs at least one factor")
-        for f in self.factors:
+        for f in factors:
             _descriptor(f)
+        set_field(self, "factors", factors)
 
     def __repr__(self) -> str:
         return "Product(" + ", ".join(repr(f) for f in self.factors) + ")"
@@ -358,7 +358,8 @@ class ProductAlgebra(MvAlgebra):
     def build_int_record(self, bound: int | None) -> tuple:
         """The leaves' int records side by side: values are the tuples of theirs,
         decoded leaf by leaf and regrouped by the product tree."""
-        opss, valuess, decoders = zip(*[f.build_int_record(bound) for f in leaf_factors(self)])
+        records = {f: f.build_int_record(bound) for f in dict.fromkeys(leaf_factors(self))}
+        opss, valuess, decoders = zip(*[records[f] for f in leaf_factors(self)])
 
         def regroup(A, leaves):  # A's payload from an iterator over its leaves' payloads
             return tuple([regroup(f, leaves) if f.tag == self.tag else next(leaves)
@@ -444,10 +445,10 @@ def _descriptor(A) -> MvAlgebra:
     return A
 
 
-@dataclass(frozen=True)
-class MvElement:
-    algebra: MvAlgebra
-    payload: Any
+class MvElement(Value):
+    def __init__(self, algebra: MvAlgebra, payload: Any):
+        set_field(self, "algebra", algebra)
+        set_field(self, "payload", payload)
 
     def __repr__(self) -> str:
         return f"<{element_str(self)} in {self.algebra!r}>"
@@ -470,6 +471,18 @@ def int_record(A: MvAlgebra, bound: int | None = None) -> tuple[PayloadOps, Any,
     the record, listed or not, to its payload; built by the kind
     (``build_int_record``), uncached."""
     return _bounded(A, bound).build_int_record(bound)
+
+
+def sized_record(A: MvAlgebra, bound: int | None, limit: int) -> tuple | None:
+    """``int_record(A, bound)``, or None when it has more than ``limit`` values.  A
+    finite carrier is sized before its record is built (a product's ``_Tuples``
+    takes ``len`` of each leaf's values, which fails past ``sys.maxsize``), a
+    fragment after, on its ``record_shape``."""
+    if (carrier_size(A) or 0) <= limit:
+        record = int_record(A, bound)
+        if math.prod([size for _, size in record_shape(A, record[1])]) <= limit:
+            return record
+    return None
 
 
 def record_shape(A: MvAlgebra, values) -> list[tuple[int, int]]:
@@ -606,9 +619,10 @@ def _sampled(A: MvAlgebra, bound: int | None, samples: int,
     ``_Tuples`` are never listed."""
     if samples < 1:
         raise DomainError("samples must be >= 1")
-    if (carrier_size(A) or 0) > sys.maxsize:  # rng.choice takes the length as a C ssize_t
-        raise DomainError(f"cannot draw from {A}: it has more than {sys.maxsize} elements")
-    ops, values, decode = int_record(A, bound)
+    record = sized_record(A, bound, sys.maxsize)  # rng.choice takes a length as a C ssize_t
+    if record is None:
+        raise DomainError(f"cannot draw from {A}: more than {sys.maxsize} elements")
+    ops, values, decode = record
     rng = random.Random(seed)
     return ops, Instances(lambda arity: (tuple([rng.choice(values) for _ in range(arity)])
                                          for _ in range(samples)), "sampled", bound), decode
@@ -644,7 +658,10 @@ def check_identities(A: MvAlgebra, laws: list[Law], bound: int | None = None,
     if not isinstance(A, ProductAlgebra):
         return check_laws(_compiled(tuple(laws), payload_ops(A)), payload_tuples(A, bound))
     mode = _walk_mode(A, bound)
-    ops, values, decode = int_record(A, bound)
+    record = sized_record(A, bound, sys.maxsize)  # len takes a length as a C ssize_t
+    if record is None:
+        raise DomainError(f"cannot check {A}: more than {sys.maxsize} elements")
+    ops, values, decode = record
     source = Instances(values.tuples, mode, bound, len(values))
     for f in dict.fromkeys(leaf_factors(A)):
         leaf_ops, leaf_values, _ = int_record(f, bound)

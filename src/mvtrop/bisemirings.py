@@ -14,7 +14,6 @@ checked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from .algebra import (MvAlgebra, MvElement, PayloadOps, int_record, one,
@@ -23,10 +22,10 @@ from .errors import MalformedInputError, StructuralError
 from .groups import (TOP, GroupOps, LGroup, OrderedStructure, checked_operation,
                      group_positive_cone)
 from .report import CheckReport, Instances, axiom_witness, check_laws
+from .value import Value, set_field
 
 
-@dataclass(frozen=True, eq=False)
-class Bisemiring:
+class Bisemiring(Value, eq=False):
     """A sub-bisemiring of a host MV-algebra, given by membership.
 
     ``test(ops, value)`` decides membership of a value on any record of the
@@ -35,10 +34,12 @@ class Bisemiring:
     mv_meet / mv_join on the elements.
     """
 
-    host: MvAlgebra
-    test: Callable[[PayloadOps, Any], bool] = field(repr=False)
-    label: str = "bisemiring"
-    explicit: tuple | None = None
+    def __init__(self, host: MvAlgebra, test: Callable[[PayloadOps, Any], bool],
+                 label: str = "bisemiring", explicit: tuple | None = None):
+        set_field(self, "host", host)
+        set_field(self, "test", test)
+        set_field(self, "label", label)
+        set_field(self, "explicit", explicit)
 
     def contains(self, x: MvElement) -> bool:
         return self._member(x, self._host_ops(x))
@@ -79,11 +80,11 @@ class Bisemiring:
 # ---------------------------------------------------------------------------
 # Positive cones with a top.
 
-@dataclass(frozen=True)
 class TopCone(OrderedStructure):
     """Positive cone of base_group plus a maximum element ⊤ absorbing addition."""
 
-    base_group: LGroup
+    def __init__(self, base_group: LGroup):
+        set_field(self, "base_group", base_group)
 
     def __repr__(self) -> str:
         return f"TopCone({self.base_group!r})"

@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Union
 
 from .errors import DomainError, UsageError
+from .value import Value, set_field
 
 INF = math.inf
 
@@ -83,12 +83,12 @@ def factor(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class Characteristic:
+class Characteristic(Value):
     """Canonical form: entries sorted by prime, no entry equal to the default."""
 
-    default: Exponent
-    primes: tuple[tuple[int, Exponent], ...]
+    def __init__(self, default: Exponent, primes: tuple[tuple[int, Exponent], ...]):
+        set_field(self, "default", default)
+        set_field(self, "primes", primes)
 
     def exponent(self, p: int) -> Exponent:
         for q, e in self.primes:

@@ -10,7 +10,10 @@ MVTROP_DEFAULT_BOUND supplies the fragment bound when --bound is omitted.
 Each verb is listed once, in ``_VERBS``: its handler, its help line and its
 arguments as plain ``add_argument`` options.  ``build_parser`` and the
 dispatch table ``_HANDLERS`` are both read off it.  A command line that starts
-with a verb is parsed once, by that verb's own parser.  The checker verbs
+with a verb is parsed once, by that verb's own parser, built alone on first use
+(``_parser(verb)``) with the same arguments, prog, usage and messages as the
+verb's subparser in ``build_parser``; the whole parser is built only for a line
+that names no verb (empty, ``-h`` or an unknown word).  The checker verbs
 share ``_verdict`` for their exit code and the report's fields.
 """
 
@@ -254,13 +257,18 @@ def build_parser() -> argparse.ArgumentParser:
         prog="mvtrop",
         description="Exact computer algebra for MV-algebras, ℓ-groups, and tropical semifields.")
     sub = parser.add_subparsers(dest="verb", required=True)
-    for verb, (_, help_text, arguments) in _VERBS.items():
-        p = sub.add_parser(verb, help=help_text)
-        p.set_defaults(verb=verb)  # so that main can parse with p alone
-        for name, options in (*arguments, *_OUTPUT):
-            p.add_argument(name, **options)
+    for verb, (_, help_text, _) in _VERBS.items():
+        _arguments(sub.add_parser(verb, help=help_text), verb)
     parser.verbs = sub.choices
     return parser
+
+
+def _arguments(p: argparse.ArgumentParser, verb: str) -> argparse.ArgumentParser:
+    """p, given verb's arguments and the output options."""
+    p.set_defaults(verb=verb)  # so that main can parse with p alone
+    for name, options in (*_VERBS[verb][2], *_OUTPUT):
+        p.add_argument(name, **options)
+    return p
 
 
 def _pretty(obj, indent: int = 0) -> list[str]:
@@ -295,8 +303,13 @@ def _scalar(v) -> str:
     return str(v)
 
 
-# Parsing leaves no state behind in the parser, so one serves every call.
-_parser = functools.cache(build_parser)
+@functools.cache  # parsing leaves no state behind in a parser, so one serves every call
+def _parser(verb: str | None = None) -> argparse.ArgumentParser:
+    """verb's own parser, named as ``build_parser`` names its subparser, or the
+    whole parser when verb is None."""
+    if verb is None:
+        return build_parser()
+    return _arguments(argparse.ArgumentParser(prog=f"mvtrop {verb}"), verb)
 
 
 def _say(message: str) -> None:
@@ -310,10 +323,11 @@ def _say(message: str) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    parser = _parser()
-    verb = parser.verbs.get(argv[0]) if argv else None
     try:
-        args = parser.parse_args(argv) if verb is None else verb.parse_args(argv[1:])
+        if argv and argv[0] in _VERBS:
+            args = _parser(argv[0]).parse_args(argv[1:])
+        else:
+            args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:

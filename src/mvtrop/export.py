@@ -17,15 +17,16 @@ step up.  So the covers of element i are i + w, for each (weight w, size s) of
 ``algebra.record_shape`` whose digit i // w % s is not yet s − 1.  Writing
 a diagram costs O(n) for n listed elements, and the tables 4n² cells.
 
-Both listings are bounded by ``MAX_EXPORT_CARRIER``: a finite carrier's exact size
-is checked before its record is built, a fragment's shape before it is listed.
+Both listings are bounded by ``MAX_EXPORT_CARRIER`` (``algebra.sized_record``): a
+finite carrier's exact size is checked before its record is built, a fragment's
+shape before it is listed.
 """
 
 from __future__ import annotations
 
 from itertools import repeat
 
-from .algebra import MvAlgebra, MvElement, carrier_size, element_str, int_record, record_shape
+from .algebra import MvAlgebra, MvElement, carrier_size, element_str, record_shape, sized_record
 from .errors import DomainError
 
 MAX_EXPORT_CARRIER = 10000
@@ -84,10 +85,9 @@ def hasse_dot(A: MvAlgebra, bound: int | None = None) -> str:
 def _listing(A: MvAlgebra, bound: int | None) -> tuple:
     """``algebra.int_record(A, bound)``, its values listed once, and its
     ``record_shape``, refused past ``MAX_EXPORT_CARRIER`` as the module says."""
-    if (carrier_size(A) or 0) <= MAX_EXPORT_CARRIER:
-        ops, values, decode = int_record(A, bound)
-        shape = record_shape(A, values)
-        if shape[0][0] * shape[0][1] <= MAX_EXPORT_CARRIER:
-            return ops, list(values), decode, shape
-    what = "carrier" if carrier_size(A) is not None else "fragment"
-    raise DomainError(f"{what} of {A} exceeds {MAX_EXPORT_CARRIER} elements")
+    record = sized_record(A, bound, MAX_EXPORT_CARRIER)
+    if record is None:
+        what = "carrier" if carrier_size(A) is not None else "fragment"
+        raise DomainError(f"{what} of {A} exceeds {MAX_EXPORT_CARRIER} elements")
+    ops, values, decode = record
+    return ops, list(values), decode, record_shape(A, values)

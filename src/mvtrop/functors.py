@@ -9,7 +9,6 @@ DeltaOf algebras).  The general inverse via good sequences is out of scope.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from typing import Any, Callable
 
 from .algebra import (DeltaOf, FiniteChain, MvAlgebra, MvElement,
@@ -22,6 +21,7 @@ from .errors import (BrokenHomomorphismError, DomainError, MalformedInputError,
 from .groups import (BOTTOM, Integers, LexZG, LGroup, TropOfGroup, group_coerce,
                      group_leq, group_zero)
 from .report import COUNTEREXAMPLE, VALID, CheckReport, Instances, check_laws
+from .value import Value, replace, set_field
 
 
 def gamma(G: LGroup, u) -> MvAlgebra:
@@ -269,14 +269,15 @@ def theta_image_conditions(S: Bisemiring, bound: int | None = None) -> CheckRepo
 # ---------------------------------------------------------------------------
 # Morphisms and θ on morphisms.
 
-@dataclass(frozen=True)
-class Morphism:
-    """A named computable map between two structures."""
+class Morphism(Value, compare=("source", "target", "name")):
+    """A named computable map between two structures; ``fn`` is left out of its
+    equality and hash."""
 
-    source: Any
-    target: Any
-    name: str
-    fn: Callable = field(compare=False)
+    def __init__(self, source: Any, target: Any, name: str, fn: Callable):
+        set_field(self, "source", source)
+        set_field(self, "target", target)
+        set_field(self, "name", name)
+        set_field(self, "fn", fn)
 
     def __call__(self, x):
         return self.fn(x)

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -41,6 +40,7 @@ from .characteristics import (CHI_Z, Characteristic, admits_denominator, contain
                               group_label)
 from .errors import DomainError, StructuralError, UsageError
 from .rationals import dumps, parse_integer, parse_rational, rational_str
+from .value import Value, set_field
 
 
 class GroupOps:
@@ -61,16 +61,14 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-class OrderedStructure:
+class OrderedStructure(Value):
     """Base of the ordered structures: the ℓ-groups, Trop(G) and the cones with
-    a top.  Each supplies ``build_ops``; its record is built on first use."""
+    a top.  Each supplies ``build_ops``; its record is built on first use, and
+    pickle and copy, which rebuild a structure from its fields, leave it out."""
 
     @cached_property
     def ops(self) -> GroupOps:
         return self.build_ops()
-
-    def __getstate__(self):  # the record holds closures; it is rebuilt on first use
-        return {k: v for k, v in self.__dict__.items() if k != "ops"}
 
 
 class LGroup(OrderedStructure):
@@ -95,7 +93,6 @@ class LGroup(OrderedStructure):
         return self.coerce(parse_rational(str(data)))
 
 
-@dataclass(frozen=True)
 class Integers(LGroup):
     tag = "integers"
 
@@ -118,7 +115,6 @@ class Integers(LGroup):
         return list(range(bound + 1))
 
 
-@dataclass(frozen=True)
 class TrivialGroup(LGroup):
     tag = "trivial"
 
@@ -140,10 +136,11 @@ class TrivialGroup(LGroup):
         return [0]
 
 
-@dataclass(frozen=True)
 class QSubgroup(LGroup):
-    chi: Characteristic
     tag = "q_subgroup"
+
+    def __init__(self, chi: Characteristic):
+        set_field(self, "chi", chi)
 
     def __repr__(self) -> str:
         return f"QSubgroup({self.chi!r})"
@@ -179,10 +176,11 @@ class QSubgroup(LGroup):
         return [Fraction(0)] + [Fraction(n, d) for _, n, d in keyed]
 
 
-@dataclass(frozen=True)
 class LexZG(LGroup):
-    tail: LGroup
     tag = "lex_zg"
+
+    def __init__(self, tail: LGroup):
+        set_field(self, "tail", tail)
 
     def __repr__(self) -> str:
         return f"LexZG({self.tail!r})"
@@ -327,10 +325,11 @@ class Adjoined(Enum):
 BOTTOM, TOP = Adjoined.BOTTOM, Adjoined.TOP
 
 
-@dataclass(frozen=True)
 class TropOfGroup(OrderedStructure):
-    group: LGroup
     tag = "trop"
+
+    def __init__(self, group: LGroup):
+        set_field(self, "group", group)
 
     def __repr__(self) -> str:
         return f"Trop({self.group!r})"

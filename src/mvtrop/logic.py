@@ -21,7 +21,6 @@ and a failure is still the first counterexample of the full walk.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
 from .algebra import CHANG, MvAlgebra, MvElement, check_identities, payload_ops
@@ -29,12 +28,13 @@ from .errors import EvaluationError, StructuralError
 from .report import CheckReport, Law
 from .terms import (CONST1, Equation, Term, compile_term, operation_count, parse,
                     parse_equation)
+from .value import Value, set_field
 
 
-@dataclass(frozen=True)
-class Valuation:
-    algebra: MvAlgebra
-    bindings: Mapping[str, MvElement]
+class Valuation(Value):
+    def __init__(self, algebra: MvAlgebra, bindings: Mapping[str, MvElement]):
+        set_field(self, "algebra", algebra)
+        set_field(self, "bindings", bindings)
 
 
 def evaluate(t: Term, v: Valuation) -> MvElement:

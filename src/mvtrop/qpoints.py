@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable
@@ -29,15 +28,16 @@ from .errors import (DomainError, ReconstructionError, StructuralError,
 from .functors import delta, theta_perfect
 from .groups import LGroup, qsubgroup
 from .report import VALID, CheckReport, Instances, check_laws
+from .value import Value, replace, set_field
 
 REGULARLY_DISCRETE = "regularly_discrete"
 REGULARLY_DENSE = "regularly_dense"
 
 
-@dataclass(frozen=True)
-class GpInvariant:
-    prime: int
-    value: int
+class GpInvariant(Value):
+    def __init__(self, prime: int, value: int):
+        set_field(self, "prime", prime)
+        set_field(self, "value", value)
 
 
 def gp_invariant(chi: Characteristic, p: int) -> GpInvariant:
@@ -149,8 +149,7 @@ def hom_obstruction(src: Characteristic, dst: Characteristic) -> int | None:
 # ---------------------------------------------------------------------------
 # Flat actions of the multiplicative monoid of positive integers.
 
-@dataclass(frozen=True, eq=False)
-class FlatAction:
+class FlatAction(Value, eq=False):
     """An action (n, x) ↦ act(n, x) on the strictly positive cone of a subgroup of Q.
 
     ``act_pair(n, a, b)`` is the same action on ints: n acting on a/b (b > 0)
@@ -161,15 +160,14 @@ class FlatAction:
     on Fraction(a, b).
     """
 
-    base: Characteristic
-    act: Callable[[int, Fraction], Fraction] = field(repr=False)
-    label: str = "action"
-    act_pair: Callable[[int, int, int], tuple[int, int]] = field(init=False, repr=False)
-
-    def __post_init__(self):
-        act = self.act
-        object.__setattr__(self, "act_pair", getattr(act, "act_pair", None) or (
-            lambda n, a, b: Fraction(act(n, Fraction(a, b))).as_integer_ratio()))
+    def __init__(self, base: Characteristic, act: Callable[[int, Fraction], Fraction],
+                 label: str = "action"):
+        act_pair = getattr(act, "act_pair", None) or (
+            lambda n, a, b: Fraction(act(n, Fraction(a, b))).as_integer_ratio())
+        set_field(self, "base", base)
+        set_field(self, "act", act)
+        set_field(self, "label", label)
+        set_field(self, "act_pair", act_pair)
 
     def __repr__(self) -> str:
         return f"FlatAction({self.label}, base={self.base!r})"

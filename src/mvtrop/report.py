@@ -4,31 +4,32 @@ and ``Law``, an equational law as data, compiled on the record a check walks."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterable
 
 from .terms import Equation, compile_term
+from .value import Value, replace, set_field
 
 VALID = "valid"
 VALID_UP_TO_BOUND = "valid_up_to_bound"
 COUNTEREXAMPLE = "counterexample"
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(Value):
     """Outcome of an exhaustive, bounded, or sampled verification.
 
     ``verdict`` is one of ``valid``, ``valid_up_to_bound``, ``counterexample``.
     ``witness`` is only present for counterexamples and names the failing
     instance (axiom plus elements, or a valuation).  ``checked`` counts the
-    instances actually evaluated.
+    instances actually evaluated.  ``details`` defaults to a new empty dict.
     """
 
-    verdict: str
-    checked: int
-    witness: Any = None
-    mode: str = "exhaustive"
-    details: dict = field(default_factory=dict)
+    def __init__(self, verdict: str, checked: int, witness: Any = None,
+                 mode: str = "exhaustive", details: dict | None = None):
+        set_field(self, "verdict", verdict)
+        set_field(self, "checked", checked)
+        set_field(self, "witness", witness)
+        set_field(self, "mode", mode)
+        set_field(self, "details", {} if details is None else details)
 
     @property
     def ok(self) -> bool:
@@ -39,8 +40,7 @@ class CheckReport:
         return self if self.ok else replace(self, witness=shape(*self.witness))
 
 
-@dataclass(frozen=True)
-class Instances:
+class Instances(Value):
     """The instances of a check, with the mode and bound to report.
 
     ``tuples(arity)`` yields the instances of a law of that arity; a source
@@ -49,10 +49,12 @@ class Instances:
     draw-based one, so ``count(arity)`` knows a walk's length before it starts.
     """
 
-    tuples: Callable[[int], Iterable[tuple]]
-    mode: str = "exhaustive"
-    bound: int | None = None
-    size: int | None = None
+    def __init__(self, tuples: Callable[[int], Iterable[tuple]], mode: str = "exhaustive",
+                 bound: int | None = None, size: int | None = None):
+        set_field(self, "tuples", tuples)
+        set_field(self, "mode", mode)
+        set_field(self, "bound", bound)
+        set_field(self, "size", size)
 
     @classmethod
     def over(cls, pool: Iterable, mode: str = "exhaustive", bound: int | None = None):
@@ -96,20 +98,17 @@ def check_laws(laws: Iterable[tuple], source: Instances) -> CheckReport:
     return source.clean(checked)
 
 
-@dataclass(frozen=True, eq=False)
-class Law:
+class Law(Value, eq=False):
     """A Horn sentence over equations: ``conclusion`` holds wherever all of
     ``premises`` do (an identity has none).  Its slots, fixed when it is built,
     are its sorted variables, bound in that order; a law hashes by identity."""
 
-    name: str
-    conclusion: Equation
-    premises: tuple[Equation, ...] = ()
-    slots: dict = field(init=False, repr=False)
-
-    def __post_init__(self):
-        names = set().union(*[e.variables() for e in (self.conclusion, *self.premises)])
-        object.__setattr__(self, "slots", {v: i for i, v in enumerate(sorted(names))})
+    def __init__(self, name: str, conclusion: Equation, premises: tuple[Equation, ...] = ()):
+        names = set().union(*[e.variables() for e in (conclusion, *premises)])
+        set_field(self, "name", name)
+        set_field(self, "conclusion", conclusion)
+        set_field(self, "premises", premises)
+        set_field(self, "slots", {v: i for i, v in enumerate(sorted(names))})
 
     def on(self, ops) -> tuple:
         """The ``(name, arity, holds)`` of ``check_laws``, compiled on the record

@@ -18,45 +18,43 @@ node types), not methods on the nodes.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, ClassVar
+from typing import Callable
 
 from .errors import TermSyntaxError
+from .value import Value, set_field
 
 
-class Term:
+class Term(Value):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Var(Term):
-    name: str
+    def __init__(self, name: str):
+        set_field(self, "name", name)
 
 
-@dataclass(frozen=True)
 class Const(Term):
-    value: int  # 0 or 1
+    def __init__(self, value: int):  # 0 or 1
+        set_field(self, "value", value)
 
 
-@dataclass(frozen=True)
 class Neg(Term):
-    arg: Term
+    def __init__(self, arg: Term):
+        set_field(self, "arg", arg)
 
 
-@dataclass(frozen=True)
 class Binary(Term):
     """A binary connective.  Each subclass is one row of the connective table:
     ``op``, its operation on a ``PayloadOps`` record; ``symbol``, its ASCII
     spelling; ``bp``, its binding power (higher binds tighter); and
     ``right_assoc``."""
 
-    left: Term
-    right: Term
-    op: ClassVar[str]
-    symbol: ClassVar[str]
-    bp: ClassVar[int]
-    right_assoc: ClassVar[bool] = False
+    right_assoc = False
+
+    def __init__(self, left: Term, right: Term):
+        set_field(self, "left", left)
+        set_field(self, "right", right)
 
 
 class Oplus(Binary):
@@ -232,10 +230,10 @@ def operation_count(t: Term) -> int:
                 lambda _, left, right: left + right + 1)
 
 
-@dataclass(frozen=True)
-class Equation:
-    lhs: Term
-    rhs: Term
+class Equation(Value):
+    def __init__(self, lhs: Term, rhs: Term):
+        set_field(self, "lhs", lhs)
+        set_field(self, "rhs", rhs)
 
     def variables(self) -> set[str]:
         return variables(self.lhs) | variables(self.rhs)

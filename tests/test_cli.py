@@ -182,6 +182,21 @@ def test_export_refuses_a_large_product_before_listing_anything(monkeypatch, cap
     assert err == "mvtrop: carrier of prod:chain:1000,chain:1000 exceeds 10000 elements\n"
 
 
+_HUGE = ["--algebra", "prod:interval,interval,interval,interval,interval", "--bound", "300"]
+
+
+@pytest.mark.parametrize("argv, doing", [(["check-eq", "x = x", *_HUGE], "check"),
+                                         (["axioms", *_HUGE, "--samples", "3"], "draw from")])
+def test_a_fragment_beyond_a_c_ssize_t_is_refused_before_any_check(argv, doing, monkeypatch,
+                                                                     capsys):
+    # 27,399 ** 5 tuples at bound 300: sized on the record, where len() would overflow
+    monkeypatch.setattr(algebra, "check_laws", lambda *args: pytest.fail("checked"))
+    code, out, err = run(argv, capsys)
+    assert code == 3 and out == ""
+    assert err == (f"mvtrop: cannot {doing} prod:interval,interval,interval,interval,interval: "
+                   f"more than {sys.maxsize} elements\n")
+
+
 def test_export_sizes_a_product_fragment_before_listing_it(capsys):
     # 642 ** 3 elements at the default bound: refused from the factors' pools
     start = time.perf_counter()

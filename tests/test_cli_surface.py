@@ -1,11 +1,16 @@
 """The command-line surface, written out by hand: every verb, its positionals,
 and each option with its default, whether it is required, and its type or
-action.  A change to the parser that moves any of these fails here."""
+action.  A change to the parser that moves any of these fails here.  Each
+verb's help and its usage error for a missing argument are pinned, as printed
+at 80 columns, in ``cli_verb_text.json``."""
 
 import argparse
+import json
+from pathlib import Path
 
 import pytest
 
+from mvtrop import cli
 from mvtrop.cli import build_parser, main
 
 TEXT = (None, True, "str")       # a required string option
@@ -149,3 +154,22 @@ def test_an_unrecognized_argument_names_the_verb(monkeypatch, capsys):
     assert out == ""
     assert err.startswith("usage: mvtrop check-eq [-h] --algebra ALGEBRA")
     assert err.splitlines()[-1] == "mvtrop check-eq: error: unrecognized arguments: --bogus"
+
+
+VERB_TEXT = json.loads((Path(__file__).resolve().parent / "cli_verb_text.json")
+                       .read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("verb", SURFACE)
+def test_a_verbs_own_parser_prints_the_pinned_help_and_usage_error(verb, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    cli._parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers",
+                        lambda *args, **kwargs: pytest.fail("built the whole parser"))
+    assert main([verb, "--help"]) == 0
+    assert capsys.readouterr().out == VERB_TEXT[verb]["help"]
+    assert main([verb]) == 2  # a required argument is missing
+    assert capsys.readouterr().err == VERB_TEXT[verb]["error"]
+    monkeypatch.undo()
+    monkeypatch.setenv("COLUMNS", "80")
+    assert build_parser().verbs[verb].format_help() == VERB_TEXT[verb]["help"]

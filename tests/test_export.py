@@ -238,8 +238,9 @@ def test_an_export_lists_each_infinite_leaf_once(export, text, bound, monkeypatc
             listed.append(self)
             return enumerate(self, b)
         monkeypatch.setattr(kind, "enumerate", counted)
-    export(A, bound)
-    assert listed == [f for f in getattr(A, "factors", [A]) if carrier_size(f) is None]
+    export(A, bound)  # a leaf that repeats is listed once too
+    assert listed == list(dict.fromkeys(
+        f for f in getattr(A, "factors", [A]) if carrier_size(f) is None))
 
 
 def test_a_product_with_an_infinite_factor_has_an_int_record():

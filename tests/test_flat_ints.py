@@ -9,13 +9,13 @@ exception, field for field.
 
 import math
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mvtrop import replace
 from mvtrop.characteristics import (INF, characteristic, contains_rational,
                                     factor)
 from mvtrop.errors import DomainError, ReconstructionError, StructuralError
