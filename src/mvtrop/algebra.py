@@ -365,7 +365,7 @@ class ProductAlgebra(MvAlgebra):
             return tuple([regroup(f, leaves) if f.tag == self.tag else next(leaves)
                           for f in A.factors])
 
-        return (_componentwise(opss), _Tuples(valuess),
+        return (_componentwise(opss), _Tuples(valuess, records),
                 lambda v: regroup(self, iter([d(c) for d, c in zip(decoders, v)])))
 
     def carrier_size(self) -> int | None:
@@ -386,11 +386,13 @@ class ProductAlgebra(MvAlgebra):
 
 class _Tuples:
     """The tuples of ``itertools.product(*parts)``, listing none: tuple i has the
-    digit i // weight % size in each part, by its (weight, size) in ``shape``."""
+    digit i // weight % size in each part, by its (weight, size) in ``shape``.
+    ``leaves`` holds the int record of each distinct leaf the parts came from."""
 
-    def __init__(self, parts):
+    def __init__(self, parts, leaves):
         sizes = [len(p) for p in parts]
         self.parts, self.shape = parts, [(math.prod(sizes[i + 1:]), s) for i, s in enumerate(sizes)]
+        self.leaves = leaves
         self.indices = range(self.shape[0][0] * self.shape[0][1])
 
     def __len__(self) -> int:
@@ -642,9 +644,11 @@ def check_identities(A: MvAlgebra, laws: list[Law], bound: int | None = None,
     the pool of a product, bounded or not, is the product of its factors'
     pools.  So when A is a product walked in full, the laws are first checked
     on the int record of each distinct leaf of the product tree once, with the
-    same bound, decoding nothing.  If all pass, the report is the one the
-    product walk would give, without walking it: the same verdict, mode and
-    details, and ``checked`` = the sum over the laws of ``source.count(arity)``.
+    same bound, decoding nothing: the records the product's own was built from
+    (``_Tuples.leaves``), so no leaf is listed twice.  If all pass, the report
+    is the one the product walk would give, without walking it: the same
+    verdict, mode and details, and ``checked`` = the sum over the laws of
+    ``source.count(arity)``.
     If one fails, the laws are compiled on the product's int record and walked
     over its values' k-tuples (``_Tuples.tuples``), so the first counterexample
     in canonical order and its ``checked`` are the walk's.
@@ -663,8 +667,7 @@ def check_identities(A: MvAlgebra, laws: list[Law], bound: int | None = None,
         raise DomainError(f"cannot check {A}: more than {sys.maxsize} elements")
     ops, values, decode = record
     source = Instances(values.tuples, mode, bound, len(values))
-    for f in dict.fromkeys(leaf_factors(A)):
-        leaf_ops, leaf_values, _ = int_record(f, bound)
+    for leaf_ops, leaf_values, _ in values.leaves.values():  # the records walked just now
         if not check_laws([law.on(leaf_ops) for law in laws], Instances.over(leaf_values)).ok:
             return _decoded(check_laws([law.on(ops) for law in laws], source), decode)
     return source.clean(sum(source.count(len(law.slots)) for law in laws))

@@ -8,22 +8,29 @@ with --pretty, DOT with --dot (export).  The environment variable
 MVTROP_DEFAULT_BOUND supplies the fragment bound when --bound is omitted.
 
 Each verb is listed once, in ``_VERBS``: its handler, its help line and its
-arguments as plain ``add_argument`` options.  ``build_parser`` and the
-dispatch table ``_HANDLERS`` are both read off it.  A command line that starts
-with a verb is parsed once, by that verb's own parser, built alone on first use
-(``_parser(verb)``) with the same arguments, prog, usage and messages as the
-verb's subparser in ``build_parser``; the whole parser is built only for a line
-that names no verb (empty, ``-h`` or an unknown word).  The checker verbs
-share ``_verdict`` for their exit code and the report's fields.
+arguments as plain ``add_argument`` options.  ``build_parser``, the dispatch
+table ``_HANDLERS`` and the plain reader ``_plain`` are all read off it.  A
+plain command line, a verb followed by its positionals and its options each
+given once by full name, with values that do not start with "-", is read off
+``_VERBS`` into the namespace argparse would give, and argparse is not
+imported.  Anything else, help, an error, an abbreviation, ``--opt=value``, a
+repeat or a value starting with "-", goes to argparse, the only source of help,
+usage and error text: a line that starts with a verb to that verb's own parser,
+built alone on first use (``_parser(verb)``) with the same arguments, prog,
+usage and messages as the verb's subparser in ``build_parser``, and a line
+that names no verb (empty, ``-h`` or an unknown word) to the whole parser.
+The checker verbs share ``_verdict`` for their exit code and the report's
+fields.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import os
 import re
 import sys
+import types
+from typing import TYPE_CHECKING
 
 from .algebra import carrier_size, element
 from .errors import DomainError, MvtropError, TermSyntaxError, UsageError
@@ -38,6 +45,9 @@ from .logic import (Valuation, axiom_suite, check_equation_bounded,
 from .qpoints import (check_flatness, classify_regularity, frobenius_action,
                       gp_invariant, hom_exists, hom_obstruction, theta_pt)
 from .terms import parse, print_term
+
+if TYPE_CHECKING:  # argparse is imported only for a line that _plain leaves to it
+    import argparse
 
 
 def _default_bound(args, fallback: int) -> int:
@@ -253,6 +263,7 @@ _HANDLERS = {verb: handler for verb, (handler, _, _) in _VERBS.items()}
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
     parser = argparse.ArgumentParser(
         prog="mvtrop",
         description="Exact computer algebra for MV-algebras, ℓ-groups, and tropical semifields.")
@@ -306,10 +317,69 @@ def _scalar(v) -> str:
 @functools.cache  # parsing leaves no state behind in a parser, so one serves every call
 def _parser(verb: str | None = None) -> argparse.ArgumentParser:
     """verb's own parser, named as ``build_parser`` names its subparser, or the
-    whole parser when verb is None."""
+    whole parser when verb is None.  Only a line that ``_plain`` leaves to
+    argparse reaches one: help, a usage error or an unusual form."""
     if verb is None:
         return build_parser()
+    import argparse
     return _arguments(argparse.ArgumentParser(prog=f"mvtrop {verb}"), verb)
+
+
+@functools.cache
+def _table(verb: str) -> tuple:
+    """verb's arguments as ``_plain`` reads them: (dest, store_true, type) by
+    option name, the positionals' names, the required options' names, and the
+    namespace argparse starts from, each default in place."""
+    options, positionals, required, start = {}, [], set(), {"verb": verb}
+    for name, spec in (*_VERBS[verb][2], *_OUTPUT):
+        if not name.startswith("-"):
+            positionals.append(name)
+            start[name] = None
+            continue
+        dest, flag = name.lstrip("-").replace("-", "_"), spec.get("action") == "store_true"
+        options[name] = (dest, flag, spec.get("type"))
+        start[dest] = spec.get("default", False if flag else None)
+        if spec.get("required"):
+            required.add(name)
+    return options, positionals, required, start
+
+
+def _plain(verb: str, tokens) -> types.SimpleNamespace | None:
+    """The namespace verb's parser gives for ``tokens`` (equal ``vars``), read off
+    ``_VERBS``, or None for argparse to read.  Read here: positionals, and verb's
+    options, each once by its full name, with their values.  Left to argparse:
+    a token that is not a str, or that starts with "-" where a positional or a
+    value stands, or that is any other option (help, an abbreviation,
+    ``--opt=value``); a repeat; an int that does not convert; an argument
+    missing or one too many."""
+    options, positionals, required, defaults = _table(verb)
+    found, given, free, rest = dict(defaults), set(), [], iter(tokens)
+    for token in rest:
+        if not isinstance(token, str):
+            return None
+        if not token.startswith("-"):
+            free.append(token)
+            continue
+        if token not in options or token in given:
+            return None
+        given.add(token)
+        dest, flag, convert = options[token]
+        if flag:
+            found[dest] = True
+            continue
+        value = next(rest, None)
+        if not isinstance(value, str) or value.startswith("-"):
+            return None
+        if convert is not None:
+            try:
+                value = convert(value)
+            except ValueError:
+                return None
+        found[dest] = value
+    if len(free) != len(positionals) or not required <= given:
+        return None
+    found.update(zip(positionals, free))
+    return types.SimpleNamespace(**found)
 
 
 def _say(message: str) -> None:
@@ -325,7 +395,9 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
         if argv and argv[0] in _VERBS:
-            args = _parser(argv[0]).parse_args(argv[1:])
+            args = _plain(argv[0], argv[1:])
+            if args is None:  # help, a usage error or an unusual form: argparse reads it
+                args = _parser(argv[0]).parse_args(argv[1:])
         else:
             args = _parser().parse_args(argv)
     except SystemExit as exc:

@@ -308,6 +308,26 @@ def test_a_nested_product_is_checked_as_its_flat_form_without_a_listing(monkeypa
     assert reports[0][0].witness["x"].payload == witness
 
 
+@pytest.mark.parametrize("text, laws, bound", [
+    ("prod:interval,interval", [_MV_AXIOMS[4]], 6),                   # valid: decided on leaves
+    ("prod:interval,chain:3,chang,interval", _VC, 2),                  # valid, three leaves
+    ("prod:chang,interval,chang", _equation(Neg(Var("x")), Var("x")), 2),  # walked: fails
+    ("prod:interval,interval", _equation(Oplus(Var("x"), Var("y")), Var("y")), 3)])
+def test_a_product_check_lists_each_infinite_leaf_once(text, laws, bound, monkeypatch):
+    A = parse_algebra_shorthand(text)
+    expected = walk_reference(A, laws, bound)
+    listed = []
+    for kind in (algebra.RationalInterval, algebra.DeltaOf):
+        def counted(self, b, enumerate=kind.enumerate):
+            listed.append(self)
+            return enumerate(self, b)
+        monkeypatch.setattr(kind, "enumerate", counted)
+    report = check_identities(A, laws, bound)  # the leaf decision reuses the walk's records
+    assert listed == list(dict.fromkeys(f for f in A.factors if f.carrier_size() is None))
+    assert report == expected
+    assert repr(report.witness) == repr(expected.witness)
+
+
 # -- nested products list, draw and export as their payload reference -----------
 
 _DEEP = json.dumps(_product(_L2, _product(_L3, _product({"kind": "delta", "group": {

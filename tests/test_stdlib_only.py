@@ -5,7 +5,9 @@ names that the import adds to ``sys.modules`` must be ``mvtrop`` itself or
 standard-library modules.  Comparing before and after the import keeps out
 whatever the interpreter's start-up (``site`` and its ``.pth`` files) loads.
 The CLI starts without ``dataclasses`` and ``inspect``, which cost about half of
-its import time when its records were generated by ``dataclasses``.
+its import time when its records were generated by ``dataclasses``, and a
+plain verb line runs without ``argparse``, which only help, errors and
+unusual forms need.
 """
 
 import json
@@ -44,3 +46,13 @@ def test_the_cli_starts_without_dataclasses_or_inspect():
     out = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": path}).stdout
     assert out.strip() == "[]"
+
+
+def test_a_plain_verb_line_runs_without_argparse():
+    probe = ("import sys; from mvtrop.cli import main; "
+             "code = main(['check-eq', 'x (+) y = y (+) x', '--algebra', 'chain:3', '--pretty']); "
+             "print(code, 'argparse' in sys.modules)")
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": path}).stdout
+    assert out.splitlines()[-1] == "0 False"
