@@ -12,13 +12,15 @@ guard once and call into the kind.
 
 Every operation goes through one payload-ops record per descriptor
 (``payload_ops``): a kind supplies ⊕, ¬, 0 and 1 on raw payloads together with
-its order ≤, ∨ and ∧, and the record derives ⊙, ⊖ and → from ⊕ and ¬.  Every
+its order ≤, ∨ and ∧.  The record of chains and the interval
+(``_chain_ops``) states ⊙, ⊖ and → in closed form, a product takes its
+factors' own, and Δ(G)'s record derives them from ⊕ and ¬.  Every
 shipped kind is an MV-chain or a finite product of MV-chains, so each knows its
 order natively.  A record is built on first use in O(number of factors), with
 no tables, and kept in a bounded cache keyed on the frozen descriptor.  The
 ``mv_*`` functions unwrap MvElements, call the record and wrap the result; a
 check compiles its laws (``report.Law``, the MV axioms one table of them) on a
-record and builds MvElements only for witnesses.
+record, once per check, and builds MvElements only for witnesses.
 
 A walk over a listing (θ, θ*, the Boolean part and ``export``), every sampled
 check and every check of a product run on the int record of ``int_record(A,
@@ -84,12 +86,13 @@ class PayloadOps:
     """The operations of one descriptor on raw payloads.
 
     A kind supplies ⊕, ¬, 0 and 1 and its lattice order: the test ≤ and the
-    join ∨ and meet ∧ it induces.  ⊙, ⊖ and → are derived here from ⊕ and ¬,
-    exactly as the MV-algebra definitions read.  None of them checks its
-    arguments.  ``check`` is the boundary check of one payload (it raises
-    StructuralError when a Δ(G) offset lies outside G), or None when the kind
-    needs none.  The int records of ``int_record`` are ones too, on ints or
-    tuples of them.
+    join ∨ and meet ∧ it induces.  It may also state ⊙, ⊖ and → in closed form;
+    those it leaves out are derived here from ⊕ and ¬, exactly as the
+    MV-algebra definitions read: x ⊙ y = ¬(¬x ⊕ ¬y), x ⊖ y = x ⊙ ¬y and
+    x → y = ¬x ⊕ y.  None of them checks its arguments.  ``check`` is the
+    boundary check of one payload (it raises StructuralError when a Δ(G)
+    offset lies outside G), or None when the kind needs none.  The int records
+    of ``int_record`` are ones too, on ints or tuples of them.
     """
 
     __slots__ = ("oplus", "neg", "zero", "one", "check", "odot", "ominus", "implies",
@@ -97,17 +100,14 @@ class PayloadOps:
 
     def __init__(self, oplus: Callable, neg: Callable, zero_p, one_p,
                  leq: Callable, join: Callable, meet: Callable,
-                 check: Callable | None = None):
+                 check: Callable | None = None, *, odot: Callable | None = None,
+                 ominus: Callable | None = None, implies: Callable | None = None):
         self.oplus, self.neg, self.zero, self.one = oplus, neg, zero_p, one_p
         self.leq, self.join, self.meet = leq, join, meet
         self.check = check
-
-        def odot(p, q):  # ¬(¬p ⊕ ¬q)
-            return neg(oplus(neg(p), neg(q)))
-
-        self.odot = odot
-        self.ominus = lambda p, q: odot(p, neg(q))
-        self.implies = lambda p, q: oplus(neg(p), q)
+        self.odot = odot = odot or (lambda p, q: neg(oplus(neg(p), neg(q))))
+        self.ominus = ominus or (lambda p, q: odot(p, neg(q)))
+        self.implies = implies or (lambda p, q: oplus(neg(p), q))
 
     def checked(self, *payloads) -> PayloadOps:
         """This record, once each payload has passed the boundary check."""
@@ -118,14 +118,19 @@ class PayloadOps:
 
 
 def _chain_ops(bottom, top) -> PayloadOps:
-    """Γ of the numbers with unit ``top`` on [bottom, top]: p ⊕ q = min(p + q, top),
-    ¬p = top − p, ordered as numbers (Cignoli, D'Ottaviano and Mundici,
-    *Algebraic Foundations of Many-valued Reasoning*, 2000)."""
+    """Γ of the numbers with unit ``top`` on [bottom, top], ``bottom`` their 0:
+    p ⊕ q = min(p + q, top), ¬p = top − p, and in closed form p ⊙ q =
+    max(p + q − top, bottom), p ⊖ q = max(p − q, bottom) and p → q =
+    min(top − p + q, top), ordered as numbers (Cignoli, D'Ottaviano and Mundici,
+    *Algebraic Foundations of Many-valued Reasoning*, 2000, ch. 1)."""
     def oplus(p, q):
         s = p + q
         return s if s < top else top
 
-    return PayloadOps(oplus, lambda p: top - p, bottom, top, operator.le, max, min)
+    return PayloadOps(oplus, lambda p: top - p, bottom, top, operator.le, max, min,
+                      odot=lambda p, q: max(p + q - top, bottom),
+                      ominus=lambda p, q: max(p - q, bottom),
+                      implies=lambda p, q: min(top - p + q, top))
 
 
 _UNIT_OPS = _chain_ops(_ZERO, _ONE)
@@ -414,10 +419,13 @@ class _Tuples:
 
 
 def _componentwise(parts) -> PayloadOps:
-    """The product of the records ``parts``, on tuples with one coordinate each."""
-    pluses, negs = tuple(o.oplus for o in parts), tuple(o.neg for o in parts)
-    leqs, joins = tuple(o.leq for o in parts), tuple(o.join for o in parts)
-    meets = tuple(o.meet for o in parts)
+    """The product of the records ``parts``, on tuples with one coordinate each:
+    every operation is the parts' own, ⊙, ⊖ and → included."""
+    def each(name):  # the binary operation name of the parts, componentwise
+        fs = tuple([getattr(o, name) for o in parts])
+        return lambda p, q: tuple([f(a, b) for f, a, b in zip(fs, p, q)])
+
+    negs, leqs = tuple(o.neg for o in parts), tuple(o.leq for o in parts)
     checks = tuple((i, o.check) for i, o in enumerate(parts) if o.check is not None)
 
     def check(p):
@@ -425,13 +433,11 @@ def _componentwise(parts) -> PayloadOps:
             c(p[i])
 
     return PayloadOps(
-        lambda p, q: tuple([f(a, b) for f, a, b in zip(pluses, p, q)]),
-        lambda p: tuple([f(a) for f, a in zip(negs, p)]),
+        each("oplus"), lambda p: tuple([f(a) for f, a in zip(negs, p)]),
         tuple(o.zero for o in parts), tuple(o.one for o in parts),
         lambda p, q: all([f(a, b) for f, a, b in zip(leqs, p, q)]),
-        lambda p, q: tuple([f(a, b) for f, a, b in zip(joins, p, q)]),
-        lambda p, q: tuple([f(a, b) for f, a, b in zip(meets, p, q)]),
-        check if checks else None)
+        each("join"), each("meet"), check if checks else None,
+        odot=each("odot"), ominus=each("ominus"), implies=each("implies"))
 
 
 CHANG = DeltaOf(Z)
@@ -634,8 +640,8 @@ def check_identities(A: MvAlgebra, laws: list[Law], bound: int | None = None,
                      samples: int | None = None, seed: int = 0) -> CheckReport:
     """Check ``laws`` over the tuples of ``payload_tuples(A, bound)`` or, with
     ``samples`` set, the draws of ``_sampled``, deciding a valid walk over a
-    product factor by factor.  Each law is compiled on the record walked: the
-    payload record of a leaf walked in full, kept by ``_compiled``, else an int record.
+    product factor by factor.  Each law is compiled once per check, on the record
+    walked: the payload record of a leaf walked in full, else an int record.
 
     Every ``Law`` is an identity or a quasi-identity (a Horn sentence: premises
     that are equations, one equation as conclusion).  Such a law holds on all
@@ -660,7 +666,8 @@ def check_identities(A: MvAlgebra, laws: list[Law], bound: int | None = None,
         ops, source, decode = _sampled(A, bound, samples, seed)
         return _decoded(check_laws([law.on(ops) for law in laws], source), decode)
     if not isinstance(A, ProductAlgebra):
-        return check_laws(_compiled(tuple(laws), payload_ops(A)), payload_tuples(A, bound))
+        ops = payload_ops(A)
+        return check_laws([law.on(ops) for law in laws], payload_tuples(A, bound))
     mode = _walk_mode(A, bound)
     record = sized_record(A, bound, sys.maxsize)  # len takes a length as a C ssize_t
     if record is None:
@@ -671,12 +678,6 @@ def check_identities(A: MvAlgebra, laws: list[Law], bound: int | None = None,
         if not check_laws([law.on(leaf_ops) for law in laws], Instances.over(leaf_values)).ok:
             return _decoded(check_laws([law.on(ops) for law in laws], source), decode)
     return source.clean(sum(source.count(len(law.slots)) for law in laws))
-
-
-@functools.lru_cache(maxsize=64)
-def _compiled(laws: tuple[Law, ...], ops: PayloadOps) -> tuple:
-    """``laws`` compiled on a record of the ``payload_ops`` cache, once per descriptor."""
-    return tuple([law.on(ops) for law in laws])
 
 
 def _decoded(report: CheckReport, decode: Callable) -> CheckReport:

@@ -19,8 +19,9 @@ usage and error text: a line that starts with a verb to that verb's own parser,
 built alone on first use (``_parser(verb)``) with the same arguments, prog,
 usage and messages as the verb's subparser in ``build_parser``, and a line
 that names no verb (empty, ``-h`` or an unknown word) to the whole parser.
-The checker verbs share ``_verdict`` for their exit code and the report's
-fields.
+A token that is not a str, which only a caller in Python can pass, is refused
+with exit 2 before either reads the line.  The checker verbs share
+``_verdict`` for their exit code and the report's fields.
 """
 
 from __future__ import annotations
@@ -103,8 +104,12 @@ def _cmd_eval(args):
 def _cmd_check_eq(args):
     A = parse_algebra_shorthand(args.algebra)
     eq = parse_equation(args.equation)
-    report = check_equation_bounded(eq, A, _fragment_bound(args, A, default_chang_bound(eq)))
-    return _verdict(report, algebra=A.to_json())
+    bound = None
+    if carrier_size(A) is None:  # the fallback folds over eq: computed only when it is used
+        bound = _default_bound(args, None)
+        if bound is None:
+            bound = default_chang_bound(eq)
+    return _verdict(check_equation_bounded(eq, A, bound), algebra=A.to_json())
 
 
 def _cmd_tautology(args):
@@ -346,17 +351,15 @@ def _table(verb: str) -> tuple:
 
 def _plain(verb: str, tokens) -> types.SimpleNamespace | None:
     """The namespace verb's parser gives for ``tokens`` (equal ``vars``), read off
-    ``_VERBS``, or None for argparse to read.  Read here: positionals, and verb's
-    options, each once by its full name, with their values.  Left to argparse:
-    a token that is not a str, or that starts with "-" where a positional or a
-    value stands, or that is any other option (help, an abbreviation,
-    ``--opt=value``); a repeat; an int that does not convert; an argument
-    missing or one too many."""
+    ``_VERBS``, or None for argparse to read.  Every token is a str (``main``
+    refuses any other).  Read here: positionals, and verb's options, each once
+    by its full name, with their values.  Left to argparse: a token that starts
+    with "-" where a positional or a value stands, or that is any other option
+    (help, an abbreviation, ``--opt=value``); a repeat; an int that does not
+    convert; an argument missing or one too many."""
     options, positionals, required, defaults = _table(verb)
     found, given, free, rest = dict(defaults), set(), [], iter(tokens)
     for token in rest:
-        if not isinstance(token, str):
-            return None
         if not token.startswith("-"):
             free.append(token)
             continue
@@ -367,8 +370,8 @@ def _plain(verb: str, tokens) -> types.SimpleNamespace | None:
         if flag:
             found[dest] = True
             continue
-        value = next(rest, None)
-        if not isinstance(value, str) or value.startswith("-"):
+        value = next(rest, "-")  # none left: argparse says the value is missing
+        if value.startswith("-"):
             return None
         if convert is not None:
             try:
@@ -393,6 +396,10 @@ def _say(message: str) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
+    for i, token in enumerate(argv, 1):  # a shell gives strs; a caller in Python may not
+        if not isinstance(token, str):
+            _say(f"argument {i} is {type(token).__name__} {token!r}, not a str")
+            return 2
     try:
         if argv and argv[0] in _VERBS:
             args = _plain(argv[0], argv[1:])

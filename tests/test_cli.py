@@ -276,6 +276,38 @@ def test_env_default_bound(monkeypatch, capsys):
     assert json.loads(out)["bound"] == 2
 
 
+def test_check_eq_folds_its_equation_for_a_bound_only_when_it_uses_one(monkeypatch, capsys):
+    folded = []
+    monkeypatch.setattr(cli, "default_chang_bound",
+                        lambda eq, fold=cli.default_chang_bound: folded.append(eq) or fold(eq))
+
+    def details(*argv):
+        code, out, _ = run(["check-eq", "x (+) y = y (+) x", *argv], capsys)
+        assert code == 0
+        return json.loads(out).get("details")
+    assert details("--algebra", "chain:4") is None
+    assert details("--algebra", "prod:chain:2,chain:3") is None
+    assert details("--algebra", "chang", "--bound", "3") == {"bound": 3}
+    monkeypatch.setenv("MVTROP_DEFAULT_BOUND", "2")
+    assert details("--algebra", "chang") == {"bound": 2}
+    assert folded == []
+    monkeypatch.delenv("MVTROP_DEFAULT_BOUND")
+    assert details("--algebra", "chang") == {"bound": 4} and len(folded) == 1  # 2 · 2 symbols
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["check-eq", 5, "--algebra", "chain:3"], "argument 2 is int 5, not a str"),
+    (["check-eq", None, "--algebra", "chain:3"], "argument 2 is NoneType None, not a str"),
+    ([["x"]], "argument 1 is list ['x'], not a str")], ids=["int", "None", "list"])
+def test_a_token_that_is_not_a_str_is_refused_before_any_parsing(argv, message, monkeypatch,
+                                                                 capsys):
+    for name in ("_plain", "_parser"):
+        monkeypatch.setattr(cli, name, lambda *a: pytest.fail("the line was parsed"))
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"mvtrop: {message}\n")
+
+
 def test_usage_errors_exit_2(capsys):
     assert run(["frobnicate"], capsys)[0] == 2
     assert run(["theta"], capsys)[0] == 2

@@ -12,12 +12,14 @@ error or a slot bound to the wrong variable shows.
 ``Law.on`` is also tested on its own: a false premise makes an instance hold,
 the premises run only when the conclusion fails, an arity-0 law runs once, the
 slots follow the sorted variables, a product decided factor by factor on a
-quasi-identity gives the report of the plain walk, a table is compiled once on
-a cached payload record, and a failing suite axiom is witnessed through its own
-equation.
+quasi-identity gives the report of the plain walk, each law is compiled once
+per check on the record walked and no law built for one call outlives it, and
+a failing suite axiom is witnessed through its own equation.
 """
 
+import gc
 import itertools
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -29,6 +31,7 @@ from mvtrop.algebra import (_MV_AXIOMS, PayloadOps, check_identities, enumerate_
                             int_record, payload_ops)
 from mvtrop.jsonio import parse_algebra_shorthand
 import mvtrop.algebra as algebra
+from mvtrop.cli import main
 import mvtrop.logic as logic
 from mvtrop.logic import _SUITE, LUKASIEWICZ_AXIOMS, Valuation, axiom_suite, evaluate
 from mvtrop.report import Instances, Law, check_laws
@@ -188,22 +191,45 @@ def test_a_product_decided_on_a_quasi_identity_is_the_plain_walk(A, law):
     assert check_identities(A, [law], None, 50, 2) == _walk(A, [law], None, 50, 2)
 
 
-def test_a_table_is_compiled_once_per_cached_payload_record(monkeypatch):
-    A = parse_algebra_shorthand("chain:7")
-    first = check_identities(A, _MV_AXIOMS)
-    compiled = []
+@pytest.fixture
+def compiled(monkeypatch):
+    """The (law, record) of every ``Law.on`` from here on."""
+    calls = []
 
     def counted(self, ops, on=Law.on):
-        compiled.append(self.name)
+        calls.append((self, ops))
         return on(self, ops)
     monkeypatch.setattr(Law, "on", counted)
-    assert check_identities(A, _MV_AXIOMS) == first
-    assert compiled == []
-    law = Law("equation", parse_equation("x (+) y = y (+) x"))  # a new law is compiled
-    assert check_identities(A, [law]).ok and compiled == ["equation"]
+    return calls
+
+
+def test_each_law_is_compiled_once_per_check_on_the_record_walked(compiled):
+    A = parse_algebra_shorthand("chain:7")
+    first = check_identities(A, _MV_AXIOMS)
+    for _ in range(2):  # the same laws on the same record: compiled again, once each
+        compiled.clear()
+        assert check_identities(A, _MV_AXIOMS) == first
+        assert compiled == [(law, payload_ops(A)) for law in _MV_AXIOMS]
     compiled.clear()
     check_identities(parse_algebra_shorthand("prod:chain:7,chain:7"), _MV_AXIOMS)
-    assert compiled == [law.name for law in _MV_AXIOMS]  # on the leaf's int record
+    assert [law for law, _ in compiled] == _MV_AXIOMS
+    assert {ops.one for _, ops in compiled} == {6}  # the leaf's int record, L_7 on 0..6
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-eq", "x (+) y = y (+) x", "--algebra", "chain:5"],
+    ["check-eq", "x (+) y = y (+) x", "--algebra", "chang"],
+    ["tautology", "x -> x", "--algebra", "chain:4"],
+    ["vc-member", "--algebra", "prod:chain:2,chain:2"]],
+    ids=["check-eq-chain", "check-eq-chang", "tautology", "vc-member-product"])
+def test_no_law_built_for_one_call_outlives_it(compiled, argv, capsys):
+    for _ in range(2):
+        assert main(argv) == 0
+    built = [weakref.ref(law) for law, _ in compiled]
+    assert len(built) == 2
+    del compiled[:]
+    gc.collect()
+    assert [ref() for ref in built] == [None, None]
 
 
 @pytest.mark.parametrize("first", range(4))
