@@ -66,13 +66,13 @@ import operator
 import random
 import sys
 from fractions import Fraction
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
 from .errors import DomainError, ModeError, StructuralError, UsageError
 from .groups import (TRIVIAL, LexZG, LGroup, QSubgroup, Z, group_coerce,
                      require_members)
 from .rationals import dumps, parse_integer, parse_rational, rational_str
-from .report import CheckReport, Instances, Law, axiom_witness, check_laws
+from .report import CheckReport, Instances, Law, axiom_witness, check_laws, check_over
 from .terms import parse_equation
 from .value import Value, set_field
 
@@ -643,8 +643,8 @@ def check_identities(A: MvAlgebra, laws: list[Law], bound: int | None = None,
     product factor by factor.  Each law is compiled once per check, on the record
     walked: the payload record of a leaf walked in full, else an int record.
 
-    Every ``Law`` is an identity or a quasi-identity (a Horn sentence: premises
-    that are equations, one equation as conclusion).  Such a law holds on all
+    Every ``Law`` is an identity or a quasi-identity (a Horn sentence per
+    equation of its conclusion, each under the premises).  Such a law holds on all
     tuples of a product of pools iff it holds on all tuples of each pool
     (Birkhoff: varieties and quasivarieties are closed under products), and
     the pool of a product, bounded or not, is the product of its factors'
@@ -675,7 +675,7 @@ def check_identities(A: MvAlgebra, laws: list[Law], bound: int | None = None,
     ops, values, decode = record
     source = Instances(values.tuples, mode, bound, len(values))
     for leaf_ops, leaf_values, _ in values.leaves.values():  # the records walked just now
-        if not check_laws([law.on(leaf_ops) for law in laws], Instances.over(leaf_values)).ok:
+        if not check_over(laws, leaf_ops, leaf_values).ok:
             return _decoded(check_laws([law.on(ops) for law in laws], source), decode)
     return source.clean(sum(source.count(len(law.slots)) for law in laws))
 
@@ -718,16 +718,3 @@ def check_mv_axioms(A: MvAlgebra, mode: str = "exhaustive", *,
     sampled = (bound, samples, seed) if mode == "sampled" else ()
     return check_identities(A, _MV_AXIOMS, *sampled).shaped(
         lambda name, instance: axiom_witness(name, [MvElement(A, p) for p in instance]))
-
-
-def check_axioms_over(elements: Iterable, oplus: Callable, neg: Callable,
-                      zero_el, one_el) -> CheckReport:
-    """Run the MV axiom suite against explicitly supplied operations.
-
-    Every tuple of ``elements`` is tried.  Exercised by tests as a negative
-    control: feed a corrupted operation table and the counterexample must
-    surface.
-    """
-    ops = PayloadOps(oplus, neg, zero_el, one_el, None, None, None)
-    return check_laws([law.on(ops) for law in _MV_AXIOMS],
-                      Instances.over(elements)).shaped(axiom_witness)

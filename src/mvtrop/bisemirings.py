@@ -10,18 +10,22 @@ positive cone of an ℓ-group together with an absorbing top element; it is how
 θ of a perfect algebra is packaged.  Like every ordered structure it carries
 one ops record (see ``groups``), and the cone operations are that record's,
 checked.
+
+The ℓ-bisemiring axioms, a bounded distributive lattice (S, ∧, ∨, 0, 1) and
+idempotent commutative semirings (S, ∧, 0, 1, ⊕) and (S, ∨, 0, 1, ⊙), are a
+table of ``report.Law``s, which ``check_lbisemiring`` runs on an ops record.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable
 
-from .algebra import (MvAlgebra, MvElement, PayloadOps, int_record, one,
-                      payload_ops, zero)
+from .algebra import MvAlgebra, MvElement, PayloadOps, int_record, payload_ops
 from .errors import MalformedInputError, StructuralError
 from .groups import (TOP, GroupOps, LGroup, OrderedStructure, checked_operation,
                      group_positive_cone)
-from .report import CheckReport, Instances, axiom_witness, check_laws
+from .report import CheckReport, Instances, Law, check_laws, check_over
+from .terms import parse_equation
 from .value import Value, set_field
 
 
@@ -121,15 +125,20 @@ def cone_elements(T: TopCone, bound: int) -> list:
 # ---------------------------------------------------------------------------
 # Closure, and the ℓ-bisemiring axiom suite over an explicit finite carrier.
 
+def bisemiring_operations(ops) -> list[tuple]:
+    """``(name, operation)`` for ⊕, ⊙, ∧ and ∨ of the record ops, in that order."""
+    return [(name, getattr(ops, name)) for name in ("oplus", "odot", "meet", "join")]
+
+
 def closure_laws(operations, member: Callable) -> list[tuple]:
     """One law per ``(name, operation)``: the operation of any pair satisfies member."""
     return [(name, 2, lambda x, y, op=op: member(op(x, y))) for name, op in operations]
 
 
-def check_closed(elements: list, operations, show: Callable) -> int:
-    """Raise MalformedInputError at the first pair whose result under one of the
-    operations lies outside elements, printed by ``show``; else count the pairs."""
-    report = check_laws(closure_laws(operations, set(elements).__contains__),
+def check_closed(elements: list, ops, show: Callable) -> int:
+    """Raise MalformedInputError at the first pair whose ⊕, ⊙, ∧ or ∨ on the record
+    ops lies outside elements, printed by ``show``; else count the pairs."""
+    report = check_laws(closure_laws(bisemiring_operations(ops), set(elements).__contains__),
                         Instances.over(elements))
     if not report.ok:
         name, (x, y) = report.witness
@@ -137,58 +146,44 @@ def check_closed(elements: list, operations, show: Callable) -> int:
     return report.checked
 
 
-def check_lbisemiring(elements, *, oplus, odot, meet, join, zero_el, one_el) -> CheckReport:
-    """Exhaustively verify the ℓ-bisemiring axioms on a finite carrier.
+_LBISEMIRING_AXIOMS = [Law(name, tuple(map(parse_equation, texts))) for name, *texts in (
+    ("meet_commutative", "x /\\ y = y /\\ x"),
+    ("join_commutative", "x \\/ y = y \\/ x"),
+    ("meet_associative", "(x /\\ y) /\\ z = x /\\ (y /\\ z)"),
+    ("join_associative", "(x \\/ y) \\/ z = x \\/ (y \\/ z)"),
+    ("meet_idempotent", "x /\\ x = x"),
+    ("join_idempotent", "x \\/ x = x"),
+    ("absorption", "x /\\ (x \\/ y) = x", "x \\/ (x /\\ y) = x"),
+    ("zero_bottom", "x \\/ 0 = x"),
+    ("one_top", "x /\\ 1 = x"),
+    ("lattice_distributive", "x /\\ (y \\/ z) = (x /\\ y) \\/ (x /\\ z)"),
+    ("oplus_associative", "(x (+) y) (+) z = x (+) (y (+) z)"),
+    ("oplus_commutative", "x (+) y = y (+) x"),
+    ("oplus_zero_neutral", "x (+) 0 = x"),
+    ("oplus_distributes_over_meet", "x (+) (y /\\ z) = (x (+) y) /\\ (x (+) z)"),
+    ("one_absorbs_oplus", "x (+) 1 = 1"),
+    ("odot_associative", "(x (.) y) (.) z = x (.) (y (.) z)"),
+    ("odot_commutative", "x (.) y = y (.) x"),
+    ("odot_one_neutral", "x (.) 1 = x"),
+    ("odot_distributes_over_join", "x (.) (y \\/ z) = (x (.) y) \\/ (x (.) z)"),
+    ("zero_absorbs_odot", "x (.) 0 = 0"),
+)]
 
-    Clauses: (S, ∧, ∨, 0, 1) is a bounded distributive lattice; (S, ∧, 0, 1, ⊕)
-    and (S, ∨, 0, 1, ⊙) are idempotent commutative semirings (⊕ distributes
-    over ∧ with 1 absorbing; ⊙ distributes over ∨ with 0 absorbing).  Raises
-    MalformedInputError when the carrier misses a constant or is not closed.
-    """
+
+def check_lbisemiring(elements, ops: PayloadOps, show: Callable = lambda p: p) -> CheckReport:
+    """Exhaustively verify the ℓ-bisemiring axioms on a finite carrier under the record
+    ops, shown by ``show``; MalformedInputError if it misses 0 or 1 or is not closed."""
     elems = list(elements)
-    eset = set(elems)
-    if zero_el not in eset or one_el not in eset:
+    if ops.zero not in elems or ops.one not in elems:
         raise MalformedInputError("carrier must contain 0 and 1")
-    if zero_el == one_el:
+    if ops.zero == ops.one:
         raise MalformedInputError("0 = 1 violates the bounded lattice axioms")
-    check_closed(elems, (("oplus", oplus), ("odot", odot), ("meet", meet), ("join", join)), repr)
-
-    laws = [
-        ("meet_commutative", 2, lambda x, y: meet(x, y) == meet(y, x)),
-        ("join_commutative", 2, lambda x, y: join(x, y) == join(y, x)),
-        ("meet_associative", 3, lambda x, y, z: meet(meet(x, y), z) == meet(x, meet(y, z))),
-        ("join_associative", 3, lambda x, y, z: join(join(x, y), z) == join(x, join(y, z))),
-        ("meet_idempotent", 1, lambda x: meet(x, x) == x),
-        ("join_idempotent", 1, lambda x: join(x, x) == x),
-        ("absorption", 2, lambda x, y: meet(x, join(x, y)) == x and join(x, meet(x, y)) == x),
-        ("zero_bottom", 1, lambda x: join(x, zero_el) == x),
-        ("one_top", 1, lambda x: meet(x, one_el) == x),
-        ("lattice_distributive", 3,
-         lambda x, y, z: meet(x, join(y, z)) == join(meet(x, y), meet(x, z))),
-        ("oplus_associative", 3, lambda x, y, z: oplus(oplus(x, y), z) == oplus(x, oplus(y, z))),
-        ("oplus_commutative", 2, lambda x, y: oplus(x, y) == oplus(y, x)),
-        ("oplus_zero_neutral", 1, lambda x: oplus(x, zero_el) == x),
-        ("oplus_distributes_over_meet", 3,
-         lambda x, y, z: oplus(x, meet(y, z)) == meet(oplus(x, y), oplus(x, z))),
-        ("one_absorbs_oplus", 1, lambda x: oplus(x, one_el) == one_el),
-        ("odot_associative", 3, lambda x, y, z: odot(odot(x, y), z) == odot(x, odot(y, z))),
-        ("odot_commutative", 2, lambda x, y: odot(x, y) == odot(y, x)),
-        ("odot_one_neutral", 1, lambda x: odot(x, one_el) == x),
-        ("odot_distributes_over_join", 3,
-         lambda x, y, z: odot(x, join(y, z)) == join(odot(x, y), odot(x, z))),
-        ("zero_absorbs_odot", 1, lambda x: odot(x, zero_el) == zero_el),
-    ]
-    return check_laws(laws, Instances.over(elems)).shaped(axiom_witness)
+    check_closed(elems, ops, lambda p: repr(show(p)))
+    return check_over(_LBISEMIRING_AXIOMS, ops, elems, show)
 
 
 def check_lbisemiring_of(S: Bisemiring, bound: int | None = None) -> CheckReport:
     """Run the axiom suite on a Bisemiring with a finite carrier, on the host's
     payload record once the carrier has been checked to lie in the host."""
-    A, ops = S.host, payload_ops(S.host)
-
-    def lift(op):
-        return lambda x, y: MvElement(A, op(x.payload, y.payload))
-    return check_lbisemiring(
-        [MvElement(A, p) for p in S.payloads(bound)],
-        oplus=lift(ops.oplus), odot=lift(ops.odot), meet=lift(ops.meet), join=lift(ops.join),
-        zero_el=zero(A), one_el=one(A))
+    A = S.host
+    return check_lbisemiring(S.payloads(bound), payload_ops(A), lambda p: MvElement(A, p))

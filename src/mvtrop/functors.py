@@ -15,7 +15,8 @@ from .algebra import (DeltaOf, FiniteChain, MvAlgebra, MvElement,
                       ProductAlgebra, element, element_str, enumerate_payloads,
                       int_record, leaf_factors, mv_neg, mv_oplus, one,
                       payload_ops, record_shape, zero)
-from .bisemirings import TOP, Bisemiring, TopCone, check_closed, closure_laws
+from .bisemirings import (TOP, Bisemiring, TopCone, bisemiring_operations,
+                          check_closed, closure_laws)
 from .errors import (BrokenHomomorphismError, DomainError, MalformedInputError,
                      UnsupportedRepresentationError)
 from .groups import (BOTTOM, Integers, LexZG, LGroup, TropOfGroup, group_coerce,
@@ -173,10 +174,6 @@ def glue_boolean_perfect(B: MvAlgebra, P: MvAlgebra) -> MvAlgebra:
     return ProductAlgebra((FiniteChain(2),) * (k - 1) + (P,))
 
 
-def _lattice(ops) -> list[tuple]:
-    return [(name, getattr(ops, name)) for name in ("oplus", "odot", "meet", "join")]
-
-
 def _inf_bool(elems: list, ops) -> tuple[list, list]:
     """Inf(S), the payloads with x⊙x = 0, and Bool(S), those with x⊙x = x, in order."""
     odot, z = ops.odot, ops.zero
@@ -200,7 +197,7 @@ def recognize_theta_image(S: Bisemiring) -> CheckReport:
     if z not in elems or o not in elems:
         raise MalformedInputError(
             "carrier must contain distinct 0 and 1 (a one-element input collapses 0 = 1)")
-    closure_checked = check_closed(elems, _lattice(ops), lambda p: element_str(MvElement(A, p)))
+    closure_checked = check_closed(elems, ops, lambda p: element_str(MvElement(A, p)))
     inf_set, bool_set = map(set, _inf_bool(elems, ops))
     # Bool(S) = S forces Inf(S) = {0}; the radical conditions are then vacuous
     # and it remains to confirm Bool(S) is a Boolean algebra under ⊕/⊙.  On
@@ -234,6 +231,7 @@ def theta_image_conditions(S: Bisemiring, bound: int | None = None) -> CheckRepo
     A, ops = S.host, payload_ops(S.host)
     oplus, odot, z, o = ops.oplus, ops.odot, ops.zero, ops.one
     inf_set, bool_set = _inf_bool(elems, ops)
+    operations = bisemiring_operations(ops)
 
     def shown(payloads):
         return [MvElement(A, p) for p in payloads]
@@ -244,14 +242,14 @@ def theta_image_conditions(S: Bisemiring, bound: int | None = None) -> CheckRepo
             "condition": condition, "operation": name, "elements": shown(pair)})
 
     def phases():  # run lazily, in order, until one fails
-        yield closure("inf_closure", _lattice(ops), lambda r: odot(r, r) == z, inf_set)
+        yield closure("inf_closure", operations, lambda r: odot(r, r) == z, inf_set)
         downward = ("inf_downward", 2, lambda w, x: odot(w, w) == z or not ops.leq(w, x))
         pairs = Instances(lambda _: ((w, x) for x in inf_set for w in elems))
         yield check_laws([downward], pairs).shaped(
             lambda _, pair: {"condition": "inf_downward", "elements": shown(pair)})
         if z not in bool_set or o not in bool_set:
             yield CheckReport(COUNTEREXAMPLE, 0, {"condition": "bool_constants"})
-        yield closure("bool_closure", _lattice(ops)[:2], lambda r: odot(r, r) == r, bool_set)
+        yield closure("bool_closure", operations[:2], lambda r: odot(r, r) == r, bool_set)
         complemented = ("bool_complement", 1,
                         lambda x: any(oplus(x, y) == o and odot(x, y) == z for y in bool_set))
         yield check_laws([complemented], Instances.over(bool_set)).shaped(

@@ -1,5 +1,6 @@
 """Verification outcomes shared by all checkers, the one engine that checks laws,
-and ``Law``, an equational law as data, compiled on the record a check walks."""
+``Law``, an equational law as data, compiled on the record a check walks, and
+``check_over``, which runs a table of Laws on explicit operations and elements."""
 
 from __future__ import annotations
 
@@ -99,12 +100,15 @@ def check_laws(laws: Iterable[tuple], source: Instances) -> CheckReport:
 
 
 class Law(Value, eq=False):
-    """A Horn sentence over equations: ``conclusion`` holds wherever all of
-    ``premises`` do (an identity has none).  Its slots, fixed when it is built,
-    are its sorted variables, bound in that order; a law hashes by identity."""
+    """A Horn sentence over equations: ``conclusion``, one ``Equation`` or a tuple
+    of them (their conjunction), holds wherever all of ``premises`` do (an
+    identity has none).  A conjunction under shared premises is one Horn clause
+    per conjunct, so a law holds on a product iff it holds on each factor
+    (Birkhoff: quasivarieties are closed under products).  Its slots are its
+    sorted variables, bound in that order; a law hashes by identity."""
 
-    def __init__(self, name: str, conclusion: Equation, premises: tuple[Equation, ...] = ()):
-        names = set().union(*[e.variables() for e in (conclusion, *premises)])
+    def __init__(self, name: str, conclusion: Equation | tuple, premises: tuple = ()):
+        names = set().union(*[e.variables() for e in (*conclusion, *premises)])
         set_field(self, "name", name)
         set_field(self, "conclusion", conclusion)
         set_field(self, "premises", premises)
@@ -112,8 +116,20 @@ class Law(Value, eq=False):
 
     def on(self, ops) -> tuple:
         """The ``(name, arity, holds)`` of ``check_laws``, compiled on the record
-        ``ops``; ``holds`` tests the premises only when the conclusion fails."""
-        (lhs, rhs), *premises = [[compile_term(t, ops, self.slots) for t in (e.lhs, e.rhs)]
-                                 for e in (self.conclusion, *self.premises)]
+        ``ops``; ``holds`` tests the premises only when the conclusion fails.  A
+        conjunction compares the tuples of its equations' sides."""
+        sides = [[compile_term(t, ops, self.slots) for t in (e.lhs, e.rhs)]
+                 for e in (*self.conclusion, *self.premises)]
+        k = len(sides) - len(self.premises)  # the conclusion's equations come first
+        lhs, rhs = sides[0] if k == 1 else [
+            lambda env, fs=fs: tuple([f(env) for f in fs]) for fs in zip(*sides[:k])]
+        premises = sides[k:]
         return self.name, len(self.slots), lambda *env: lhs(env) == rhs(env) or not all(
             p(env) == q(env) for p, q in premises)
+
+
+def check_over(laws: Iterable[Law], ops, elements: Iterable, show: Callable = lambda p: p):
+    """Each Law of laws, compiled on the record ops, on every tuple of elements in
+    canonical order; a failure's witness is its ``axiom_witness``, shown by ``show``."""
+    return check_laws([law.on(ops) for law in laws], Instances.over(elements)).shaped(
+        lambda name, instance: axiom_witness(name, [show(p) for p in instance]))

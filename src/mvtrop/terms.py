@@ -238,6 +238,9 @@ class Equation(Value):
     def variables(self) -> set[str]:
         return variables(self.lhs) | variables(self.rhs)
 
+    def __iter__(self):  # an equation is the conjunction of itself alone (``report.Law``)
+        return iter((self,))
+
 
 def parse_equation(text: str) -> Equation:
     """Parse "lhs = rhs"."""

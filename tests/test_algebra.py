@@ -6,8 +6,8 @@ import pytest
 
 from conftest import (chang_fragment, chang_neg, chang_oplus, luk_neg, luk_oplus,
                       reference_listing)
-from mvtrop.algebra import (CHANG, DeltaOf, FiniteChain, ProductAlgebra,
-                            RationalInterval, carrier_size, check_axioms_over,
+from mvtrop.algebra import (_MV_AXIOMS, CHANG, DeltaOf, FiniteChain, PayloadOps,
+                            ProductAlgebra, RationalInterval, carrier_size,
                             check_mv_axioms, element, enumerate_elements,
                             enumerate_payloads, is_boolean_elem, is_infinitesimal_elem, mv_implies,
                             mv_join, mv_leq, mv_meet, mv_neg, mv_odot,
@@ -16,6 +16,7 @@ from mvtrop.algebra import (CHANG, DeltaOf, FiniteChain, ProductAlgebra,
 from mvtrop.characteristics import CHI_Q, INF, characteristic
 from mvtrop.errors import DomainError, ModeError, StructuralError
 from mvtrop.groups import TRIVIAL, LexZG, Z, qsubgroup
+from mvtrop.report import check_over
 
 L2 = FiniteChain(2)
 L3 = FiniteChain(3)
@@ -331,14 +332,18 @@ def test_corrupted_operation_table_is_caught():
     def bad_oplus(x, y):  # drops the truncation, leaving [0,1]
         return x + y
 
-    report = check_axioms_over(elems, bad_oplus, luk_neg, Fraction(0), Fraction(1))
+    def axioms_over(oplus, neg):
+        ops = PayloadOps(oplus, neg, Fraction(0), Fraction(1), None, None, None)
+        return check_over(_MV_AXIOMS, ops, elems)
+
+    report = axioms_over(bad_oplus, luk_neg)
     assert report.verdict == "counterexample"
     assert report.witness["axiom"] in ("one_absorbing", "lukasiewicz_exchange")
 
     def skew_neg(x):  # breaks the involution
         return Fraction(0) if x == 1 else Fraction(1) - x / 2
 
-    report = check_axioms_over(elems, luk_oplus, skew_neg, Fraction(0), Fraction(1))
+    report = axioms_over(luk_oplus, skew_neg)
     assert report.verdict == "counterexample"
 
 

@@ -490,11 +490,12 @@ def test_a_closed_stdout_is_a_usage_error_without_a_traceback():
     """A reader that stops after 10 of some 1.3 MB closes the pipe mid-write."""
     env = dict(os.environ, PYTHONPATH=str(Path(mvtrop.__file__).resolve().parents[1]))
     argv = [sys.executable, "-m", "mvtrop.cli", "export", "--algebra", "chain:300"]
-    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-    head = proc.stdout.read(10)
-    proc.stdout.close()
-    err = proc.stderr.read().decode()
-    assert (head, proc.wait(timeout=60)) == (b'{"algebra"', 2)
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        head = proc.stdout.read(10)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        code = proc.wait(timeout=60)
+    assert (head, code) == (b'{"algebra"', 2)
     assert err == "mvtrop: cannot write stdout: Broken pipe\n"
 
 

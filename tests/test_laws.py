@@ -12,8 +12,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import luk_neg, luk_oplus
-from mvtrop.algebra import (CHANG, FiniteChain, RationalInterval,
-                            check_axioms_over, check_mv_axioms, element,
+from mvtrop.algebra import (_MV_AXIOMS, CHANG, FiniteChain, PayloadOps,
+                            RationalInterval, check_mv_axioms, element,
                             enumerate_elements, mv_odot, one, product_algebra,
                             zero)
 from mvtrop.bisemirings import Bisemiring, check_lbisemiring, check_lbisemiring_of
@@ -28,6 +28,7 @@ from mvtrop.logic import (LUKASIEWICZ_AXIOMS, axiom_suite,
                           check_equation_bounded, check_equation_finite,
                           parse_equation, tautology_check, vc_membership)
 from mvtrop.qpoints import FlatAction, check_flatness, frobenius_action
+from mvtrop.report import check_over
 from mvtrop.terms import parse
 
 L2, L3, L4, L5 = (FiniteChain(n) for n in (2, 3, 4, 5))
@@ -45,8 +46,14 @@ def _explicit(A, *payloads):
 
 
 def _chain_bisemiring(**corrupt):
-    ops = dict(oplus=max, odot=min, meet=min, join=max, zero_el=0, one_el=2)
-    return check_lbisemiring([0, 1, 2], **{**ops, **corrupt})
+    op = {**dict(oplus=max, odot=min, meet=min, join=max), **corrupt}
+    ops = PayloadOps(op["oplus"], None, 0, 2, None, op["join"], op["meet"], odot=op["odot"])
+    return check_lbisemiring([0, 1, 2], ops)
+
+
+def _axioms_over(oplus, neg):  # the MV axioms on HALVES under explicit operations
+    ops = PayloadOps(oplus, neg, Fraction(0), Fraction(1), None, None, None)
+    return check_over(_MV_AXIOMS, ops, HALVES)
 
 
 def _chang_cube(x):  # preserves ¬ and the constants but not ⊕
@@ -64,13 +71,10 @@ CASES = {
         CHANG, "sampled", samples=200, seed=5, bound=4),
     "mv_axioms/interval/sampled": lambda: check_mv_axioms(
         RationalInterval(), "sampled", samples=50, seed=1, bound=6),
-    "axioms_over/halves": lambda: check_axioms_over(
-        HALVES, luk_oplus, luk_neg, Fraction(0), Fraction(1)),
-    "axioms_over/corrupted_oplus": lambda: check_axioms_over(
-        HALVES, lambda x, y: x + y, luk_neg, Fraction(0), Fraction(1)),
-    "axioms_over/corrupted_neg": lambda: check_axioms_over(
-        HALVES, luk_oplus, lambda x: Fraction(0) if x == 1 else 1 - x / 2,
-        Fraction(0), Fraction(1)),
+    "axioms_over/halves": lambda: _axioms_over(luk_oplus, luk_neg),
+    "axioms_over/corrupted_oplus": lambda: _axioms_over(lambda x, y: x + y, luk_neg),
+    "axioms_over/corrupted_neg": lambda: _axioms_over(
+        luk_oplus, lambda x: Fraction(0) if x == 1 else 1 - x / 2),
     # ℓ-bisemiring axioms
     "lbisemiring/theta(chain:2)": lambda: check_lbisemiring_of(theta(L2)),
     "lbisemiring/theta(chain:2xchain:2)": lambda: check_lbisemiring_of(theta(L2L2)),
@@ -81,6 +85,10 @@ CASES = {
     "lbisemiring/corrupted_odot": lambda: _chain_bisemiring(odot=lambda x, y: 0),
     "lbisemiring/truncated_sum": lambda: _chain_bisemiring(oplus=lambda x, y: min(x + y, 2)),
     "lbisemiring/corrupted_join": lambda: _chain_bisemiring(join=min),
+    "lbisemiring/absorption_first_fails": lambda: _chain_bisemiring(
+        meet=lambda x, y: x if x == y else 0),
+    "lbisemiring/absorption_second_fails": lambda: _chain_bisemiring(
+        join=lambda x, y: x if x == y else 2),
     # equations, V(C) membership
     "equation/chain:3/commutative": lambda: check_equation_finite(
         parse_equation("x (+) y = y (+) x"), L3),
@@ -224,6 +232,10 @@ EXPECTED = {
         ('returns', None),
     'homomorphism/squaring':
         ('raises', 'BrokenHomomorphismError', 'square does not preserve negation at 1/2'),
+    'lbisemiring/absorption_first_fails':
+        ('counterexample', 84, 'exhaustive', "{'axiom': 'absorption', 'elements': [1, 2]}", '{}'),
+    'lbisemiring/absorption_second_fails':
+        ('counterexample', 82, 'exhaustive', "{'axiom': 'absorption', 'elements': [1, 0]}", '{}'),
     'lbisemiring/corrupted_join':
         ('counterexample', 82, 'exhaustive', "{'axiom': 'absorption', 'elements': [1, 0]}", '{}'),
     'lbisemiring/corrupted_odot':

@@ -1,24 +1,28 @@
-"""Laws as data: the MV axioms and modus ponens against the closures they replaced.
+"""Laws as data: the MV axioms, modus ponens and the ℓ-bisemiring axioms
+against the closures they replaced.
 
-``algebra._MV_AXIOMS`` and the modus ponens of ``logic._SUITE`` are
-``report.Law``s, Horn sentences over equations compiled on whichever record a
-check walks.  The closures below are the hand-written laws they replaced, kept
-here as an independent reference.  Each compiled law must have its closure's
-name and arity and agree with it on every instance of every record tried: the
-payload and int records of each kind, valid or not, and random operation
-tables, on which a law holds or fails instance by instance, so a transcription
-error or a slot bound to the wrong variable shows.
+``algebra._MV_AXIOMS``, the modus ponens of ``logic._SUITE`` and
+``bisemirings._LBISEMIRING_AXIOMS`` are ``report.Law``s, Horn sentences over
+equations compiled on whichever record a check walks.  The closures below are
+the hand-written laws they replaced, kept here as an independent reference.
+Each compiled law must have its closure's name and arity and agree with it on
+every instance of every record tried: the payload and int records of each
+kind, valid or not, and random ⊕, ⊙, ¬, ∧ and ∨ tables, on which a law holds
+or fails instance by instance, so a transcription error or a slot bound to the
+wrong variable shows.
 
 ``Law.on`` is also tested on its own: a false premise makes an instance hold,
-the premises run only when the conclusion fails, an arity-0 law runs once, the
-slots follow the sorted variables, a product decided factor by factor on a
-quasi-identity gives the report of the plain walk, each law is compiled once
-per check on the record walked and no law built for one call outlives it, and
-a failing suite axiom is witnessed through its own equation.
+the premises run only when the conclusion fails, a conjunction fails when
+either of its equations does, an arity-0 law runs once, the slots follow the
+sorted variables, a product decided factor by factor on a quasi-identity,
+conjunctive or not, gives the report of the plain walk, each law is compiled
+once per check on the record walked and no law built for one call outlives it,
+and a failing suite axiom is witnessed through its own equation.
 """
 
 import gc
 import itertools
+import operator
 import weakref
 from fractions import Fraction
 
@@ -29,6 +33,7 @@ from hypothesis import strategies as st
 from conftest import luk_neg, luk_oplus
 from mvtrop.algebra import (_MV_AXIOMS, PayloadOps, check_identities, enumerate_payloads,
                             int_record, payload_ops)
+from mvtrop.bisemirings import _LBISEMIRING_AXIOMS
 from mvtrop.jsonio import parse_algebra_shorthand
 import mvtrop.algebra as algebra
 from mvtrop.cli import main
@@ -51,6 +56,37 @@ def mv_axiom_closures(ops):
         ("neg_zero_is_one", 0, lambda: neg(zero_el) == one_el),
         ("lukasiewicz_exchange", 2,
          lambda x, y: oplus(neg(oplus(neg(x), y)), y) == oplus(neg(oplus(neg(y), x)), x)),
+    ]
+
+
+def lbisemiring_axiom_closures(ops):
+    """The ℓ-bisemiring axioms as the closures the ``Law`` table replaced, in its order."""
+    oplus, odot, meet, join, zero_el, one_el = (ops.oplus, ops.odot, ops.meet, ops.join,
+                                                ops.zero, ops.one)
+    return [
+        ("meet_commutative", 2, lambda x, y: meet(x, y) == meet(y, x)),
+        ("join_commutative", 2, lambda x, y: join(x, y) == join(y, x)),
+        ("meet_associative", 3, lambda x, y, z: meet(meet(x, y), z) == meet(x, meet(y, z))),
+        ("join_associative", 3, lambda x, y, z: join(join(x, y), z) == join(x, join(y, z))),
+        ("meet_idempotent", 1, lambda x: meet(x, x) == x),
+        ("join_idempotent", 1, lambda x: join(x, x) == x),
+        ("absorption", 2, lambda x, y: meet(x, join(x, y)) == x and join(x, meet(x, y)) == x),
+        ("zero_bottom", 1, lambda x: join(x, zero_el) == x),
+        ("one_top", 1, lambda x: meet(x, one_el) == x),
+        ("lattice_distributive", 3,
+         lambda x, y, z: meet(x, join(y, z)) == join(meet(x, y), meet(x, z))),
+        ("oplus_associative", 3, lambda x, y, z: oplus(oplus(x, y), z) == oplus(x, oplus(y, z))),
+        ("oplus_commutative", 2, lambda x, y: oplus(x, y) == oplus(y, x)),
+        ("oplus_zero_neutral", 1, lambda x: oplus(x, zero_el) == x),
+        ("oplus_distributes_over_meet", 3,
+         lambda x, y, z: oplus(x, meet(y, z)) == meet(oplus(x, y), oplus(x, z))),
+        ("one_absorbs_oplus", 1, lambda x: oplus(x, one_el) == one_el),
+        ("odot_associative", 3, lambda x, y, z: odot(odot(x, y), z) == odot(x, odot(y, z))),
+        ("odot_commutative", 2, lambda x, y: odot(x, y) == odot(y, x)),
+        ("odot_one_neutral", 1, lambda x: odot(x, one_el) == x),
+        ("odot_distributes_over_join", 3,
+         lambda x, y, z: odot(x, join(y, z)) == join(odot(x, y), odot(x, z))),
+        ("zero_absorbs_odot", 1, lambda x: odot(x, zero_el) == zero_el),
     ]
 
 
@@ -82,26 +118,33 @@ RECORDS = ([r for n in range(2, 10) for r in _records(f"chain:{n}")]
            + [r for b in range(1, 4) for r in _records("delta:Z[1/2]", b)]
            + _records("prod:chain:2,chain:3") + _records("prod:chain:3,chang", 1)
            + _records("prod:interval,chain:2", 2)
-           + [("bad_oplus", PayloadOps(_bad_oplus, luk_neg, _HALVES[0], _HALVES[2], None, None,
-                                       None), _HALVES),
-              ("skew_neg", PayloadOps(luk_oplus, _skew_neg, _HALVES[0], _HALVES[2], None, None,
-                                      None), _HALVES)])
+           + [("bad_oplus", PayloadOps(_bad_oplus, luk_neg, _HALVES[0], _HALVES[2],
+                                       operator.le, max, min), _HALVES),
+              ("skew_neg", PayloadOps(luk_oplus, _skew_neg, _HALVES[0], _HALVES[2],
+                                      operator.le, max, min), _HALVES)])
 
 
 @st.composite
 def tables(draw):
-    """A random record on 0..k−1: any ⊕ table and any ¬ map, 0 and k − 1 the constants."""
+    """A random record on 0..k−1: any ⊕, ⊙, ∧ and ∨ tables and any ¬ map, 0 and
+    k − 1 the constants."""
     k = draw(st.integers(2, 4))
     cells = st.integers(0, k - 1)
-    plus = draw(st.lists(cells, min_size=k * k, max_size=k * k))
+    plus, times, meet, join = [draw(st.lists(cells, min_size=k * k, max_size=k * k))
+                               for _ in range(4)]
     neg = draw(st.lists(cells, min_size=k, max_size=k))
-    ops = PayloadOps(lambda p, q: plus[p * k + q], neg.__getitem__, 0, k - 1, None, None, None)
-    return f"table:{plus}/{neg}", ops, range(k)
+
+    def table(cells):
+        return lambda p, q: cells[p * k + q]
+    ops = PayloadOps(table(plus), neg.__getitem__, 0, k - 1, None, table(join), table(meet),
+                     odot=table(times))
+    return f"table:{plus}/{times}/{meet}/{join}/{neg}", ops, range(k)
 
 
 def assert_agree(ops, pool):
-    compiled = [law.on(ops) for law in (*_MV_AXIOMS, _SUITE[-1])]
-    expected = [*mv_axiom_closures(ops), modus_ponens_closure(ops)]
+    compiled = [law.on(ops) for law in (*_MV_AXIOMS, _SUITE[-1], *_LBISEMIRING_AXIOMS)]
+    expected = [*mv_axiom_closures(ops), modus_ponens_closure(ops),
+                *lbisemiring_axiom_closures(ops)]
     assert len(compiled) == len(expected)
     for (name, arity, holds), (ref_name, ref_arity, ref_holds) in zip(compiled, expected):
         assert (name, arity) == (ref_name, ref_arity)
@@ -156,6 +199,27 @@ def test_the_premises_run_only_when_the_conclusion_fails():
         holds(1)
 
 
+def test_a_conjunction_fails_when_either_of_its_equations_fails():
+    _, arity, holds = Law("c", (parse_equation("x = y"), parse_equation("~x = z"))).on(_L3)
+    assert arity == 3
+    assert [holds(*v) for v in itertools.product(range(3), repeat=3)] == [
+        x == y and 2 - x == z for x, y, z in itertools.product(range(3), repeat=3)]
+    assert not holds(0, 1, 2) and not holds(0, 0, 1)  # only the first, only the second fails
+
+
+def test_a_conjunction_runs_the_premises_only_when_it_fails():
+    def oplus(p, q):
+        raise AssertionError("a premise ran")
+    law = Law("q", (parse_equation("~~x = x"), parse_equation("~0 = 1")),
+              (parse_equation("x (+) x = x"),))
+    _, _, holds = law.on(PayloadOps(oplus, lambda p: 2 - p, 0, 2, None, None, None))
+    assert all(holds(x) for x in range(3))
+    for neg in ((1, 0, 2), (2, 0, 0)):  # breaks only ~0 = 1, or only ~~x = x at 1
+        _, _, holds = law.on(PayloadOps(oplus, neg.__getitem__, 0, 2, None, None, None))
+        with pytest.raises(AssertionError, match="a premise ran"):
+            holds(1)
+
+
 def test_an_arity_0_law_runs_once():
     law = Law("neg_zero_is_one", parse_equation("~0 = 1"))
     name, arity, holds = law.on(_L3)
@@ -179,7 +243,12 @@ def test_slots_are_the_sorted_variables_of_all_the_equations():
 _QUASI = [Law("complement", parse_equation("~x = y"),
               (parse_equation("x (+) y = 1"), parse_equation("x (.) y = 0"))),
           Law("booleans_are_equal", parse_equation("x = y"),
-              (parse_equation("x (+) x = x"), parse_equation("y (+) y = y")))]
+              (parse_equation("x (+) x = x"), parse_equation("y (+) y = y"))),
+          Law("complements_are_mutual", (parse_equation("~x = y"), parse_equation("~y = x")),
+              (parse_equation("x (+) y = 1"), parse_equation("x (.) y = 0"))),
+          Law("booleans_are_idempotent_and_top", (parse_equation("x (.) x = x"),
+                                                  parse_equation("x = 1")),
+              (parse_equation("x (+) x = x"),))]
 
 
 @pytest.mark.parametrize("A", PRODUCTS, ids=repr)
@@ -187,7 +256,7 @@ _QUASI = [Law("complement", parse_equation("~x = y"),
 def test_a_product_decided_on_a_quasi_identity_is_the_plain_walk(A, law):
     report = check_identities(A, [law])
     assert report == _walk(A, [law])
-    assert report.ok == (law.name == "complement")
+    assert report.ok == (law.name in ("complement", "complements_are_mutual"))
     assert check_identities(A, [law], None, 50, 2) == _walk(A, [law], None, 50, 2)
 
 
