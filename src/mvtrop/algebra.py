@@ -12,9 +12,9 @@ guard once and call into the kind.
 
 Every operation goes through one payload-ops record per descriptor
 (``payload_ops``): a kind supplies ⊕, ¬, 0 and 1 on raw payloads together with
-its order ≤, ∨ and ∧.  The record of chains and the interval
-(``_chain_ops``) states ⊙, ⊖ and → in closed form, a product takes its
-factors' own, and Δ(G)'s record derives them from ⊕ and ¬.  Every
+its order ≤, ∨ and ∧, and states ⊙, ⊖ and → in closed form: the record of
+chains and the interval (``_chain_ops``) as truncated sums, Δ(G)'s as one clamp
+of a (bit, offset) sum in Z lex G, and a product takes its factors' own.  Every
 shipped kind is an MV-chain or a finite product of MV-chains, so each knows its
 order natively.  A record is built on first use in O(number of factors), with
 no tables, and kept in a bounded cache keyed on the frozen descriptor.  The
@@ -86,13 +86,14 @@ class PayloadOps:
     """The operations of one descriptor on raw payloads.
 
     A kind supplies ⊕, ¬, 0 and 1 and its lattice order: the test ≤ and the
-    join ∨ and meet ∧ it induces.  It may also state ⊙, ⊖ and → in closed form;
-    those it leaves out are derived here from ⊕ and ¬, exactly as the
-    MV-algebra definitions read: x ⊙ y = ¬(¬x ⊕ ¬y), x ⊖ y = x ⊙ ¬y and
-    x → y = ¬x ⊕ y.  None of them checks its arguments.  ``check`` is the
-    boundary check of one payload (it raises StructuralError when a Δ(G)
-    offset lies outside G), or None when the kind needs none.  The int records
-    of ``int_record`` are ones too, on ints or tuples of them.
+    join ∨ and meet ∧ it induces.  Every shipped kind also states ⊙, ⊖ and →
+    in closed form; a record given none of them (a test's record may) derives
+    them here from ⊕ and ¬, exactly as the MV-algebra definitions read:
+    x ⊙ y = ¬(¬x ⊕ ¬y), x ⊖ y = x ⊙ ¬y and x → y = ¬x ⊕ y.  None of them checks
+    its arguments.  ``check`` is the boundary check of one payload (it raises
+    StructuralError when a Δ(G) offset lies outside G), or None when the kind
+    needs none.  The int records of ``int_record`` are ones too, on ints or
+    tuples of them.
     """
 
     __slots__ = ("oplus", "neg", "zero", "one", "check", "odot", "ominus", "implies",
@@ -278,10 +279,21 @@ class DeltaOf(MvAlgebra):
         return (bit, off)
 
     def build_ops(self) -> PayloadOps:
-        """Truncated lex addition; ≤, ∨ and ∧ are those of Z lex G."""
+        """Truncated lex addition; ≤, ∨ and ∧ are those of Z lex G; ⊙, ⊖ and →
+        in closed form, each one ``clamp`` of a sum in Z lex G.
+
+        With u = (1, 0), Γ reads x ⊕ y = (x + y) ∧ u and ¬x = u − x, so
+        x ⊙ y = ¬(¬x ⊕ ¬y) = u − ((2u − x − y) ∧ u) = (x + y − u) ∨ 0,
+        x ⊖ y = x ⊙ ¬y = (x − y) ∨ 0 and x → y = ¬x ⊕ y = (u − x + y) ∧ u.  For
+        0 ≤ x, y ≤ u the sums of ⊙ and ⊖ lie at or below u and that of → at or
+        above 0, so each is (s ∨ 0) ∧ u, the clamp of s to [0, u].  In the lex
+        order a sum s = (b, g) with b ≥ 2 lies above u, and one with b < 0 below
+        0; with b = 1 it lies above 0 and meets u in (1, g ∧ 0); with b = 0 it
+        lies below u and joins 0 in (0, g ∨ 0).  The clamp uses G's add, neg,
+        meet and join alone, so every group kind gets it."""
         G = self.group
         r, lex = G.ops, LexZG(G).ops
-        gz, add, neg, gmeet = r.zero, r.add, r.neg, r.meet
+        gz, add, neg, gmeet, gjoin = r.zero, r.add, r.neg, r.meet, r.join
 
         def oplus(p, q):
             bit = p[0] + q[0]
@@ -292,11 +304,21 @@ class DeltaOf(MvAlgebra):
                 return (1, gmeet(off, gz))
             return (1, gz)
 
+        def clamp(bit, off):  # the sum (bit, off) of Z lex G cut to [(0, 0), (1, 0)]
+            if bit == 1:
+                return (1, gmeet(off, gz))
+            if bit == 0:
+                return (0, gjoin(off, gz))
+            return (1, gz) if bit > 1 else (0, gz)
+
         def check(p):
             require_members(G, p[1])
 
         return PayloadOps(oplus, lambda p: (1 - p[0], neg(p[1])), (0, gz), (1, gz),
-                          lex.leq, lex.join, lex.meet, check)
+                          lex.leq, lex.join, lex.meet, check,
+                          odot=lambda p, q: clamp(p[0] + q[0] - 1, add(p[1], q[1])),
+                          ominus=lambda p, q: clamp(p[0] - q[0], add(p[1], neg(q[1]))),
+                          implies=lambda p, q: clamp(1 - p[0] + q[0], add(neg(p[1]), q[1])))
 
     def carrier_size(self) -> int | None:
         return 2 if self.group == TRIVIAL else None
@@ -694,15 +716,18 @@ def leaf_factors(A: MvAlgebra) -> list:
 # ---------------------------------------------------------------------------
 # MV axiom suite.
 
-_MV_AXIOMS = [Law(name, parse_equation(text)) for name, text in (
-    ("oplus_associative", "(x (+) y) (+) z = x (+) (y (+) z)"),
-    ("oplus_commutative", "x (+) y = y (+) x"),
-    ("zero_neutral", "x (+) 0 = x"),
-    ("one_absorbing", "x (+) 1 = 1"),
-    ("neg_involutive", "~~x = x"),
-    ("neg_zero_is_one", "~0 = 1"),
-    ("lukasiewicz_exchange", "~(~x (+) y) (+) y = ~(~y (+) x) (+) x"),
-)]
+@functools.cache
+def _mv_axioms() -> tuple[Law, ...]:
+    """The MV axioms as Laws, parsed on first use."""
+    return tuple([Law(name, parse_equation(text)) for name, text in (
+        ("oplus_associative", "(x (+) y) (+) z = x (+) (y (+) z)"),
+        ("oplus_commutative", "x (+) y = y (+) x"),
+        ("zero_neutral", "x (+) 0 = x"),
+        ("one_absorbing", "x (+) 1 = 1"),
+        ("neg_involutive", "~~x = x"),
+        ("neg_zero_is_one", "~0 = 1"),
+        ("lukasiewicz_exchange", "~(~x (+) y) (+) y = ~(~y (+) x) (+) x"),
+    )])
 
 
 def check_mv_axioms(A: MvAlgebra, mode: str = "exhaustive", *,
@@ -716,5 +741,5 @@ def check_mv_axioms(A: MvAlgebra, mode: str = "exhaustive", *,
     if mode not in ("exhaustive", "sampled"):
         raise DomainError(f"unknown mode {mode!r}")
     sampled = (bound, samples, seed) if mode == "sampled" else ()
-    return check_identities(A, _MV_AXIOMS, *sampled).shaped(
+    return check_identities(A, _mv_axioms(), *sampled).shaped(
         lambda name, instance: axiom_witness(name, [MvElement(A, p) for p in instance]))

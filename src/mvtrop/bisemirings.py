@@ -18,6 +18,7 @@ table of ``report.Law``s, which ``check_lbisemiring`` runs on an ops record.
 
 from __future__ import annotations
 
+import functools
 from typing import Any, Callable
 
 from .algebra import MvAlgebra, MvElement, PayloadOps, int_record, payload_ops
@@ -146,28 +147,31 @@ def check_closed(elements: list, ops, show: Callable) -> int:
     return report.checked
 
 
-_LBISEMIRING_AXIOMS = [Law(name, tuple(map(parse_equation, texts))) for name, *texts in (
-    ("meet_commutative", "x /\\ y = y /\\ x"),
-    ("join_commutative", "x \\/ y = y \\/ x"),
-    ("meet_associative", "(x /\\ y) /\\ z = x /\\ (y /\\ z)"),
-    ("join_associative", "(x \\/ y) \\/ z = x \\/ (y \\/ z)"),
-    ("meet_idempotent", "x /\\ x = x"),
-    ("join_idempotent", "x \\/ x = x"),
-    ("absorption", "x /\\ (x \\/ y) = x", "x \\/ (x /\\ y) = x"),
-    ("zero_bottom", "x \\/ 0 = x"),
-    ("one_top", "x /\\ 1 = x"),
-    ("lattice_distributive", "x /\\ (y \\/ z) = (x /\\ y) \\/ (x /\\ z)"),
-    ("oplus_associative", "(x (+) y) (+) z = x (+) (y (+) z)"),
-    ("oplus_commutative", "x (+) y = y (+) x"),
-    ("oplus_zero_neutral", "x (+) 0 = x"),
-    ("oplus_distributes_over_meet", "x (+) (y /\\ z) = (x (+) y) /\\ (x (+) z)"),
-    ("one_absorbs_oplus", "x (+) 1 = 1"),
-    ("odot_associative", "(x (.) y) (.) z = x (.) (y (.) z)"),
-    ("odot_commutative", "x (.) y = y (.) x"),
-    ("odot_one_neutral", "x (.) 1 = x"),
-    ("odot_distributes_over_join", "x (.) (y \\/ z) = (x (.) y) \\/ (x (.) z)"),
-    ("zero_absorbs_odot", "x (.) 0 = 0"),
-)]
+@functools.cache
+def _lbisemiring_axioms() -> tuple[Law, ...]:
+    """The ℓ-bisemiring axioms as Laws, parsed on first use."""
+    return tuple([Law(name, tuple(map(parse_equation, texts))) for name, *texts in (
+        ("meet_commutative", "x /\\ y = y /\\ x"),
+        ("join_commutative", "x \\/ y = y \\/ x"),
+        ("meet_associative", "(x /\\ y) /\\ z = x /\\ (y /\\ z)"),
+        ("join_associative", "(x \\/ y) \\/ z = x \\/ (y \\/ z)"),
+        ("meet_idempotent", "x /\\ x = x"),
+        ("join_idempotent", "x \\/ x = x"),
+        ("absorption", "x /\\ (x \\/ y) = x", "x \\/ (x /\\ y) = x"),
+        ("zero_bottom", "x \\/ 0 = x"),
+        ("one_top", "x /\\ 1 = x"),
+        ("lattice_distributive", "x /\\ (y \\/ z) = (x /\\ y) \\/ (x /\\ z)"),
+        ("oplus_associative", "(x (+) y) (+) z = x (+) (y (+) z)"),
+        ("oplus_commutative", "x (+) y = y (+) x"),
+        ("oplus_zero_neutral", "x (+) 0 = x"),
+        ("oplus_distributes_over_meet", "x (+) (y /\\ z) = (x (+) y) /\\ (x (+) z)"),
+        ("one_absorbs_oplus", "x (+) 1 = 1"),
+        ("odot_associative", "(x (.) y) (.) z = x (.) (y (.) z)"),
+        ("odot_commutative", "x (.) y = y (.) x"),
+        ("odot_one_neutral", "x (.) 1 = x"),
+        ("odot_distributes_over_join", "x (.) (y \\/ z) = (x (.) y) \\/ (x (.) z)"),
+        ("zero_absorbs_odot", "x (.) 0 = 0"),
+    )])
 
 
 def check_lbisemiring(elements, ops: PayloadOps, show: Callable = lambda p: p) -> CheckReport:
@@ -179,7 +183,7 @@ def check_lbisemiring(elements, ops: PayloadOps, show: Callable = lambda p: p) -
     if ops.zero == ops.one:
         raise MalformedInputError("0 = 1 violates the bounded lattice axioms")
     check_closed(elems, ops, lambda p: repr(show(p)))
-    return check_over(_LBISEMIRING_AXIOMS, ops, elems, show)
+    return check_over(_lbisemiring_axioms(), ops, elems, show)
 
 
 def check_lbisemiring_of(S: Bisemiring, bound: int | None = None) -> CheckReport:

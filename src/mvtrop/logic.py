@@ -21,6 +21,7 @@ and a failure is still the first counterexample of the full walk.
 
 from __future__ import annotations
 
+import functools
 from typing import Mapping
 
 from .algebra import CHANG, MvAlgebra, MvElement, check_identities, payload_ops
@@ -117,10 +118,14 @@ LUKASIEWICZ_AXIOMS = (
     ("axiom_4", parse("(~x -> ~y) -> (y -> x)")),
 )
 
-# Modus ponens soundness, a quasi-identity: if x → y = 1 and x = 1, then y = 1.
-_SUITE = [Law(name, Equation(axiom, CONST1)) for name, axiom in LUKASIEWICZ_AXIOMS] + [
-    Law("modus_ponens", parse_equation("y = 1"),
-        (parse_equation("x -> y = 1"), parse_equation("x = 1")))]
+
+@functools.cache
+def _suite() -> tuple[Law, ...]:
+    """The four axioms as tautologies and modus ponens soundness, a quasi-identity
+    (if x → y = 1 and x = 1, then y = 1), as Laws built on first use."""
+    return tuple([Law(name, Equation(axiom, CONST1)) for name, axiom in LUKASIEWICZ_AXIOMS] + [
+        Law("modus_ponens", parse_equation("y = 1"),
+            (parse_equation("x -> y = 1"), parse_equation("x = 1")))])
 
 
 def axiom_suite(A: MvAlgebra, *, samples: int | None = None, seed: int = 0,
@@ -134,7 +139,7 @@ def axiom_suite(A: MvAlgebra, *, samples: int | None = None, seed: int = 0,
     def witness(name, env):
         if name == "modus_ponens":
             return {"axiom": name, "valuation": _bindings(A, ("x", "y"), env)}
-        axiom = next(law.conclusion for law in _SUITE if law.name == name)
+        axiom = next(law.conclusion for law in _suite() if law.name == name)
         return {"axiom": name, **_valuation_witness(axiom, A, env)}
-    return check_identities(A, _SUITE, None if samples is None else bound,
+    return check_identities(A, _suite(), None if samples is None else bound,
                             samples, seed).shaped(witness)

@@ -1,8 +1,8 @@
 """Laws as data: the MV axioms, modus ponens and the ℓ-bisemiring axioms
 against the closures they replaced.
 
-``algebra._MV_AXIOMS``, the modus ponens of ``logic._SUITE`` and
-``bisemirings._LBISEMIRING_AXIOMS`` are ``report.Law``s, Horn sentences over
+``algebra._mv_axioms()``, the modus ponens of ``logic._suite()`` and
+``bisemirings._lbisemiring_axioms()`` are ``report.Law``s, Horn sentences over
 equations compiled on whichever record a check walks.  The closures below are
 the hand-written laws they replaced, kept here as an independent reference.
 Each compiled law must have its closure's name and arity and agree with it on
@@ -31,14 +31,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import luk_neg, luk_oplus
-from mvtrop.algebra import (_MV_AXIOMS, PayloadOps, check_identities, enumerate_payloads,
+from mvtrop.algebra import (_mv_axioms, PayloadOps, check_identities, enumerate_payloads,
                             int_record, payload_ops)
-from mvtrop.bisemirings import _LBISEMIRING_AXIOMS
+from mvtrop.bisemirings import _lbisemiring_axioms
 from mvtrop.jsonio import parse_algebra_shorthand
 import mvtrop.algebra as algebra
 from mvtrop.cli import main
 import mvtrop.logic as logic
-from mvtrop.logic import _SUITE, LUKASIEWICZ_AXIOMS, Valuation, axiom_suite, evaluate
+from mvtrop.logic import _suite, LUKASIEWICZ_AXIOMS, Valuation, axiom_suite, evaluate
 from mvtrop.report import Instances, Law, check_laws
 from mvtrop.terms import parse_equation
 from test_differential import PRODUCTS, _walk
@@ -142,7 +142,7 @@ def tables(draw):
 
 
 def assert_agree(ops, pool):
-    compiled = [law.on(ops) for law in (*_MV_AXIOMS, _SUITE[-1], *_LBISEMIRING_AXIOMS)]
+    compiled = [law.on(ops) for law in (*_mv_axioms(), _suite()[-1], *_lbisemiring_axioms())]
     expected = [*mv_axiom_closures(ops), modus_ponens_closure(ops),
                 *lbisemiring_axiom_closures(ops)]
     assert len(compiled) == len(expected)
@@ -237,7 +237,7 @@ def test_slots_are_the_sorted_variables_of_all_the_equations():
     assert not holds(2, 0)  # x = 1 and y = 0
     assert holds(0, 2)
     assert list(Law("e", parse_equation("z (+) b = a")).slots) == ["a", "b", "z"]
-    assert list(_SUITE[-1].slots) == ["x", "y"]
+    assert list(_suite()[-1].slots) == ["x", "y"]
 
 
 _QUASI = [Law("complement", parse_equation("~x = y"),
@@ -274,14 +274,14 @@ def compiled(monkeypatch):
 
 def test_each_law_is_compiled_once_per_check_on_the_record_walked(compiled):
     A = parse_algebra_shorthand("chain:7")
-    first = check_identities(A, _MV_AXIOMS)
+    first = check_identities(A, _mv_axioms())
     for _ in range(2):  # the same laws on the same record: compiled again, once each
         compiled.clear()
-        assert check_identities(A, _MV_AXIOMS) == first
-        assert compiled == [(law, payload_ops(A)) for law in _MV_AXIOMS]
+        assert check_identities(A, _mv_axioms()) == first
+        assert compiled == [(law, payload_ops(A)) for law in _mv_axioms()]
     compiled.clear()
-    check_identities(parse_algebra_shorthand("prod:chain:7,chain:7"), _MV_AXIOMS)
-    assert [law for law, _ in compiled] == _MV_AXIOMS
+    check_identities(parse_algebra_shorthand("prod:chain:7,chain:7"), _mv_axioms())
+    assert [law for law, _ in compiled] == list(_mv_axioms())
     assert {ops.one for _, ops in compiled} == {6}  # the leaf's int record, L_7 on 0..6
 
 
@@ -308,7 +308,8 @@ def test_a_failing_suite_axiom_is_witnessed_by_its_own_valuation(first, monkeypa
     broken = PayloadOps(max, good.neg, good.zero, good.one, good.leq, good.join, good.meet)
     for module in (algebra, logic):  # the checked record and the witness's evaluation
         monkeypatch.setattr(module, "payload_ops", lambda B: broken)
-    monkeypatch.setattr(logic, "_SUITE", [_SUITE[first]] + _SUITE[:first] + _SUITE[first + 1:])
+    suite = _suite()
+    monkeypatch.setattr(logic, "_suite", lambda: (suite[first], *suite[:first], *suite[first + 1:]))
     witness = axiom_suite(A).witness
     name, term = LUKASIEWICZ_AXIOMS[first]
     assert witness["axiom"] == name

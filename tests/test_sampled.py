@@ -37,13 +37,13 @@ from hypothesis import strategies as st
 
 from conftest import random_term, reference_draws, reference_listing
 import mvtrop.algebra as algebra
-from mvtrop.algebra import (_MV_AXIOMS, FiniteChain, ProductAlgebra, check_identities,
+from mvtrop.algebra import (_mv_axioms, FiniteChain, ProductAlgebra, check_identities,
                             enumerate_payloads, int_record, payload_ops, sample_elements)
 from mvtrop.errors import DomainError
 from mvtrop.export import hasse_dot, operation_tables
 from mvtrop.functors import atoms, boolean_part, theta, theta_star
 from mvtrop.jsonio import parse_algebra_shorthand
-from mvtrop.logic import (_SUITE, LUKASIEWICZ_AXIOMS, VC_AXIOM, tautology_check,
+from mvtrop.logic import (_suite, LUKASIEWICZ_AXIOMS, VC_AXIOM, tautology_check,
                           vc_membership)
 from mvtrop.report import COUNTEREXAMPLE, VALID, CheckReport, Instances, Law, check_laws
 from mvtrop.terms import CONST1, Equation, Join, Neg, Oplus, Var
@@ -84,7 +84,7 @@ def _tautology(t):
 _VC = [Law("vc_axiom", VC_AXIOM)]
 
 law_lists = st.one_of(st.builds(_equation, terms, terms), st.builds(_tautology, terms),
-                      st.just(_SUITE), st.just(_MV_AXIOMS), st.just(_VC))
+                      st.just(_suite()), st.just(_mv_axioms()), st.just(_VC))
 
 
 @st.composite
@@ -139,15 +139,15 @@ def test_listings_and_draws_do_not_list_a_finite_chain(monkeypatch):
     small = [parse_algebra_shorthand(s) for s in ("chain:2001", "prod:chain:3,chain:4")]
     chain = FiniteChain(7)
     expected = ([_listings(A) for A in small], sample_elements(chain, 30, 4),
-                check_identities(chain, _SUITE, None, 30, 4))
+                check_identities(chain, _suite(), None, 30, 4))
     _unlistable(monkeypatch)
     assert ([_listings(A) for A in small], sample_elements(chain, 30, 4),
-            check_identities(chain, _SUITE, None, 30, 4)) == expected
+            check_identities(chain, _suite(), None, 30, 4)) == expected
     huge = FiniteChain(10 ** 7)
     indices = reference_draws(range(10 ** 7), 5, 1)(1)
     assert [x.payload for x in sample_elements(huge, 5, 1)] == [
         Fraction(i, 10 ** 7 - 1) for (i,) in indices]
-    assert check_identities(huge, _SUITE, None, 5, 1).checked == 25
+    assert check_identities(huge, _suite(), None, 5, 1).checked == 25
 
 
 def test_theta_star_of_chain_2001_builds_only_the_fractions_it_lists(monkeypatch):
@@ -187,7 +187,7 @@ def test_draws_on_a_product_of_chains_do_not_list_it(monkeypatch):
     assert [x.payload for x in sample_elements(A, 5, 1)] == [
         (Fraction(i // n, n - 1), Fraction(i % n, n - 1))
         for (i,) in reference_draws(range(n * n), 5, 1)(1)]
-    assert check_identities(A, _SUITE, None, 5, 1).checked == 25
+    assert check_identities(A, _suite(), None, 5, 1).checked == 25
 
 
 @pytest.mark.parametrize("text", ["chain:100000000000000000000",
@@ -275,7 +275,7 @@ def test_product_checks_do_not_list_the_product_or_a_chain(monkeypatch):
     axiom_2 = dict(LUKASIEWICZ_AXIOMS)["axiom_2"]
 
     def checks():
-        return ([(vc_membership(A), tautology_check(axiom_2, A), check_identities(A, _MV_AXIOMS),
+        return ([(vc_membership(A), tautology_check(axiom_2, A), check_identities(A, _mv_axioms()),
                   check_identities(A, _equation(Var("x"), Var("y")), 2)) for A in small],
                 vc_membership(big), check_identities(big, _equation(Var("x"), Var("y"))),
                 tautology_check(axiom_2, parse_algebra_shorthand("prod:chain:30,chain:30")))
@@ -309,7 +309,7 @@ def test_a_nested_product_is_checked_as_its_flat_form_without_a_listing(monkeypa
 
 
 @pytest.mark.parametrize("text, laws, bound", [
-    ("prod:interval,interval", [_MV_AXIOMS[4]], 6),                   # valid: decided on leaves
+    ("prod:interval,interval", [_mv_axioms()[4]], 6),                 # valid: decided on leaves
     ("prod:interval,chain:3,chang,interval", _VC, 2),                  # valid, three leaves
     ("prod:chang,interval,chang", _equation(Neg(Var("x")), Var("x")), 2),  # walked: fails
     ("prod:interval,interval", _equation(Oplus(Var("x"), Var("y")), Var("y")), 3)])
