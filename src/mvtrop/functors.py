@@ -21,6 +21,7 @@ from .errors import (BrokenHomomorphismError, DomainError, MalformedInputError,
                      UnsupportedRepresentationError)
 from .groups import (BOTTOM, Integers, LexZG, LGroup, TropOfGroup, group_coerce,
                      group_leq, group_zero)
+from .rationals import shown
 from .report import COUNTEREXAMPLE, VALID, CheckReport, Instances, check_laws
 from .value import Value, replace, set_field
 
@@ -35,13 +36,13 @@ def gamma(G: LGroup, u) -> MvAlgebra:
     u = group_coerce(G, u)
     zero_g = group_zero(G)
     if group_leq(G, u, zero_g):
-        raise DomainError(f"unit must be strictly positive, got {u!r}")
+        raise DomainError(f"unit must be strictly positive, got {shown(u)}")
     if isinstance(G, Integers):
         return FiniteChain(u + 1)
     if isinstance(G, LexZG):
         if u == (1, group_zero(G.tail)):
             return DeltaOf(G.tail)
-        raise DomainError(f"only (1, 0)-shaped strong units are supported, got {u!r}")
+        raise DomainError(f"only (1, 0)-shaped strong units are supported, got {shown(u)}")
     raise DomainError(f"no structurally verified strong units for {G}")
 
 

@@ -39,7 +39,7 @@ from typing import Any, Callable
 from .characteristics import (CHI_Z, Characteristic, admits_denominator, contains_rational,
                               group_label)
 from .errors import DomainError, StructuralError, UsageError
-from .rationals import dumps, parse_integer, parse_rational, rational_str
+from .rationals import dumps, parse_integer, parse_rational, rational_str, shown
 from .value import Value, set_field
 
 
@@ -59,6 +59,13 @@ _NATIVE = (operator.add, operator.neg, operator.le)
 
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _integral(x) -> int | None:
+    """x as an int when it is one, a Fraction with denominator 1 included, else None."""
+    if isinstance(x, Fraction) and x.denominator == 1:
+        return int(x)
+    return x if _is_int(x) else None
 
 
 class OrderedStructure(Value):
@@ -105,11 +112,10 @@ class Integers(LGroup):
         return GroupOps(_is_int, 0, *_NATIVE)
 
     def coerce(self, x):
-        if isinstance(x, Fraction) and x.denominator == 1:
-            x = int(x)
-        if not _is_int(x):
-            raise StructuralError(f"{x!r} is not an integer")
-        return x
+        n = _integral(x)
+        if n is None:
+            raise StructuralError(f"{shown(x)} is not an integer")
+        return n
 
     def cone(self, bound: int) -> list:
         return list(range(bound + 1))
@@ -129,7 +135,7 @@ class TrivialGroup(LGroup):
 
     def coerce(self, x):
         if x != 0:
-            raise StructuralError(f"{x!r} is not in the trivial group")
+            raise StructuralError(f"{shown(x)} is not in the trivial group")
         return 0
 
     def cone(self, bound: int) -> list:
@@ -163,7 +169,7 @@ class QSubgroup(LGroup):
         if _is_int(x):
             x = Fraction(x)
         if not self.ops.contains(x):
-            raise StructuralError(f"{x!r} violates the characteristic constraint of {self}")
+            raise StructuralError(f"{shown(x)} violates the characteristic constraint of {self}")
         return x
 
     def cone(self, bound: int) -> list:
@@ -213,12 +219,10 @@ class LexZG(LGroup):
 
     def coerce(self, x):
         if not isinstance(x, tuple) or len(x) != 2:
-            raise StructuralError(f"{x!r} is not a lex pair")
-        head = x[0]
-        if isinstance(head, Fraction) and head.denominator == 1:
-            head = int(head)
-        if not _is_int(head):
-            raise StructuralError(f"lex head {x[0]!r} is not an integer")
+            raise StructuralError(f"{shown(x)} is not a lex pair")
+        head = _integral(x[0])
+        if head is None:
+            raise StructuralError(f"lex head {shown(x[0])} is not an integer")
         return (head, self.tail.coerce(x[1]))
 
     def cone(self, bound: int) -> list:  # the upper half, from the fragment's middle 0

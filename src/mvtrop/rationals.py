@@ -1,6 +1,7 @@
 """Rationals as "p/q" strings ("p" when integral), strict parsing of rationals
 and integers, and ``dumps``: the leaves of every JSON payload and shorthand,
-and the one JSON writer the descriptor kinds and the command line share."""
+and the one JSON writer the descriptor kinds and the command line share.
+``shown`` writes a value in a message as the command line reads it."""
 
 from __future__ import annotations
 
@@ -24,6 +25,14 @@ def rational_str(q) -> str:
     return str(n) if d == 1 else f"{n}/{d}"
 
 
+def shown(x) -> str:
+    """A value as the command line reads it: a tuple or a list as (a,b), a
+    Fraction as "p/q" ("p" when integral), anything else as its JSON."""
+    if isinstance(x, (tuple, list)):
+        return "(" + ",".join(map(shown, x)) + ")"
+    return rational_str(x) if isinstance(x, Fraction) else json.dumps(x, default=repr)
+
+
 def parse_rational(text: str) -> Fraction:
     try:
         return Fraction(text.strip())
@@ -41,5 +50,4 @@ def parse_integer(data, what: str) -> int:
         return data
     if isinstance(data, str) and _INTEGER.fullmatch(data.strip()):
         return int(data)
-    shown = rational_str(data) if isinstance(data, Fraction) else json.dumps(data, default=repr)
-    raise UsageError(f"{what} must be an integer, got {shown}")
+    raise UsageError(f"{what} must be an integer, got {shown(data)}")

@@ -550,6 +550,33 @@ def test_non_integral_lex_head_is_usage_error(capsys):
     assert code == 0 and json.loads(out)["value"] == [0, [1, "0"]]
 
 
+@pytest.mark.parametrize("argv, code, message", [
+    (["eval", "x", "--algebra", "delta:Z[1/2]", "--assign", "x=(0,-1/2)"],
+     3, "offset of (0,-1/2) must be >= 0"),
+    (["eval", "x", "--algebra", "delta:Z[1/2]", "--assign", "x=(1,1/2)"],
+     3, "offset of (1,1/2) must be <= 0"),
+    (["eval", "x", "--algebra", "delta:Z[1/2]", "--assign", "x=(2,1/2)"],
+     3, "(2,1/2) is not a (bit, offset) pair"),
+    (["eval", "x", "--algebra", "delta:lex:Z[1/2]", "--assign", "x=(0,(-1,1/2))"],
+     3, "offset of (0,(-1,1/2)) must be >= 0"),
+    (["eval", "x", "--algebra", "delta:lex:Z[1/2]", "--assign", "x=(0,(0,1/3))"],
+     3, "1/3 violates the characteristic constraint of Z[1/2]"),
+    (["eval", "x", "--algebra", "chang", "--assign", "x=(0,1/2)"], 3, "1/2 is not an integer"),
+    (["eval", "x", "--algebra", "delta:trivial", "--assign", "x=(0,1)"],
+     3, "1 is not in the trivial group"),
+    (["gamma", "--group", "Z", "--unit", "1/2"], 3, "1/2 is not an integer"),
+    (["gamma", "--group", "Z[1/2]", "--unit=-1/2"], 3, "unit must be strictly positive, got -1/2"),
+    (["gamma", "--group", "lex:Z[1/2]", "--unit", "(1,1/2)"],
+     3, "only (1, 0)-shaped strong units are supported, got (1,1/2)"),
+    (["eval", "x", "--algebra", "chang", "--assign", "x=((1,1/2),0)"],
+     2, "bit must be an integer, got (1,1/2)"),
+    (["eval", "x", "--algebra", "delta:lex:Z", "--assign", "x=(0,((1,1/2),0))"],
+     2, "lex head must be an integer, got (1,1/2)")])
+def test_messages_show_values_as_the_command_line_reads_them(argv, code, message, capsys):
+    assert run(argv, capsys) == (code, "", f"mvtrop: {message}\n")
+    assert "Fraction(" not in message
+
+
 @pytest.mark.parametrize("default,label", [
     ('"inf"', "regularly_dense"), ('"0"', "regularly_discrete"), ("0", "regularly_discrete"),
     ('"INF"', None), ('"7"', None), ("null", None), ("false", None), ("0.0", None)])

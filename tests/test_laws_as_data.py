@@ -31,8 +31,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import luk_neg, luk_oplus
-from mvtrop.algebra import (_mv_axioms, PayloadOps, check_identities, enumerate_payloads,
-                            int_record, payload_ops)
+from mvtrop.algebra import (_mv_axioms, CHANG, PayloadOps, check_identities,
+                            enumerate_payloads, int_record, payload_ops)
 from mvtrop.bisemirings import _lbisemiring_axioms
 from mvtrop.jsonio import parse_algebra_shorthand
 import mvtrop.algebra as algebra
@@ -283,6 +283,18 @@ def test_each_law_is_compiled_once_per_check_on_the_record_walked(compiled):
     check_identities(parse_algebra_shorthand("prod:chain:7,chain:7"), _mv_axioms())
     assert [law for law, _ in compiled] == list(_mv_axioms())
     assert {ops.one for _, ops in compiled} == {6}  # the leaf's int record, L_7 on 0..6
+
+
+def test_a_delta_check_compiles_each_law_once_on_changs_record(compiled):
+    A = parse_algebra_shorthand("delta:Z[1/2]")
+    for bound in (1, 3):  # a new D per bound, one record for all of them
+        compiled.clear()
+        assert check_identities(A, _mv_axioms(), bound).ok
+        assert compiled == [(law, payload_ops(CHANG)) for law in _mv_axioms()]
+    compiled.clear()
+    lex = parse_algebra_shorthand("delta:lex:Z")  # not in Q: its payload record
+    check_identities(lex, _mv_axioms(), 1)
+    assert compiled == [(law, payload_ops(lex)) for law in _mv_axioms()]
 
 
 @pytest.mark.parametrize("argv", [

@@ -12,9 +12,12 @@ sequence that turns an index into one tuple, so draws on a product are the
 listing's draws without the listing.
 
 A product walked in full (exhaustive or bounded) is decided on its leaves'
-int records, or walked on the k-tuples of its int record's values; the
+int records, or walked on the k-tuples of its int record's values, and a
+Δ(G) leaf walked in full runs on its int record: Chang's record over
+(bit, offset·D) ints for G ⊆ Q, its payload record for any other group.  The
 reference walks the payload listing, every law over every tuple of it on
-``payload_ops``.  The whole report must again be equal.
+``payload_ops``.  The whole report must again be equal, the witness down to
+the types of its payloads.
 
 A finite chain's or a product's own listing is its int record's values
 decoded, so every reference here lists the payloads without the record
@@ -46,7 +49,7 @@ from mvtrop.jsonio import parse_algebra_shorthand
 from mvtrop.logic import (_suite, LUKASIEWICZ_AXIOMS, VC_AXIOM, tautology_check,
                           vc_membership)
 from mvtrop.report import COUNTEREXAMPLE, VALID, CheckReport, Instances, Law, check_laws
-from mvtrop.terms import CONST1, Equation, Join, Neg, Oplus, Var
+from mvtrop.terms import CONST0, CONST1, Equation, Join, Neg, Odot, Oplus, Var
 from test_export import expected_dot, expected_tables
 
 
@@ -197,7 +200,7 @@ def test_a_carrier_too_long_to_draw_from_is_a_domain_error(text):
         sample_elements(parse_algebra_shorthand(text), 5, 1)
 
 
-# -- a product walked in full runs on its int record --------------------------------
+# -- a product or a Δ(G) leaf walked in full runs on its int record -----------------
 
 def walk_reference(A, laws, bound):
     """The exhaustive or bounded walk on payloads: every law over every tuple of
@@ -226,7 +229,9 @@ WALKED = ([("prod:chain:2,chain:2", [None]), ("prod:chain:2,chain:3", [None, 2])
            ("prod:chain:2,chain:2,chain:3", [None]), ("prod:chain:4", [None]),
            ("delta:trivial", [None]), ("prod:delta:trivial,chain:3", [None, 1]),
            ("prod:chain:3,chang", [1, 2, 3]), ("prod:delta:Z[1/2],chain:2", [1, 2, 3]),
-           ("prod:interval,chain:3", [1, 2, 3]), ("prod:delta:lex:Z,chain:2", [1])]
+           ("prod:interval,chain:3", [1, 2, 3]), ("prod:delta:lex:Z,chain:2", [1]),
+           ("chang", [1, 2, 3]), ("delta:Z[1/2]", [1, 2, 3]), ("delta:Z[1/6]", [1, 2]),
+           ("delta:Q", [1, 2]), ("delta:lex:Z", [1])]
           + [(text, [None]) for text in _NESTED[:2]] + [(_NESTED[2], [1, 2])])
 
 
@@ -238,11 +243,27 @@ def walked(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(walked(), law_lists)
-def test_product_walks_match_the_payload_reference(case, laws):
+def test_leaf_and_product_walks_match_the_payload_reference(case, laws):
     A, bound = case
     report, expected = check_identities(A, laws, bound), walk_reference(A, laws, bound)
     assert report == expected
     assert repr(report.witness) == repr(expected.witness)
+
+
+def test_a_delta_walk_decodes_only_its_counterexample(monkeypatch):
+    decoded = []
+
+    def counted(self, bound, build=algebra.DeltaOf.build_int_record):
+        ops, values, decode = build(self, bound)
+        return ops, values, lambda v: decoded.append(v) or decode(v)
+    monkeypatch.setattr(algebra.DeltaOf, "build_int_record", counted)
+    A = parse_algebra_shorthand("delta:Z[1/6]")
+    assert check_identities(A, _mv_axioms(), 2).ok
+    assert decoded == []
+    report = check_identities(A, _equation(Odot(Var("x"), Var("y")), CONST0), 3)
+    assert (report.checked, repr(report.witness)) == (
+        52, repr(("equation", ((0, Fraction(1, 3)), (1, Fraction(0))))))
+    assert decoded == [(0, 2), (1, 0)]  # offsets times D = 6, the lcm of 1, 2 and 3
 
 
 # delta:lex:Z × chain:2 has 52 and 100 elements at bounds 2 and 3: laws of one
