@@ -23,31 +23,31 @@ check compiles its laws (``report.Law``, the MV axioms one table of them) on a
 record, once per check, and builds MvElements only for witnesses.
 
 A walk over a listing (θ, θ*, the Boolean part and ``export``), every sampled
-check and every check of a product or of Δ(G) run on the int record of
-``int_record(A, bound)``: the record, the listing's values on it, and a
-decoder of any value back to its payload.  It is exact because Γ's truncated
-operations commute with scaling by a positive integer.  Each kind builds its own
-(``build_int_record``).  A finite chain with n elements is L_n on
-``range(n)``, i decoded as Fraction(i, n−1).  The interval's fragment runs on
-p·D and Δ(G)'s for G ⊆ Q on Chang's record over (bit, offset·D), D the lcm of
-the listing's denominators; any other Δ(G) keeps the payload record, with the
-payloads as values.  A product's int record is one flat record over its leaves
-(``leaf_factors``), componentwise (``_componentwise``): its values are the
-tuples of theirs, a sequence that builds only the tuples it is asked for
-(``_Tuples``), and its decoder regroups the leaves' payloads by the product
-tree.  The listing of a chain or a product is its values decoded
+check and every full check but those of a chain or the interval run on
+``int_record(A, bound)``, one ``IntRecord``: the record, the listing's values
+on it, a decoder of any value back to its payload, each leaf's (weight, size)
+and each distinct leaf's record.  It is exact because Γ's truncated
+operations commute with scaling by a positive integer.  Each kind builds its
+own (``build_int_record``), sized by its kind, never by ``len`` of its
+values.  A finite chain with n elements is L_n on ``range(n)``, i decoded as
+Fraction(i, n−1).  The
+interval's fragment runs on p·D and Δ(G)'s for G ⊆ Q on Chang's record over
+(bit, offset·D), D the lcm of the listing's denominators; any other Δ(G)
+keeps the payload record, with the payloads as values.  A product's int
+record is one flat record over its leaves (``leaf_factors``), componentwise
+(``_componentwise``): its values are the tuples of theirs, a sequence that
+builds only the tuples it is asked for (``_Tuples``), its shape the product
+of theirs, and its decoder regroups the leaves' payloads by the product tree.
+The listing of a chain or a product is its values decoded
 (``MvAlgebra.enumerate``), so a walk builds no listing of either and decodes
 only what it keeps.  The Fractions of [0, 1], the ints of L_n and the scaled
 interval share one record, ``_chain_ops(bottom, top)``.  A sampled check draws
 on the values with the seeded ``rng.choice``, which picks the same indices as
-it would on the listing; a product walked in full (exhaustive or bounded) is
-decided on its leaves' records or walked on the k-tuples of its values
-(``_Tuples.tuples``), and a Δ(G) leaf walked in full on the tuples of its
-values.  All decode only a counterexample's instance.  Exhaustive and bounded
-checks of a chain or the interval still walk payloads.  The int-record walks
-refuse, on ``sized_record``, a record with more values than ``sys.maxsize``, the
-most that ``len`` and ``rng.choice`` take; a product builds each distinct leaf's
-record once.
+it would on the listing.  A full check (exhaustive or bounded) decides on each
+distinct leaf's record and walks a product's k-tuples (``_Tuples.tuples``)
+only when a leaf fails; a chain or the interval is one leaf, walked on its
+payload record.  All decode only a counterexample's instance.  A walk
+refuses a record of more than ``sys.maxsize`` values (``walk_record``).
 
 Δ(G) payloads are (bit, offset) pairs whose arithmetic runs on the group's
 unchecked ops record (``groups.GroupOps``).  Group membership of offsets is
@@ -74,7 +74,7 @@ from .errors import DomainError, ModeError, StructuralError, UsageError
 from .groups import (TRIVIAL, LexZG, LGroup, QSubgroup, Z, group_coerce,
                      require_members)
 from .rationals import dumps, parse_integer, parse_rational, rational_str, shown
-from .report import CheckReport, Instances, Law, axiom_witness, check_laws, check_over
+from .report import CheckReport, Instances, Law, axiom_witness, check_laws
 from .terms import parse_equation
 from .value import Value, set_field
 
@@ -157,12 +157,13 @@ class MvAlgebra(Value):
     def carrier_size(self) -> int | None:
         return None
 
-    def build_int_record(self, bound: int | None) -> tuple:
-        return payload_ops(self), self.enumerate(bound), lambda p: p
+    def build_int_record(self, bound: int | None) -> IntRecord:
+        listing = self.enumerate(bound)
+        return IntRecord(payload_ops(self), listing, lambda p: p, [(1, len(listing))])
 
     def enumerate(self, bound: int | None) -> list:
-        _, values, decode = self.build_int_record(bound)
-        return [decode(v) for v in values]
+        record = self.build_int_record(bound)
+        return list(map(record.decode, record.values))
 
 
 class _Unit(MvAlgebra):
@@ -220,10 +221,11 @@ class FiniteChain(_Unit):
     def carrier_size(self) -> int:
         return self.size
 
-    def build_int_record(self, bound) -> tuple:
+    def build_int_record(self, bound) -> IntRecord:
         """L_n on ``range(n)``, i decoded as Fraction(i, n − 1); no listing is built."""
         top = self.size - 1
-        return _chain_ops(0, top), range(self.size), lambda i: Fraction(i, top)
+        return IntRecord(_chain_ops(0, top), range(self.size), lambda i: Fraction(i, top),
+                         [(1, self.size)])
 
 
 class RationalInterval(_Unit):
@@ -241,12 +243,12 @@ class RationalInterval(_Unit):
         """The Farey sequence of order ``bound``."""
         return sorted({Fraction(n, d) for d in range(1, bound + 1) for n in range(d + 1)})
 
-    def build_int_record(self, bound: int) -> tuple:
+    def build_int_record(self, bound: int) -> IntRecord:
         """p ↦ p·D on ``_chain_ops(0, D)``, D the lcm of the listing's denominators."""
         pool = self.enumerate(bound)
         D = math.lcm(*[p.denominator for p in pool])
-        return (_chain_ops(0, D), [p.numerator * (D // p.denominator) for p in pool],
-                lambda v: Fraction(v, D))
+        return IntRecord(_chain_ops(0, D), [p.numerator * (D // p.denominator) for p in pool],
+                         lambda v: Fraction(v, D), [(1, len(pool))])
 
 
 class DeltaOf(MvAlgebra):
@@ -325,15 +327,16 @@ class DeltaOf(MvAlgebra):
     def carrier_size(self) -> int | None:
         return 2 if self.group == TRIVIAL else None
 
-    def build_int_record(self, bound: int | None) -> tuple:
+    def build_int_record(self, bound: int | None) -> IntRecord:
         """For G ⊆ Q, (bit, g) ↦ (bit, g·D) on Chang's record, D the lcm of the
         listing's offset denominators; other groups keep the payload record."""
         if not isinstance(self.group, QSubgroup):
             return super().build_int_record(bound)
         pool = self.enumerate(bound)
         D = math.lcm(*[g.denominator for _, g in pool])
-        return (payload_ops(CHANG), [(b, g.numerator * (D // g.denominator)) for b, g in pool],
-                lambda v: (v[0], Fraction(v[1], D)))
+        return IntRecord(payload_ops(CHANG),
+                         [(b, g.numerator * (D // g.denominator)) for b, g in pool],
+                         lambda v: (v[0], Fraction(v[1], D)), [(1, len(pool))])
 
     def enumerate(self, bound: int | None) -> list:
         """Ascending: (0, g) over the upper half of the group's fragment, its cone,
@@ -384,18 +387,23 @@ class ProductAlgebra(MvAlgebra):
     def build_ops(self) -> PayloadOps:
         return _componentwise([payload_ops(f) for f in self.factors])
 
-    def build_int_record(self, bound: int | None) -> tuple:
+    def build_int_record(self, bound: int | None) -> IntRecord:
         """The leaves' int records side by side: values are the tuples of theirs,
-        decoded leaf by leaf and regrouped by the product tree."""
+        decoded leaf by leaf and regrouped by the product tree, and the shape
+        is the product of their shapes, the first leaf the heaviest."""
         records = {f: f.build_int_record(bound) for f in dict.fromkeys(leaf_factors(self))}
-        opss, valuess, decoders = zip(*[records[f] for f in leaf_factors(self)])
+        parts = [records[f] for f in leaf_factors(self)]
+        sizes = [size for part in parts for _, size in part.shape]
+        shape = [(math.prod(sizes[i + 1:]), size) for i, size in enumerate(sizes)]
+        opss, valuess, decoders = zip(*[(part.ops, part.values, part.decode) for part in parts])
 
         def regroup(A, leaves):  # A's payload from an iterator over its leaves' payloads
             return tuple([regroup(f, leaves) if f.tag == self.tag else next(leaves)
                           for f in A.factors])
 
-        return (_componentwise(opss), _Tuples(valuess, records),
-                lambda v: regroup(self, iter([d(c) for d, c in zip(decoders, v)])))
+        return IntRecord(_componentwise(opss), _Tuples(valuess, shape),
+                         lambda v: regroup(self, iter([d(c) for d, c in zip(decoders, v)])),
+                         shape, tuple(records.values()))
 
     def carrier_size(self) -> int | None:
         sizes = [f.carrier_size() for f in self.factors]
@@ -413,16 +421,29 @@ class ProductAlgebra(MvAlgebra):
         return tuple(f.payload_from_json(c) for f, c in zip(self.factors, data))
 
 
+class IntRecord:
+    """The record of ``int_record``: ``ops``, the listing's ``values`` on it,
+    ``decode`` from any value to its payload, ``shape``, each leaf's (weight,
+    size), and ``leaves``, each distinct leaf's record.  A leaf's shape is
+    [(1, size)], the size given by its kind, and its one leaf is itself, made
+    on each read: held, it would be a cycle keeping the listing alive until the
+    garbage collector runs.  A plain class, as ``Value``'s repr would recurse."""
+
+    __slots__ = ("ops", "values", "decode", "shape", "_leaves")
+    leaves = property(lambda self: self._leaves or (self,))
+
+    def __init__(self, ops: PayloadOps, values, decode: Callable, shape: list, leaves=None):
+        self.ops, self.values, self.decode = ops, values, decode
+        self.shape, self._leaves = shape, leaves
+
+
 class _Tuples:
     """The tuples of ``itertools.product(*parts)``, listing none: tuple i has the
-    digit i // weight % size in each part, by its (weight, size) in ``shape``.
-    ``leaves`` holds the int record of each distinct leaf the parts came from."""
+    digit i // weight % size in each part, by its (weight, size) in ``shape``."""
 
-    def __init__(self, parts, leaves):
-        sizes = [len(p) for p in parts]
-        self.parts, self.shape = parts, [(math.prod(sizes[i + 1:]), s) for i, s in enumerate(sizes)]
-        self.leaves = leaves
-        self.indices = range(self.shape[0][0] * self.shape[0][1])
+    def __init__(self, parts, shape):
+        self.parts, self.shape = parts, shape
+        self.indices = range(shape[0][0] * shape[0][1])
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -497,30 +518,29 @@ def payload_ops(A: MvAlgebra) -> PayloadOps:
     return _descriptor(A).build_ops()
 
 
-def int_record(A: MvAlgebra, bound: int | None = None) -> tuple[PayloadOps, Any, Callable]:
-    """The record a walk over ``enumerate_payloads(A, bound)`` runs on, the
-    listing's values on it in the same order, and the decoder of any value of
-    the record, listed or not, to its payload; built by the kind
-    (``build_int_record``), uncached."""
+def int_record(A: MvAlgebra, bound: int | None = None) -> IntRecord:
+    """The ``IntRecord`` a walk over ``enumerate_payloads(A, bound)`` runs on,
+    its values the listing's in order and its decoder defined on any value of
+    the record, listed or not; built by the kind (``build_int_record``),
+    uncached.  A chain's values are its ``range`` and a product's ``_Tuples``."""
     return _bounded(A, bound).build_int_record(bound)
 
 
-def sized_record(A: MvAlgebra, bound: int | None, limit: int) -> tuple | None:
-    """``int_record(A, bound)``, or None when it has more than ``limit`` values.  A
-    finite carrier is sized before its record is built (a product's ``_Tuples``
-    takes ``len`` of each leaf's values, which fails past ``sys.maxsize``), a
-    fragment after, on its ``record_shape``."""
-    if (carrier_size(A) or 0) <= limit:
-        record = int_record(A, bound)
-        if math.prod([size for _, size in record_shape(A, record[1])]) <= limit:
-            return record
-    return None
+def sized_record(A: MvAlgebra, bound: int | None, limit: int) -> IntRecord | None:
+    """``int_record(A, bound)``, or None when it has more than ``limit`` values,
+    sized on its ``shape`` alone: nothing is listed, and no ``len`` is taken."""
+    record = int_record(A, bound)
+    return record if math.prod([size for _, size in record.shape]) <= limit else None
 
 
-def record_shape(A: MvAlgebra, values) -> list[tuple[int, int]]:
-    """The (weight, size) of each leaf of ``values``, A's int record's: a product's
-    ``_Tuples.shape``, or a leaf's (1, its carrier size or its fragment's length)."""
-    return values.shape if A.tag == ProductAlgebra.tag else [(1, carrier_size(A) or len(values))]
+def walk_record(A: MvAlgebra, bound: int | None, doing: str) -> IntRecord:
+    """``int_record(A, bound)``, refused with a DomainError naming what it was
+    for (``doing``) past ``sys.maxsize`` values, the most that ``len``,
+    ``itertools.product`` and ``rng.choice`` take."""
+    record = sized_record(A, bound, sys.maxsize)
+    if record is None:
+        raise DomainError(f"cannot {doing} {A}: more than {sys.maxsize} elements")
+    return record
 
 
 def zero(A: MvAlgebra) -> MvElement:
@@ -621,97 +641,71 @@ def sample_elements(A: MvAlgebra, count: int, seed: int,
                     bound: int = DEFAULT_SAMPLE_BOUND) -> list[MvElement]:
     """``count`` seeded draws with replacement from the (bounded) carrier's
     listing: the draws of ``_sampled``, decoded."""
-    _, source, decode = _sampled(A, bound, count, seed)
-    return [MvElement(A, decode(v)) for (v,) in source.tuples(1)]
+    record, source = _sampled(A, bound, count, seed)
+    return [MvElement(A, record.decode(v)) for (v,) in source.tuples(1)]
 
 
-def payload_tuples(A: MvAlgebra, bound: int | None = None) -> Instances:
-    """The instances of a walk on payloads: ``tuples(arity)`` yields every
-    arity-tuple of the (bound-limited) carrier's listing in canonical order.
-    The mode is bounded when ``bound`` is set, and exhaustive otherwise."""
-    mode = _walk_mode(A, bound)
-    return Instances.over(enumerate_payloads(A, bound), mode, bound)
-
-
-def _walk_mode(A: MvAlgebra, bound: int | None) -> str:
-    """The mode of a walk over every tuple: bounded when ``bound`` is set, else
-    exhaustive, which needs a finite carrier."""
-    if bound is None and carrier_size(A) is None:
-        raise ModeError(f"{A} has an infinite carrier; use a bounded or sampled check")
-    return "exhaustive" if bound is None else "bounded"
-
-
-def _sampled(A: MvAlgebra, bound: int | None, samples: int,
-             seed: int) -> tuple[PayloadOps, Instances, Callable]:
-    """The one sampler: the record and decoder of ``int_record(A, bound)`` and
-    ``samples`` seeded draws with replacement of its values (the bound only
-    applies to infinite carriers).  ``rng.choice`` picks an index from the
-    length alone, and the values have the listing's length and order, so these
-    are the listing's draws; a finite chain's ``range`` and a product's
-    ``_Tuples`` are never listed."""
+def _sampled(A: MvAlgebra, bound: int | None, samples: int, seed: int) -> tuple:
+    """The one sampler: ``int_record(A, bound)`` and ``samples`` seeded draws
+    with replacement of its values (the bound only applies to infinite
+    carriers).  ``rng.choice`` picks an index from the length alone, and the
+    values have the listing's length and order, so these are the listing's
+    draws; a finite chain's ``range`` and a product's ``_Tuples`` are never
+    listed."""
     if samples < 1:
         raise DomainError("samples must be >= 1")
-    record = sized_record(A, bound, sys.maxsize)  # rng.choice takes a length as a C ssize_t
-    if record is None:
-        raise DomainError(f"cannot draw from {A}: more than {sys.maxsize} elements")
-    ops, values, decode = record
-    rng = random.Random(seed)
-    return ops, Instances(lambda arity: (tuple([rng.choice(values) for _ in range(arity)])
-                                         for _ in range(samples)), "sampled", bound), decode
+    record = walk_record(A, bound, "draw from")
+    values, rng = record.values, random.Random(seed)
+    return record, Instances(lambda arity: (tuple([rng.choice(values) for _ in range(arity)])
+                                            for _ in range(samples)), "sampled", bound)
 
 
 def check_identities(A: MvAlgebra, laws: list[Law], bound: int | None = None,
                      samples: int | None = None, seed: int = 0) -> CheckReport:
     """Check ``laws`` over every tuple of the (bound-limited) carrier's listing
-    or, with ``samples`` set, the draws of ``_sampled``, deciding a valid walk
-    over a product factor by factor.  Each law is compiled once per check, on the
-    record walked: the payload record of a chain or the interval walked in full
-    (``payload_tuples``), else the int record of ``int_record(A, bound)``.  A
-    Δ(G) leaf walked in full runs over the tuples of that record's values: for
-    G ⊆ Q, Chang's record over (bit, offset·D) ints.
+    or, with ``samples`` set, the draws of ``_sampled``; each law is compiled
+    once per record it runs on, and only a counterexample's instance is decoded.
+
+    A full walk (exhaustive, or bounded by ``bound``) runs on one
+    ``IntRecord``: a chain's or the interval's payload record with the listing
+    as values, else ``int_record(A, bound)``.  The laws are checked on each of
+    its distinct ``leaves`` in turn, over every tuple of the leaf's values; a
+    carrier that is one leaf is its own one leaf.
 
     Every ``Law`` is an identity or a quasi-identity (a Horn sentence per
-    equation of its conclusion, each under the premises).  Such a law holds on all
-    tuples of a product of pools iff it holds on all tuples of each pool
+    equation of its conclusion, each under the premises).  Such a law holds on
+    all tuples of a product of pools iff it holds on all tuples of each pool
     (Birkhoff: varieties and quasivarieties are closed under products), and
-    the pool of a product, bounded or not, is the product of its factors'
-    pools.  So when A is a product walked in full, the laws are first checked
-    on the int record of each distinct leaf of the product tree once, with the
-    same bound, decoding nothing: the records the product's own was built from
-    (``_Tuples.leaves``), so no leaf is listed twice.  If all pass, the report
-    is the one the product walk would give, without walking it: the same
-    verdict, mode and details, and ``checked`` = the sum over the laws of
-    ``source.count(arity)``.
-    If one fails, the laws are compiled on the product's int record and walked
-    over its values' k-tuples (``_Tuples.tuples``), so the first counterexample
-    in canonical order and its ``checked`` are the walk's.
-
-    A sampled source is always walked, on ints: the laws are compiled on the
-    record of ``_sampled``.  On an int record, only a counterexample's instance
-    is decoded.
+    the pool of a product, bounded or not, is the product of its leaves'
+    pools.  So if every leaf passes, a product's report is the one its walk
+    would give, without walking it: the same verdict, mode and details, and
+    ``checked`` = the sum over the laws of ``source.count(arity)``.  If a leaf
+    fails, the laws are compiled on the product's record and walked over its
+    values' k-tuples (``_Tuples.tuples``), so the first counterexample in
+    canonical order and its ``checked`` are the walk's.
     """
     if samples is not None:
-        ops, source, decode = _sampled(A, bound, samples, seed)
-        return _decoded(check_laws([law.on(ops) for law in laws], source), decode)
-    if A.tag not in (DeltaOf.tag, ProductAlgebra.tag):
-        # Chains and the interval still walk payloads: on ints their walks run so
-        # much faster that perfbench's harness, which keeps every finished job,
-        # grows past its peak-RSS bound (ROADMAP items 1 and 3).
-        ops = payload_ops(A)
-        return check_laws([law.on(ops) for law in laws], payload_tuples(A, bound))
-    mode = _walk_mode(A, bound)
-    record = sized_record(A, bound, sys.maxsize)  # len takes a length as a C ssize_t
-    if record is None:
-        raise DomainError(f"cannot check {A}: more than {sys.maxsize} elements")
-    ops, values, decode = record
-    if A.tag == DeltaOf.tag:
-        return _decoded(check_laws([law.on(ops) for law in laws],
-                                   Instances.over(values, mode, bound)), decode)
-    source = Instances(values.tuples, mode, bound, len(values))
-    for leaf_ops, leaf_values, _ in values.leaves.values():  # the records walked just now
-        if not check_over(laws, leaf_ops, leaf_values).ok:
-            return _decoded(check_laws([law.on(ops) for law in laws], source), decode)
-    return source.clean(sum(source.count(len(law.slots)) for law in laws))
+        record, source = _sampled(A, bound, samples, seed)
+        return _decoded(check_laws([law.on(record.ops) for law in laws], source), record.decode)
+    if bound is None and carrier_size(A) is None:
+        raise ModeError(f"{A} has an infinite carrier; use a bounded or sampled check")
+    mode = "exhaustive" if bound is None else "bounded"
+    # Chains and the interval walk payloads: on ints their walks run so much faster
+    # that perfbench's harness, which keeps every finished job, grows past its
+    # peak-RSS bound (ROADMAP items 1 and 3).
+    record = (MvAlgebra.build_int_record(_bounded(A, bound), bound) if A.tag in
+              (FiniteChain.tag, RationalInterval.tag) else walk_record(A, bound, "check"))
+    for leaf in record.leaves:
+        report = check_laws([law.on(leaf.ops) for law in laws],
+                            Instances.over(leaf.values, mode, bound))
+        if leaf is record:
+            return _decoded(report, leaf.decode)
+        if not report.ok:
+            break
+    source = Instances(record.values.tuples, mode, bound, len(record.values))
+    if report.ok:
+        return source.clean(sum(source.count(len(law.slots)) for law in laws))
+    return _decoded(check_laws([law.on(record.ops) for law in laws], source), record.decode)
 
 
 def _decoded(report: CheckReport, decode: Callable) -> CheckReport:

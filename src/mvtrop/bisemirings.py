@@ -21,7 +21,7 @@ from __future__ import annotations
 import functools
 from typing import Any, Callable
 
-from .algebra import MvAlgebra, MvElement, PayloadOps, int_record, payload_ops
+from .algebra import MvAlgebra, MvElement, PayloadOps, payload_ops, walk_record
 from .errors import MalformedInputError, StructuralError
 from .groups import (TOP, GroupOps, LGroup, OrderedStructure, checked_operation,
                      group_positive_cone)
@@ -70,13 +70,15 @@ class Bisemiring(Value, eq=False):
 
     def payloads(self, bound: int | None = None) -> list:
         """The payloads of ``elements(bound)``.  Listed ones come from the host's
-        enumeration, so only explicit elements are checked to lie in the host."""
+        enumeration, so only explicit elements are checked to lie in the host; a
+        host past ``sys.maxsize`` elements is a DomainError (``algebra.walk_record``)."""
         if self.explicit is not None:
             for x in self.explicit:
                 self._host_ops(x)
             return [x.payload for x in self.explicit]
-        ops, values, decode = int_record(self.host, bound)
-        return [decode(v) for v in values if self.test(ops, v)]
+        record = walk_record(self.host, bound, "list")
+        ops, decode = record.ops, record.decode
+        return [decode(v) for v in record.values if self.test(ops, v)]
 
     def __repr__(self) -> str:
         return f"{self.label}({self.host!r})"

@@ -14,19 +14,19 @@ a chain enumerated in ascending order, so consecutive listed elements cover
 each other; a product's listing is the lexicographic product of its leaves'
 (its non-product factors') listings, and its covers move one coordinate one
 step up.  So the covers of element i are i + w, for each (weight w, size s) of
-``algebra.record_shape`` whose digit i // w % s is not yet s − 1.  Writing
+the record's ``shape`` whose digit i // w % s is not yet s − 1.  Writing
 a diagram costs O(n) for n listed elements, and the tables 4n² cells.
 
-Both listings are bounded by ``MAX_EXPORT_CARRIER`` (``algebra.sized_record``): a
-finite carrier's exact size is checked before its record is built, a fragment's
-shape before it is listed.
+Both listings are bounded by ``MAX_EXPORT_CARRIER`` (``algebra.sized_record``):
+the record's shape, each leaf sized by its kind, is checked before anything is
+listed.
 """
 
 from __future__ import annotations
 
 from itertools import repeat
 
-from .algebra import MvAlgebra, MvElement, carrier_size, element_str, record_shape, sized_record
+from .algebra import MvAlgebra, MvElement, carrier_size, element_str, sized_record
 from .errors import DomainError
 
 MAX_EXPORT_CARRIER = 10000
@@ -83,11 +83,11 @@ def hasse_dot(A: MvAlgebra, bound: int | None = None) -> str:
 
 
 def _listing(A: MvAlgebra, bound: int | None) -> tuple:
-    """``algebra.int_record(A, bound)``, its values listed once, and its
-    ``record_shape``, refused past ``MAX_EXPORT_CARRIER`` as the module says."""
+    """The ops, the values listed once, the decoder and the shape of
+    ``algebra.int_record(A, bound)``, refused past ``MAX_EXPORT_CARRIER`` as the
+    module says."""
     record = sized_record(A, bound, MAX_EXPORT_CARRIER)
     if record is None:
         what = "carrier" if carrier_size(A) is not None else "fragment"
         raise DomainError(f"{what} of {A} exceeds {MAX_EXPORT_CARRIER} elements")
-    ops, values, decode = record
-    return ops, list(values), decode, record_shape(A, values)
+    return record.ops, list(record.values), record.decode, record.shape

@@ -14,7 +14,7 @@ from typing import Any, Callable
 from .algebra import (DeltaOf, FiniteChain, MvAlgebra, MvElement,
                       ProductAlgebra, element, element_str, enumerate_payloads,
                       int_record, leaf_factors, mv_neg, mv_oplus, one,
-                      payload_ops, record_shape, zero)
+                      payload_ops, walk_record, zero)
 from .bisemirings import (TOP, Bisemiring, TopCone, bisemiring_operations,
                           check_closed, closure_laws)
 from .errors import (BrokenHomomorphismError, DomainError, MalformedInputError,
@@ -137,9 +137,10 @@ def f_equiv(S: TropOfGroup) -> TopCone:
 # Boolean part, gluing, and recognition of θ images.
 
 def boolean_part(A: MvAlgebra, bound: int | None = None) -> list[MvElement]:
-    """All idempotent elements of the (bounded) carrier, tested on ``int_record``."""
-    ops, values, decode = int_record(A, bound)
-    return [MvElement(A, decode(v)) for v in values if ops.oplus(v, v) == v]
+    """All idempotent elements of the (bounded) carrier, tested on ``int_record``;
+    a DomainError past ``sys.maxsize`` elements (``algebra.walk_record``)."""
+    record = walk_record(A, bound, "list")
+    return [MvElement(A, record.decode(v)) for v in record.values if record.ops.oplus(v, v) == v]
 
 
 def is_boolean_algebra(A: MvAlgebra) -> bool:
@@ -151,8 +152,8 @@ def atoms(A: MvAlgebra) -> list[MvElement]:
     """Minimal nonzero elements of a finite algebra, in canonical order: one leaf
     one step above 0 and every other leaf at 0, i.e. the listing positions that
     are leaf weights, decoded from ``int_record`` without listing the carrier."""
-    _, values, decode = int_record(A)
-    return [MvElement(A, decode(values[w])) for w, _ in reversed(record_shape(A, values))]
+    record = int_record(A)
+    return [MvElement(A, record.decode(record.values[w])) for w, _ in reversed(record.shape)]
 
 
 def glue_boolean_perfect(B: MvAlgebra, P: MvAlgebra) -> MvAlgebra:

@@ -4,10 +4,11 @@ A term is compiled once per check, by ``terms.compile_term``, into a closure
 over one record's operations; ``evaluate`` runs that, and every checker passes
 its laws as ``report.Law``s, compiled on the record a check walks.  ``evaluate``
 and exhaustive and bounded checks of a chain or the interval run on the
-descriptor's payload record; a sampled check, and any check of a product or of
-Δ(G), runs on the int record of ``algebra.int_record`` (L_n's ints 0..n−1 for a
-finite chain, decoded as Fraction(i, n−1); Chang's record over (bit, offset·D)
-for Δ(G) with G ⊆ Q), and only its counterexample is decoded to payloads.
+descriptor's payload record; a sampled check, and any full check of a product
+or of Δ(G), runs on the int record of ``algebra.int_record`` (L_n's ints
+0..n−1 for a finite chain, decoded as Fraction(i, n−1); Chang's record over
+(bit, offset·D) for Δ(G) with G ⊆ Q), and only its counterexample is decoded
+to payloads.
 
 Exhaustive checks walk every valuation of a finite algebra in canonical order
 and report the first counterexample; bounded checks run over the bound-limited
@@ -15,9 +16,10 @@ fragment of an infinite algebra and can only refute (a clean run is reported
 as valid_up_to_bound, never as a completeness claim).
 
 Every law here is an identity or a quasi-identity (modus ponens), run through
-``algebra.check_identities``, so on a product a valid verdict is decided leaf
-by leaf on the leaves' int records, with the ``checked`` count of the full walk,
-and a failure is still the first counterexample of the full walk.
+``algebra.check_identities``, which decides on each distinct leaf of the
+record it walks: on a product a valid verdict comes leaf by leaf, with the
+``checked`` count of the full walk, and a failure is still the first
+counterexample of the full walk.
 """
 
 from __future__ import annotations

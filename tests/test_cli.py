@@ -165,7 +165,7 @@ def test_export_too_large_is_domain_error(capsys):
                                   "prod:chain:100000000000000000000,chain:2"])
 @pytest.mark.parametrize("dot", [[], ["--dot"]])
 def test_export_sizes_a_chain_beyond_a_c_ssize_t(text, dot, capsys):
-    # refused from the exact carrier size: no record is built on a leaf len() cannot size
+    # refused from the record's shape, each leaf's size given by its kind, not by len()
     code, out, err = run(["export", "--algebra", text, *dot], capsys)
     assert code == 3 and out == ""
     assert err == f"mvtrop: carrier of {text} exceeds 10000 elements\n"
@@ -195,6 +195,30 @@ def test_a_fragment_beyond_a_c_ssize_t_is_refused_before_any_check(argv, doing, 
     assert code == 3 and out == ""
     assert err == (f"mvtrop: cannot {doing} prod:interval,interval,interval,interval,interval: "
                    f"more than {sys.maxsize} elements\n")
+
+
+_PAST_SSIZE = ["prod:chain:100000000000000000000,interval",
+               "prod:interval,chain:100000000000000000000"]
+
+
+@pytest.mark.parametrize("text", _PAST_SSIZE)
+@pytest.mark.parametrize("argv, message", [
+    (["check-eq", "x = x"], "cannot check {}: more than {} elements"),
+    (["export"], "fragment of {} exceeds 10000 elements"),
+    (["axioms", "--samples", "5"], "cannot draw from {}: more than {} elements")])
+def test_a_fragment_with_a_chain_past_a_c_ssize_t_is_refused(text, argv, message, capsys):
+    # the chain's leaf is sized from its kind, not by len() of its range
+    code, out, err = run([*argv, "--algebra", text, "--bound", "2"], capsys)
+    assert code == 3 and out == ""
+    assert err == "mvtrop: " + message.format(text, sys.maxsize) + "\n"
+
+
+@pytest.mark.parametrize("verb", ["theta", "theta-star"])
+def test_a_listing_past_a_c_ssize_t_is_refused(verb, capsys):
+    text = "prod:chain:100000000000000000000,chain:3"
+    code, out, err = run([verb, "--algebra", text], capsys)
+    assert code == 3 and out == ""
+    assert err == f"mvtrop: cannot list {text}: more than {sys.maxsize} elements\n"
 
 
 def test_export_sizes_a_product_fragment_before_listing_it(capsys):

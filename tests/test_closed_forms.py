@@ -33,8 +33,8 @@ def _payload(A, bound=None):
 
 
 def _int(A, bound=None):
-    ops, values, _ = int_record(A, bound)
-    return f"{A!r}@{bound}/int", ops, list(values)
+    record = int_record(A, bound)
+    return f"{A!r}@{bound}/int", record.ops, list(record.values)
 
 
 def _both(text, bounds):

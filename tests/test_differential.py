@@ -25,8 +25,7 @@ import pytest
 
 from mvtrop.algebra import (CHANG, DeltaOf, FiniteChain, MvElement,
                             RationalInterval, _mv_axioms, check_mv_axioms,
-                            enumerate_payloads, payload_ops, payload_tuples,
-                            product_algebra)
+                            enumerate_payloads, payload_ops, product_algebra)
 from mvtrop.characteristics import CHI_Q, parse_group_label
 from mvtrop.groups import (LexZG, Z, group_add, group_enumerate, group_leq,
                            group_negate, group_zero, qsubgroup)
@@ -299,7 +298,8 @@ def _walk(A, laws, bound=None, samples=None, seed=0):
     """The law engine over every instance of A itself, with no factorwise
     shortcut; a sampled walk draws from A's payload listing on its own."""
     if samples is None:
-        source = payload_tuples(A, bound)
+        mode = "exhaustive" if bound is None else "bounded"
+        source = Instances.over(enumerate_payloads(A, bound), mode, bound)
     else:
         draws = reference_draws(enumerate_payloads(A, bound), samples, seed)
         source = Instances(draws, "sampled", bound)

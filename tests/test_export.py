@@ -216,7 +216,8 @@ _FINITE = (_LEAVES | _products(_FACTORS)).filter(lambda A: carrier_size(A) <= 48
 @given(_FINITE)
 def test_int_record_agrees_with_the_payload_record(A):
     elems = enumerate_payloads(A)
-    (rec, values, decode), ops = int_record(A), payload_ops(A)
+    record, ops = int_record(A), payload_ops(A)
+    rec, values, decode = record.ops, record.values, record.decode
     assert [decode(a) for a in values] == elems
     assert (decode(rec.zero), decode(rec.one)) == (ops.zero, ops.one)
     for a, p in zip(values, elems):
@@ -245,7 +246,8 @@ def test_an_export_lists_each_infinite_leaf_once(export, text, bound, monkeypatc
 
 def test_a_product_with_an_infinite_factor_has_an_int_record():
     A = product_algebra(FiniteChain(2), CHANG)
-    rec, values, decode = int_record(A, 2)
+    record = int_record(A, 2)
+    rec, values, decode = record.ops, record.values, record.decode
     assert [values[i] for i in range(3)] == [(0, (0, 0)), (0, (0, 1)), (0, (0, 2))]
     assert [decode(v) for v in values] == enumerate_payloads(A, 2)
     assert decode(rec.oplus(values[1], values[-1])) == (Fraction(1), (1, 0))

@@ -12,6 +12,9 @@ operation after decoding, and θ and θ* of a finite chain must match their
 closed forms.
 """
 
+import gc
+import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -20,12 +23,13 @@ from hypothesis import strategies as st
 
 from conftest import reference_shape
 import mvtrop.algebra as algebra
-from mvtrop.algebra import (CHANG, FiniteChain, MvElement, carrier_size, element_str,
+from mvtrop.algebra import (CHANG, FiniteChain, MvElement, _mv_axioms, carrier_size,
+                            check_identities, element_str,
                             enumerate_elements, enumerate_payloads, int_record,
-                            payload_ops, record_shape)
+                            payload_ops, sized_record)
 from mvtrop.bisemirings import Bisemiring
 from mvtrop.characteristics import INF, characteristic
-from mvtrop.errors import StructuralError
+from mvtrop.errors import DomainError, StructuralError
 from mvtrop.export import hasse_dot, operation_tables
 from mvtrop.functors import boolean_part, delta, theta, theta_star
 from mvtrop.groups import Z, LexZG, qsubgroup
@@ -152,7 +156,55 @@ def test_fragment_cells_outside_the_listing(text, bound):
 @given(listings())
 def test_record_shape_matches_the_reference_shape(case):
     A, bound = case
-    assert record_shape(A, int_record(A, bound)[1]) == reference_shape(A, bound)
+    assert int_record(A, bound).shape == reference_shape(A, bound)
+
+
+_HUGE = 10 ** 20  # past sys.maxsize, where len() of a range overflows
+
+
+@pytest.mark.parametrize("text, shape", [
+    (f"chain:{_HUGE}", [(1, _HUGE)]),
+    (f"prod:chain:{_HUGE},interval", [(3, _HUGE), (1, 3)]),
+    (f"prod:interval,chain:{_HUGE}", [(_HUGE, 3), (1, _HUGE)]),
+    (f"prod:chain:2,chain:{_HUGE},chain:3", [(3 * _HUGE, 2), (3, _HUGE), (1, 3)])])
+def test_a_record_past_sys_maxsize_is_sized_without_listing(text, shape, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("listed")
+    monkeypatch.setattr(FiniteChain, "enumerate", refuse)
+    monkeypatch.setattr(algebra._Tuples, "__iter__", refuse)
+    monkeypatch.setattr(algebra._Tuples, "__len__", refuse)
+    A = parse_algebra_shorthand(text)
+    size = math.prod([s for _, s in shape])
+    assert int_record(A, 2).shape == shape
+    assert sized_record(A, 2, size - 1) is None
+    assert sized_record(A, 2, size).shape == shape
+    with pytest.raises(DomainError, match=f"cannot list .*: more than {sys.maxsize} elements"):
+        boolean_part(A, 2)
+    with pytest.raises(DomainError, match="cannot list"):
+        theta(A).payloads(2)
+
+
+def test_a_products_leaves_are_each_distinct_leafs_own_record():
+    record = int_record(parse_algebra_shorthand("prod:chang,chain:3,chang"), 2)
+    assert [leaf.shape for leaf in record.leaves] == [[(1, 6)], [(1, 3)]]
+    assert [leaf.leaves for leaf in record.leaves] == [(leaf,) for leaf in record.leaves]
+
+
+@pytest.mark.parametrize("text, bound", [("chain:50", None), ("interval", 4),
+                                         ("delta:Z[1/2]", 2), ("delta:lex:Z", 1)])
+def test_a_leaf_is_its_own_one_leaf_and_no_record_outlives_its_walk(text, bound):
+    # a record that held itself would be a cycle, freed only by the garbage collector
+    A = parse_algebra_shorthand(text)
+    record = int_record(A, bound)
+    assert record.leaves == (record,)
+    gc.collect()
+    gc.disable()
+    try:
+        check_identities(A, _mv_axioms(), bound)
+        theta(A).payloads(bound)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # -- each int record against the payload record ----------------------------------------
@@ -172,7 +224,8 @@ def _same(a, b):
 @given(record_cases())
 def test_int_record_agrees_with_the_payload_record(case):
     A, bound, (i, j, k) = case
-    ops, values, decode = int_record(A, bound)
+    record = int_record(A, bound)
+    ops, values, decode = record.ops, record.values, record.decode
     P = payload_ops(A)
     values = list(values)
     assert [repr(decode(v)) for v in values] == [repr(p) for p in enumerate_payloads(A, bound)]
@@ -192,19 +245,23 @@ def test_int_record_kinds():
     """L_n on a finite chain, scaled ints on the interval and Δ(G ⊆ Q), the
     factors' values side by side on a product, and the payload record with
     payloads as values on the fallback kinds."""
-    ops, values, _ = int_record(FiniteChain(5))
+    def fields(A, bound=None):
+        record = int_record(A, bound)
+        return record.ops, record.values, record.decode
+
+    ops, values, _ = fields(FiniteChain(5))
     assert values == range(5) and ops.one == 4
-    ops, values, decode = int_record(parse_algebra_shorthand("interval"), 3)
+    ops, values, decode = fields(parse_algebra_shorthand("interval"), 3)
     assert values == [0, 2, 3, 4, 6] and ops.one == 6 and decode(5) == Fraction(5, 6)
-    ops, values, decode = int_record(parse_algebra_shorthand("delta:Z[1/2]"), 2)
+    ops, values, decode = fields(parse_algebra_shorthand("delta:Z[1/2]"), 2)
     assert ops is payload_ops(CHANG) and all(isinstance(g, int) for _, g in values)
     assert decode((0, 1)) == (0, Fraction(1, 2))
-    ops, values, decode = int_record(parse_algebra_shorthand("prod:delta:Z[1/2],chain:3"), 2)
+    ops, values, decode = fields(parse_algebra_shorthand("prod:delta:Z[1/2],chain:3"), 2)
     assert values[4] == ((0, 1), 1)
     assert decode(values[4]) == ((0, Fraction(1, 2)), Fraction(1, 2))
     for text in ("delta:lex:Z", "chang"):
         A = parse_algebra_shorthand(text)
-        ops, values, decode = int_record(A, 2)
+        ops, values, decode = fields(A, 2)
         assert ops is payload_ops(A) and values == enumerate_payloads(A, 2)
 
 

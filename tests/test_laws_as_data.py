@@ -16,8 +16,9 @@ the premises run only when the conclusion fails, a conjunction fails when
 either of its equations does, an arity-0 law runs once, the slots follow the
 sorted variables, a product decided factor by factor on a quasi-identity,
 conjunctive or not, gives the report of the plain walk, each law is compiled
-once per check on the record walked and no law built for one call outlives it,
-and a failing suite axiom is witnessed through its own equation.
+once per check on the record walked, a failing leaf once and a failing product
+once per distinct leaf and once on its own record, no law built for one call
+outlives it, and a failing suite axiom is witnessed through its own equation.
 """
 
 import gc
@@ -98,9 +99,9 @@ def modus_ponens_closure(ops):
 def _records(text, bound=None):
     """The payload record of A with its listing, and A's int record with its values."""
     A = parse_algebra_shorthand(text)
-    ops, values, _ = int_record(A, bound)
+    record = int_record(A, bound)
     return [(f"{text}@{bound}/payload", payload_ops(A), enumerate_payloads(A, bound)),
-            (f"{text}@{bound}/int", ops, list(values))]
+            (f"{text}@{bound}/int", record.ops, list(record.values))]
 
 
 def _bad_oplus(x, y):  # drops the truncation
@@ -166,7 +167,7 @@ def test_each_compiled_law_is_its_closure_on_random_tables(record):
 
 # -- Law.on on its own -----------------------------------------------------------
 
-_L3 = int_record(parse_algebra_shorthand("chain:3"))[0]  # L_3 on 0, 1, 2
+_L3 = int_record(parse_algebra_shorthand("chain:3")).ops  # L_3 on 0, 1, 2
 
 
 def test_a_false_premise_holds_whatever_the_conclusion():
@@ -295,6 +296,33 @@ def test_a_delta_check_compiles_each_law_once_on_changs_record(compiled):
     lex = parse_algebra_shorthand("delta:lex:Z")  # not in Q: its payload record
     check_identities(lex, _mv_axioms(), 1)
     assert compiled == [(law, payload_ops(lex)) for law in _mv_axioms()]
+
+
+_FAILING = (Law("idempotent", parse_equation("x (+) x = x")),
+            Law("commutative", parse_equation("x (+) y = y (+) x")))
+
+
+@pytest.mark.parametrize("text, bound", [("chain:7", None), ("delta:Z[1/2]", 2)])
+def test_a_failing_leaf_check_compiles_each_law_once(compiled, text, bound):
+    A = parse_algebra_shorthand(text)
+    report = check_identities(A, _FAILING, bound)
+    assert report.witness[0] == "idempotent"
+    assert [law for law, _ in compiled] == list(_FAILING)
+    assert len({id(ops) for _, ops in compiled}) == 1
+
+
+@pytest.mark.parametrize("text, bound, leaves", [("prod:chain:7,chain:7", None, 1),
+                                                 ("prod:chain:2,delta:Z[1/2]", 2, 2)])
+def test_a_failing_product_compiles_each_law_per_distinct_leaf_and_on_its_record(
+        compiled, text, bound, leaves):
+    A = parse_algebra_shorthand(text)
+    walk = _walk(A, _FAILING, bound)
+    compiled.clear()
+    assert check_identities(A, _FAILING, bound) == walk
+    assert [law for law, _ in compiled] == list(_FAILING) * (leaves + 1)
+    records = [ops for _, ops in compiled[::len(_FAILING)]]
+    assert records[-1].one == int_record(A, bound).ops.one  # the product's own, walked
+    assert len({id(ops) for ops in records}) == leaves + 1
 
 
 @pytest.mark.parametrize("argv", [

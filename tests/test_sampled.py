@@ -167,7 +167,8 @@ def test_theta_star_of_chain_2001_builds_only_the_fractions_it_lists(monkeypatch
      '{"kind":"chang"}]},chain:4', 2)])
 def test_a_products_values_index_and_draw_as_their_listing(text, bound):
     A = parse_algebra_shorthand(text)
-    _, values, decode = int_record(A, bound)
+    record = int_record(A, bound)
+    values, decode = record.values, record.decode
     listed = list(values)
     assert repr([decode(v) for v in listed]) == repr(reference_listing(A, bound))
     assert len(values) == len(listed)
@@ -254,8 +255,9 @@ def test_a_delta_walk_decodes_only_its_counterexample(monkeypatch):
     decoded = []
 
     def counted(self, bound, build=algebra.DeltaOf.build_int_record):
-        ops, values, decode = build(self, bound)
-        return ops, values, lambda v: decoded.append(v) or decode(v)
+        record = build(self, bound)
+        return algebra.IntRecord(record.ops, record.values,
+                                 lambda v: decoded.append(v) or record.decode(v), record.shape)
     monkeypatch.setattr(algebra.DeltaOf, "build_int_record", counted)
     A = parse_algebra_shorthand("delta:Z[1/6]")
     assert check_identities(A, _mv_axioms(), 2).ok
@@ -285,7 +287,7 @@ def test_lex_product_walks_match_the_payload_reference(laws, bound):
     ("prod:delta:lex:Z,chain:2", 1), ("prod:delta:trivial,chain:3", None),
     *[(text, 1) for text in _NESTED[:3]]])
 def test_a_products_k_tuples_are_the_listings(text, bound):
-    _, values, _ = int_record(parse_algebra_shorthand(text), bound)
+    values = int_record(parse_algebra_shorthand(text), bound).values
     for k in range(4):
         assert list(values.tuples(k)) == list(itertools.product(list(values), repeat=k))
 
