@@ -26,28 +26,24 @@ A walk over a listing (θ, θ*, the Boolean part and ``export``), every sampled
 check and every full check but those of a chain or the interval run on
 ``int_record(A, bound)``, one ``IntRecord``: the record, the listing's values
 on it, a decoder of any value back to its payload, each leaf's (weight, size)
-and each distinct leaf's record.  It is exact because Γ's truncated
-operations commute with scaling by a positive integer.  Each kind builds its
-own (``build_int_record``), sized by its kind, never by ``len`` of its
-values.  A finite chain with n elements is L_n on ``range(n)``, i decoded as
-Fraction(i, n−1).  The
-interval's fragment runs on p·D and Δ(G)'s for G ⊆ Q on Chang's record over
-(bit, offset·D), D the lcm of the listing's denominators; any other Δ(G)
-keeps the payload record, with the payloads as values.  A product's int
-record is one flat record over its leaves (``leaf_factors``), componentwise
+and each distinct leaf's record.  Each kind builds its own
+(``build_int_record``), sized by its kind, never by ``len`` of its values, and
+lists its carrier by decoding them (``MvAlgebra.enumerate``).  Every shipped
+leaf is Γ of an ordered group with a strong unit, and its int record is
+``_chain_ops(0, top)`` on ints: L_n on ``range(n)``, i read as i/(n−1); the
+interval's Farey fragment as p·D, D the lcm of its denominators; Δ(G)'s as
+bit·T + φ(g), φ the group's ``scaled``.  A product's int record is one flat
+record over its leaves (``leaf_factors``), componentwise
 (``_componentwise``): its values are the tuples of theirs, a sequence that
 builds only the tuples it is asked for (``_Tuples``), its shape the product
 of theirs, and its decoder regroups the leaves' payloads by the product tree.
-The listing of a chain or a product is its values decoded
-(``MvAlgebra.enumerate``), so a walk builds no listing of either and decodes
-only what it keeps.  The Fractions of [0, 1], the ints of L_n and the scaled
-interval share one record, ``_chain_ops(bottom, top)``.  A sampled check draws
-on the values with the seeded ``rng.choice``, which picks the same indices as
-it would on the listing.  A full check (exhaustive or bounded) decides on each
-distinct leaf's record and walks a product's k-tuples (``_Tuples.tuples``)
-only when a leaf fails; a chain or the interval is one leaf, walked on its
-payload record.  All decode only a counterexample's instance.  A walk
-refuses a record of more than ``sys.maxsize`` values (``walk_record``).
+A sampled check draws on the values with the seeded ``rng.choice``, which
+picks the same indices as it would on the listing.  A full check (exhaustive
+or bounded) decides on each distinct leaf's record and walks a product's
+k-tuples (``_Tuples.tuples``) only when a leaf fails; a chain or the interval
+is one leaf, walked on its payloads.  All decode only a counterexample's
+instance, and refuse a record of more than ``sys.maxsize`` values
+(``walk_record``).
 
 Δ(G) payloads are (bit, offset) pairs whose arithmetic runs on the group's
 unchecked ops record (``groups.GroupOps``).  Group membership of offsets is
@@ -71,8 +67,7 @@ from fractions import Fraction
 from typing import Any, Callable
 
 from .errors import DomainError, ModeError, StructuralError, UsageError
-from .groups import (TRIVIAL, LexZG, LGroup, QSubgroup, Z, group_coerce,
-                     require_members)
+from .groups import TRIVIAL, LexZG, LGroup, Z, group_coerce, require_members, unit_above
 from .rationals import dumps, parse_integer, parse_rational, rational_str, shown
 from .report import CheckReport, Instances, Law, axiom_witness, check_laws
 from .terms import parse_equation
@@ -144,22 +139,16 @@ class MvAlgebra(Value):
     JSON is the tag alone unless it overrides ``to_json``), ``coerce(payload)``
     (validated in full), ``build_ops()`` (its record; callers use ``payload_ops``),
     ``carrier_size()`` (None, the default, when infinite),
-    ``is_infinitesimal(payload)`` and ``payload_to_json`` / ``payload_from_json``.
-    Finite chains and products supply ``build_int_record(bound)``, their piece of
-    ``int_record``, and list their carrier by decoding its values (``enumerate``).
-    The interval and Δ(G) supply ``enumerate(bound)``, the carrier or its bounded
-    fragment in canonical order, from which their int record is built; by
-    default that is the payload record, with the listing as its values."""
+    ``is_infinitesimal(payload)``, ``payload_to_json`` / ``payload_from_json``
+    and ``build_int_record(bound)``, its piece of ``int_record``.  Every kind
+    lists its carrier or bounded fragment, in canonical order, by decoding that
+    record's values (``enumerate``)."""
 
     def to_json(self) -> dict:
         return {"kind": self.tag}
 
     def carrier_size(self) -> int | None:
         return None
-
-    def build_int_record(self, bound: int | None) -> IntRecord:
-        listing = self.enumerate(bound)
-        return IntRecord(payload_ops(self), listing, lambda p: p, [(1, len(listing))])
 
     def enumerate(self, bound: int | None) -> list:
         record = self.build_int_record(bound)
@@ -239,16 +228,11 @@ class RationalInterval(_Unit):
     def __str__(self) -> str:
         return "interval"
 
-    def enumerate(self, bound: int) -> list:
-        """The Farey sequence of order ``bound``."""
-        return sorted({Fraction(n, d) for d in range(1, bound + 1) for n in range(d + 1)})
-
     def build_int_record(self, bound: int) -> IntRecord:
-        """p ↦ p·D on ``_chain_ops(0, D)``, D the lcm of the listing's denominators."""
-        pool = self.enumerate(bound)
-        D = math.lcm(*[p.denominator for p in pool])
-        return IntRecord(_chain_ops(0, D), [p.numerator * (D // p.denominator) for p in pool],
-                         lambda v: Fraction(v, D), [(1, len(pool))])
+        """The Farey sequence of order ``bound``, p as p·D, D = lcm(1..bound)."""
+        D = math.lcm(*range(1, bound + 1))
+        values = sorted({n * (D // d) for d in range(1, bound + 1) for n in range(d + 1)})
+        return IntRecord(_chain_ops(0, D), values, lambda v: Fraction(v, D), [(1, len(values))])
 
 
 class DeltaOf(MvAlgebra):
@@ -328,22 +312,23 @@ class DeltaOf(MvAlgebra):
         return 2 if self.group == TRIVIAL else None
 
     def build_int_record(self, bound: int | None) -> IntRecord:
-        """For G ⊆ Q, (bit, g) ↦ (bit, g·D) on Chang's record, D the lcm of the
-        listing's offset denominators; other groups keep the payload record."""
-        if not isinstance(self.group, QSubgroup):
-            return super().build_int_record(bound)
-        pool = self.enumerate(bound)
-        D = math.lcm(*[g.denominator for _, g in pool])
-        return IntRecord(payload_ops(CHANG),
-                         [(b, g.numerator * (D // g.denominator)) for b, g in pool],
-                         lambda v: (v[0], Fraction(v[1], D)), [(1, len(pool))])
+        """ψ(bit, g) = bit·T + φ(g) on ``_chain_ops(0, T)``, φ the group's
+        ``scaled``, T = (4B + 1)·2⁶⁴ (``unit_above``) and B the fragment's
+        largest |φ(g)|: (0, g) over its cone, then (1, g) up to (1, 0) = T.
 
-    def enumerate(self, bound: int | None) -> list:
-        """Ascending: (0, g) over the upper half of the group's fragment, its cone,
-        then (1, g) over the lower half, up to 0; no offset is negated."""
-        fragment = self.group.enumerate(bound)
-        mid = len(fragment) // 2
-        return [(0, g) for g in fragment[mid:]] + [(1, g) for g in fragment[:mid + 1]]
+        ψ is additive, so the walk is exact where ψ is injective and monotone.
+        Every term is piecewise Σcᵢxᵢ + c₀u with Σ|cᵢ| ≤ L, L its number of
+        variable occurrences, and so are the untruncated sums inside ⊕ and ⊙
+        (induction over the connectives).  So a value reached is some (b, g)
+        with |φ(g)| ≤ L·B < T/4 unless L ≥ 2⁶⁴, 2⁶⁴ bytes of input: there ψ is
+        injective, orders as Z lex G does and is undone by splitting at T/2.
+        A lex group's S is this argument one level down.  T is fixed from the
+        fragment alone because the record also serves export and θ."""
+        ints, decode = self.group.scaled(bound)
+        mid, T = len(ints) // 2, unit_above(ints[-1])
+        return IntRecord(_chain_ops(0, T), ints[mid:] + [T + g for g in ints[:mid + 1]],
+                         lambda v: (0, decode(v)) if 2 * v < T else (1, decode(v - T)),
+                         [(1, len(ints) + 1)])
 
     def is_infinitesimal(self, p) -> bool:
         return p[0] == 0
@@ -396,13 +381,8 @@ class ProductAlgebra(MvAlgebra):
         sizes = [size for part in parts for _, size in part.shape]
         shape = [(math.prod(sizes[i + 1:]), size) for i, size in enumerate(sizes)]
         opss, valuess, decoders = zip(*[(part.ops, part.values, part.decode) for part in parts])
-
-        def regroup(A, leaves):  # A's payload from an iterator over its leaves' payloads
-            return tuple([regroup(f, leaves) if f.tag == self.tag else next(leaves)
-                          for f in A.factors])
-
         return IntRecord(_componentwise(opss), _Tuples(valuess, shape),
-                         lambda v: regroup(self, iter([d(c) for d, c in zip(decoders, v)])),
+                         lambda v: _regroup(self, iter([d(c) for d, c in zip(decoders, v)])),
                          shape, tuple(records.values()))
 
     def carrier_size(self) -> int | None:
@@ -421,13 +401,19 @@ class ProductAlgebra(MvAlgebra):
         return tuple(f.payload_from_json(c) for f, c in zip(self.factors, data))
 
 
+def _regroup(A: ProductAlgebra, leaves) -> tuple:
+    """A's payload from an iterator over its leaves' payloads, in order."""
+    return tuple([_regroup(f, leaves) if f.tag == A.tag else next(leaves) for f in A.factors])
+
+
 class IntRecord:
-    """The record of ``int_record``: ``ops``, the listing's ``values`` on it,
-    ``decode`` from any value to its payload, ``shape``, each leaf's (weight,
-    size), and ``leaves``, each distinct leaf's record.  A leaf's shape is
-    [(1, size)], the size given by its kind, and its one leaf is itself, made
-    on each read: held, it would be a cycle keeping the listing alive until the
-    garbage collector runs.  A plain class, as ``Value``'s repr would recurse."""
+    """The record of ``int_record``: ``ops`` (a leaf's ``_chain_ops(0, top)``, a
+    product's its leaves'), the listing's ``values`` on it, ints or tuples of
+    them, ``decode`` from any value to its payload, ``shape``, each leaf's
+    (weight, size), and ``leaves``, each distinct leaf's record.  A leaf's one
+    leaf is itself, made on each read: held, it would be a cycle keeping the
+    listing alive until the garbage collector runs.  A plain class, as
+    ``Value``'s repr would recurse."""
 
     __slots__ = ("ops", "values", "decode", "shape", "_leaves")
     leaves = property(lambda self: self._leaves or (self,))
@@ -666,11 +652,11 @@ def check_identities(A: MvAlgebra, laws: list[Law], bound: int | None = None,
     or, with ``samples`` set, the draws of ``_sampled``; each law is compiled
     once per record it runs on, and only a counterexample's instance is decoded.
 
-    A full walk (exhaustive, or bounded by ``bound``) runs on one
-    ``IntRecord``: a chain's or the interval's payload record with the listing
-    as values, else ``int_record(A, bound)``.  The laws are checked on each of
-    its distinct ``leaves`` in turn, over every tuple of the leaf's values; a
-    carrier that is one leaf is its own one leaf.
+    A full walk (exhaustive, or bounded by ``bound``) runs on
+    ``walk_record(A, bound, "check")``, sized before anything is listed; a
+    chain or the interval walks its values decoded, on the payload record.
+    The laws are checked on each of its distinct ``leaves`` in turn, over
+    every tuple of the leaf's values; a one-leaf carrier is its own leaf.
 
     Every ``Law`` is an identity or a quasi-identity (a Horn sentence per
     equation of its conclusion, each under the premises).  Such a law holds on
@@ -690,11 +676,13 @@ def check_identities(A: MvAlgebra, laws: list[Law], bound: int | None = None,
     if bound is None and carrier_size(A) is None:
         raise ModeError(f"{A} has an infinite carrier; use a bounded or sampled check")
     mode = "exhaustive" if bound is None else "bounded"
+    record = walk_record(A, bound, "check")
     # Chains and the interval walk payloads: on ints their walks run so much faster
     # that perfbench's harness, which keeps every finished job, grows past its
     # peak-RSS bound (ROADMAP items 1 and 3).
-    record = (MvAlgebra.build_int_record(_bounded(A, bound), bound) if A.tag in
-              (FiniteChain.tag, RationalInterval.tag) else walk_record(A, bound, "check"))
+    if A.tag in (FiniteChain.tag, RationalInterval.tag):
+        record = IntRecord(payload_ops(A), list(map(record.decode, record.values)),
+                           lambda p: p, record.shape)
     for leaf in record.leaves:
         report = check_laws([law.on(leaf.ops) for law in laws],
                             Instances.over(leaf.values, mode, bound))

@@ -5,11 +5,10 @@ containing 0 and 1, represented as a record-level membership test plus, when
 the carrier is given from outside, an explicit element tuple.  The test takes
 an ops record and a value on it: membership of one element runs it on the
 host's payload record, and a listing runs it on ``algebra.int_record``, whose
-values are ints, scaled ints or tuples of them wherever the host allows.  A TopCone is the
-positive cone of an ℓ-group together with an absorbing top element; it is how
-θ of a perfect algebra is packaged.  Like every ordered structure it carries
-one ops record (see ``groups``), and the cone operations are that record's,
-checked.
+values are ints or tuples of them.  A TopCone is the positive cone of an
+ℓ-group together with an absorbing top element; it is how θ of a perfect
+algebra is packaged.  Like every ordered structure it carries one ops record
+(see ``groups``), and the cone operations are that record's, checked.
 
 The ℓ-bisemiring axioms, a bounded distributive lattice (S, ∧, ∨, 0, 1) and
 idempotent commutative semirings (S, ∧, 0, 1, ⊕) and (S, ∨, 0, 1, ⊙), are a

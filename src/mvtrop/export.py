@@ -1,13 +1,12 @@
 """Structure export: full operation tables as JSON and Hasse diagrams as DOT.
 
 The tables, the negation map and the Boolean elements are computed on the
-listing's int record (``algebra.int_record``): ints on a chain or a scaled
-fragment, tuples of them on a product (payloads on any other Δ(G)).  Every result
-is looked up in an index of the listing keyed on the record's values; on a
-fragment of an infinite carrier a result can fall outside the listing, and
-only such a result is decoded and rendered as a payload.  The listing itself,
-the infinitesimal marks and the diagram's nodes are decoded to payloads once
-per element.
+listing's int record (``algebra.int_record``): ints, or tuples of them on a
+product.  Every result is looked up in an index of the listing keyed on the
+record's values (``_Index``); on a fragment of an infinite carrier a result
+can fall outside the listing, and only such a result is decoded and rendered
+as a payload.  The listing itself, the infinitesimal marks and the diagram's
+nodes are decoded to payloads once per element.
 
 The Hasse diagram needs no order tests.  Every kind that is not a product is
 a chain enumerated in ascending order, so consecutive listed elements cover
@@ -40,12 +39,9 @@ def operation_tables(A: MvAlgebra, bound: int | None = None) -> dict:
     and are rendered as payloads instead of indices (flagged by "fragment").
     """
     ops, xs, decode, _ = _listing(A, bound)
-
-    class Index(dict):  # a result outside the listing is rendered as its payload
-        def __missing__(self, r):
-            return A.payload_to_json(decode(r))
-
-    cell = Index((x, i) for i, x in enumerate(xs)).__getitem__
+    index = _Index(zip(xs, range(len(xs))))
+    index.render = lambda r: A.payload_to_json(decode(r))
+    cell = index.__getitem__
     tables = {name: [list(map(cell, map(f, repeat(x), xs))) for x in xs]
               for name, f in (("oplus", ops.oplus), ("odot", ops.odot),
                               ("meet", ops.meet), ("join", ops.join))}
@@ -59,6 +55,13 @@ def operation_tables(A: MvAlgebra, bound: int | None = None) -> dict:
         "boolean": [i for i, x in enumerate(xs) if ops.oplus(x, x) == x],
         "infinitesimal": [i for i, p in enumerate(elems) if A.is_infinitesimal(p)],
     }
+
+
+class _Index(dict):
+    """Each listed value's index; a fragment's result outside it is ``render``ed."""
+
+    def __missing__(self, r):
+        return self.render(r)
 
 
 def hasse_dot(A: MvAlgebra, bound: int | None = None) -> str:

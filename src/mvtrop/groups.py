@@ -9,9 +9,9 @@ addition is join and semiring multiplication is the group operation.
 Each kind is a frozen subclass of ``LGroup`` holding, as methods, all that is
 particular to it, its JSON ``tag``, descriptor JSON (``to_json``) and shorthand
 (``str(G)``) among them; the public functions guard once and call into the kind.
-A kind lists its bounded positive cone in ascending order from 0 (``cone``); its
-fragment (``enumerate``) is that cone mirrored through −.  A subgroup of Q
-orders its cone on exact int keys, so listing it compares no ``Fraction``.
+A kind states its bounded fragment once (``scaled``), as ascending ints under
+an additive order-embedding φ into Z, with φ⁻¹; ``enumerate``, ``cone`` and
+Δ(G)'s int record (``algebra.DeltaOf.build_int_record``) decode them.
 
 Every ordered structure — each ℓ-group, each Trop(G) and each cone with a top
 (``bisemirings.TopCone``) — carries one record of operations, ``S.ops``
@@ -78,15 +78,26 @@ class OrderedStructure(Value):
         return self.build_ops()
 
 
+def unit_above(B: int) -> int:
+    """(4B + 1)·2⁶⁴, a lex level's unit over ints in [−B, B]: see ``DeltaOf.build_int_record``."""
+    return (4 * B + 1) << 64
+
+
 class LGroup(OrderedStructure):
     """Base of the group descriptors.  A kind supplies its ``tag``, ``__str__``,
-    ``build_ops``, ``coerce`` (a member's canonical form) and ``cone(bound)``;
-    its JSON is its tag alone and its members are "p/q" unless it overrides that."""
+    ``build_ops``, ``coerce`` (a member's canonical form) and ``scaled(bound)``:
+    the fragment's ints φ(g), ascending and symmetric about 0, and φ⁻¹.  Its
+    JSON is its tag alone and its members are "p/q" unless it overrides that."""
 
     def enumerate(self, bound: int) -> list:
-        """The bounded fragment in ascending order: the cone mirrored through −."""
-        cone, neg = self.cone(bound), self.ops.neg
-        return [neg(x) for x in cone[:0:-1]] + cone
+        """The bounded fragment in ascending order: ``scaled``'s ints decoded."""
+        ints, decode = self.scaled(bound)
+        return list(map(decode, ints))
+
+    def cone(self, bound: int) -> list:
+        """The fragment's members ≥ 0 in ascending order: its upper half, from 0."""
+        ints, decode = self.scaled(bound)
+        return list(map(decode, ints[len(ints) // 2:]))
 
     def to_json(self) -> dict:
         return {"kind": self.tag}
@@ -117,8 +128,8 @@ class Integers(LGroup):
             raise StructuralError(f"{shown(x)} is not an integer")
         return n
 
-    def cone(self, bound: int) -> list:
-        return list(range(bound + 1))
+    def scaled(self, bound: int) -> tuple[list, Callable]:
+        return list(range(-bound, bound + 1)), int
 
 
 class TrivialGroup(LGroup):
@@ -138,8 +149,8 @@ class TrivialGroup(LGroup):
             raise StructuralError(f"{shown(x)} is not in the trivial group")
         return 0
 
-    def cone(self, bound: int) -> list:
-        return [0]
+    def scaled(self, bound: int | None) -> tuple[list, Callable]:
+        return [0], int
 
 
 class QSubgroup(LGroup):
@@ -172,14 +183,12 @@ class QSubgroup(LGroup):
             raise StructuralError(f"{shown(x)} violates the characteristic constraint of {self}")
         return x
 
-    def cone(self, bound: int) -> list:
-        """Members 0 <= n/d <= bound with d <= bound, in lowest terms, sorted on
-        the int key n·(L/d), L the lcm of the admitted denominators d."""
+    def scaled(self, bound: int) -> tuple[list, Callable]:
+        """The members n/d, |n/d| <= bound and d <= bound, as n·(L/d), L the lcm of the d."""
         ds = [d for d in range(1, bound + 1) if admits_denominator(self.chi, d)]
         L = math.lcm(*ds)
-        keyed = sorted((n * (L // d), n, d) for d in ds
-                       for n in range(1, bound * d + 1) if math.gcd(n, d) == 1)
-        return [Fraction(0)] + [Fraction(n, d) for _, n, d in keyed]
+        cone = sorted(set().union(*[range(0, bound * L + 1, L // d) for d in ds]))
+        return [-k for k in cone[:0:-1]] + cone, lambda k: Fraction(k, L)
 
 
 class LexZG(LGroup):
@@ -225,14 +234,16 @@ class LexZG(LGroup):
             raise StructuralError(f"lex head {shown(x[0])} is not an integer")
         return (head, self.tail.coerce(x[1]))
 
-    def cone(self, bound: int) -> list:  # the upper half, from the fragment's middle 0
-        fragment = self.enumerate(bound)
-        return fragment[len(fragment) // 2:]
+    def scaled(self, bound: int) -> tuple[list, Callable]:
+        """The pairs of [−bound, bound] and the tail's fragment as a·S + φ(t), S
+        ``unit_above`` the tail's largest |φ(t)|; φ⁻¹ rounds to a multiple of S."""
+        tail, decode = self.tail.scaled(bound)
+        S = unit_above(tail[-1])
 
-    def enumerate(self, bound: int) -> list:
-        """Lexicographic pairs over [-bound, bound] and the tail's fragment."""
-        tail = self.tail.enumerate(bound)
-        return [(a, t) for a in range(-bound, bound + 1) for t in tail]
+        def phi_inv(v):
+            a = (2 * v + S) // (2 * S)
+            return (a, decode(v - a * S))
+        return [a * S + t for a in range(-bound, bound + 1) for t in tail], phi_inv
 
     def payload_to_json(self, x) -> Any:
         return [x[0], self.tail.payload_to_json(x[1])]

@@ -5,10 +5,8 @@ over one record's operations; ``evaluate`` runs that, and every checker passes
 its laws as ``report.Law``s, compiled on the record a check walks.  ``evaluate``
 and exhaustive and bounded checks of a chain or the interval run on the
 descriptor's payload record; a sampled check, and any full check of a product
-or of Δ(G), runs on the int record of ``algebra.int_record`` (L_n's ints
-0..n−1 for a finite chain, decoded as Fraction(i, n−1); Chang's record over
-(bit, offset·D) for Δ(G) with G ⊆ Q), and only its counterexample is decoded
-to payloads.
+or of Δ(G), runs on the ints of ``algebra.int_record``, and only its
+counterexample is decoded to payloads.
 
 Exhaustive checks walk every valuation of a finite algebra in canonical order
 and report the first counterexample; bounded checks run over the bound-limited

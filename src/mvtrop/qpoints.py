@@ -191,7 +191,7 @@ def frobenius_action(chi: Characteristic) -> FlatAction:
 
 def _positive_fragment(chi: Characteristic, height: int) -> list[tuple[int, int]]:
     """The cone's elements n/d with n, d <= height, as lowest-terms pairs in
-    increasing order, sorted on the int key n·(L/d) as ``QSubgroup.cone`` is."""
+    increasing order, sorted on the int key n·(L/d) as ``QSubgroup.scaled`` is."""
     ds = [d for d in range(1, height + 1) if admits_denominator(chi, d)]
     L = math.lcm(*ds)
     pairs = [(n, d) for d in ds for n in range(1, height + 1) if math.gcd(n, d) == 1]

@@ -96,15 +96,38 @@ def reference_draws(pool: list, samples: int, seed: int):
 
 # -- reference listings, built without the int record ------------------------
 
+def reference_fragment(G, bound) -> list:
+    """G's bounded fragment in ascending order, built without any scaled ints:
+    [−bound, bound] on Z, [0] on the trivial group, the members n/d of a
+    subgroup of Q with |n/d| <= bound and d <= bound, sorted as Fractions, and
+    on Z lex G the pairs of [−bound, bound] and the tail's fragment."""
+    if G.tag == "integers":
+        return list(range(-bound, bound + 1))
+    if G.tag == "trivial":
+        return [0]
+    if G.tag == "lex_zg":
+        return [(a, t) for a in range(-bound, bound + 1)
+                for t in reference_fragment(G.tail, bound)]
+    cone = sorted({Fraction(n, d) for d in range(1, bound + 1)
+                   if G.ops.contains(Fraction(1, d)) for n in range(bound * d + 1)})
+    return [-q for q in cone[:0:-1]] + cone
+
+
 def reference_listing(A, bound=None) -> list:
     """A's payload listing built without any int record: a finite chain's
-    k/(n − 1) in order, a product's ``itertools.product`` of its factors'
-    listings at any depth, and the interval's and Δ(G)'s own ``enumerate``."""
+    k/(n − 1) in order, the interval's Farey sequence of order ``bound``,
+    Δ(G)'s (0, g) over its group's ``reference_fragment`` from 0 up, then
+    (1, g) from its bottom up to 0, and a product's ``itertools.product`` of
+    its factors' listings at any depth."""
     if A.tag == "product":
         return list(itertools.product(*(reference_listing(f, bound) for f in A.factors)))
     if A.tag == "finite_chain":
         return [Fraction(k, A.size - 1) for k in range(A.size)]
-    return A.enumerate(bound)
+    if A.tag == "rational_interval":
+        return sorted({Fraction(n, d) for d in range(1, bound + 1) for n in range(d + 1)})
+    fragment = reference_fragment(A.group, bound)
+    mid = len(fragment) // 2
+    return [(0, g) for g in fragment[mid:]] + [(1, g) for g in fragment[:mid + 1]]
 
 
 def reference_shape(A, bound=None) -> list:

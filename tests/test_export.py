@@ -12,6 +12,7 @@ lie in the listing and render the rest, and the expected Hasse diagram takes
 its covers from the brute-force order relation.
 """
 
+import gc
 import itertools
 from fractions import Fraction
 
@@ -235,10 +236,10 @@ def test_an_export_lists_each_infinite_leaf_once(export, text, bound, monkeypatc
     A = parse_algebra_shorthand(text)
     listed = []
     for kind in (RationalInterval, DeltaOf):
-        def counted(self, b, enumerate=kind.enumerate):
+        def counted(self, b, build=kind.build_int_record):
             listed.append(self)
-            return enumerate(self, b)
-        monkeypatch.setattr(kind, "enumerate", counted)
+            return build(self, b)
+        monkeypatch.setattr(kind, "build_int_record", counted)
     export(A, bound)  # a leaf that repeats is listed once too
     assert listed == list(dict.fromkeys(
         f for f in getattr(A, "factors", [A]) if carrier_size(f) is None))
@@ -248,9 +249,27 @@ def test_a_product_with_an_infinite_factor_has_an_int_record():
     A = product_algebra(FiniteChain(2), CHANG)
     record = int_record(A, 2)
     rec, values, decode = record.ops, record.values, record.decode
-    assert [values[i] for i in range(3)] == [(0, (0, 0)), (0, (0, 1)), (0, (0, 2))]
+    T = 9 << 64  # Chang's (bit, g) as bit·T + g at bound 2
+    assert [values[i] for i in range(6)] == [(0, 0), (0, 1), (0, 2), (0, T - 2), (0, T - 1),
+                                             (0, T)]
+    assert [decode(values[i]) for i in range(6)] == [
+        (Fraction(0), p) for p in [(0, 0), (0, 1), (0, 2), (1, -2), (1, -1), (1, 0)]]
     assert [decode(v) for v in values] == enumerate_payloads(A, 2)
     assert decode(rec.oplus(values[1], values[-1])) == (Fraction(1), (1, 0))
+
+
+@pytest.mark.parametrize("text, bound", [("chain:50", None), ("delta:Z[1/2]", 3),
+                                         ("prod:chang,chain:3", 2)])
+def test_an_export_leaves_nothing_for_the_garbage_collector(text, bound):
+    A = parse_algebra_shorthand(text)
+    operation_tables(A, bound)
+    gc.collect()
+    gc.disable()
+    try:
+        operation_tables(A, bound)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("A", [FiniteChain(2), FiniteChain(9), RationalInterval(), CHANG,

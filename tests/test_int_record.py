@@ -2,18 +2,19 @@
 
 θ, θ*, ``boolean_part``, ``operation_tables`` and ``hasse_dot`` walk a listing on
 the int record of ``algebra.int_record``: L_n on ``range(n)`` for a finite chain,
-scaled ints on the interval's and Δ(G ⊆ Q)'s fragments, the payload record
-itself on any other Δ(G), and one flat record over the leaves on a product,
-finite or not.  The references below are their earlier forms, which walk the
+scaled ints on the interval's fragment, ψ(bit, g) = bit·T + φ(g) on every
+Δ(G)'s, and one flat record over the leaves on a product, finite or not.  The references below are their earlier forms, which walk the
 listing on ``payload_ops`` (``Fraction``s and (bit, offset) pairs); every
 output must be equal, including table cells that fall outside a fragment's
 listing.  Each int record must also agree with the payload record operation by
-operation after decoding, and θ and θ* of a finite chain must match their
-closed forms.
+operation after decoding, every term evaluated on a Δ(G)'s ψ-images must
+decode to its value on payloads at every subterm, and θ and θ* of a finite
+chain must match their closed forms.
 """
 
 import gc
 import math
+import random
 import sys
 from fractions import Fraction
 
@@ -21,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_shape
+from conftest import random_term, reference_listing, reference_shape
 import mvtrop.algebra as algebra
 from mvtrop.algebra import (CHANG, FiniteChain, MvElement, _mv_axioms, carrier_size,
                             check_identities, element_str,
@@ -32,8 +33,10 @@ from mvtrop.characteristics import INF, characteristic
 from mvtrop.errors import DomainError, StructuralError
 from mvtrop.export import hasse_dot, operation_tables
 from mvtrop.functors import boolean_part, delta, theta, theta_star
-from mvtrop.groups import Z, LexZG, qsubgroup
+from mvtrop.groups import Z, LexZG, qsubgroup, unit_above
 from mvtrop.jsonio import parse_algebra_shorthand
+from mvtrop.logic import Valuation, evaluate
+from mvtrop.terms import Const, Neg, Var, compile_term, fold
 
 # -- the payload-record reference ----------------------------------------------------
 
@@ -108,9 +111,8 @@ SCALED = [("interval", range(1, 13)), ("chang", range(1, 7)), ("delta:Z[1/2]", r
           ("prod:delta:Z[1/6],chain:2", range(1, 4)),
           ('{"kind":"product","factors":[{"kind":"product","factors":['
            '{"kind":"rational_interval"},{"kind":"finite_chain","size":2}]},{"kind":"chang"}]}',
-           range(1, 4))]
-FALLBACK = [("delta:lex:Z", range(1, 4))]
-KINDS = [(s, [None]) for s in FINITE] + [(s, list(b)) for s, b in SCALED + FALLBACK]
+           range(1, 4)), ("delta:lex:Z", range(1, 4)), ("delta:lex:lex:Z", range(1, 2))]
+KINDS = [(s, [None]) for s in FINITE] + [(s, list(b)) for s, b in SCALED]
 
 
 @st.composite
@@ -190,13 +192,19 @@ def test_a_products_leaves_are_each_distinct_leafs_own_record():
     assert [leaf.leaves for leaf in record.leaves] == [(leaf,) for leaf in record.leaves]
 
 
-@pytest.mark.parametrize("text, bound", [("chain:50", None), ("interval", 4),
-                                         ("delta:Z[1/2]", 2), ("delta:lex:Z", 1)])
-def test_a_leaf_is_its_own_one_leaf_and_no_record_outlives_its_walk(text, bound):
-    # a record that held itself would be a cycle, freed only by the garbage collector
+@pytest.mark.parametrize("text, bound, leaves", [
+    ("chain:50", None, 1), ("interval", 4, 1), ("delta:Z[1/2]", 2, 1), ("delta:lex:Z", 1, 1),
+    ("prod:chain:3,chang", 2, 2), ("prod:interval,chain:3,interval", 2, 2),
+    ('{"kind":"product","factors":[{"kind":"product","factors":[{"kind":"chang"},'
+     '{"kind":"finite_chain","size":2}]},{"kind":"chang"}]}', 1, 2)])
+def test_a_leaf_is_its_own_one_leaf_and_no_record_outlives_its_walk(text, bound, leaves):
+    # a record that held itself, or a decoder that reached itself, would be a
+    # cycle, freed only by the garbage collector
     A = parse_algebra_shorthand(text)
     record = int_record(A, bound)
-    assert record.leaves == (record,)
+    assert len(record.leaves) == leaves
+    assert all(leaf.leaves == (leaf,) for leaf in record.leaves)
+    assert A.tag == "product" or record.leaves == (record,)
     gc.collect()
     gc.disable()
     try:
@@ -242,9 +250,9 @@ def test_int_record_agrees_with_the_payload_record(case):
 
 
 def test_int_record_kinds():
-    """L_n on a finite chain, scaled ints on the interval and Δ(G ⊆ Q), the
-    factors' values side by side on a product, and the payload record with
-    payloads as values on the fallback kinds."""
+    """L_n on a finite chain, scaled ints on the interval, ψ(bit, g) = bit·T +
+    φ(g) on every Δ(G), T = (4B + 1)·2⁶⁴ with B the fragment's largest |φ(g)|,
+    and the factors' values side by side on a product."""
     def fields(A, bound=None):
         record = int_record(A, bound)
         return record.ops, record.values, record.decode
@@ -253,16 +261,51 @@ def test_int_record_kinds():
     assert values == range(5) and ops.one == 4
     ops, values, decode = fields(parse_algebra_shorthand("interval"), 3)
     assert values == [0, 2, 3, 4, 6] and ops.one == 6 and decode(5) == Fraction(5, 6)
+    T = 17 << 64  # B = 4: offsets up to 2 in halves
     ops, values, decode = fields(parse_algebra_shorthand("delta:Z[1/2]"), 2)
-    assert ops is payload_ops(CHANG) and all(isinstance(g, int) for _, g in values)
-    assert decode((0, 1)) == (0, Fraction(1, 2))
+    assert values == [0, 1, 2, 3, 4, T - 4, T - 3, T - 2, T - 1, T] and ops.one == T
+    assert decode(1) == (0, Fraction(1, 2)) and decode(T - 1) == (1, Fraction(-1, 2))
+    assert decode(7) == (0, Fraction(7, 2))  # outside the listing, decoded all the same
     ops, values, decode = fields(parse_algebra_shorthand("prod:delta:Z[1/2],chain:3"), 2)
-    assert values[4] == ((0, 1), 1)
+    assert values[4] == (1, 1)
     assert decode(values[4]) == ((0, Fraction(1, 2)), Fraction(1, 2))
-    for text in ("delta:lex:Z", "chang"):
-        A = parse_algebra_shorthand(text)
-        ops, values, decode = fields(A, 2)
-        assert ops is payload_ops(A) and values == enumerate_payloads(A, 2)
+    ops, values, decode = fields(CHANG, 2)
+    assert values == [0, 1, 2, (9 << 64) - 2, (9 << 64) - 1, 9 << 64]
+    assert [decode(v) for v in values] == [(0, 0), (0, 1), (0, 2), (1, -2), (1, -1), (1, 0)]
+    ops, values, _ = fields(parse_algebra_shorthand("delta:trivial"))
+    assert values == [0, 1 << 64] and ops.one == 1 << 64
+    S = 9 << 64  # lex:Z at bound 2: heads times S, plus tails in [−2, 2]
+    T = unit_above(2 * S + 2)
+    ops, values, decode = fields(parse_algebra_shorthand("delta:lex:Z"), 2)
+    assert values[:6] == [0, 1, 2, S - 2, S - 1, S] and values[-1] == T == ops.one
+    assert values[13:16] == [T - 2 * S - 2, T - 2 * S - 1, T - 2 * S]
+    assert decode(T - S + 1) == (1, (-1, 1)) and decode(S - 2) == (0, (1, -2))
+    assert all(a < b for a, b in zip(values, values[1:]))
+
+
+# -- a term on a Δ(G)'s ψ-images against the payload record -----------------------------
+
+def _subterms(t):
+    """t's subterms, t first: a fold to lists whose head is the node rebuilt."""
+    return fold(t, lambda name: [Var(name)], lambda value: [Const(value)],
+                lambda arg: [Neg(arg[0])] + arg,
+                lambda cls, left, right: [cls(left[0], right[0])] + left + right)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["chang", "delta:Z[1/6]", "delta:lex:Z", "delta:lex:lex:Z",
+                        "delta:trivial"]),
+       st.integers(1, 3), st.integers(0, 2 ** 32), st.data())
+def test_a_term_on_psi_images_decodes_to_its_value_on_payloads(text, bound, seed, data):
+    A = parse_algebra_shorthand(text)
+    record, listing = int_record(A, bound), reference_listing(A, bound)
+    assert repr([record.decode(v) for v in record.values]) == repr(listing)
+    picks = [data.draw(st.integers(0, len(listing) - 1)) for _ in "xyz"]
+    valuation = Valuation(A, {name: MvElement(A, listing[i]) for name, i in zip("xyz", picks)})
+    ints = [record.values[i] for i in picks]
+    for s in _subterms(random_term(random.Random(seed), 6)):
+        value = compile_term(s, record.ops, {"x": 0, "y": 1, "z": 2})(ints)
+        assert repr(record.decode(value)) == repr(evaluate(s, valuation).payload), s
 
 
 # -- closed forms on finite chains -------------------------------------------------------

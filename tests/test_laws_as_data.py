@@ -32,7 +32,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import luk_neg, luk_oplus
-from mvtrop.algebra import (_mv_axioms, CHANG, PayloadOps, check_identities,
+from mvtrop.algebra import (_mv_axioms, PayloadOps, check_identities,
                             enumerate_payloads, int_record, payload_ops)
 from mvtrop.bisemirings import _lbisemiring_axioms
 from mvtrop.jsonio import parse_algebra_shorthand
@@ -286,16 +286,18 @@ def test_each_law_is_compiled_once_per_check_on_the_record_walked(compiled):
     assert {ops.one for _, ops in compiled} == {6}  # the leaf's int record, L_7 on 0..6
 
 
-def test_a_delta_check_compiles_each_law_once_on_changs_record(compiled):
-    A = parse_algebra_shorthand("delta:Z[1/2]")
-    for bound in (1, 3):  # a new D per bound, one record for all of them
+# the largest |φ(g)| at bounds 1 and 2: g·L on Z[1/2] (L = 1, then 2), and a·S + t on
+# lex:Z (S = (4·bound + 1)·2⁶⁴)
+@pytest.mark.parametrize("text, Bs", [("delta:Z[1/2]", (1, 4)),
+                                      ("delta:lex:Z", ((5 << 64) + 1, 2 * (9 << 64) + 2))])
+def test_a_delta_check_compiles_each_law_once_on_its_chain_record(compiled, text, Bs):
+    A = parse_algebra_shorthand(text)
+    for bound, B in zip((1, 2), Bs):  # a new T per bound, one record for all the laws
         compiled.clear()
         assert check_identities(A, _mv_axioms(), bound).ok
-        assert compiled == [(law, payload_ops(CHANG)) for law in _mv_axioms()]
-    compiled.clear()
-    lex = parse_algebra_shorthand("delta:lex:Z")  # not in Q: its payload record
-    check_identities(lex, _mv_axioms(), 1)
-    assert compiled == [(law, payload_ops(lex)) for law in _mv_axioms()]
+        assert [law for law, _ in compiled] == list(_mv_axioms())
+        assert {(ops.zero, ops.one) for _, ops in compiled} == {(0, (4 * B + 1) << 64)}
+        assert len({id(ops) for _, ops in compiled}) == 1
 
 
 _FAILING = (Law("idempotent", parse_equation("x (+) x = x")),

@@ -13,15 +13,16 @@ listing's draws without the listing.
 
 A product walked in full (exhaustive or bounded) is decided on its leaves'
 int records, or walked on the k-tuples of its int record's values, and a
-Δ(G) leaf walked in full runs on its int record: Chang's record over
-(bit, offset·D) ints for G ⊆ Q, its payload record for any other group.  The
+Δ(G) leaf walked in full runs on its int record, ``_chain_ops(0, T)`` on
+the ints bit·T + φ(g).  The
 reference walks the payload listing, every law over every tuple of it on
 ``payload_ops``.  The whole report must again be equal, the witness down to
 the types of its payloads.
 
-A finite chain's or a product's own listing is its int record's values
-decoded, so every reference here lists the payloads without the record
-(``conftest.reference_listing``): k/(n − 1) in order on a chain, and
+Every kind's own listing is its int record's values decoded, so every
+reference here lists the payloads without the record
+(``conftest.reference_listing``): k/(n − 1) in order on a chain, the Farey
+sequence on the interval, Δ(G)'s pairs from its group's fragment, and
 ``itertools.product`` of the factors' listings on a product, nested or not.
 A nested product's int record is one flat record over its leaves, so its
 listings, draws, exports and checks must equal the references too, the
@@ -228,11 +229,11 @@ _NESTED = [json.dumps(d) for d in (_product(_L3, _product(_L2, _L3)),
 WALKED = ([("prod:chain:2,chain:2", [None]), ("prod:chain:2,chain:3", [None, 2]),
            ("prod:chain:3,chain:4", [None]), ("prod:chain:2,chain:5", [None]),
            ("prod:chain:2,chain:2,chain:3", [None]), ("prod:chain:4", [None]),
-           ("delta:trivial", [None]), ("prod:delta:trivial,chain:3", [None, 1]),
+           ("delta:trivial", [None, 1]), ("prod:delta:trivial,chain:3", [None, 1]),
            ("prod:chain:3,chang", [1, 2, 3]), ("prod:delta:Z[1/2],chain:2", [1, 2, 3]),
            ("prod:interval,chain:3", [1, 2, 3]), ("prod:delta:lex:Z,chain:2", [1]),
            ("chang", [1, 2, 3]), ("delta:Z[1/2]", [1, 2, 3]), ("delta:Z[1/6]", [1, 2]),
-           ("delta:Q", [1, 2]), ("delta:lex:Z", [1])]
+           ("delta:Q", [1, 2]), ("delta:lex:Z", [1]), ("delta:lex:lex:Z", [1])]
           + [(text, [None]) for text in _NESTED[:2]] + [(_NESTED[2], [1, 2])])
 
 
@@ -265,7 +266,8 @@ def test_a_delta_walk_decodes_only_its_counterexample(monkeypatch):
     report = check_identities(A, _equation(Odot(Var("x"), Var("y")), CONST0), 3)
     assert (report.checked, repr(report.witness)) == (
         52, repr(("equation", ((0, Fraction(1, 3)), (1, Fraction(0))))))
-    assert decoded == [(0, 2), (1, 0)]  # offsets times D = 6, the lcm of 1, 2 and 3
+    # offsets times L = 6, the lcm of 1, 2 and 3, and the bit times T = (4·18 + 1)·2⁶⁴
+    assert decoded == [2, 73 << 64]
 
 
 # delta:lex:Z × chain:2 has 52 and 100 elements at bounds 2 and 3: laws of one
@@ -341,10 +343,10 @@ def test_a_product_check_lists_each_infinite_leaf_once(text, laws, bound, monkey
     expected = walk_reference(A, laws, bound)
     listed = []
     for kind in (algebra.RationalInterval, algebra.DeltaOf):
-        def counted(self, b, enumerate=kind.enumerate):
+        def counted(self, b, build=kind.build_int_record):
             listed.append(self)
-            return enumerate(self, b)
-        monkeypatch.setattr(kind, "enumerate", counted)
+            return build(self, b)
+        monkeypatch.setattr(kind, "build_int_record", counted)
     report = check_identities(A, laws, bound)  # the leaf decision reuses the walk's records
     assert listed == list(dict.fromkeys(f for f in A.factors if f.carrier_size() is None))
     assert report == expected
