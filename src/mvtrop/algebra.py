@@ -19,8 +19,10 @@ shipped kind is an MV-chain or a finite product of MV-chains, so each knows its
 order natively.  A record is built on first use in O(number of factors), with
 no tables, and kept in a bounded cache keyed on the frozen descriptor.  The
 ``mv_*`` functions unwrap MvElements, call the record and wrap the result; a
-check compiles its laws (``report.Law``, the MV axioms one table of them) on a
-record, once per check, and builds MvElements only for witnesses.
+full check compiles its laws (``report.Law``, the MV axioms one table of them)
+on a record, once per record it walks, a sampled check evaluates them a column
+of draws at a time (``report.check_drawn``), and both build MvElements only for
+witnesses.
 
 A walk over a listing (θ, θ*, the Boolean part and ``export``), every sampled
 check and every full check but those of a chain or the interval run on
@@ -37,13 +39,13 @@ record over its leaves (``leaf_factors``), componentwise
 (``_componentwise``): its values are the tuples of theirs, a sequence that
 builds only the tuples it is asked for (``_Tuples``), its shape the product
 of theirs, and its decoder regroups the leaves' payloads by the product tree.
-A sampled check draws on the values with the seeded ``rng.choice``, which
-picks the same indices as it would on the listing.  A full check (exhaustive
-or bounded) decides on each distinct leaf's record and walks a product's
-k-tuples (``_Tuples.tuples``) only when a leaf fails; a chain or the interval
-is one leaf, walked on its payloads.  All decode only a counterexample's
-instance, and refuse a record of more than ``sys.maxsize`` values
-(``walk_record``).
+A sampled check draws on the values in batches (``seeded_draws``), exactly
+the values that the seeded ``rng.choice`` picks, the same indices as on the
+listing.  A full check (exhaustive or bounded) decides on each distinct leaf's
+record and walks a product's k-tuples (``_Tuples.tuples``) only when a leaf
+fails; a chain or the interval is one leaf, walked on its payloads.  All
+decode only a counterexample's instance, and refuse a record of more than
+``sys.maxsize`` values (``walk_record``).
 
 Δ(G) payloads are (bit, offset) pairs whose arithmetic runs on the group's
 unchecked ops record (``groups.GroupOps``).  Group membership of offsets is
@@ -69,7 +71,7 @@ from typing import Any, Callable
 from .errors import DomainError, ModeError, StructuralError, UsageError
 from .groups import TRIVIAL, LexZG, LGroup, Z, group_coerce, require_members, unit_above
 from .rationals import dumps, parse_integer, parse_rational, rational_str, shown
-from .report import CheckReport, Instances, Law, axiom_witness, check_laws
+from .report import CheckReport, Instances, Law, axiom_witness, check_drawn, check_laws
 from .terms import parse_equation
 from .value import Value, set_field
 
@@ -626,31 +628,48 @@ def enumerate_elements(A: MvAlgebra, bound: int | None = None) -> list[MvElement
 def sample_elements(A: MvAlgebra, count: int, seed: int,
                     bound: int = DEFAULT_SAMPLE_BOUND) -> list[MvElement]:
     """``count`` seeded draws with replacement from the (bounded) carrier's
-    listing: the draws of ``_sampled``, decoded."""
-    record, source = _sampled(A, bound, count, seed)
-    return [MvElement(A, record.decode(v)) for (v,) in source.tuples(1)]
+    listing: the first ``count`` draws of ``_sampled``, decoded."""
+    record, draw = _sampled(A, bound, count, seed)
+    return [MvElement(A, record.decode(v)) for v in draw(count)]
 
 
 def _sampled(A: MvAlgebra, bound: int | None, samples: int, seed: int) -> tuple:
-    """The one sampler: ``int_record(A, bound)`` and ``samples`` seeded draws
-    with replacement of its values (the bound only applies to infinite
-    carriers).  ``rng.choice`` picks an index from the length alone, and the
-    values have the listing's length and order, so these are the listing's
-    draws; a finite chain's ``range`` and a product's ``_Tuples`` are never
-    listed."""
+    """The one sampler: ``int_record(A, bound)`` and ``draw``, where ``draw(m)``
+    is the next m seeded draws with replacement of its values (the bound only
+    applies to infinite carriers), refused when ``samples`` is below 1.  They
+    are the listing's draws, as ``seeded_draws`` says; a finite chain's
+    ``range`` and a product's ``_Tuples`` are never listed."""
     if samples < 1:
         raise DomainError("samples must be >= 1")
     record = walk_record(A, bound, "draw from")
-    values, rng = record.values, random.Random(seed)
-    return record, Instances(lambda arity: (tuple([rng.choice(values) for _ in range(arity)])
-                                            for _ in range(samples)), "sampled", bound)
+    return record, seeded_draws(record.values, seed)
+
+
+def seeded_draws(values, seed: int) -> Callable[[int], list]:
+    """``draw(m)``: the next m of the values that successive calls of
+    ``random.Random(seed).choice(values)`` return.  On Python 3.10 to 3.13 a
+    choice is ``values[r]``, r the first of ``getrandbits(k)``, k the bit length
+    of n = ``len(values)``, that is below n; so the draws are the values at the
+    raw draws below n, in order, and a batch asks for one raw draw per value it
+    still lacks, never one past its last.  ``choice`` picks an index from the
+    length alone, so values with a listing's length and order give its draws."""
+    n, getrandbits = len(values), random.Random(seed).getrandbits
+    k = n.bit_length()
+
+    def draw(m: int) -> list:
+        picks: list[int] = []
+        while len(picks) < m:
+            picks += filter(n.__gt__, map(getrandbits, itertools.repeat(k, m - len(picks))))
+        return list(map(values.__getitem__, picks))
+    return draw
 
 
 def check_identities(A: MvAlgebra, laws: list[Law], bound: int | None = None,
                      samples: int | None = None, seed: int = 0) -> CheckReport:
     """Check ``laws`` over every tuple of the (bound-limited) carrier's listing
-    or, with ``samples`` set, the draws of ``_sampled``; each law is compiled
-    once per record it runs on, and only a counterexample's instance is decoded.
+    or, with ``samples`` set, on the draws of ``_sampled``, a column of them at
+    a time (``report.check_drawn``); a full walk compiles each law once per
+    record it runs on, and only a counterexample's instance is decoded.
 
     A full walk (exhaustive, or bounded by ``bound``) runs on
     ``walk_record(A, bound, "check")``, sized before anything is listed; a
@@ -671,8 +690,8 @@ def check_identities(A: MvAlgebra, laws: list[Law], bound: int | None = None,
     canonical order and its ``checked`` are the walk's.
     """
     if samples is not None:
-        record, source = _sampled(A, bound, samples, seed)
-        return _decoded(check_laws([law.on(record.ops) for law in laws], source), record.decode)
+        record, draw = _sampled(A, bound, samples, seed)
+        return _decoded(check_drawn(laws, record.ops, draw, samples), record.decode)
     if bound is None and carrier_size(A) is None:
         raise ModeError(f"{A} has an infinite carrier; use a bounded or sampled check")
     mode = "exhaustive" if bound is None else "bounded"

@@ -1,12 +1,14 @@
 """Evaluation of Lukasiewicz terms and equation / tautology checking.
 
-A term is compiled once per check, by ``terms.compile_term``, into a closure
-over one record's operations; ``evaluate`` runs that, and every checker passes
-its laws as ``report.Law``s, compiled on the record a check walks.  ``evaluate``
-and exhaustive and bounded checks of a chain or the interval run on the
-descriptor's payload record; a sampled check, and any full check of a product
-or of Δ(G), runs on the ints of ``algebra.int_record``, and only its
-counterexample is decoded to payloads.
+``evaluate`` compiles a term, by ``terms.compile_term``, into a closure over one
+record's operations and runs it.  Every checker passes its laws as
+``report.Law``s: a full check compiles them on the record it walks, and a
+sampled check evaluates them a column of draws at a time
+(``report.check_drawn``), each term node one list.  ``evaluate`` and exhaustive
+and bounded checks of a chain or the interval run on the descriptor's payload
+record; a sampled check, and any full check of a product or of Δ(G), runs on
+the ints of ``algebra.int_record``, and only its counterexample is decoded to
+payloads.
 
 Exhaustive checks walk every valuation of a finite algebra in canonical order
 and report the first counterexample; bounded checks run over the bound-limited

@@ -1,13 +1,15 @@
 """Verification outcomes shared by all checkers, the one engine that checks laws,
-``Law``, an equational law as data, compiled on the record a check walks, and
+``Law``, an equational law as data, compiled on the record a full walk runs on
+or evaluated a column at a time on drawn instances (``check_drawn``), and
 ``check_over``, which runs a table of Laws on explicit operations and elements."""
 
 from __future__ import annotations
 
 import itertools
+import operator
 from typing import Any, Callable, Iterable
 
-from .terms import Equation, compile_term
+from .terms import Equation, compile_term, fold
 from .value import Value, replace, set_field
 
 VALID = "valid"
@@ -126,6 +128,61 @@ class Law(Value, eq=False):
         premises = sides[k:]
         return self.name, len(self.slots), lambda *env: lhs(env) == rhs(env) or not all(
             p(env) == q(env) for p, q in premises)
+
+    def first_failure(self, ops, columns: list, n: int) -> int | None:
+        """The index of the first of n instances on which this law fails on the
+        record ``ops``, or None; variable slot i reads its values from
+        ``columns[i]``.  Each term node is one list of n values, its operation
+        mapped over its children's lists.  The conclusion's sides are compared
+        as lists, in C; only when they differ are the premises evaluated and
+        the instances tested one by one."""
+        one, zero, neg = ops.one, ops.zero, ops.neg
+
+        def sides(equations):
+            return [[fold(t, lambda name: columns[self.slots[name]],
+                          lambda value: [one if value else zero] * n, lambda a: list(map(neg, a)),
+                          lambda cls, a, b: list(map(getattr(ops, cls.op), a, b)))
+                     for t in (e.lhs, e.rhs)] for e in equations]
+
+        def agree(pairs):  # per instance, whether every pair of sides agrees
+            each = [map(operator.eq, lhs, rhs) for lhs, rhs in pairs]
+            return each[0] if len(each) == 1 else map(all, zip(*each))
+        conclusion = sides(self.conclusion)
+        if all([lhs == rhs for lhs, rhs in conclusion]):
+            return None
+        premised = agree(sides(self.premises)) if self.premises else itertools.repeat(True)
+        sound = list(map(operator.le, premised, agree(conclusion)))  # premises imply conclusion
+        return sound.index(False) if False in sound else None
+
+
+# How many instances ``check_drawn`` draws and evaluates at a time: a sampled
+# check holds O(SLICE · term size) values, whatever its number of samples.
+SLICE = 512
+
+
+def check_drawn(laws: Iterable[Law], ops, draw: Callable[[int], list],
+                samples: int) -> CheckReport:
+    """Each Law of laws on ``samples`` drawn instances, an arity-0 law on one
+    instance and no draws; the first failure wins.  A law of k variables takes
+    k·SLICE values at a time from ``draw(m)``, the next m draws, and instance j
+    of a slice is the values j·k to j·k + k − 1 of it: its variable slot i is the
+    column ``flat[i::k]``.  These are the instances, and the ``checked`` count,
+    of a walk that draws each instance's values in turn and checks it; a
+    counterexample's witness is ``(law name, instance)``, for the caller to
+    shape and decode."""
+    checked = 0
+    for law in laws:
+        k = len(law.slots)
+        total = samples if k else 1
+        for start in range(0, total, SLICE):
+            n = min(SLICE, total - start)
+            flat = draw(n * k)
+            i = law.first_failure(ops, [flat[slot::k] for slot in range(k)], n)
+            if i is not None:
+                return CheckReport(COUNTEREXAMPLE, checked + start + i + 1,
+                                   (law.name, tuple(flat[i * k:i * k + k])), "sampled")
+        checked += total
+    return CheckReport(VALID, checked, mode="sampled")
 
 
 def check_over(laws: Iterable[Law], ops, elements: Iterable, show: Callable = lambda p: p):

@@ -1,10 +1,14 @@
 """Differential test: checks on the int record against a payload reference.
 
 A sampled check draws its instances from the values of ``algebra.int_record``,
-runs its laws on that record and decodes only a counterexample's instance.
-The reference below is the earlier form: it draws ``random.Random(seed).choice``
-from the payload listing and checks the laws on ``payload_ops``.  The whole
-report must be equal, the witness down to the types of its payloads.  A
+in batches (``algebra.seeded_draws``), runs its laws on that record a column
+of instances at a time (``report.check_drawn``) and decodes only a
+counterexample's instance.  The reference below is the earlier form: it draws
+``random.Random(seed).choice`` from the payload listing and checks each
+instance in turn with the laws compiled on ``payload_ops``.  The whole report
+must be equal, the witness down to the types of its payloads, however the
+instances are cut into slices; and a check's memory must not grow with its
+number of samples.  A
 finite chain's int record is a ``range`` decoded on demand, so sampled
 checks, θ, θ* and the Boolean part must answer, with the same results, when a
 finite chain's listing cannot be built at all.  A product's values are a
@@ -32,6 +36,8 @@ nesting of each payload included.
 import itertools
 import json
 import random
+import tracemalloc
+from unittest import mock
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -41,8 +47,10 @@ from hypothesis import strategies as st
 
 from conftest import random_term, reference_draws, reference_listing
 import mvtrop.algebra as algebra
+import mvtrop.report as report_module
 from mvtrop.algebra import (_mv_axioms, FiniteChain, ProductAlgebra, check_identities,
-                            enumerate_payloads, int_record, payload_ops, sample_elements)
+                            enumerate_payloads, int_record, payload_ops, sample_elements,
+                            seeded_draws)
 from mvtrop.errors import DomainError
 from mvtrop.export import hasse_dot, operation_tables
 from mvtrop.functors import atoms, boolean_part, theta, theta_star
@@ -50,7 +58,8 @@ from mvtrop.jsonio import parse_algebra_shorthand
 from mvtrop.logic import (_suite, LUKASIEWICZ_AXIOMS, VC_AXIOM, tautology_check,
                           vc_membership)
 from mvtrop.report import COUNTEREXAMPLE, VALID, CheckReport, Instances, Law, check_laws
-from mvtrop.terms import CONST0, CONST1, Equation, Join, Neg, Odot, Oplus, Var
+from mvtrop.terms import (CONST0, CONST1, Equation, Implies, Join, Neg, Odot, Oplus, Var,
+                          parse_equation)
 from test_export import expected_dot, expected_tables
 
 
@@ -90,6 +99,22 @@ _VC = [Law("vc_axiom", VC_AXIOM)]
 law_lists = st.one_of(st.builds(_equation, terms, terms), st.builds(_tautology, terms),
                       st.just(_suite()), st.just(_mv_axioms()), st.just(_VC))
 
+equations = st.builds(Equation, terms, terms)
+# premises that hold on every instance (t = t), on some (t = 1), or on few
+premises = st.lists(st.one_of(st.builds(lambda t: Equation(t, t), terms),
+                              st.builds(lambda t: Equation(t, CONST1), terms), equations),
+                    min_size=1, max_size=2).map(tuple)
+# quasi-identities and conjunctions that fail on some instances and not on others
+_HORN = [Law("converse", parse_equation("x = 1"), (parse_equation("x -> y = 1"),)),
+         Law("idempotent", (parse_equation("x (+) y = y (+) x"), parse_equation("x (.) x = x"))),
+         Law("boolean", (parse_equation("x \\/ ~x = 1"), parse_equation("y = y")),
+             (parse_equation("x (+) x = x (+) x (+) x"),))]
+horn_lists = st.one_of(
+    st.builds(lambda c, ps: [Law("quasi", c, ps)], equations, premises),
+    st.builds(lambda cs, ps: [Law("conjunction", tuple(cs), ps)],
+              st.lists(equations, min_size=2, max_size=3), st.one_of(st.just(()), premises)),
+    st.lists(st.sampled_from(_HORN), min_size=1, max_size=3))
+
 
 @st.composite
 def algebras(draw):
@@ -98,13 +123,42 @@ def algebras(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(algebras(), law_lists, st.integers(1, 40), st.integers(0, 2 ** 32))
-def test_sampled_checks_match_the_payload_reference(case, laws, samples, seed):
+@given(algebras(), st.one_of(law_lists, horn_lists), st.integers(1, 300), st.integers(0, 2 ** 32),
+       st.sampled_from([1, 2, 3, 7, 64, report_module.SLICE]))
+def test_sampled_checks_match_the_payload_reference(case, laws, samples, seed, size):
     A, bound = case
-    report = check_identities(A, laws, bound, samples, seed)
+    with mock.patch.object(report_module, "SLICE", size):  # draws cross slice boundaries
+        report = check_identities(A, laws, bound, samples, seed)
     expected = reference_check(A, laws, bound, samples, seed)
     assert report == expected
     assert repr(report.witness) == repr(expected.witness)
+
+
+@pytest.mark.parametrize("size", [1, 5, report_module.SLICE])
+@pytest.mark.parametrize("text, bound", [("chang", 4), ("interval", 5), ("chain:7", None),
+                                         ("prod:chain:3,chang", 2)])
+def test_quasi_identities_and_conjunctions_meet_counterexamples(text, bound, size, monkeypatch):
+    A = parse_algebra_shorthand(text)
+    monkeypatch.setattr(report_module, "SLICE", size)
+    for law in _HORN:
+        laws = [*_mv_axioms()[:2], law]
+        report = check_identities(A, laws, bound, 300, 11)
+        assert report == reference_check(A, laws, bound, 300, 11)
+        assert report.verdict == COUNTEREXAMPLE
+        assert report.witness[0] == law.name and report.checked > 600
+
+
+@pytest.mark.parametrize("text, bound", [("chang", 5), ("chain:9", None),
+                                         ("prod:chain:3,chang", 2)])
+def test_arity_0_laws_consume_no_draws(text, bound):
+    A = parse_algebra_shorthand(text)
+    constant = [Law("one", Equation(Neg(CONST0), CONST1)), Law("two", Equation(CONST1, CONST1))]
+    x_below_y = [Law("below", Equation(Implies(Var("x"), Var("y")), CONST1))]
+    involutive = [_mv_axioms()[4]]
+    alone = check_identities(A, involutive + x_below_y, bound, 50, 3)
+    mixed = check_identities(A, constant[:1] + involutive + constant[1:] + x_below_y, bound, 50, 3)
+    assert alone.verdict == mixed.verdict == COUNTEREXAMPLE
+    assert (mixed.checked, mixed.witness) == (alone.checked + 2, alone.witness)
 
 
 @settings(max_examples=100, deadline=None)
@@ -115,6 +169,49 @@ def test_sample_elements_are_the_reference_draws(case, count, seed):
     expected = [p for (p,) in reference_draws(reference_listing(A, bound), count, seed)(1)]
     assert [repr(x.payload) for x in sample_elements(A, count, seed, bound)] == list(
         map(repr, expected))
+
+
+_LENGTHS = sorted({1, 2, 3, 4, 5} | {2 ** k + d for k in (3, 8, 31, 32, 33, 62)
+                                    for d in (-1, 0, 1)} | {10 ** 18})
+
+
+@pytest.mark.parametrize("n", _LENGTHS)
+def test_draws_are_successive_seeded_choices(n):
+    values = range(n) if n > 5 else [object() for _ in range(n)]
+    for seed in (0, 1, 31):
+        draw, rng = seeded_draws(values, seed), random.Random(seed)
+        for m in (0, 1, 2, 5, 0, 37, 300):
+            assert draw(m) == [rng.choice(values) for _ in range(m)]
+
+
+@pytest.mark.parametrize("text, bound", [("prod:chain:3,chang", 2), ("prod:chain:5,chain:7", None),
+                                         ("prod:chain:3,delta:trivial", None)])
+def test_draws_on_a_products_tuples_are_successive_seeded_choices(text, bound):
+    values = int_record(parse_algebra_shorthand(text), bound).values
+    assert isinstance(values, algebra._Tuples)
+    for seed in (0, 9):
+        draw, rng = seeded_draws(values, seed), random.Random(seed)
+        for m in (3, 0, 64, 129):
+            assert draw(m) == [rng.choice(values) for _ in range(m)]
+
+
+def _peak(check) -> int:
+    tracemalloc.start()
+    try:
+        check()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_sampled_checks_memory_does_not_grow_with_its_samples():
+    A, law = FiniteChain(10 ** 6), [_mv_axioms()[6]]  # lukasiewicz_exchange, on ints > 256
+
+    def check(samples):
+        return lambda: check_identities(A, law, None, samples, 5)
+    check(10)()  # the records and caches a first check builds
+    small, large = _peak(check(1_000)), _peak(check(100_000))
+    assert large <= 2 * small, (small, large)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 2001, 10 ** 5])
