@@ -18,11 +18,10 @@ of a (bit, offset) sum in Z lex G, and a product takes its factors' own.  Every
 shipped kind is an MV-chain or a finite product of MV-chains, so each knows its
 order natively.  A record is built on first use in O(number of factors), with
 no tables, and kept in a bounded cache keyed on the frozen descriptor.  The
-``mv_*`` functions unwrap MvElements, call the record and wrap the result; a
-full check compiles its laws (``report.Law``, the MV axioms one table of them)
-on a record, once per record it walks, a sampled check evaluates them a column
-of draws at a time (``report.check_drawn``), and both build MvElements only for
-witnesses.
+``mv_*`` functions unwrap MvElements, call the record and wrap the result;
+every check streams its laws (``report.Law``, the MV axioms one table of them)
+through pipelines on the record it runs on (``report.check_laws``), full and
+sampled alike, and builds MvElements only for witnesses.
 
 A walk over a listing (θ, θ*, the Boolean part and ``export``), every sampled
 check and every full check but those of a chain or the interval run on
@@ -39,13 +38,13 @@ record over its leaves (``leaf_factors``), componentwise
 (``_componentwise``): its values are the tuples of theirs, a sequence that
 builds only the tuples it is asked for (``_Tuples``), its shape the product
 of theirs, and its decoder regroups the leaves' payloads by the product tree.
-A sampled check draws on the values in batches (``seeded_draws``), exactly
-the values that the seeded ``rng.choice`` picks, the same indices as on the
-listing.  A full check (exhaustive or bounded) decides on each distinct leaf's
-record and walks a product's k-tuples (``_Tuples.tuples``) only when a leaf
-fails; a chain or the interval is one leaf, walked on its payloads.  All
-decode only a counterexample's instance, and refuse a record of more than
-``sys.maxsize`` values (``walk_record``).
+A sampled check draws on the values in batches of ``SLICE`` instances
+(``seeded_draws``), exactly the values that the seeded ``rng.choice`` picks,
+the same indices as on the listing.  A full check (exhaustive or bounded)
+decides on each distinct leaf's record and walks a product's k-tuples
+(``_Tuples.tuples``) only when a leaf fails; a chain or the interval is one
+leaf, walked on its payloads.  All decode only a counterexample's instance,
+and refuse a record of more than ``sys.maxsize`` values (``walk_record``).
 
 Δ(G) payloads are (bit, offset) pairs whose arithmetic runs on the group's
 unchecked ops record (``groups.GroupOps``).  Group membership of offsets is
@@ -71,7 +70,7 @@ from typing import Any, Callable
 from .errors import DomainError, ModeError, StructuralError, UsageError
 from .groups import TRIVIAL, LexZG, LGroup, Z, group_coerce, require_members, unit_above
 from .rationals import dumps, parse_integer, parse_rational, rational_str, shown
-from .report import CheckReport, Instances, Law, axiom_witness, check_drawn, check_laws
+from .report import CheckReport, Instances, Law, axiom_witness, check_laws
 from .terms import parse_equation
 from .value import Value, set_field
 
@@ -664,12 +663,30 @@ def seeded_draws(values, seed: int) -> Callable[[int], list]:
     return draw
 
 
+# How many instances a sampled check draws at a time (``_drawn``): it holds
+# O(SLICE · arity) draws, whatever its number of samples.
+SLICE = 512
+
+
+def _drawn(draw: Callable[[int], list], samples: int) -> Instances:
+    """The ``samples`` instances of each law of a sampled check: a law of k
+    variables takes k·SLICE values at a time from ``draw(m)``, the next m draws,
+    and its instances are their successive k-tuples.  These are the instances,
+    and the ``checked`` count, of a walk that draws each instance's values in
+    turn and checks it."""
+    def tuples(k):
+        return itertools.chain.from_iterable(
+            zip(*[iter(draw(min(SLICE, samples - start) * k))] * k)
+            for start in range(0, samples, SLICE))
+    return Instances(tuples, lambda k: samples, "sampled")
+
+
 def check_identities(A: MvAlgebra, laws: list[Law], bound: int | None = None,
                      samples: int | None = None, seed: int = 0) -> CheckReport:
     """Check ``laws`` over every tuple of the (bound-limited) carrier's listing
-    or, with ``samples`` set, on the draws of ``_sampled``, a column of them at
-    a time (``report.check_drawn``); a full walk compiles each law once per
-    record it runs on, and only a counterexample's instance is decoded.
+    or, with ``samples`` set, on the draws of ``_sampled`` (``_drawn``); each
+    walk streams the laws through the one law engine (``report.check_laws``)
+    on one record, and only a counterexample's instance is decoded.
 
     A full walk (exhaustive, or bounded by ``bound``) runs on
     ``walk_record(A, bound, "check")``, sized before anything is listed; a
@@ -685,13 +702,13 @@ def check_identities(A: MvAlgebra, laws: list[Law], bound: int | None = None,
     pools.  So if every leaf passes, a product's report is the one its walk
     would give, without walking it: the same verdict, mode and details, and
     ``checked`` = the sum over the laws of ``source.count(arity)``.  If a leaf
-    fails, the laws are compiled on the product's record and walked over its
-    values' k-tuples (``_Tuples.tuples``), so the first counterexample in
-    canonical order and its ``checked`` are the walk's.
+    fails, the laws are run on the product's record over its values' k-tuples
+    (``_Tuples.tuples``), so the first counterexample in canonical order and
+    its ``checked`` are the walk's.
     """
     if samples is not None:
         record, draw = _sampled(A, bound, samples, seed)
-        return _decoded(check_drawn(laws, record.ops, draw, samples), record.decode)
+        return _decoded(check_laws(laws, _drawn(draw, samples), record.ops), record.decode)
     if bound is None and carrier_size(A) is None:
         raise ModeError(f"{A} has an infinite carrier; use a bounded or sampled check")
     mode = "exhaustive" if bound is None else "bounded"
@@ -703,16 +720,15 @@ def check_identities(A: MvAlgebra, laws: list[Law], bound: int | None = None,
         record = IntRecord(payload_ops(A), list(map(record.decode, record.values)),
                            lambda p: p, record.shape)
     for leaf in record.leaves:
-        report = check_laws([law.on(leaf.ops) for law in laws],
-                            Instances.over(leaf.values, mode, bound))
+        report = check_laws(laws, Instances.over(leaf.values, mode, bound), leaf.ops)
         if leaf is record:
             return _decoded(report, leaf.decode)
         if not report.ok:
             break
-    source = Instances(record.values.tuples, mode, bound, len(record.values))
+    source = Instances(record.values.tuples, len(record.values).__pow__, mode, bound)
     if report.ok:
         return source.clean(sum(source.count(len(law.slots)) for law in laws))
-    return _decoded(check_laws([law.on(record.ops) for law in laws], source), record.decode)
+    return _decoded(check_laws(laws, source, record.ops), record.decode)
 
 
 def _decoded(report: CheckReport, decode: Callable) -> CheckReport:

@@ -246,7 +246,8 @@ def theta_image_conditions(S: Bisemiring, bound: int | None = None) -> CheckRepo
     def phases():  # run lazily, in order, until one fails
         yield closure("inf_closure", operations, lambda r: odot(r, r) == z, inf_set)
         downward = ("inf_downward", 2, lambda w, x: odot(w, w) == z or not ops.leq(w, x))
-        pairs = Instances(lambda _: ((w, x) for x in inf_set for w in elems))
+        pairs = Instances(lambda _: ((w, x) for x in inf_set for w in elems),
+                          lambda _: len(inf_set) * len(elems))
         yield check_laws([downward], pairs).shaped(
             lambda _, pair: {"condition": "inf_downward", "elements": shown(pair)})
         if z not in bool_set or o not in bool_set:

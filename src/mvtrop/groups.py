@@ -236,13 +236,16 @@ class LexZG(LGroup):
 
     def scaled(self, bound: int) -> tuple[list, Callable]:
         """The pairs of [−bound, bound] and the tail's fragment as a·S + φ(t), S
-        ``unit_above`` the tail's largest |φ(t)|; φ⁻¹ rounds to a multiple of S."""
+        ``unit_above`` the tail's largest |φ(t)|; φ⁻¹ rounds to a multiple of S
+        and decodes each listed tail once, any other by the tail's φ⁻¹."""
         tail, decode = self.tail.scaled(bound)
         S = unit_above(tail[-1])
+        listed = dict(zip(tail, map(decode, tail)))
 
         def phi_inv(v):
             a = (2 * v + S) // (2 * S)
-            return (a, decode(v - a * S))
+            t = v - a * S
+            return (a, listed[t] if t in listed else decode(t))
         return [a * S + t for a in range(-bound, bound + 1) for t in tail], phi_inv
 
     def payload_to_json(self, x) -> Any:

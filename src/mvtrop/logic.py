@@ -1,14 +1,13 @@
 """Evaluation of Lukasiewicz terms and equation / tautology checking.
 
-``evaluate`` compiles a term, by ``terms.compile_term``, into a closure over one
-record's operations and runs it.  Every checker passes its laws as
-``report.Law``s: a full check compiles them on the record it walks, and a
-sampled check evaluates them a column of draws at a time
-(``report.check_drawn``), each term node one list.  ``evaluate`` and exhaustive
-and bounded checks of a chain or the interval run on the descriptor's payload
-record; a sampled check, and any full check of a product or of Δ(G), runs on
-the ints of ``algebra.int_record``, and only its counterexample is decoded to
-payloads.
+``evaluate`` reads its one valuation through the pipeline that checks laws
+(``terms.stream``), on the descriptor's payload record.  Every checker passes
+its laws as ``report.Law``s to the one law engine (``report.check_laws``),
+which streams the instances of each law through such pipelines on the record
+it runs on.  Exhaustive and bounded checks of a chain or the interval run on
+the payload record; a sampled check, and any full check of a product or of
+Δ(G), runs on the ints of ``algebra.int_record``, and only its counterexample
+is decoded to payloads.
 
 Exhaustive checks walk every valuation of a finite algebra in canonical order
 and report the first counterexample; bounded checks run over the bound-limited
@@ -30,8 +29,7 @@ from typing import Mapping
 from .algebra import CHANG, MvAlgebra, MvElement, check_identities, payload_ops
 from .errors import EvaluationError, StructuralError
 from .report import CheckReport, Law
-from .terms import (CONST1, Equation, Term, compile_term, operation_count, parse,
-                    parse_equation)
+from .terms import CONST1, Equation, Term, operation_count, parse, parse_equation, stream
 from .value import Value, set_field
 
 
@@ -44,20 +42,22 @@ class Valuation(Value):
 def evaluate(t: Term, v: Valuation) -> MvElement:
     """Evaluate t under v; → is read as ¬x ⊕ y, ⊖ as x ⊙ ¬y."""
     A = v.algebra
-    slots: dict[str, int] = {}
+    env: dict = {}
+
+    def read(name):  # each binding checked once, in the order the term reads them
+        if name not in env:
+            try:
+                x = v.bindings[name]
+            except KeyError:
+                raise EvaluationError(f"variable {name!r} is not bound") from None
+            if x.algebra != A:
+                raise StructuralError(f"binding for {name!r} inhabits {x.algebra}, not {A}")
+            env[name] = x.payload
+        return iter((env[name],))
     ops = payload_ops(A)
-    f = compile_term(t, ops, slots)
-    env = []
-    for name in slots:
-        try:
-            x = v.bindings[name]
-        except KeyError:
-            raise EvaluationError(f"variable {name!r} is not bound") from None
-        if x.algebra != A:
-            raise StructuralError(f"binding for {name!r} inhabits {x.algebra}, not {A}")
-        env.append(x.payload)
-    ops.checked(*env)
-    return MvElement(A, f(env))
+    values = stream(t, ops, read)
+    ops.checked(*env.values())
+    return MvElement(A, next(values))
 
 
 def _bindings(A: MvAlgebra, names, env) -> dict[str, MvElement]:

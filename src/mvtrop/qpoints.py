@@ -252,7 +252,7 @@ def check_flatness(F: FlatAction, samples: int = 1000, seed: int = 0,
                 "w": Fraction(math.gcd(a, c), math.lcm(b, d)),
                 "reason": "action does not reach the pair from the refinement"}
     laws = [("refinement", 2, refined), ("torsion_free", 3, torsion_free)]
-    report = check_laws(laws, Instances(draws, "sampled")).shaped(witness)
+    report = check_laws(laws, Instances(draws, lambda _: samples, "sampled")).shaped(witness)
     if not report.ok:  # condition 1 counts once
         return replace(report, checked=1 + report.checked)
     return CheckReport(VALID, 1 + report.checked, mode="sampled",

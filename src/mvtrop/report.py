@@ -1,15 +1,24 @@
-"""Verification outcomes shared by all checkers, the one engine that checks laws,
-``Law``, an equational law as data, compiled on the record a full walk runs on
-or evaluated a column at a time on drawn instances (``check_drawn``), and
-``check_over``, which runs a table of Laws on explicit operations and elements."""
+"""Verification outcomes shared by all checkers, and the one engine that checks
+laws: ``check_laws`` streams each law's instances through a pipeline of
+iterators and stops at the first failure.  A law is a ``Law``, an equational
+law as data whose terms fold (``terms.stream``) into ``map`` pipelines on the
+record a check runs on, or a predicate on the elements of an instance, mapped
+over them (``starmap``) in the same pipeline; ``check_over`` runs a table of
+Laws on explicit operations and elements.
+
+Nothing is evaluated past the first failure and nothing is held per instance:
+every variable occurrence reads its own copy of one ``tee`` of the instances,
+in step with the others, and the failures are ``compress``ed out of the
+numbered instances (the Volcano iterator model: G. Graefe, IEEE TKDE 6(1),
+1994)."""
 
 from __future__ import annotations
 
-import itertools
-import operator
-from typing import Any, Callable, Iterable
+from itertools import compress, count, product, starmap, tee
+from operator import eq, itemgetter, ne, not_
+from typing import Any, Callable, Iterable, Iterator
 
-from .terms import Equation, compile_term, fold
+from .terms import Equation, stream
 from .value import Value, replace, set_field
 
 VALID = "valid"
@@ -47,27 +56,23 @@ class Instances(Value):
     """The instances of a check, with the mode and bound to report.
 
     ``tuples(arity)`` yields the instances of a law of that arity; a source
-    made for a single law may ignore the arity.  ``size`` is the pool of a
-    source that walks every tuple of a fixed list (``over``), and None for a
-    draw-based one, so ``count(arity)`` knows a walk's length before it starts.
+    made for a single law may ignore the arity.  ``count(arity)`` is how many it
+    yields, stated before any is: ``size ** arity`` for a source that walks
+    every tuple of a pool (``over``), ``samples`` for a drawn one.
     """
 
-    def __init__(self, tuples: Callable[[int], Iterable[tuple]], mode: str = "exhaustive",
-                 bound: int | None = None, size: int | None = None):
+    def __init__(self, tuples: Callable[[int], Iterable[tuple]], count: Callable[[int], int],
+                 mode: str = "exhaustive", bound: int | None = None):
         set_field(self, "tuples", tuples)
+        set_field(self, "count", count)
         set_field(self, "mode", mode)
         set_field(self, "bound", bound)
-        set_field(self, "size", size)
 
     @classmethod
     def over(cls, pool: Iterable, mode: str = "exhaustive", bound: int | None = None):
         """All tuples of the elements of pool, in canonical order."""
         pool = list(pool)
-        return cls(lambda arity: itertools.product(pool, repeat=arity), mode, bound, len(pool))
-
-    def count(self, arity: int) -> int | None:
-        """How many instances ``tuples(arity)`` yields, or None for a draw-based source."""
-        return None if self.size is None else self.size ** arity
+        return cls(lambda arity: product(pool, repeat=arity), len(pool).__pow__, mode, bound)
 
     def clean(self, checked: int) -> CheckReport:
         """The report of a run over this source that found no counterexample.
@@ -84,21 +89,50 @@ def axiom_witness(name: str, instance) -> dict:
     return {"axiom": name, "elements": list(instance)}
 
 
-def check_laws(laws: Iterable[tuple], source: Instances) -> CheckReport:
-    """Check each law ``(name, arity, holds)`` on every instance; the first failure wins.
+def _failing(instances: Iterator, fails: Iterator) -> Iterator:
+    """The ``(number, instance)`` pairs, numbered from 1, at which the stream
+    ``fails``, one truth value per instance, is true."""
+    return compress(zip(count(1), instances), fails)
 
-    Laws run in order, each over ``source.tuples(arity)``, an arity-0 law once;
-    ``holds`` gets the elements of an instance as its arguments.  A
-    counterexample's witness is ``(law name, instance)``, for the caller to
-    shape; a clean bounded run is valid up to its bound.
+
+def _predicate(name: str, arity: int, holds: Callable) -> tuple:
+    """A predicate law as ``check_laws`` runs it: ``holds`` mapped over a copy
+    of the instances."""
+    def failures(instances):
+        instances, = tee(instances, 1)
+        return _failing(instances, map(not_, starmap(holds, instances.__copy__())))
+    return name, arity, failures
+
+
+def check_laws(laws: Iterable, source: Instances, ops=None) -> CheckReport:
+    """Check each law on every instance of source; the first failure wins.
+
+    A law is a ``Law``, run on the record ``ops`` (``Law.on``), or, when ops
+    is None, a predicate ``(name, arity, holds)`` whose ``holds`` gets the
+    elements of an instance as its arguments.  Laws run in order, each over
+    ``source.tuples(arity)``, an arity-0 law once, and a law that holds adds
+    ``source.count(arity)`` to ``checked``.  A counterexample's witness is
+    ``(law name, instance)``, for the caller to shape; a clean bounded run is
+    valid up to its bound.
     """
     checked = 0
-    for name, arity, holds in laws:
-        for instance in source.tuples(arity) if arity else [()]:
-            checked += 1
-            if not holds(*instance):
-                return CheckReport(COUNTEREXAMPLE, checked, (name, instance), source.mode)
+    for name, arity, failures in [law.on(ops) if ops is not None else _predicate(*law)
+                                  for law in laws]:
+        for number, instance in failures(source.tuples(arity) if arity else [()]):
+            return CheckReport(COUNTEREXAMPLE, checked + number, (name, instance), source.mode)
+        checked += source.count(arity) if arity else 1
     return source.clean(checked)
+
+
+def _compare(equations: tuple, ops, read: Callable, same: Callable) -> Iterator:
+    """Per instance, ``same(lhs, rhs)`` of equations' sides on the record ops,
+    variable ``name`` read from ``read(name)``: ``eq`` is whether every one of
+    them holds, ``ne`` whether one fails.  The tuples of the sides are compared
+    when there is more than one equation."""
+    sides = [[stream(t, ops, read) for t in (e.lhs, e.rhs)] for e in equations]
+    if len(sides) == 1:
+        return map(same, *sides[0])
+    return map(same, *[zip(*side) for side in zip(*sides)])
 
 
 class Law(Value, eq=False):
@@ -117,76 +151,30 @@ class Law(Value, eq=False):
         set_field(self, "slots", {v: i for i, v in enumerate(sorted(names))})
 
     def on(self, ops) -> tuple:
-        """The ``(name, arity, holds)`` of ``check_laws``, compiled on the record
-        ``ops``; ``holds`` tests the premises only when the conclusion fails.  A
-        conjunction compares the tuples of its equations' sides."""
-        sides = [[compile_term(t, ops, self.slots) for t in (e.lhs, e.rhs)]
-                 for e in (*self.conclusion, *self.premises)]
-        k = len(sides) - len(self.premises)  # the conclusion's equations come first
-        lhs, rhs = sides[0] if k == 1 else [
-            lambda env, fs=fs: tuple([f(env) for f in fs]) for fs in zip(*sides[:k])]
-        premises = sides[k:]
-        return self.name, len(self.slots), lambda *env: lhs(env) == rhs(env) or not all(
-            p(env) == q(env) for p, q in premises)
+        """The ``(name, arity, failures)`` of ``check_laws`` on the record ops:
+        ``failures(instances)`` yields the ``(number, instance)`` pairs,
+        numbered from 1, of the instances on which the law fails.
 
-    def first_failure(self, ops, columns: list, n: int) -> int | None:
-        """The index of the first of n instances on which this law fails on the
-        record ``ops``, or None; variable slot i reads its values from
-        ``columns[i]``.  Each term node is one list of n values, its operation
-        mapped over its children's lists.  The conclusion's sides are compared
-        as lists, in C; only when they differ are the premises evaluated and
-        the instances tested one by one."""
-        one, zero, neg = ops.one, ops.zero, ops.neg
+        Each variable occurrence of the conclusion reads its slot from its own
+        copy of one ``tee`` of the instances, and the numbering reads the tee
+        itself, so all advance together.  The premises read theirs from a tee
+        of the conclusion's failures and run only on those instances."""
+        conclusion, premises, slots = (*self.conclusion,), self.premises, self.slots
 
-        def sides(equations):
-            return [[fold(t, lambda name: columns[self.slots[name]],
-                          lambda value: [one if value else zero] * n, lambda a: list(map(neg, a)),
-                          lambda cls, a, b: list(map(getattr(ops, cls.op), a, b)))
-                     for t in (e.lhs, e.rhs)] for e in equations]
-
-        def agree(pairs):  # per instance, whether every pair of sides agrees
-            each = [map(operator.eq, lhs, rhs) for lhs, rhs in pairs]
-            return each[0] if len(each) == 1 else map(all, zip(*each))
-        conclusion = sides(self.conclusion)
-        if all([lhs == rhs for lhs, rhs in conclusion]):
-            return None
-        premised = agree(sides(self.premises)) if self.premises else itertools.repeat(True)
-        sound = list(map(operator.le, premised, agree(conclusion)))  # premises imply conclusion
-        return sound.index(False) if False in sound else None
-
-
-# How many instances ``check_drawn`` draws and evaluates at a time: a sampled
-# check holds O(SLICE · term size) values, whatever its number of samples.
-SLICE = 512
-
-
-def check_drawn(laws: Iterable[Law], ops, draw: Callable[[int], list],
-                samples: int) -> CheckReport:
-    """Each Law of laws on ``samples`` drawn instances, an arity-0 law on one
-    instance and no draws; the first failure wins.  A law of k variables takes
-    k·SLICE values at a time from ``draw(m)``, the next m draws, and instance j
-    of a slice is the values j·k to j·k + k − 1 of it: its variable slot i is the
-    column ``flat[i::k]``.  These are the instances, and the ``checked`` count,
-    of a walk that draws each instance's values in turn and checks it; a
-    counterexample's witness is ``(law name, instance)``, for the caller to
-    shape and decode."""
-    checked = 0
-    for law in laws:
-        k = len(law.slots)
-        total = samples if k else 1
-        for start in range(0, total, SLICE):
-            n = min(SLICE, total - start)
-            flat = draw(n * k)
-            i = law.first_failure(ops, [flat[slot::k] for slot in range(k)], n)
-            if i is not None:
-                return CheckReport(COUNTEREXAMPLE, checked + start + i + 1,
-                                   (law.name, tuple(flat[i * k:i * k + k])), "sampled")
-        checked += total
-    return CheckReport(VALID, checked, mode="sampled")
+        def failures(instances):
+            instances, = tee(instances, 1)
+            failing = _failing(instances, _compare(conclusion, ops, lambda name: map(
+                itemgetter(slots[name]), instances.__copy__()), ne))
+            if not premises:
+                return failing
+            pairs, = tee(failing, 1)
+            return compress(pairs, _compare(premises, ops, lambda name: map(
+                itemgetter(slots[name]), map(itemgetter(1), pairs.__copy__())), eq))
+        return self.name, len(slots), failures
 
 
 def check_over(laws: Iterable[Law], ops, elements: Iterable, show: Callable = lambda p: p):
-    """Each Law of laws, compiled on the record ops, on every tuple of elements in
+    """Each Law of laws, on the record ops, on every tuple of elements in
     canonical order; a failure's witness is its ``axiom_witness``, shown by ``show``."""
-    return check_laws([law.on(ops) for law in laws], Instances.over(elements)).shaped(
+    return check_laws(laws, Instances.over(elements), ops).shaped(
         lambda name, instance: axiom_witness(name, [show(p) for p in instance]))

@@ -10,16 +10,16 @@ leaf is one); the parser refuses deeper input, so no traversal overflows.
 
 The connective table lives on the classes: each ``Binary`` subclass carries
 its record operation, symbol, binding power and associativity, and the lexer,
-the parser, the printer and the compiler (``compile_term``) all read it from
-there.  Traversals are folds over the node data (``fold``, the one dispatch on
-node types), not methods on the nodes.
+the parser, the printer and the law engine's pipelines (``stream``) all read
+it from there.  Traversals are folds over the node data (``fold``, the one
+dispatch on node types), not methods on the nodes.
 """
 
 from __future__ import annotations
 
 import re
-from operator import itemgetter
-from typing import Callable
+from itertools import repeat
+from typing import Callable, Iterator
 
 from .errors import TermSyntaxError
 from .value import Value, set_field
@@ -181,19 +181,14 @@ def fold(t: Term, var: Callable, const: Callable, neg: Callable, binary: Callabl
     raise TypeError(f"not a term: {t!r}")
 
 
-def compile_term(t: Term, ops, slots: dict[str, int]) -> Callable:
-    """Close t over the operations of one record (``algebra.PayloadOps``): the
-    result maps a sequence of the record's values to t's, reading variable
-    ``name`` at ``slots[name]``.  A variable missing from ``slots`` gets the next
-    free slot, so an empty dict collects the variables in evaluation order."""
-    zero, one, negate = ops.zero, ops.one, ops.neg
-
-    def binary(cls, f, g):
-        op = getattr(ops, cls.op)
-        return lambda env: op(f(env), g(env))
-    return fold(t, lambda name: itemgetter(slots.setdefault(name, len(slots))),
-                lambda value: (lambda env: one) if value else (lambda env: zero),
-                lambda f: lambda env: negate(f(env)), binary)
+def stream(t: Term, ops, read: Callable) -> Iterator:
+    """t's values on a stream of instances, a pipeline of ``map`` iterators on
+    the operations of one record (``algebra.PayloadOps``): variable ``name``
+    yields ``read(name)``, a constant repeats the record's 0 or 1, and ¬ and
+    each connective map the record's own operation over their children."""
+    one, zero, neg = ops.one, ops.zero, ops.neg
+    return fold(t, read, lambda value: repeat(one if value else zero), lambda a: map(neg, a),
+                lambda cls, a, b: map(getattr(ops, cls.op), a, b))
 
 
 def _wrap(printed: tuple[str, int], min_bp: int) -> str:

@@ -6,7 +6,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from mvtrop.terms import (CONST0, CONST1, Implies, Join, Meet, Neg, Odot,
+from mvtrop.terms import (CONST0, CONST1, Const, Implies, Join, Meet, Neg, Odot,
                           Ominus, Oplus, Var)
 
 # -- independent Lukasiewicz arithmetic on [0, 1], used as an oracle ---------
@@ -81,6 +81,79 @@ def random_term(rng: random.Random, depth: int, names=("x", "y", "z")):
         return Neg(random_term(rng, depth - 1, names))
     cls = rng.choice(_BINARY_NODES)
     return cls(random_term(rng, depth - 1, names), random_term(rng, depth - 1, names))
+
+
+# -- an independent scalar evaluator of terms and laws ------------------------
+# A plain recursion over the term AST, one value of one instance at a time: the
+# reference the law engine's pipelines are checked against.  It reads the AST
+# alone, and names each connective's record operation itself.
+
+_OPERATIONS = {Oplus: "oplus", Odot: "odot", Ominus: "ominus", Implies: "implies",
+               Meet: "meet", Join: "join"}
+
+
+def term_value(t, ops, env: dict):
+    """t's value on the record ops, variable ``name`` bound to ``env[name]``."""
+    if isinstance(t, Var):
+        return env[t.name]
+    if isinstance(t, Const):
+        return ops.one if t.value else ops.zero
+    if isinstance(t, Neg):
+        return ops.neg(term_value(t.arg, ops, env))
+    return getattr(ops, _OPERATIONS[type(t)])(term_value(t.left, ops, env),
+                                               term_value(t.right, ops, env))
+
+
+def term_names(t) -> set:
+    if isinstance(t, Var):
+        return {t.name}
+    if isinstance(t, Const):
+        return set()
+    if isinstance(t, Neg):
+        return term_names(t.arg)
+    return term_names(t.left) | term_names(t.right)
+
+
+def law_names(law) -> list:
+    """The sorted variables of a law's conclusion and premises, its instances' slots."""
+    equations = [*law.conclusion, *law.premises]  # an Equation iterates as itself alone
+    return sorted(set().union(*[term_names(e.lhs) | term_names(e.rhs) for e in equations]))
+
+
+def law_holds(law, ops, instance) -> bool:
+    """Whether the Horn law holds on instance, on the record ops: every equation
+    of its conclusion, wherever all of its premises hold."""
+    env = dict(zip(law_names(law), instance))
+
+    def true(e):
+        return term_value(e.lhs, ops, env) == term_value(e.rhs, ops, env)
+    return all(map(true, law.conclusion)) or not all(map(true, law.premises))
+
+
+def reference_report(laws, ops, tuples, mode="exhaustive", bound=None) -> dict:
+    """The fields of a check's report, instance by instance: each law on the
+    record ops over ``tuples(arity)`` in turn, an arity-0 law once, numbered
+    from 1 across the laws; the first failure wins, with ``(law name,
+    instance)`` its witness, and a clean bounded run is valid up to its bound."""
+    checked = 0
+    for law in laws:
+        arity = len(law_names(law))
+        for instance in tuples(arity) if arity else [()]:
+            checked += 1
+            if not law_holds(law, ops, instance):
+                return dict(verdict="counterexample", checked=checked,
+                            witness=(law.name, instance), mode=mode)
+    if mode == "bounded":
+        return dict(verdict="valid_up_to_bound", checked=checked, mode=mode,
+                    details={"bound": bound})
+    return dict(verdict="valid", checked=checked, mode=mode)
+
+
+def reference_walk(laws, ops, pool, bound=None) -> dict:
+    """``reference_report`` over every tuple of pool in canonical order,
+    exhaustive or, with a bound, bounded."""
+    return reference_report(laws, ops, lambda arity: itertools.product(pool, repeat=arity),
+                            "exhaustive" if bound is None else "bounded", bound)
 
 
 # -- reference draws for sampled checks ----------------------------------------

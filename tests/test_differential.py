@@ -1,4 +1,4 @@
-"""Differential test: the compiled checkers against an in-test reference.
+"""Differential test: the checkers against an in-test reference.
 
 The reference evaluates terms with the conftest oracles only (Lukasiewicz
 arithmetic on chains and products of chains, Chang arithmetic on Z lex Z
@@ -9,7 +9,8 @@ with a reference built on the public, membership-checking group operations.
 Each record's own order (≤, ∨, ∧) is compared with the order the MV-algebra
 definitions derive from the same record's ⊕ and ¬.  On products, where a valid
 verdict is decided factor by factor, the checkers are also compared with a
-forced walk of the law engine over the product's own instances.
+forced walk of the product's own instances, each law evaluated by the scalar
+reference of ``conftest``.
 """
 
 import itertools
@@ -20,7 +21,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (chang_fragment, chang_neg, chang_oplus, luk_neg,
-                      luk_odot, luk_oplus, random_term, reference_draws)
+                      luk_odot, luk_oplus, random_term, reference_draws,
+                      reference_report, reference_walk)
 import pytest
 
 from mvtrop.algebra import (CHANG, DeltaOf, FiniteChain, MvElement,
@@ -32,7 +34,7 @@ from mvtrop.groups import (LexZG, Z, group_add, group_enumerate, group_leq,
 from mvtrop.logic import (_suite, VC_AXIOM, Valuation, axiom_suite,
                           check_equation_bounded, check_equation_finite,
                           evaluate, tautology_check, vc_membership)
-from mvtrop.report import Instances, Law, check_laws
+from mvtrop.report import CheckReport, Law
 from mvtrop.terms import (Const, Equation, Implies, Join, Meet, Neg, Odot,
                           Ominus, Oplus, Var, variables)
 
@@ -295,15 +297,13 @@ PRODUCTS = [product_algebra(L2, L3), product_algebra(L3, L2, L3),
 
 
 def _walk(A, laws, bound=None, samples=None, seed=0):
-    """The law engine over every instance of A itself, with no factorwise
+    """The scalar reference over every instance of A itself, with no factorwise
     shortcut; a sampled walk draws from A's payload listing on its own."""
-    if samples is None:
-        mode = "exhaustive" if bound is None else "bounded"
-        source = Instances.over(enumerate_payloads(A, bound), mode, bound)
-    else:
-        draws = reference_draws(enumerate_payloads(A, bound), samples, seed)
-        source = Instances(draws, "sampled", bound)
-    return check_laws([law.on(payload_ops(A)) for law in laws], source)
+    pool = enumerate_payloads(A, bound)
+    if samples is not None:
+        return CheckReport(**reference_report(
+            laws, payload_ops(A), reference_draws(pool, samples, seed), "sampled"))
+    return CheckReport(**reference_walk(laws, payload_ops(A), pool, bound))
 
 
 @pytest.mark.parametrize("A", PRODUCTS, ids=repr)

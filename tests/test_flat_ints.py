@@ -84,7 +84,7 @@ def ref_check_flatness(F, samples=1000, seed=0, height=12):
                 else "constructed witness falls outside the cone"}
     laws = [("refinement", 2, refined),
             ("torsion_free", 3, lambda y, m, n: m == n or F.act(m, y) != F.act(n, y))]
-    report = check_laws(laws, Instances(draws, "sampled")).shaped(witness)
+    report = check_laws(laws, Instances(draws, lambda _: samples, "sampled")).shaped(witness)
     if not report.ok:
         return replace(report, checked=1 + report.checked)
     return CheckReport(VALID, 1 + report.checked, mode="sampled",

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_term, reference_listing, reference_shape
+from conftest import random_term, reference_listing, reference_shape, term_value
 import mvtrop.algebra as algebra
 from mvtrop.algebra import (CHANG, FiniteChain, MvElement, _mv_axioms, carrier_size,
                             check_identities, element_str,
@@ -36,7 +36,7 @@ from mvtrop.functors import boolean_part, delta, theta, theta_star
 from mvtrop.groups import Z, LexZG, qsubgroup, unit_above
 from mvtrop.jsonio import parse_algebra_shorthand
 from mvtrop.logic import Valuation, evaluate
-from mvtrop.terms import Const, Neg, Var, compile_term, fold
+from mvtrop.terms import Const, Neg, Var, fold
 
 # -- the payload-record reference ----------------------------------------------------
 
@@ -304,7 +304,7 @@ def test_a_term_on_psi_images_decodes_to_its_value_on_payloads(text, bound, seed
     valuation = Valuation(A, {name: MvElement(A, listing[i]) for name, i in zip("xyz", picks)})
     ints = [record.values[i] for i in picks]
     for s in _subterms(random_term(random.Random(seed), 6)):
-        value = compile_term(s, record.ops, {"x": 0, "y": 1, "z": 2})(ints)
+        value = term_value(s, record.ops, dict(zip("xyz", ints)))
         assert repr(record.decode(value)) == repr(evaluate(s, valuation).payload), s
 
 

@@ -3,28 +3,34 @@ against the closures they replaced.
 
 ``algebra._mv_axioms()``, the modus ponens of ``logic._suite()`` and
 ``bisemirings._lbisemiring_axioms()`` are ``report.Law``s, Horn sentences over
-equations compiled on whichever record a check walks.  The closures below are
-the hand-written laws they replaced, kept here as an independent reference.
-Each compiled law must have its closure's name and arity and agree with it on
-every instance of every record tried: the payload and int records of each
-kind, valid or not, and random ⊕, ⊙, ¬, ∧ and ∨ tables, on which a law holds
-or fails instance by instance, so a transcription error or a slot bound to the
+equations streamed through pipelines on whichever record a check walks.  The
+closures below are the hand-written laws they replaced, kept here as an
+independent reference.  Each law's pipeline must have its closure's name and
+arity and fail on exactly the instances on which the closure does, over every
+instance of every record tried: the payload and int records of each kind,
+valid or not, and random ⊕, ⊙, ¬, ∧ and ∨ tables, on which a law holds or
+fails instance by instance, so a transcription error or a slot bound to the
 wrong variable shows.
 
-``Law.on`` is also tested on its own: a false premise makes an instance hold,
-the premises run only when the conclusion fails, a conjunction fails when
-either of its equations does, an arity-0 law runs once, the slots follow the
-sorted variables, a product decided factor by factor on a quasi-identity,
-conjunctive or not, gives the report of the plain walk, each law is compiled
-once per check on the record walked, a failing leaf once and a failing product
-once per distinct leaf and once on its own record, no law built for one call
-outlives it, and a failing suite axiom is witnessed through its own equation.
+``Law.on`` is also tested on its own, one instance at a time: a false premise
+makes an instance hold, the premises run only when the conclusion fails, a
+conjunction fails when either of its equations does, an arity-0 law runs once,
+the slots follow the sorted variables, a product decided factor by factor on a
+quasi-identity, conjunctive or not, gives the report of the plain walk, each
+law is bound once per check to the record walked, a failing leaf once and a
+failing product once per distinct leaf and once on its own record, no law
+built for one call outlives it, and a failing suite axiom is witnessed through
+its own equation.  The pipelines evaluate nothing past the first failure: a
+record that counts its operations' calls sees exactly the instances up to it,
+and a quasi-identity's premises only at the instances where its conclusion
+fails.
 """
 
 import gc
 import itertools
 import operator
 import weakref
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -41,7 +47,7 @@ from mvtrop.cli import main
 import mvtrop.logic as logic
 from mvtrop.logic import _suite, LUKASIEWICZ_AXIOMS, Valuation, axiom_suite, evaluate
 from mvtrop.report import Instances, Law, check_laws
-from mvtrop.terms import parse_equation
+from mvtrop.terms import fold, parse_equation
 from test_differential import PRODUCTS, _walk
 
 
@@ -143,14 +149,18 @@ def tables(draw):
 
 
 def assert_agree(ops, pool):
-    compiled = [law.on(ops) for law in (*_mv_axioms(), _suite()[-1], *_lbisemiring_axioms())]
+    """Each law's pipeline fails on exactly the instances on which its closure
+    does, over every tuple of pool in canonical order."""
+    laws = [law.on(ops) for law in (*_mv_axioms(), _suite()[-1], *_lbisemiring_axioms())]
     expected = [*mv_axiom_closures(ops), modus_ponens_closure(ops),
                 *lbisemiring_axiom_closures(ops)]
-    assert len(compiled) == len(expected)
-    for (name, arity, holds), (ref_name, ref_arity, ref_holds) in zip(compiled, expected):
+    assert len(laws) == len(expected)
+    for (name, arity, failures), (ref_name, ref_arity, ref_holds) in zip(laws, expected):
         assert (name, arity) == (ref_name, ref_arity)
-        for instance in itertools.product(pool, repeat=arity):
-            assert holds(*instance) == ref_holds(*instance), (name, instance)
+        instances = list(itertools.product(pool, repeat=arity))
+        assert list(failures(instances)) == [
+            (number, instance) for number, instance in enumerate(instances, 1)
+            if not ref_holds(*instance)], name
 
 
 @pytest.mark.parametrize("label, ops, pool", RECORDS, ids=[r[0] for r in RECORDS])
@@ -167,12 +177,19 @@ def test_each_compiled_law_is_its_closure_on_random_tables(record):
 
 # -- Law.on on its own -----------------------------------------------------------
 
+def on(law, ops):
+    """The name and arity of law on the record ops, and ``holds``, which runs the
+    law's pipeline on the one instance it is given."""
+    name, arity, failures = law.on(ops)
+    return name, arity, lambda *instance: next(failures([instance]), None) is None
+
+
 _L3 = int_record(parse_algebra_shorthand("chain:3")).ops  # L_3 on 0, 1, 2
 
 
 def test_a_false_premise_holds_whatever_the_conclusion():
-    _, arity, holds = Law("q", parse_equation("x = y"),
-                          (parse_equation("x = 1"), parse_equation("y = 0"))).on(_L3)
+    _, arity, holds = on(Law("q", parse_equation("x = y"),
+                             (parse_equation("x = 1"), parse_equation("y = 0"))), _L3)
     assert arity == 2
     assert [holds(x, y) for x in range(3) for y in range(3)] == [
         x != 2 or y != 0 or x == y for x in range(3) for y in range(3)]
@@ -180,11 +197,11 @@ def test_a_false_premise_holds_whatever_the_conclusion():
 
 
 def test_true_premises_and_a_false_conclusion_fail():
-    _, _, holds = Law("q", parse_equation("x = y"),
-                      (parse_equation("x = 1"), parse_equation("y = 0"))).on(_L3)
+    _, _, holds = on(Law("q", parse_equation("x = y"),
+                         (parse_equation("x = 1"), parse_equation("y = 0"))), _L3)
     assert not holds(2, 0)
-    _, _, holds = Law("q", parse_equation("~x = y"),
-                      (parse_equation("x (+) y = 1"), parse_equation("x (.) y = 0"))).on(_L3)
+    _, _, holds = on(Law("q", parse_equation("~x = y"),
+                         (parse_equation("x (+) y = 1"), parse_equation("x (.) y = 0"))), _L3)
     assert all(holds(x, y) for x in range(3) for y in range(3))
 
 
@@ -192,16 +209,17 @@ def test_the_premises_run_only_when_the_conclusion_fails():
     def oplus(p, q):
         raise AssertionError("a premise ran")
     ops = PayloadOps(oplus, lambda p: 2 - p, 0, 2, None, None, None)
-    _, _, holds = Law("q", parse_equation("~~x = x"), (parse_equation("x (+) x = x"),)).on(ops)
+    _, _, holds = on(Law("q", parse_equation("~~x = x"), (parse_equation("x (+) x = x"),)), ops)
     assert all(holds(x) for x in range(3))
     broken = PayloadOps(oplus, lambda p: 0, 0, 2, None, None, None)
-    _, _, holds = Law("q", parse_equation("~~x = x"), (parse_equation("x (+) x = x"),)).on(broken)
+    _, _, holds = on(Law("q", parse_equation("~~x = x"), (parse_equation("x (+) x = x"),)),
+                     broken)
     with pytest.raises(AssertionError, match="a premise ran"):
         holds(1)
 
 
 def test_a_conjunction_fails_when_either_of_its_equations_fails():
-    _, arity, holds = Law("c", (parse_equation("x = y"), parse_equation("~x = z"))).on(_L3)
+    _, arity, holds = on(Law("c", (parse_equation("x = y"), parse_equation("~x = z"))), _L3)
     assert arity == 3
     assert [holds(*v) for v in itertools.product(range(3), repeat=3)] == [
         x == y and 2 - x == z for x, y, z in itertools.product(range(3), repeat=3)]
@@ -213,28 +231,71 @@ def test_a_conjunction_runs_the_premises_only_when_it_fails():
         raise AssertionError("a premise ran")
     law = Law("q", (parse_equation("~~x = x"), parse_equation("~0 = 1")),
               (parse_equation("x (+) x = x"),))
-    _, _, holds = law.on(PayloadOps(oplus, lambda p: 2 - p, 0, 2, None, None, None))
+    _, _, holds = on(law, PayloadOps(oplus, lambda p: 2 - p, 0, 2, None, None, None))
     assert all(holds(x) for x in range(3))
     for neg in ((1, 0, 2), (2, 0, 0)):  # breaks only ~0 = 1, or only ~~x = x at 1
-        _, _, holds = law.on(PayloadOps(oplus, neg.__getitem__, 0, 2, None, None, None))
+        _, _, holds = on(law, PayloadOps(oplus, neg.__getitem__, 0, 2, None, None, None))
         with pytest.raises(AssertionError, match="a premise ran"):
             holds(1)
 
 
 def test_an_arity_0_law_runs_once():
     law = Law("neg_zero_is_one", parse_equation("~0 = 1"))
-    name, arity, holds = law.on(_L3)
+    name, arity, holds = on(law, _L3)
     assert (name, arity, holds()) == ("neg_zero_is_one", 0, True)
-    assert check_laws([law.on(_L3)], Instances.over(range(3))).checked == 1
+    assert check_laws([law], Instances.over(range(3)), _L3).checked == 1
     for text in ("chain:5", "prod:chain:2,chain:3"):
         assert check_identities(parse_algebra_shorthand(text), [law]).checked == 1
     assert check_identities(parse_algebra_shorthand("chang"), [law], 3, 7, 1).checked == 1
 
 
+def _counting(calls):
+    """L_5 on 0..4 whose ⊕, ⊙ and ¬ add one to ``calls[name]`` at each call."""
+    base = int_record(parse_algebra_shorthand("chain:5")).ops
+
+    def counted(name, op):
+        def f(*args):
+            calls[name] += 1
+            return op(*args)
+        return f
+    return PayloadOps(counted("oplus", base.oplus), counted("neg", base.neg), 0, 4, None, None,
+                      None, odot=counted("odot", base.odot))
+
+
+def _operations(t):
+    """How many nodes of each operation t has, by name."""
+    return fold(t, lambda _: Counter(), lambda _: Counter(), lambda arg: arg + Counter(neg=1),
+                lambda cls, left, right: left + right + Counter({cls.op: 1}))
+
+
+@pytest.mark.parametrize("text, first", [
+    ("x (+) y = y", 6), ("x (.) ~y = ~(~x (+) y)", None),
+    ("x (.) (y (+) z) = (x (.) y) (+) (x (.) z)", 34), ("x (+) ~x = ~0", None)])
+def test_a_walk_runs_the_operations_of_the_instances_up_to_its_failure_only(text, first):
+    calls = Counter()
+    law = Law("e", parse_equation(text))
+    report = check_laws([law], Instances.over(range(5)), _counting(calls))
+    assert (report.ok, report.checked) == (first is None, first or 5 ** len(law.slots))
+    each = _operations(law.conclusion.lhs) + _operations(law.conclusion.rhs)
+    assert calls == Counter({name: report.checked * n for name, n in each.items()})
+
+
+@pytest.mark.parametrize("premise, operation, checked, failures", [
+    ("x (.) y = 1", "odot", 25, 20),  # holds: the premise runs on the 20 pairs with x ≠ y
+    ("x (+) y = 1", "oplus", 5, 4)])  # fails at (0, 4), after (0, 1), (0, 2) and (0, 3)
+def test_a_quasi_identity_runs_its_premises_only_where_its_conclusion_fails(
+        premise, operation, checked, failures):
+    calls = Counter()
+    law = Law("q", parse_equation("x = y"), (parse_equation(premise),))
+    report = check_laws([law], Instances.over(range(5)), _counting(calls))
+    assert (report.ok, report.checked) == (checked == 25, checked)
+    assert calls == Counter({operation: failures})
+
+
 def test_slots_are_the_sorted_variables_of_all_the_equations():
     law = Law("q", parse_equation("y = 1"), (parse_equation("x = 1"),))
     assert list(law.slots) == ["x", "y"]
-    _, _, holds = law.on(_L3)
+    _, _, holds = on(law, _L3)
     assert not holds(2, 0)  # x = 1 and y = 0
     assert holds(0, 2)
     assert list(Law("e", parse_equation("z (+) b = a")).slots) == ["a", "b", "z"]

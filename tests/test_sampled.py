@@ -1,14 +1,15 @@
 """Differential test: checks on the int record against a payload reference.
 
 A sampled check draws its instances from the values of ``algebra.int_record``,
-in batches (``algebra.seeded_draws``), runs its laws on that record a column
-of instances at a time (``report.check_drawn``) and decodes only a
-counterexample's instance.  The reference below is the earlier form: it draws
-``random.Random(seed).choice`` from the payload listing and checks each
-instance in turn with the laws compiled on ``payload_ops``.  The whole report
-must be equal, the witness down to the types of its payloads, however the
-instances are cut into slices; and a check's memory must not grow with its
-number of samples.  A
+in batches of ``algebra.SLICE`` instances (``algebra.seeded_draws``), streams
+them through its laws' pipelines on that record (``report.check_laws``) and
+decodes only a counterexample's instance.  The reference below is the earlier
+form: it draws ``random.Random(seed).choice`` from the payload listing and
+checks each instance in turn on ``payload_ops``, evaluated by the scalar
+reference of ``conftest``, which shares no code with the engine.  The whole
+report must be equal, the witness down to the types of its payloads, however
+the draws are cut into batches; and a check's memory must not grow with its
+number of samples, nor a full walk's with its number of instances.  A
 finite chain's int record is a ``range`` decoded on demand, so sampled
 checks, θ, θ* and the Boolean part must answer, with the same results, when a
 finite chain's listing cannot be built at all.  A product's values are a
@@ -45,9 +46,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_term, reference_draws, reference_listing
+from conftest import (random_term, reference_draws, reference_listing, reference_report,
+                      reference_walk)
 import mvtrop.algebra as algebra
-import mvtrop.report as report_module
 from mvtrop.algebra import (_mv_axioms, FiniteChain, ProductAlgebra, check_identities,
                             enumerate_payloads, int_record, payload_ops, sample_elements,
                             seeded_draws)
@@ -57,23 +58,17 @@ from mvtrop.functors import atoms, boolean_part, theta, theta_star
 from mvtrop.jsonio import parse_algebra_shorthand
 from mvtrop.logic import (_suite, LUKASIEWICZ_AXIOMS, VC_AXIOM, tautology_check,
                           vc_membership)
-from mvtrop.report import COUNTEREXAMPLE, VALID, CheckReport, Instances, Law, check_laws
-from mvtrop.terms import (CONST0, CONST1, Equation, Implies, Join, Neg, Odot, Oplus, Var,
-                          parse_equation)
+from mvtrop.report import COUNTEREXAMPLE, VALID, CheckReport, Law
+from mvtrop.terms import (CONST0, CONST1, Equation, Implies, Join, Meet, Neg, Odot, Oplus,
+                          Var, parse_equation)
 from test_export import expected_dot, expected_tables
 
 
 def reference_check(A, laws, bound, samples, seed):
     """The sampled walk on payloads: each law over fresh draws from the listing,
-    an arity-0 law once; the first failure wins."""
+    an arity-0 law once, evaluated by the scalar reference; the first failure wins."""
     draws = reference_draws(reference_listing(A, bound), samples, seed)
-    checked = 0
-    for name, arity, holds in [law.on(payload_ops(A)) for law in laws]:
-        for instance in draws(arity) if arity else [()]:
-            checked += 1
-            if not holds(*instance):
-                return CheckReport(COUNTEREXAMPLE, checked, (name, instance), "sampled")
-    return CheckReport(VALID, checked, mode="sampled")
+    return CheckReport(**reference_report(laws, payload_ops(A), draws, "sampled"))
 
 
 # (shorthand, bounds); a finite carrier ignores its bound
@@ -124,22 +119,22 @@ def algebras(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(algebras(), st.one_of(law_lists, horn_lists), st.integers(1, 300), st.integers(0, 2 ** 32),
-       st.sampled_from([1, 2, 3, 7, 64, report_module.SLICE]))
+       st.sampled_from([1, 2, 3, 7, 64, algebra.SLICE]))
 def test_sampled_checks_match_the_payload_reference(case, laws, samples, seed, size):
     A, bound = case
-    with mock.patch.object(report_module, "SLICE", size):  # draws cross slice boundaries
+    with mock.patch.object(algebra, "SLICE", size):  # draws cross slice boundaries
         report = check_identities(A, laws, bound, samples, seed)
     expected = reference_check(A, laws, bound, samples, seed)
     assert report == expected
     assert repr(report.witness) == repr(expected.witness)
 
 
-@pytest.mark.parametrize("size", [1, 5, report_module.SLICE])
+@pytest.mark.parametrize("size", [1, 5, algebra.SLICE])
 @pytest.mark.parametrize("text, bound", [("chang", 4), ("interval", 5), ("chain:7", None),
                                          ("prod:chain:3,chang", 2)])
 def test_quasi_identities_and_conjunctions_meet_counterexamples(text, bound, size, monkeypatch):
     A = parse_algebra_shorthand(text)
-    monkeypatch.setattr(report_module, "SLICE", size)
+    monkeypatch.setattr(algebra, "SLICE", size)
     for law in _HORN:
         laws = [*_mv_axioms()[:2], law]
         report = check_identities(A, laws, bound, 300, 11)
@@ -212,6 +207,33 @@ def test_a_sampled_checks_memory_does_not_grow_with_its_samples():
     check(10)()  # the records and caches a first check builds
     small, large = _peak(check(1_000)), _peak(check(100_000))
     assert large <= 2 * small, (small, large)
+
+
+_DISTRIBUTIVE = [Law("distributive", parse_equation("x (+) (y /\\ z) = (x (+) y) /\\ (x (+) z)"))]
+# fails on every leaf and on a product only at its last instance, (1, …, 1) thrice:
+# its premises run on every instance of the product's walk
+_TOP = [Law("top", parse_equation("0 = 1"),
+            tuple(map(parse_equation, ("x = 1", "y = 1", "z = 1"))))]
+
+
+@pytest.mark.parametrize("small, large, laws", [
+    ("chain:20", "chain:40", _DISTRIBUTIVE),                     # 8,000 and 64,000 instances
+    ("prod:chain:2,chain:3", "prod:chain:4,chain:6", _TOP)])    # 216 and 13,824
+def test_a_full_walks_memory_does_not_grow_with_its_instances(small, large, laws):
+    A, B = parse_algebra_shorthand(small), parse_algebra_shorthand(large)
+    assert check_identities(A, laws).ok == check_identities(B, laws).ok  # records and caches
+    assert _peak(lambda: check_identities(B, laws)) <= 2 * _peak(lambda: check_identities(A, laws))
+
+
+@pytest.mark.parametrize("text, laws, samples, checked", [
+    ("chain:2", _equation(Meet(Var("x"), Var("y")), CONST0), None, 4),  # only (1, 1) fails
+    ("prod:chain:2,chain:3", _TOP, None, 216),
+    ("prod:chain:4,chain:6", _TOP, None, 13_824),
+    ("chain:2", _equation(Var("x"), Neg(Var("x"))), 1, 1),             # one draw, failing
+    ("chain:5", _equation(Neg(CONST0), CONST0), None, 1)])              # arity 0: one instance
+def test_a_counterexample_at_the_last_instance_is_found(text, laws, samples, checked):
+    report = check_identities(parse_algebra_shorthand(text), laws, None, samples)
+    assert (report.verdict, report.checked) == (COUNTEREXAMPLE, checked)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 2001, 10 ** 5])
@@ -303,10 +325,9 @@ def test_a_carrier_too_long_to_draw_from_is_a_domain_error(text):
 
 def walk_reference(A, laws, bound):
     """The exhaustive or bounded walk on payloads: every law over every tuple of
-    the payload listing, in canonical order; the first failure wins."""
-    source = Instances.over(reference_listing(A, bound),
-                            "exhaustive" if bound is None else "bounded", bound)
-    return check_laws([law.on(payload_ops(A)) for law in laws], source)
+    the payload listing, in canonical order, evaluated by the scalar reference;
+    the first failure wins."""
+    return CheckReport(**reference_walk(laws, payload_ops(A), reference_listing(A, bound), bound))
 
 
 def _product(*factors):

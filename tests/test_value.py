@@ -71,8 +71,9 @@ CASES = {
                                         details={"bound": 2}),
                     "CheckReport(verdict='valid_up_to_bound', checked=9, witness=None, "
                     "mode='bounded', details={'bound': 2})"),
-    "Instances": (lambda: Instances(range, "sampled", 4),
-                  "Instances(tuples=<class 'range'>, mode='sampled', bound=4, size=None)"),
+    "Instances": (lambda: Instances(range, abs, "sampled", 4),
+                  "Instances(tuples=<class 'range'>, count=<built-in function abs>, "
+                  "mode='sampled', bound=4)"),
     "Law": (lambda: Law("mp", parse_equation("y = 1"), (parse_equation("x -> y = 1"),)), MP),
     "Bisemiring": (lambda: Bisemiring(FiniteChain(3), is_zero, "zeros"),
                    "zeros(FiniteChain(3))"),
