@@ -12,16 +12,17 @@ guard once and call into the kind.
 
 Every operation goes through one payload-ops record per descriptor
 (``payload_ops``): a kind supplies ⊕, ¬, 0 and 1 on raw payloads together with
-its order ≤, ∨ and ∧, and states ⊙, ⊖ and → in closed form: the record of
-chains and the interval (``_chain_ops``) as truncated sums, Δ(G)'s as one clamp
-of a (bit, offset) sum in Z lex G, and a product takes its factors' own.  Every
-shipped kind is an MV-chain or a finite product of MV-chains, so each knows its
-order natively.  A record is built on first use in O(number of factors), with
-no tables, and kept in a bounded cache keyed on the frozen descriptor.  The
-``mv_*`` functions unwrap MvElements, call the record and wrap the result;
-every check streams its laws (``report.Law``, the MV axioms one table of them)
-through pipelines on the record it runs on (``report.check_laws``), full and
-sampled alike, and builds MvElements only for witnesses.
+its order ≤, ∨ and ∧.  The record of chains and the interval (``_chain_ops``)
+states ⊙, ⊖ and → in closed form as truncated sums, Δ(G)'s is Γ of the record
+of Z lex G at (1, 0) with the three derived from ⊕ and ¬, and a product takes
+its factors' own.  Every shipped kind is an MV-chain or a finite product of
+MV-chains, so each knows its order natively.  A record is built on first use
+in O(number of factors), with no tables, and kept in a bounded cache keyed on
+the frozen descriptor.  The ``mv_*`` functions unwrap MvElements, call the
+record and wrap the result; every check streams its laws (``report.Law``, the
+MV axioms one table of them) through pipelines on the record it runs on
+(``report.check_laws``), full and sampled alike, and builds MvElements only
+for witnesses.
 
 A walk over a listing (θ, θ*, the Boolean part and ``export``), every sampled
 check and every full check but those of a chain or the interval run on
@@ -38,13 +39,14 @@ record over its leaves (``leaf_factors``), componentwise
 (``_componentwise``): its values are the tuples of theirs, a sequence that
 builds only the tuples it is asked for (``_Tuples``), its shape the product
 of theirs, and its decoder regroups the leaves' payloads by the product tree.
-A sampled check draws on the values in batches of ``SLICE`` instances
-(``seeded_draws``), exactly the values that the seeded ``rng.choice`` picks,
-the same indices as on the listing.  A full check (exhaustive or bounded)
-decides on each distinct leaf's record and walks a product's k-tuples
-(``_Tuples.tuples``) only when a leaf fails; a chain or the interval is one
-leaf, walked on its payloads.  All decode only a counterexample's instance,
-and refuse a record of more than ``sys.maxsize`` values (``walk_record``).
+A sampled check reads its instances from one lazy stream of draws on the
+values (``seeded_draws``), exactly the values that the seeded ``rng.choice``
+picks, the same indices as on the listing.  A full check (exhaustive or
+bounded) decides on each distinct leaf's record and walks a product's
+k-tuples (``_Tuples.tuples``) only when a leaf fails; a chain or the interval
+is one leaf, walked on its payloads.  All decode only a counterexample's
+instance, and refuse a record of more than ``sys.maxsize`` values
+(``walk_record``).
 
 Δ(G) payloads are (bit, offset) pairs whose arithmetic runs on the group's
 unchecked ops record (``groups.GroupOps``).  Group membership of offsets is
@@ -65,7 +67,7 @@ import operator
 import random
 import sys
 from fractions import Fraction
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 from .errors import DomainError, ModeError, StructuralError, UsageError
 from .groups import TRIVIAL, LexZG, LGroup, Z, group_coerce, require_members, unit_above
@@ -84,14 +86,14 @@ class PayloadOps:
     """The operations of one descriptor on raw payloads.
 
     A kind supplies ⊕, ¬, 0 and 1 and its lattice order: the test ≤ and the
-    join ∨ and meet ∧ it induces.  Every shipped kind also states ⊙, ⊖ and →
-    in closed form; a record given none of them (a test's record may) derives
-    them here from ⊕ and ¬, exactly as the MV-algebra definitions read:
-    x ⊙ y = ¬(¬x ⊕ ¬y), x ⊖ y = x ⊙ ¬y and x → y = ¬x ⊕ y.  None of them checks
-    its arguments.  ``check`` is the boundary check of one payload (it raises
-    StructuralError when a Δ(G) offset lies outside G), or None when the kind
-    needs none.  The int records of ``int_record`` are ones too, on ints or
-    tuples of them.
+    join ∨ and meet ∧ it induces.  A kind may also state ⊙, ⊖ and → in closed
+    form, as ``_chain_ops`` does; a record given none of them (Δ(G)'s, or a
+    test's) derives them here from ⊕ and ¬, exactly as the MV-algebra
+    definitions read: x ⊙ y = ¬(¬x ⊕ ¬y), x ⊖ y = x ⊙ ¬y and x → y = ¬x ⊕ y.
+    None of them checks its arguments.  ``check`` is the boundary check of one
+    payload (it raises StructuralError when a Δ(G) offset lies outside G), or
+    None when the kind needs none.  The int records of ``int_record`` are ones
+    too, on ints or tuples of them.
     """
 
     __slots__ = ("oplus", "neg", "zero", "one", "check", "odot", "ominus", "implies",
@@ -268,46 +270,19 @@ class DeltaOf(MvAlgebra):
         return (bit, off)
 
     def build_ops(self) -> PayloadOps:
-        """Truncated lex addition; ≤, ∨ and ∧ are those of Z lex G; ⊙, ⊖ and →
-        in closed form, each one ``clamp`` of a sum in Z lex G.
-
-        With u = (1, 0), Γ reads x ⊕ y = (x + y) ∧ u and ¬x = u − x, so
-        x ⊙ y = ¬(¬x ⊕ ¬y) = u − ((2u − x − y) ∧ u) = (x + y − u) ∨ 0,
-        x ⊖ y = x ⊙ ¬y = (x − y) ∨ 0 and x → y = ¬x ⊕ y = (u − x + y) ∧ u.  For
-        0 ≤ x, y ≤ u the sums of ⊙ and ⊖ lie at or below u and that of → at or
-        above 0, so each is (s ∨ 0) ∧ u, the clamp of s to [0, u].  In the lex
-        order a sum s = (b, g) with b ≥ 2 lies above u, and one with b < 0 below
-        0; with b = 1 it lies above 0 and meets u in (1, g ∧ 0); with b = 0 it
-        lies below u and joins 0 in (0, g ∨ 0).  The clamp uses G's add, neg,
-        meet and join alone, so every group kind gets it."""
-        G = self.group
-        r, lex = G.ops, LexZG(G).ops
-        gz, add, neg, gmeet, gjoin = r.zero, r.add, r.neg, r.meet, r.join
-
-        def oplus(p, q):
-            bit = p[0] + q[0]
-            off = add(p[1], q[1])
-            if bit == 0:
-                return (0, off)
-            if bit == 1:
-                return (1, gmeet(off, gz))
-            return (1, gz)
-
-        def clamp(bit, off):  # the sum (bit, off) of Z lex G cut to [(0, 0), (1, 0)]
-            if bit == 1:
-                return (1, gmeet(off, gz))
-            if bit == 0:
-                return (0, gjoin(off, gz))
-            return (1, gz) if bit > 1 else (0, gz)
+        """Δ(G) = Γ(Z lex G, u) at u = (1, 0) (A. Di Nola and A. Lettieri,
+        Studia Logica 53, 1994), on the record of Z lex G: x ⊕ y = (x + y) ∧ u
+        and ¬x = u − x, ordered as Z lex G, and ⊙, ⊖ and → derived.  Walks run
+        on the int record (``build_int_record``); this record serves the
+        element-level calls, ``mv_*``, ``logic.evaluate`` and θ membership."""
+        G, lex = self.group, LexZG(self.group).ops
+        add, meet, u = lex.add, lex.meet, (1, G.ops.zero)
 
         def check(p):
             require_members(G, p[1])
 
-        return PayloadOps(oplus, lambda p: (1 - p[0], neg(p[1])), (0, gz), (1, gz),
-                          lex.leq, lex.join, lex.meet, check,
-                          odot=lambda p, q: clamp(p[0] + q[0] - 1, add(p[1], q[1])),
-                          ominus=lambda p, q: clamp(p[0] - q[0], add(p[1], neg(q[1]))),
-                          implies=lambda p, q: clamp(1 - p[0] + q[0], add(neg(p[1]), q[1])))
+        return PayloadOps(lambda p, q: meet(add(p, q), u), lambda p: add(u, lex.neg(p)),
+                          lex.zero, u, lex.leq, lex.join, meet, check)
 
     def carrier_size(self) -> int | None:
         return 2 if self.group == TRIVIAL else None
@@ -628,65 +603,45 @@ def sample_elements(A: MvAlgebra, count: int, seed: int,
                     bound: int = DEFAULT_SAMPLE_BOUND) -> list[MvElement]:
     """``count`` seeded draws with replacement from the (bounded) carrier's
     listing: the first ``count`` draws of ``_sampled``, decoded."""
-    record, draw = _sampled(A, bound, count, seed)
-    return [MvElement(A, record.decode(v)) for v in draw(count)]
+    record, draws = _sampled(A, bound, count, seed)
+    return [MvElement(A, record.decode(v)) for v in itertools.islice(draws, count)]
 
 
 def _sampled(A: MvAlgebra, bound: int | None, samples: int, seed: int) -> tuple:
-    """The one sampler: ``int_record(A, bound)`` and ``draw``, where ``draw(m)``
-    is the next m seeded draws with replacement of its values (the bound only
-    applies to infinite carriers), refused when ``samples`` is below 1.  They
-    are the listing's draws, as ``seeded_draws`` says; a finite chain's
-    ``range`` and a product's ``_Tuples`` are never listed."""
+    """The one sampler: ``int_record(A, bound)`` and the lazy stream of seeded
+    draws with replacement of its values (the bound only applies to infinite
+    carriers), refused when ``samples`` is below 1.  They are the listing's
+    draws, as ``seeded_draws`` says; a finite chain's ``range`` and a
+    product's ``_Tuples`` are never listed."""
     if samples < 1:
         raise DomainError("samples must be >= 1")
     record = walk_record(A, bound, "draw from")
     return record, seeded_draws(record.values, seed)
 
 
-def seeded_draws(values, seed: int) -> Callable[[int], list]:
-    """``draw(m)``: the next m of the values that successive calls of
-    ``random.Random(seed).choice(values)`` return.  On Python 3.10 to 3.13 a
-    choice is ``values[r]``, r the first of ``getrandbits(k)``, k the bit length
-    of n = ``len(values)``, that is below n; so the draws are the values at the
-    raw draws below n, in order, and a batch asks for one raw draw per value it
-    still lacks, never one past its last.  ``choice`` picks an index from the
-    length alone, so values with a listing's length and order give its draws."""
-    n, getrandbits = len(values), random.Random(seed).getrandbits
-    k = n.bit_length()
-
-    def draw(m: int) -> list:
-        picks: list[int] = []
-        while len(picks) < m:
-            picks += filter(n.__gt__, map(getrandbits, itertools.repeat(k, m - len(picks))))
-        return list(map(values.__getitem__, picks))
-    return draw
-
-
-# How many instances a sampled check draws at a time (``_drawn``): it holds
-# O(SLICE · arity) draws, whatever its number of samples.
-SLICE = 512
-
-
-def _drawn(draw: Callable[[int], list], samples: int) -> Instances:
-    """The ``samples`` instances of each law of a sampled check: a law of k
-    variables takes k·SLICE values at a time from ``draw(m)``, the next m draws,
-    and its instances are their successive k-tuples.  These are the instances,
-    and the ``checked`` count, of a walk that draws each instance's values in
-    turn and checks it."""
-    def tuples(k):
-        return itertools.chain.from_iterable(
-            zip(*[iter(draw(min(SLICE, samples - start) * k))] * k)
-            for start in range(0, samples, SLICE))
-    return Instances(tuples, lambda k: samples, "sampled")
+def seeded_draws(values, seed: int) -> Iterator:
+    """The values that successive calls of ``random.Random(seed).choice(values)``
+    return, as one lazy iterator.  On Python 3.10 to 3.13 a choice is
+    ``values[r]``, r the first of ``getrandbits(k)``, k the bit length of
+    n = ``len(values)``, that is below n; so the draws are the values at the
+    raw draws below n, in order, and a raw draw is taken only when the next
+    value is asked for: after m values the generator is where m ``choice``
+    calls leave it.  ``choice`` picks an index from the length alone, so
+    values with a listing's length and order give its draws."""
+    n = len(values)
+    raw = map(random.Random(seed).getrandbits, itertools.repeat(n.bit_length()))
+    return map(values.__getitem__, filter(n.__gt__, raw))
 
 
 def check_identities(A: MvAlgebra, laws: list[Law], bound: int | None = None,
                      samples: int | None = None, seed: int = 0) -> CheckReport:
     """Check ``laws`` over every tuple of the (bound-limited) carrier's listing
-    or, with ``samples`` set, on the draws of ``_sampled`` (``_drawn``); each
-    walk streams the laws through the one law engine (``report.check_laws``)
-    on one record, and only a counterexample's instance is decoded.
+    or, with ``samples`` set, on the draws of ``_sampled``: each law of k
+    variables takes its ``samples`` instances as the next k·samples draws of
+    the one stream, cut into successive k-tuples, so a check holds O(k) draws
+    and reads none past its first counterexample.  Each walk streams the laws
+    through the one law engine (``report.check_laws``) on one record, and only
+    a counterexample's instance is decoded.
 
     A full walk (exhaustive, or bounded by ``bound``) runs on
     ``walk_record(A, bound, "check")``, sized before anything is listed; a
@@ -707,8 +662,10 @@ def check_identities(A: MvAlgebra, laws: list[Law], bound: int | None = None,
     its ``checked`` are the walk's.
     """
     if samples is not None:
-        record, draw = _sampled(A, bound, samples, seed)
-        return _decoded(check_laws(laws, _drawn(draw, samples), record.ops), record.decode)
+        record, draws = _sampled(A, bound, samples, seed)
+        drawn = Instances(lambda k: itertools.islice(zip(*[draws] * k), samples),
+                          lambda k: samples, "sampled")
+        return _decoded(check_laws(laws, drawn, record.ops), record.decode)
     if bound is None and carrier_size(A) is None:
         raise ModeError(f"{A} has an infinite carrier; use a bounded or sampled check")
     mode = "exhaustive" if bound is None else "bounded"

@@ -2,16 +2,18 @@
 
 The record of chains and the interval (``algebra._chain_ops``) states
 p ⊙ q = max(p + q − top, 0), p ⊖ q = max(p − q, 0) and p → q =
-min(top − p + q, top) in closed form, Δ(G)'s record (``DeltaOf.build_ops``)
-states each as one clamp of a (bit, offset) sum in Z lex G to [(0, 0), (1, 0)],
-and a product takes its factors' own.  Each must be the MV-algebra
-abbreviation it replaces, x ⊙ y = ¬(¬x ⊕ ¬y), x ⊖ y = x ⊙ ¬y and x → y =
-¬x ⊕ y, written here with the record's ⊕ and ¬ alone, on every pair of the
-record's values: the same value of the same type, so no output can move.  The
-Δ(G) records are tried on every kind of group, on their payload records and on
-their int records (``_chain_ops`` on bit·T + φ(g) ints), and whole random
-terms evaluated on them (by the scalar reference of ``conftest``) must agree
-with the same terms evaluated on a record that derives the three from ⊕ and ¬.
+min(top − p + q, top) in closed form, and so does every int record, Δ(G)'s
+included (``_chain_ops`` on the ints bit·T + φ(g)); a product takes its
+factors' own.  Each must be the MV-algebra abbreviation it replaces,
+x ⊙ y = ¬(¬x ⊕ ¬y), x ⊖ y = x ⊙ ¬y and x → y = ¬x ⊕ y, written here with the
+record's ⊕ and ¬ alone, on every pair of the record's values: the same value
+of the same type, so no output can move.  Δ(G)'s payload record
+(``DeltaOf.build_ops``) states no closed form: it is Γ of Z lex G at
+u = (1, 0), and ``PayloadOps`` derives the three from its ⊕ and ¬, so its rows
+here pin that derivation.  The Δ(G) records are tried on every kind of group,
+on their payload records and on their int records, and whole random terms
+evaluated on them (by the scalar reference of ``conftest``) must agree with
+the same terms evaluated on a record that derives the three from ⊕ and ¬.
 """
 
 import itertools

@@ -2,9 +2,10 @@
 
 ``check_flatness`` and ``group_from_action`` run on (numerator, denominator)
 pairs through ``FlatAction.act_pair``.  The reference below is their earlier
-form, which computes with ``Fraction``s through ``act``; on the Frobenius
-action and on non-flat user actions both must give the same report, group or
-exception, field for field.
+form, which computes with ``Fraction``s through ``act``, and draws and counts
+each instance in a plain loop of its own, sharing no code with the law engine
+(``report.check_laws``).  On the Frobenius action and on non-flat user
+actions both must give the same report, group or exception, field for field.
 """
 
 import math
@@ -22,7 +23,7 @@ from mvtrop.errors import DomainError, ReconstructionError, StructuralError
 from mvtrop.groups import qsubgroup
 from mvtrop.qpoints import (FlatAction, check_flatness, frobenius_action,
                             group_from_action)
-from mvtrop.report import VALID, CheckReport, Instances, check_laws
+from mvtrop.report import COUNTEREXAMPLE, VALID, CheckReport
 
 
 # -- the Fraction reference ----------------------------------------------------
@@ -52,16 +53,13 @@ def _ref_fragment(chi, height):
 
 
 def ref_check_flatness(F, samples=1000, seed=0, height=12):
+    """Condition 2 on ``samples`` drawn pairs, then condition 3 on as many
+    drawn triples, one instance at a time and counted here, without the law
+    engine; condition 1 counts once."""
     if samples < 1:
         raise DomainError("samples must be >= 1")
     pool = _ref_fragment(F.base, height)
     rng = random.Random(seed)
-
-    def draws(arity):
-        if arity == 2:
-            return ((rng.choice(pool), rng.choice(pool)) for _ in range(samples))
-        return ((rng.choice(pool), rng.randrange(1, 16), rng.randrange(1, 16))
-                for _ in range(samples))
 
     def inside(w):
         return w > 0 and contains_rational(F.base, w)
@@ -74,20 +72,24 @@ def ref_check_flatness(F, samples=1000, seed=0, height=12):
         return m.denominator == 1 and n.denominator == 1 \
             and F.act(int(m), w) == y and F.act(int(n), w) == z
 
-    def witness(name, draw):
-        if name == "torsion_free":
-            return {"condition": 3, "pair": list(draw[1:]), "y": draw[0],
-                    "reason": "m·y = n·y with m ≠ n on a torsion-free cone"}
-        w = rational_gcd(list(draw))
-        return {"condition": 2, "pair": list(draw), "w": w,
+    checked = 1
+    for _ in range(samples):
+        y, z = rng.choice(pool), rng.choice(pool)
+        checked += 1
+        if not refined(y, z):
+            w = rational_gcd([y, z])
+            return CheckReport(COUNTEREXAMPLE, checked, mode="sampled", witness={
+                "condition": 2, "pair": [y, z], "w": w,
                 "reason": "action does not reach the pair from the refinement" if inside(w)
-                else "constructed witness falls outside the cone"}
-    laws = [("refinement", 2, refined),
-            ("torsion_free", 3, lambda y, m, n: m == n or F.act(m, y) != F.act(n, y))]
-    report = check_laws(laws, Instances(draws, lambda _: samples, "sampled")).shaped(witness)
-    if not report.ok:
-        return replace(report, checked=1 + report.checked)
-    return CheckReport(VALID, 1 + report.checked, mode="sampled",
+                else "constructed witness falls outside the cone"})
+    for _ in range(samples):
+        y, m, n = rng.choice(pool), rng.randrange(1, 16), rng.randrange(1, 16)
+        checked += 1
+        if m != n and F.act(m, y) == F.act(n, y):
+            return CheckReport(COUNTEREXAMPLE, checked, mode="sampled", witness={
+                "condition": 3, "pair": [m, n], "y": y,
+                "reason": "m·y = n·y with m ≠ n on a torsion-free cone"})
+    return CheckReport(VALID, checked, mode="sampled",
                        details={"condition3": "vacuously satisfied", "condition3_collisions": 0})
 
 

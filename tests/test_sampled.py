@@ -1,20 +1,21 @@
 """Differential test: checks on the int record against a payload reference.
 
-A sampled check draws its instances from the values of ``algebra.int_record``,
-in batches of ``algebra.SLICE`` instances (``algebra.seeded_draws``), streams
-them through its laws' pipelines on that record (``report.check_laws``) and
+A sampled check reads its instances from one lazy stream of draws on the
+values of ``algebra.int_record`` (``algebra.seeded_draws``), streams them
+through its laws' pipelines on that record (``report.check_laws``) and
 decodes only a counterexample's instance.  The reference below is the earlier
 form: it draws ``random.Random(seed).choice`` from the payload listing and
 checks each instance in turn on ``payload_ops``, evaluated by the scalar
 reference of ``conftest``, which shares no code with the engine.  The whole
-report must be equal, the witness down to the types of its payloads, however
-the draws are cut into batches; and a check's memory must not grow with its
-number of samples, nor a full walk's with its number of instances.  A
-finite chain's int record is a ``range`` decoded on demand, so sampled
-checks, θ, θ* and the Boolean part must answer, with the same results, when a
-finite chain's listing cannot be built at all.  A product's values are a
-sequence that turns an index into one tuple, so draws on a product are the
-listing's draws without the listing.
+report must be equal, the witness down to the types of its payloads; the
+stream must read no value past a check's first counterexample, nor leave
+its generator anywhere but where as many ``choice`` calls would; and a
+check's memory must not grow with its number of samples, nor a full walk's
+with its number of instances.  A finite chain's int record is a ``range``
+decoded on demand, so sampled checks, θ, θ* and the Boolean part must answer,
+with the same results, when a finite chain's listing cannot be built at all.
+A product's values are a sequence that turns an index into one tuple, so
+draws on a product are the listing's draws without the listing.
 
 A product walked in full (exhaustive or bounded) is decided on its leaves'
 int records, or walked on the k-tuples of its int record's values, and a
@@ -38,7 +39,6 @@ import itertools
 import json
 import random
 import tracemalloc
-from unittest import mock
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -118,23 +118,19 @@ def algebras(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(algebras(), st.one_of(law_lists, horn_lists), st.integers(1, 300), st.integers(0, 2 ** 32),
-       st.sampled_from([1, 2, 3, 7, 64, algebra.SLICE]))
-def test_sampled_checks_match_the_payload_reference(case, laws, samples, seed, size):
+@given(algebras(), st.one_of(law_lists, horn_lists), st.integers(1, 300), st.integers(0, 2 ** 32))
+def test_sampled_checks_match_the_payload_reference(case, laws, samples, seed):
     A, bound = case
-    with mock.patch.object(algebra, "SLICE", size):  # draws cross slice boundaries
-        report = check_identities(A, laws, bound, samples, seed)
+    report = check_identities(A, laws, bound, samples, seed)
     expected = reference_check(A, laws, bound, samples, seed)
     assert report == expected
     assert repr(report.witness) == repr(expected.witness)
 
 
-@pytest.mark.parametrize("size", [1, 5, algebra.SLICE])
 @pytest.mark.parametrize("text, bound", [("chang", 4), ("interval", 5), ("chain:7", None),
                                          ("prod:chain:3,chang", 2)])
-def test_quasi_identities_and_conjunctions_meet_counterexamples(text, bound, size, monkeypatch):
+def test_quasi_identities_and_conjunctions_meet_counterexamples(text, bound):
     A = parse_algebra_shorthand(text)
-    monkeypatch.setattr(algebra, "SLICE", size)
     for law in _HORN:
         laws = [*_mv_axioms()[:2], law]
         report = check_identities(A, laws, bound, 300, 11)
@@ -170,24 +166,67 @@ _LENGTHS = sorted({1, 2, 3, 4, 5} | {2 ** k + d for k in (3, 8, 31, 32, 33, 62)
                                     for d in (-1, 0, 1)} | {10 ** 18})
 
 
+_RANDOM = random.Random
+
+
+def _assert_choices(values, seed, lengths, monkeypatch):
+    """Successive ``islice``s of one ``seeded_draws`` stream are as many
+    successive ``choice``s, and leave its generator where they leave theirs."""
+    made = []
+    monkeypatch.setattr(random, "Random", lambda s: made.append(_RANDOM(s)) or made[-1])
+    draws, rng = seeded_draws(values, seed), _RANDOM(seed)
+    for m in lengths:
+        assert list(itertools.islice(draws, m)) == [rng.choice(values) for _ in range(m)]
+        assert made[0].getstate() == rng.getstate(), m
+
+
 @pytest.mark.parametrize("n", _LENGTHS)
-def test_draws_are_successive_seeded_choices(n):
+def test_draws_are_successive_seeded_choices(n, monkeypatch):
     values = range(n) if n > 5 else [object() for _ in range(n)]
     for seed in (0, 1, 31):
-        draw, rng = seeded_draws(values, seed), random.Random(seed)
-        for m in (0, 1, 2, 5, 0, 37, 300):
-            assert draw(m) == [rng.choice(values) for _ in range(m)]
+        _assert_choices(values, seed, (0, 1, 2, 5, 0, 37, 300), monkeypatch)
 
 
 @pytest.mark.parametrize("text, bound", [("prod:chain:3,chang", 2), ("prod:chain:5,chain:7", None),
                                          ("prod:chain:3,delta:trivial", None)])
-def test_draws_on_a_products_tuples_are_successive_seeded_choices(text, bound):
+def test_draws_on_a_products_tuples_are_successive_seeded_choices(text, bound, monkeypatch):
     values = int_record(parse_algebra_shorthand(text), bound).values
     assert isinstance(values, algebra._Tuples)
     for seed in (0, 9):
-        draw, rng = seeded_draws(values, seed), random.Random(seed)
-        for m in (3, 0, 64, 129):
-            assert draw(m) == [rng.choice(values) for _ in range(m)]
+        _assert_choices(values, seed, (3, 0, 64, 129), monkeypatch)
+
+
+class _Counted:
+    """A sequence of values that counts the reads of its items."""
+
+    def __init__(self, values):
+        self.values, self.reads = values, 0
+
+    def __len__(self):
+        return len(self.values)
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return self.values[i]
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("text, bound", [("chain:7", None), ("interval", 4), ("chang", 3),
+                                         ("prod:chain:3,chang", 2)])
+def test_a_sampled_check_reads_no_draw_past_its_counterexample(text, bound, seed, monkeypatch):
+    counted = []
+
+    def walk(A, bound, doing, walk=algebra.walk_record):
+        record = walk(A, bound, doing)
+        counted.append(_Counted(record.values))
+        return algebra.IntRecord(record.ops, counted[-1], record.decode, record.shape)
+    monkeypatch.setattr(algebra, "walk_record", walk)
+    # a law of one variable that holds, then one of three that fails a few instances in
+    laws = [_mv_axioms()[4], Law("odot", parse_equation("x (.) y (.) z = 0"))]
+    report = check_identities(parse_algebra_shorthand(text), laws, bound, 1000, seed)
+    j = report.checked - 1000
+    assert report.verdict == COUNTEREXAMPLE and 1 < j < 1000
+    assert counted[-1].reads == 1000 + 3 * j
 
 
 def _peak(check) -> int:
