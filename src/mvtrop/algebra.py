@@ -29,12 +29,15 @@ check and every full check but those of a chain or the interval run on
 ``int_record(A, bound)``, one ``IntRecord``: the record, the listing's values
 on it, a decoder of any value back to its payload, each leaf's (weight, size)
 and each distinct leaf's record.  Each kind builds its own
-(``build_int_record``), sized by its kind, never by ``len`` of its values, and
-lists its carrier by decoding them (``MvAlgebra.enumerate``).  Every shipped
-leaf is Γ of an ordered group with a strong unit, and its int record is
-``_chain_ops(0, top)`` on ints: L_n on ``range(n)``, i read as i/(n−1); the
-interval's Farey fragment as p·D, D the lcm of its denominators; Δ(G)'s as
-bit·T + φ(g), φ the group's ``scaled``.  A product's int record is one flat
+(``build_int_record``), sized by its kind, never by ``len`` of its values.
+Every listing of a carrier or fragment, ``enumerate_payloads`` and the
+Bisemiring listings of θ, θ* and the Boolean part, decodes the values of that
+record sized first (``walk_record``), so a carrier past ``sys.maxsize`` is
+refused before anything is listed.  Every shipped leaf is Γ of an ordered
+group with a strong unit, and its int record is ``_chain_ops(0, top)`` on
+ints: L_n on ``range(n)``, i read as i/(n−1); the interval's Farey fragment
+as p·D, D the lcm of its denominators; Δ(G)'s as bit·T + φ(g), φ the group's
+``scaled``.  A product's int record is one flat
 record over its leaves (``leaf_factors``), componentwise
 (``_componentwise``): its values are the tuples of theirs, a sequence that
 builds only the tuples it is asked for (``_Tuples``), its shape the product
@@ -143,9 +146,9 @@ class MvAlgebra(Value):
     (validated in full), ``build_ops()`` (its record; callers use ``payload_ops``),
     ``carrier_size()`` (None, the default, when infinite),
     ``is_infinitesimal(payload)``, ``payload_to_json`` / ``payload_from_json``
-    and ``build_int_record(bound)``, its piece of ``int_record``.  Every kind
-    lists its carrier or bounded fragment, in canonical order, by decoding that
-    record's values (``enumerate``)."""
+    and ``build_int_record(bound)``, its piece of ``int_record``.  ``enumerate``
+    lists the carrier or bounded fragment, in canonical order, by decoding the
+    values of that record sized by ``walk_record``."""
 
     def to_json(self) -> dict:
         return {"kind": self.tag}
@@ -154,7 +157,7 @@ class MvAlgebra(Value):
         return None
 
     def enumerate(self, bound: int | None) -> list:
-        record = self.build_int_record(bound)
+        record = walk_record(self, bound, "list")
         return list(map(record.decode, record.values))
 
 
@@ -314,7 +317,7 @@ class DeltaOf(MvAlgebra):
 
     def payload_from_json(self, data) -> tuple:
         if not isinstance(data, list) or len(data) != 2:
-            raise UsageError(f"expected a [bit, offset] pair, got {data!r}")
+            raise UsageError(f"expected a [bit, offset] pair, got {shown(data)}")
         return (parse_integer(data[0], "bit"), self.group.payload_from_json(data[1]))
 
 
@@ -373,7 +376,7 @@ class ProductAlgebra(MvAlgebra):
 
     def payload_from_json(self, data) -> tuple:
         if not isinstance(data, list) or len(data) != len(self.factors):
-            raise UsageError(f"payload arity mismatch for {self}: {data!r}")
+            raise UsageError(f"payload arity mismatch for {self}: {shown(data)}")
         return tuple(f.payload_from_json(c) for f, c in zip(self.factors, data))
 
 
@@ -484,8 +487,14 @@ def int_record(A: MvAlgebra, bound: int | None = None) -> IntRecord:
     """The ``IntRecord`` a walk over ``enumerate_payloads(A, bound)`` runs on,
     its values the listing's in order and its decoder defined on any value of
     the record, listed or not; built by the kind (``build_int_record``),
-    uncached.  A chain's values are its ``range`` and a product's ``_Tuples``."""
-    return _bounded(A, bound).build_int_record(bound)
+    uncached.  A chain's values are its ``range`` and a product's ``_Tuples``.
+    An infinite carrier needs a bound >= 1."""
+    if _descriptor(A).carrier_size() is None:
+        if bound is None:
+            raise DomainError(f"enumerating {A} requires a bound")
+        if bound < 1:
+            raise DomainError("bound must be >= 1")
+    return A.build_int_record(bound)
 
 
 def sized_record(A: MvAlgebra, bound: int | None, limit: int) -> IntRecord | None:
@@ -560,14 +569,9 @@ def is_infinitesimal_elem(x: MvElement) -> bool:
 
 
 def element_str(x: MvElement) -> str:
-    """The payload's JSON form written with (a,b) for lists, as shorthand input reads it."""
-    return _tuple_form(x.algebra.payload_to_json(x.payload))
-
-
-def _tuple_form(data) -> str:
-    if isinstance(data, list):
-        return "(" + ",".join(map(_tuple_form, data)) + ")"
-    return str(data)
+    """The payload as shorthand input reads it (``rationals.shown``): (a,b) for
+    pairs and tuples, "p/q" for rationals."""
+    return shown(x.payload)
 
 
 # ---------------------------------------------------------------------------
@@ -580,18 +584,9 @@ def carrier_size(A: MvAlgebra) -> int | None:
 
 def enumerate_payloads(A: MvAlgebra, bound: int | None = None) -> list:
     """Canonical enumeration: the full carrier when finite (any bound is ignored),
-    else the fragment of a bound >= 1; see each kind's ``enumerate``."""
-    return _bounded(A, bound).enumerate(bound)
-
-
-def _bounded(A: MvAlgebra, bound: int | None) -> MvAlgebra:
-    """A, once a bound >= 1 is given if its carrier is infinite."""
-    if _descriptor(A).carrier_size() is None:
-        if bound is None:
-            raise DomainError(f"enumerating {A} requires a bound")
-        if bound < 1:
-            raise DomainError("bound must be >= 1")
-    return A
+    else the fragment of a bound >= 1, decoded from ``int_record(A, bound)``; a
+    DomainError past ``sys.maxsize`` elements (``walk_record``)."""
+    return _descriptor(A).enumerate(bound)
 
 
 def enumerate_elements(A: MvAlgebra, bound: int | None = None) -> list[MvElement]:

@@ -121,7 +121,7 @@ def _theta_listing(args, builder):
     A = parse_algebra_shorthand(args.algebra)
     bound = _fragment_bound(args, A, 10)
     return 0, {"algebra": A.to_json(), "bound": bound,
-               "elements": [A.payload_to_json(x.payload) for x in builder(A).elements(bound)]}
+               "elements": [A.payload_to_json(p) for p in builder(A).payloads(bound)]}
 
 
 def _cmd_theta(args):

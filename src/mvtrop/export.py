@@ -25,8 +25,9 @@ from __future__ import annotations
 
 from itertools import repeat
 
-from .algebra import MvAlgebra, MvElement, carrier_size, element_str, sized_record
+from .algebra import MvAlgebra, carrier_size, sized_record
 from .errors import DomainError
+from .rationals import shown
 
 MAX_EXPORT_CARRIER = 10000
 
@@ -73,7 +74,7 @@ def hasse_dot(A: MvAlgebra, bound: int | None = None) -> str:
     lines = ["digraph hasse {", "  rankdir=BT;", '  node [shape=ellipse];']
     for i, x in enumerate(xs):
         p = decode(x)
-        attrs = [f'label="{element_str(MvElement(A, p))}"']
+        attrs = [f'label="{shown(p)}"']
         if ops.oplus(x, x) == x:
             attrs.append("peripheries=2")
         if A.is_infinitesimal(p):

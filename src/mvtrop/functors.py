@@ -12,9 +12,9 @@ from __future__ import annotations
 from typing import Any, Callable
 
 from .algebra import (DeltaOf, FiniteChain, MvAlgebra, MvElement,
-                      ProductAlgebra, element, element_str, enumerate_payloads,
+                      ProductAlgebra, element, enumerate_payloads,
                       int_record, leaf_factors, mv_neg, mv_oplus, one,
-                      payload_ops, walk_record, zero)
+                      payload_ops, zero)
 from .bisemirings import (TOP, Bisemiring, TopCone, bisemiring_operations,
                           check_closed, closure_laws)
 from .errors import (BrokenHomomorphismError, DomainError, MalformedInputError,
@@ -99,10 +99,14 @@ def theta_star(A: MvAlgebra) -> Bisemiring:
 def theta_perfect(P: MvAlgebra) -> TopCone:
     """θ of a perfect algebra as a cone: the radical carries the positive cone,
     and the unit becomes ⊤."""
+    return TopCone(_perfect(P, "; theta_perfect is representation-aware").group)
+
+
+def _perfect(P: MvAlgebra, why: str = "") -> DeltaOf:
+    """P, refused unless it is a DeltaOf algebra, the message ending in ``why``."""
     if not isinstance(P, DeltaOf):
-        raise UnsupportedRepresentationError(
-            f"{P} is not a DeltaOf algebra; theta_perfect is representation-aware")
-    return TopCone(P.group)
+        raise UnsupportedRepresentationError(f"{P} is not a DeltaOf algebra{why}")
+    return P
 
 
 def theta_perfect_inverse(T: TopCone) -> DeltaOf:
@@ -111,15 +115,13 @@ def theta_perfect_inverse(T: TopCone) -> DeltaOf:
 
 def perfect_to_cone(x: MvElement):
     """The bijection θ(P) → cone: (0, g) ↦ g and 1 ↦ ⊤."""
-    P = x.algebra
-    if not isinstance(P, DeltaOf):
-        raise UnsupportedRepresentationError(f"{P} is not a DeltaOf algebra")
+    P = _perfect(x.algebra)
     bit, off = x.payload
     if bit == 0:
         return off
     if off == group_zero(P.group):
         return TOP
-    raise DomainError(f"{element_str(x)} is not in theta of {P}")
+    raise DomainError(f"{shown(x.payload)} is not in theta of {P}")
 
 
 def cone_to_perfect(P: DeltaOf, c) -> MvElement:
@@ -137,10 +139,9 @@ def f_equiv(S: TropOfGroup) -> TopCone:
 # Boolean part, gluing, and recognition of θ images.
 
 def boolean_part(A: MvAlgebra, bound: int | None = None) -> list[MvElement]:
-    """All idempotent elements of the (bounded) carrier, tested on ``int_record``;
-    a DomainError past ``sys.maxsize`` elements (``algebra.walk_record``)."""
-    record = walk_record(A, bound, "list")
-    return [MvElement(A, record.decode(v)) for v in record.values if record.ops.oplus(v, v) == v]
+    """All idempotent elements of the (bounded) carrier: the elements of the
+    Bisemiring they form, listed as every listing is (``Bisemiring.payloads``)."""
+    return Bisemiring(A, lambda ops, p: ops.oplus(p, p) == p).elements(bound)
 
 
 def is_boolean_algebra(A: MvAlgebra) -> bool:
@@ -167,9 +168,7 @@ def glue_boolean_perfect(B: MvAlgebra, P: MvAlgebra) -> MvAlgebra:
     """
     if not is_boolean_algebra(B):
         raise DomainError(f"{B} is not a finite Boolean algebra")
-    if not isinstance(P, DeltaOf):
-        raise UnsupportedRepresentationError(
-            f"{P} is not a DeltaOf algebra; gluing is representation-aware")
+    _perfect(P, "; gluing is representation-aware")
     k = len(atoms(B))
     if k == 1:
         return P
@@ -199,7 +198,7 @@ def recognize_theta_image(S: Bisemiring) -> CheckReport:
     if z not in elems or o not in elems:
         raise MalformedInputError(
             "carrier must contain distinct 0 and 1 (a one-element input collapses 0 = 1)")
-    closure_checked = check_closed(elems, ops, lambda p: element_str(MvElement(A, p)))
+    closure_checked = check_closed(elems, ops, shown)
     inf_set, bool_set = map(set, _inf_bool(elems, ops))
     # Bool(S) = S forces Inf(S) = {0}; the radical conditions are then vacuous
     # and it remains to confirm Bool(S) is a Boolean algebra under ⊕/⊙.  On
@@ -317,8 +316,8 @@ def check_homomorphism(h: Morphism, bound: int = 4) -> None:
     report = check_laws(laws, Instances.over(enumerate_payloads(src, bound)))
     if not report.ok:
         name, instance = report.witness
-        shown = ", ".join(element_str(MvElement(src, p)) for p in instance)
-        at = f" at ({shown})" if len(instance) > 1 else f" at {shown}" if instance else ""
+        listed = ", ".join(map(shown, instance))
+        at = f" at ({listed})" if len(instance) > 1 else f" at {listed}" if instance else ""
         raise BrokenHomomorphismError(f"{h.name} does not preserve {name}{at}")
 
 
@@ -336,6 +335,6 @@ def theta_on_morphism(h: Morphism, bound: int = 4) -> Morphism:
     if not report.ok:
         x, = report.witness[1]
         raise BrokenHomomorphismError(
-            f"{h.name} maps {element_str(x)} outside theta of the target; "
+            f"{h.name} maps {shown(x.payload)} outside theta of the target; "
             "it cannot be a homomorphism")
     return Morphism(src, tgt, f"theta({h.name})", h.fn)

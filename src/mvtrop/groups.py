@@ -253,7 +253,7 @@ class LexZG(LGroup):
 
     def payload_from_json(self, data) -> Any:
         if not isinstance(data, list) or len(data) != 2:
-            raise UsageError(f"expected a lex pair, got {data!r}")
+            raise UsageError(f"expected a lex pair, got {shown(data)}")
         return (parse_integer(data[0], "lex head"), self.tail.payload_from_json(data[1]))
 
 

@@ -1,7 +1,8 @@
 """Rationals as "p/q" strings ("p" when integral), strict parsing of rationals
 and integers, and ``dumps``: the leaves of every JSON payload and shorthand,
 and the one JSON writer the descriptor kinds and the command line share.
-``shown`` writes a value in a message as the command line reads it."""
+``shown`` writes a value, a payload among them, in a message or a Hasse label
+as the command line reads it."""
 
 from __future__ import annotations
 
@@ -28,6 +29,8 @@ def rational_str(q) -> str:
 def shown(x) -> str:
     """A value as the command line reads it: a tuple or a list as (a,b), a
     Fraction as "p/q" ("p" when integral), anything else as its JSON."""
+    if type(x) is int:  # not a bool, which JSON writes as true or false
+        return str(x)
     if isinstance(x, (tuple, list)):
         return "(" + ",".join(map(shown, x)) + ")"
     return rational_str(x) if isinstance(x, Fraction) else json.dumps(x, default=repr)

@@ -289,6 +289,58 @@ def test_pretty_output(capsys):
     assert "value: 5" in out and "{" not in out.splitlines()[-1]
 
 
+_EXPORT_PRETTY = """\
+algebra:
+  kind: finite_chain
+  size: 3
+boolean:
+  0  2
+elements:
+  0  1/2  1
+fragment: false
+infinitesimal:
+  0
+neg:
+  2  1  0
+tables:
+  join:
+    0  1  2
+    1  1  2
+    2  2  2
+  meet:
+    0  0  0
+    0  1  1
+    0  1  2
+  odot:
+    0  0  0
+    0  0  1
+    0  1  2
+  oplus:
+    0  1  2
+    1  2  2
+    2  2  2
+"""
+
+_VC_MEMBER_PRETTY = """\
+algebra:
+  kind: finite_chain
+  size: 3
+checked: 2
+in_variety: false
+mode: exhaustive
+verdict: counterexample
+witness:
+  x: 1/2
+"""
+
+
+@pytest.mark.parametrize("verb, code, expected", [
+    ("export", 0, _EXPORT_PRETTY),          # the tables: a list of lists, one row a line
+    ("vc-member", 1, _VC_MEMBER_PRETTY)])   # a bool scalar, written as JSON writes it
+def test_pretty_output_of_tables_and_bools(verb, code, expected, capsys):
+    assert run([verb, "--algebra", "chain:3", "--pretty"], capsys) == (code, expected, "")
+
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "cone.json"
     code, out, _ = run(["theta-pt", "--group", "Z", "--bound", "2",
@@ -598,7 +650,12 @@ def test_non_integral_lex_head_is_usage_error(capsys):
     (["eval", "x", "--algebra", "chang", "--assign", "x=((1,1/2),0)"],
      2, "bit must be an integer, got (1,1/2)"),
     (["eval", "x", "--algebra", "delta:lex:Z", "--assign", "x=(0,((1,1/2),0))"],
-     2, "lex head must be an integer, got (1,1/2)")])
+     2, "lex head must be an integer, got (1,1/2)"),
+    (["eval", "x", "--algebra", "chang", "--assign", "x=1/2"],
+     2, "expected a [bit, offset] pair, got 1/2"),
+    (["gamma", "--group", "lex:Z", "--unit", "1"], 2, "expected a lex pair, got 1"),
+    (["eval", "x", "--algebra", "prod:chain:2,chain:3", "--assign", "x=(1,1/2,1)"],
+     2, "payload arity mismatch for prod:chain:2,chain:3: (1,1/2,1)")])
 def test_messages_show_values_as_the_command_line_reads_them(argv, code, message, capsys):
     assert run(argv, capsys) == (code, "", f"mvtrop: {message}\n")
     assert "Fraction(" not in message

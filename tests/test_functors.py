@@ -97,6 +97,9 @@ def test_delta_inverse_round_trips():
 def test_trop_detrop_round_trips():
     for G in GROUP_ZOO + (TRIVIAL, LexZG(Z)):
         assert detrop(trop(G)) == G
+    for S in (Z, L3):
+        with pytest.raises(UnsupportedRepresentationError, match=f"^{S} is not a tropical semifield$"):
+            detrop(S)
 
 
 def test_trop_of_trivial_group():
@@ -263,7 +266,8 @@ def test_theta_perfect_shape():
     T = theta_perfect(CHANG)
     assert T == TopCone(Z)
     assert cone_elements(T, 3) == [0, 1, 2, 3, TOP]
-    with pytest.raises(UnsupportedRepresentationError):
+    with pytest.raises(UnsupportedRepresentationError,
+                       match="^chain:3 is not a DeltaOf algebra; theta_perfect is representation-aware$"):
         theta_perfect(L3)
 
 
@@ -289,8 +293,10 @@ def test_cone_operations_mirror_theta_of_perfect():
 
 
 def test_perfect_to_cone_rejects_non_theta_elements():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^\(1,-2\) is not in theta of chang$"):
         perfect_to_cone(element(CHANG, (1, -2)))
+    with pytest.raises(UnsupportedRepresentationError, match="^chain:3 is not a DeltaOf algebra$"):
+        perfect_to_cone(element(L3, Fraction(1, 2)))
 
 
 def test_theta_perfect_of_rational_delta():
@@ -378,7 +384,8 @@ def test_glue_bigger_boolean():
 def test_glue_rejects_non_boolean():
     with pytest.raises(DomainError):
         glue_boolean_perfect(L3, CHANG)
-    with pytest.raises(UnsupportedRepresentationError):
+    with pytest.raises(UnsupportedRepresentationError,
+                       match="^chain:3 is not a DeltaOf algebra; gluing is representation-aware$"):
         glue_boolean_perfect(L2, L3)
 
 
@@ -444,6 +451,15 @@ def test_projection_restricts_to_theta():
     th_proj = theta_on_morphism(proj, bound=3)
     x = element(P, ((0, 1), (1, 0)))
     assert th_proj(x).payload == (0, 1)
+
+
+def test_projection_needs_a_product_and_one_of_its_factors():
+    with pytest.raises(DomainError, match="^chain:3 is not a product algebra$"):
+        projection_morphism(L3, 0)
+    P = product_algebra(L2, L3)
+    for index in (-1, 2):
+        with pytest.raises(DomainError, match=f"^no factor {index} in prod:chain:2,chain:3$"):
+            projection_morphism(P, index)
 
 
 def test_constant_one_map_is_rejected():

@@ -32,7 +32,8 @@ from mvtrop.bisemirings import Bisemiring
 from mvtrop.characteristics import INF, characteristic
 from mvtrop.errors import DomainError, StructuralError
 from mvtrop.export import hasse_dot, operation_tables
-from mvtrop.functors import boolean_part, delta, theta, theta_star
+from mvtrop.functors import (boolean_part, check_homomorphism, delta, identity_morphism,
+                             theta, theta_on_morphism, theta_star)
 from mvtrop.groups import Z, LexZG, qsubgroup, unit_above
 from mvtrop.jsonio import parse_algebra_shorthand
 from mvtrop.logic import Valuation, evaluate
@@ -184,6 +185,19 @@ def test_a_record_past_sys_maxsize_is_sized_without_listing(text, shape, monkeyp
         boolean_part(A, 2)
     with pytest.raises(DomainError, match="cannot list"):
         theta(A).payloads(2)
+
+
+@pytest.mark.parametrize("text", [f"chain:{_HUGE}", "prod:chain:10000000000,chain:10000000000"])
+@pytest.mark.parametrize("listing", [
+    enumerate_elements,
+    lambda A, bound: check_homomorphism(identity_morphism(A), bound),
+    lambda A, bound: theta_on_morphism(identity_morphism(A), bound)])
+def test_every_listing_is_sized_before_anything_is_listed(text, listing):
+    # unsized, the chain's listing ran on past any time limit and the product's
+    # ran out of memory
+    with pytest.raises(DomainError) as info:
+        listing(parse_algebra_shorthand(text), 2)
+    assert str(info.value) == f"cannot list {text}: more than {sys.maxsize} elements"
 
 
 def test_a_products_leaves_are_each_distinct_leafs_own_record():

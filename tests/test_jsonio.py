@@ -17,7 +17,8 @@ from mvtrop.jsonio import (algebra_from_json, chi_from_json, cone_to_json,
                            parse_algebra_shorthand, parse_group_shorthand,
                            parse_payload_shorthand, parse_rational,
                            parse_semifield_shorthand, rational_str,
-                           semifield_from_json)
+                           report_to_json, semifield_from_json)
+from mvtrop.qpoints import FlatAction, check_flatness
 
 DYADIC = qsubgroup(characteristic({2: INF}))
 
@@ -257,3 +258,14 @@ def test_nested_groups_round_trip(G):
 def test_nested_algebras_round_trip(A):
     assert algebra_from_json(json.loads(dumps(A.to_json()))) == A
     assert parse_algebra_shorthand(str(A)) == A
+
+
+def test_a_witness_of_rationals_and_lists_is_written_as_json():
+    # the flatness counterexample of the identity action on Z's cone: its pair is a
+    # list of Fractions and its w a Fraction, each written as "p/q"
+    report = check_flatness(FlatAction(CHI_Z, lambda n, x: x, label="projection"),
+                            samples=200, seed=0)
+    assert report_to_json(report) == {
+        "verdict": "counterexample", "checked": 3, "mode": "sampled",
+        "witness": {"condition": 2, "pair": ["1", "5"], "w": "1",
+                    "reason": "action does not reach the pair from the refinement"}}
