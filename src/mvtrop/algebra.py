@@ -44,7 +44,8 @@ builds only the tuples it is asked for (``_Tuples``), its shape the product
 of theirs, and its decoder regroups the leaves' payloads by the product tree.
 A sampled check reads its instances from one lazy stream of draws on the
 values (``seeded_draws``), exactly the values that the seeded ``rng.choice``
-picks, the same indices as on the listing.  A full check (exhaustive or
+picks, the same indices as on the listing; ``qpoints.check_flatness`` draws
+its pairs and triples from such streams too.  A full check (exhaustive or
 bounded) decides on each distinct leaf's record and walks a product's
 k-tuples (``_Tuples.tuples``) only when a leaf fails; a chain or the interval
 is one leaf, walked on its payloads.  All decode only a counterexample's
@@ -603,28 +604,31 @@ def sample_elements(A: MvAlgebra, count: int, seed: int,
 
 
 def _sampled(A: MvAlgebra, bound: int | None, samples: int, seed: int) -> tuple:
-    """The one sampler: ``int_record(A, bound)`` and the lazy stream of seeded
-    draws with replacement of its values (the bound only applies to infinite
-    carriers), refused when ``samples`` is below 1.  They are the listing's
-    draws, as ``seeded_draws`` says; a finite chain's ``range`` and a
+    """The sampler of MV checks: ``int_record(A, bound)`` and the lazy stream
+    of seeded draws with replacement of its values (the bound only applies to
+    infinite carriers), refused when ``samples`` is below 1.  They are the
+    listing's draws, as ``seeded_draws`` says; a finite chain's ``range`` and a
     product's ``_Tuples`` are never listed."""
     if samples < 1:
         raise DomainError("samples must be >= 1")
     record = walk_record(A, bound, "draw from")
-    return record, seeded_draws(record.values, seed)
+    return record, seeded_draws(record.values, random.Random(seed))
 
 
-def seeded_draws(values, seed: int) -> Iterator:
-    """The values that successive calls of ``random.Random(seed).choice(values)``
-    return, as one lazy iterator.  On Python 3.10 to 3.13 a choice is
-    ``values[r]``, r the first of ``getrandbits(k)``, k the bit length of
-    n = ``len(values)``, that is below n; so the draws are the values at the
-    raw draws below n, in order, and a raw draw is taken only when the next
-    value is asked for: after m values the generator is where m ``choice``
-    calls leave it.  ``choice`` picks an index from the length alone, so
-    values with a listing's length and order give its draws."""
+def seeded_draws(values, rng: random.Random) -> Iterator:
+    """The values that successive calls of ``rng.choice(values)`` return, as
+    one lazy iterator.  On Python 3.10 to 3.13 a choice is ``values[r]``, r the
+    first of ``getrandbits(k)``, k the bit length of n = ``len(values)``, that
+    is below n; so the draws are the values at the raw draws below n, in order,
+    and a raw draw is taken only when the next value is asked for: after m
+    values the generator is where m ``choice`` calls leave it.  ``choice``
+    picks an index from the length alone, so values with a listing's length
+    and order give its draws.  Streams on one generator interleave as the
+    calls would: ``qpoints.check_flatness`` reads its pairs and triples from
+    one stream of its pool and one of ``range(1, 16)`` (``randrange(1, 16)`` is
+    ``choice(range(1, 16))``); ``_sampled`` is the other caller."""
     n = len(values)
-    raw = map(random.Random(seed).getrandbits, itertools.repeat(n.bit_length()))
+    raw = map(rng.getrandbits, itertools.repeat(n.bit_length()))
     return map(values.__getitem__, filter(n.__gt__, raw))
 
 

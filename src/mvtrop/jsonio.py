@@ -105,8 +105,9 @@ def cone_to_json(T: TopCone, bound: int) -> dict:
 # -- reports -------------------------------------------------------------------
 
 def encode_value(v: Any) -> Any:
-    """Best-effort JSON form for witnesses: payloads for elements, strings for
-    rationals, and the repr of anything else (-inf and ⊤ among them)."""
+    """The JSON form of a report's witness and details: payloads for elements,
+    strings for rationals, objects and arrays for dicts, lists and tuples, and
+    ints, strings, bools and None as they are; any other type is a TypeError."""
     if isinstance(v, MvElement):
         return v.algebra.payload_to_json(v.payload)
     if isinstance(v, Fraction):
@@ -117,7 +118,7 @@ def encode_value(v: Any) -> Any:
         return [encode_value(u) for u in v]
     if isinstance(v, (int, str, bool)) or v is None:
         return v
-    return repr(v)
+    raise TypeError(f"no JSON form for a {type(v).__name__} in a report")
 
 
 def report_to_json(r: CheckReport) -> dict:

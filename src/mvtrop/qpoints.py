@@ -10,6 +10,9 @@ when it is cyclic and regularly dense otherwise.  The Frobenius action
 A flat action also acts on ints, n on a/b as ``act_pair(n, a, b)``.  The
 flatness check and the reconstruction of a group from an action call only that
 and compare by cross-multiplication, with no ``Fraction`` arithmetic per instance.
+The flatness check draws its instances as ``algebra``'s sampled checks do, from
+lazy ``seeded_draws`` streams on one seeded generator: the values of a loop of
+``rng.choice`` and ``rng.randrange`` calls, with no Python call per draw.
 """
 
 from __future__ import annotations
@@ -18,8 +21,10 @@ import math
 import random
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 from typing import Callable, Iterable
 
+from .algebra import seeded_draws
 from .bisemirings import TopCone
 from .characteristics import (INF, Characteristic, admits_denominator,
                               characteristic, contains_rational, factor, is_prime)
@@ -177,7 +182,7 @@ def frobenius_action(chi: Characteristic) -> FlatAction:
     """The canonical flat action: n acts on the positive cone as x ↦ n·x, on ints as
     (a, b) ↦ (n·a, b)."""
     def act_pair(n: int, a: int, b: int) -> tuple[int, int]:
-        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        if not isinstance(n, int) or n < 1 or n is True:  # False is below 1
             raise DomainError(f"the acting monoid consists of positive integers, got {n!r}")
         if a <= 0:
             raise StructuralError(f"{Fraction(a, b)} is not in the strictly positive cone")
@@ -198,6 +203,15 @@ def _positive_fragment(chi: Characteristic, height: int) -> list[tuple[int, int]
     return sorted(pairs, key=lambda p: p[0] * (L // p[1]))
 
 
+def _flatness_draws(pool: list, rng: random.Random, samples: int) -> Callable:
+    """``check_flatness``'s instances on the generator rng: ``samples`` pairs of
+    pool elements, then ``samples`` triples (y, m, n) with m, n in 1..15.
+    ``zip`` reads its streams in turn, one draw at a time, so the raw draws
+    interleave on rng as the slots' ``choice`` calls would take them."""
+    y, m = seeded_draws(pool, rng), seeded_draws(range(1, 16), rng)
+    return lambda arity: islice(zip(y, y) if arity == 2 else zip(y, m, m), samples)
+
+
 def check_flatness(F: FlatAction, samples: int = 1000, seed: int = 0,
                    height: int = 12) -> CheckReport:
     """Sampled verification of the three flatness conditions, on ints through ``act_pair``.
@@ -213,6 +227,13 @@ def check_flatness(F: FlatAction, samples: int = 1000, seed: int = 0,
     A valid report's ``condition3_collisions`` is always 0, because the first
     collision is a counterexample; it stays because the README and the benchmark
     oracle print it.
+
+    The instances are those of a loop of ``rng.choice(pool)`` and
+    ``rng.randrange(1, 16)`` calls on ``random.Random(seed)``, read from lazy
+    ``seeded_draws`` streams with no Python call per draw (``_flatness_draws``):
+    ``randrange(1, 16)`` is ``choice(range(1, 16))``, and a choice keeps the
+    first raw ``getrandbits`` draw of the slot's bit length that is below the
+    slot's size.  So every ``checked`` and witness is the loop's.
     """
     if samples < 1:
         raise DomainError("samples must be >= 1")
@@ -220,13 +241,7 @@ def check_flatness(F: FlatAction, samples: int = 1000, seed: int = 0,
         raise DomainError("height must be >= 1")
     chi, act = F.base, F.act_pair
     pool = _positive_fragment(chi, height)  # never empty: it holds 1
-    rng = random.Random(seed)
-
-    def draws(arity):  # pairs (y, z) for condition 2, triples (y, m, n) for condition 3
-        if arity == 2:
-            return ((rng.choice(pool), rng.choice(pool)) for _ in range(samples))
-        return ((rng.choice(pool), rng.randrange(1, 16), rng.randrange(1, 16))
-                for _ in range(samples))
+    draws = _flatness_draws(pool, random.Random(seed), samples)
 
     def refined(y, z):  # the action reaches y and z from w = g/l
         (a, b), (c, d) = y, z

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 from mvtrop.terms import (CONST0, CONST1, Const, Implies, Join, Meet, Neg, Odot,
@@ -215,3 +216,15 @@ def reference_shape(A, bound=None) -> list:
         shape.insert(0, (weight, size))
         weight *= size
     return shape
+
+
+# -- memory ------------------------------------------------------------------------
+
+def traced_peak(run) -> int:
+    """The peak of the memory that tracemalloc traces while ``run()`` runs."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -6,6 +6,12 @@ form, which computes with ``Fraction``s through ``act``, and draws and counts
 each instance in a plain loop of its own, sharing no code with the law engine
 (``report.check_laws``).  On the Frobenius action and on non-flat user
 actions both must give the same report, group or exception, field for field.
+
+``check_flatness`` reads its pairs and triples from ``seeded_draws`` streams
+on one generator.  They must be the reference's successive ``rng.choice`` and
+``rng.randrange(1, 16)`` calls, leave the generator where those calls leave
+it after each condition, and hold no draw past the one in hand, so a check's
+memory does not grow with its number of samples.
 """
 
 import math
@@ -16,13 +22,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import traced_peak
 from mvtrop import replace
 from mvtrop.characteristics import (INF, characteristic, contains_rational,
                                     factor)
 from mvtrop.errors import DomainError, ReconstructionError, StructuralError
 from mvtrop.groups import qsubgroup
-from mvtrop.qpoints import (FlatAction, check_flatness, frobenius_action,
-                            group_from_action)
+from mvtrop.qpoints import (_flatness_draws, FlatAction, check_flatness,
+                            frobenius_action, group_from_action)
 from mvtrop.report import COUNTEREXAMPLE, VALID, CheckReport
 
 
@@ -207,3 +214,34 @@ def test_act_pair_follows_act():
 def test_act_pair_is_not_a_constructor_argument():
     with pytest.raises(TypeError):
         FlatAction(characteristic(), lambda n, x: x, act_pair=lambda n, a, b: (n * a, b))
+
+
+@pytest.mark.parametrize("n", [True, False, 0, -1, 1.0, "2", None])
+def test_frobenius_act_pair_refuses_what_is_not_a_positive_int(n):
+    with pytest.raises(DomainError, match=f"positive integers, got {n!r}$"):
+        frobenius_action(characteristic()).act_pair(n, 1, 1)
+
+
+# -- the draw stream -----------------------------------------------------------
+
+@pytest.mark.parametrize("n", [1, 12, 15, 16, 17, 91])
+def test_flatness_draws_are_successive_choices_and_randranges(n):
+    pool = [object() for _ in range(n)]
+    for seed in (0, 1, 31, 2024):
+        for samples in (1, 2, 7, 300):
+            made, rng = random.Random(seed), random.Random(seed)
+            draws = _flatness_draws(pool, made, samples)
+            assert list(draws(2)) == [(rng.choice(pool), rng.choice(pool))
+                                      for _ in range(samples)]
+            assert made.getstate() == rng.getstate(), (seed, samples, 2)
+            assert list(draws(3)) == [(rng.choice(pool), rng.randrange(1, 16),
+                                       rng.randrange(1, 16)) for _ in range(samples)]
+            assert made.getstate() == rng.getstate(), (seed, samples, 3)
+
+
+def test_check_flatness_memory_does_not_grow_with_its_samples():
+    F = frobenius_action(characteristic())
+    check_flatness(F, samples=10)  # the caches a first check fills
+    small = traced_peak(lambda: check_flatness(F, samples=1_000, seed=5))
+    large = traced_peak(lambda: check_flatness(F, samples=100_000, seed=5))
+    assert large <= 2 * small, (small, large)

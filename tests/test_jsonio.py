@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from mvtrop.algebra import (CHANG, DeltaOf, FiniteChain, ProductAlgebra,
                             RationalInterval, element, element_str,
                             enumerate_elements, product_algebra)
-from mvtrop.bisemirings import TopCone
+from mvtrop.bisemirings import TOP, TopCone
 from mvtrop.characteristics import CHI_Q, CHI_Z, INF, characteristic
 from mvtrop.errors import UsageError
 from mvtrop.groups import TRIVIAL, LexZG, TrivialGroup, TropOfGroup, Z, qsubgroup
@@ -19,6 +19,7 @@ from mvtrop.jsonio import (algebra_from_json, chi_from_json, cone_to_json,
                            parse_semifield_shorthand, rational_str,
                            report_to_json, semifield_from_json)
 from mvtrop.qpoints import FlatAction, check_flatness
+from mvtrop.report import CheckReport
 
 DYADIC = qsubgroup(characteristic({2: INF}))
 
@@ -269,3 +270,20 @@ def test_a_witness_of_rationals_and_lists_is_written_as_json():
         "verdict": "counterexample", "checked": 3, "mode": "sampled",
         "witness": {"condition": 2, "pair": ["1", "5"], "w": "1",
                     "reason": "action does not reach the pair from the refinement"}}
+
+
+def test_a_witness_holding_every_type_a_report_carries_is_written_as_json():
+    x = element(CHANG, (1, -2))
+    report = CheckReport("counterexample", 4, mode="sampled", witness={
+        "x": x, "q": Fraction(-3, 4), "nested": {"pair": [x, Fraction(1, 2)]},
+        "triple": (1, "m", True), "n": 0, "reason": "r", "ok": False, "w": None})
+    assert report_to_json(report)["witness"] == {
+        "x": [1, "-2"], "q": "-3/4", "nested": {"pair": [[1, "-2"], "1/2"]},
+        "triple": [1, "m", True], "n": 0, "reason": "r", "ok": False, "w": None}
+
+
+@pytest.mark.parametrize("value, name", [(INF, "float"), (TOP, "Adjoined"), ({1}, "set")])
+def test_a_witness_holding_another_type_is_refused(value, name):
+    report = CheckReport("counterexample", 1, witness={"x": [value]})
+    with pytest.raises(TypeError, match=f"no JSON form for a {name} in a report"):
+        report_to_json(report)

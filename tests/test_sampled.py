@@ -38,7 +38,6 @@ nesting of each payload included.
 import itertools
 import json
 import random
-import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -47,7 +46,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (random_term, reference_draws, reference_listing, reference_report,
-                      reference_walk)
+                      reference_walk, traced_peak)
 import mvtrop.algebra as algebra
 from mvtrop.algebra import (_mv_axioms, FiniteChain, ProductAlgebra, check_identities,
                             enumerate_payloads, int_record, payload_ops, sample_elements,
@@ -166,34 +165,30 @@ _LENGTHS = sorted({1, 2, 3, 4, 5} | {2 ** k + d for k in (3, 8, 31, 32, 33, 62)
                                     for d in (-1, 0, 1)} | {10 ** 18})
 
 
-_RANDOM = random.Random
-
-
-def _assert_choices(values, seed, lengths, monkeypatch):
+def _assert_choices(values, seed, lengths):
     """Successive ``islice``s of one ``seeded_draws`` stream are as many
     successive ``choice``s, and leave its generator where they leave theirs."""
-    made = []
-    monkeypatch.setattr(random, "Random", lambda s: made.append(_RANDOM(s)) or made[-1])
-    draws, rng = seeded_draws(values, seed), _RANDOM(seed)
+    made, rng = random.Random(seed), random.Random(seed)
+    draws = seeded_draws(values, made)
     for m in lengths:
         assert list(itertools.islice(draws, m)) == [rng.choice(values) for _ in range(m)]
-        assert made[0].getstate() == rng.getstate(), m
+        assert made.getstate() == rng.getstate(), m
 
 
 @pytest.mark.parametrize("n", _LENGTHS)
-def test_draws_are_successive_seeded_choices(n, monkeypatch):
+def test_draws_are_successive_seeded_choices(n):
     values = range(n) if n > 5 else [object() for _ in range(n)]
     for seed in (0, 1, 31):
-        _assert_choices(values, seed, (0, 1, 2, 5, 0, 37, 300), monkeypatch)
+        _assert_choices(values, seed, (0, 1, 2, 5, 0, 37, 300))
 
 
 @pytest.mark.parametrize("text, bound", [("prod:chain:3,chang", 2), ("prod:chain:5,chain:7", None),
                                          ("prod:chain:3,delta:trivial", None)])
-def test_draws_on_a_products_tuples_are_successive_seeded_choices(text, bound, monkeypatch):
+def test_draws_on_a_products_tuples_are_successive_seeded_choices(text, bound):
     values = int_record(parse_algebra_shorthand(text), bound).values
     assert isinstance(values, algebra._Tuples)
     for seed in (0, 9):
-        _assert_choices(values, seed, (3, 0, 64, 129), monkeypatch)
+        _assert_choices(values, seed, (3, 0, 64, 129))
 
 
 class _Counted:
@@ -229,22 +224,13 @@ def test_a_sampled_check_reads_no_draw_past_its_counterexample(text, bound, seed
     assert counted[-1].reads == 1000 + 3 * j
 
 
-def _peak(check) -> int:
-    tracemalloc.start()
-    try:
-        check()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_a_sampled_checks_memory_does_not_grow_with_its_samples():
     A, law = FiniteChain(10 ** 6), [_mv_axioms()[6]]  # lukasiewicz_exchange, on ints > 256
 
     def check(samples):
         return lambda: check_identities(A, law, None, samples, 5)
     check(10)()  # the records and caches a first check builds
-    small, large = _peak(check(1_000)), _peak(check(100_000))
+    small, large = traced_peak(check(1_000)), traced_peak(check(100_000))
     assert large <= 2 * small, (small, large)
 
 
@@ -261,7 +247,8 @@ _TOP = [Law("top", parse_equation("0 = 1"),
 def test_a_full_walks_memory_does_not_grow_with_its_instances(small, large, laws):
     A, B = parse_algebra_shorthand(small), parse_algebra_shorthand(large)
     assert check_identities(A, laws).ok == check_identities(B, laws).ok  # records and caches
-    assert _peak(lambda: check_identities(B, laws)) <= 2 * _peak(lambda: check_identities(A, laws))
+    assert traced_peak(lambda: check_identities(B, laws)) <= \
+        2 * traced_peak(lambda: check_identities(A, laws))
 
 
 @pytest.mark.parametrize("text, laws, samples, checked", [
